@@ -32,8 +32,10 @@ from typing import Any
 
 import yaml
 
+from .models import HivParameters
 from .qschur import QuantumConfig, QuantumSchurSolver
 from .schur import ExactSchurSolver, NoisySchurSolver
+from .sqp import SqpConfig
 
 
 class ConfigError(ValueError):
@@ -42,6 +44,8 @@ class ConfigError(ValueError):
 
 _PROBLEMS = ("hiv", "toy:eqqp", "toy:double_integrator", "toy:box1d")
 _SOLVER_KINDS = ("exact", "noisy", "quantum")
+_HIV_PARAMS = {f.name for f in dc_fields(HivParameters)}
+_SQP_OPTIONS = {f.name for f in dc_fields(SqpConfig)}
 
 
 @dataclass
@@ -100,6 +104,9 @@ def validate_config(data: dict) -> ExperimentConfig:
                               f"expected one of {_PROBLEMS}")
         cfg.problem = name
         cfg.problem_params = dict(problem.get("params", {}))
+        for key in cfg.problem_params:
+            if key not in _HIV_PARAMS:
+                raise ConfigError(f"problem.params.{key}: unknown parameter")
         cfg.u_guess = float(problem.get("u_guess", cfg.u_guess))
 
     if "solver" in data:
@@ -112,6 +119,9 @@ def validate_config(data: dict) -> ExperimentConfig:
                        for i, s in enumerate(specs)]
 
     cfg.sqp = dict(data.get("sqp", {}))
+    for key in cfg.sqp:
+        if key not in _SQP_OPTIONS:
+            raise ConfigError(f"sqp.{key}: unknown option")
 
     sweep = data.get("sweep", {})
     if sweep:

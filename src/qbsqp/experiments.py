@@ -14,6 +14,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from operator import itemgetter
 from typing import Any
 
 import numpy as np
@@ -419,8 +420,11 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[int, dict]:
             results = list(pool.map(run_cell, jobs))
     else:
         results = [run_cell(j) for j in jobs]
-    cells = [r for r in results if r is not None]
-    cells.sort(key=lambda c: (c["mu_min"], c["eps"], c["seed"]))
+    # Worker threads finish in any order; sort so the outputs do not depend
+    # on thread timing.
+    cell_order = itemgetter("mu_min", "eps", "seed")
+    cells = sorted((r for r in results if r is not None), key=cell_order)
+    failures.sort(key=cell_order)
 
     sweep_rows = [[c["mu_min"], c["eps"], c["seed"], c["n_iters"],
                    c["termination"], c["tail"], c["d0"], c["i_tail"]]

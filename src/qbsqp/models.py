@@ -256,7 +256,6 @@ def hiv_ocp(params: HivParameters | None = None) -> OcpDefinition:
         terminal_constraints=terminal_constraints,
         n_terminal=3,
         terminal_jac=lambda x: -np.eye(3),
-        stage_residual_norm=lambda x, u: float(np.sqrt(np.max(w_stage))),
         name="hiv",
     )
 

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import cho_factor, LinAlgError
 
-from .schur import QpData, estimate_condition_rect, estimate_condition_spd
+from .schur import QpData
 
 
 class ConfigurationError(ValueError):
@@ -137,7 +137,6 @@ class OcpDefinition:
     terminal_constraints: Callable | None = None
     n_terminal: int = 0
     terminal_jac: Callable | None = None      # -> (n_terminal, n)
-    stage_residual_norm: Callable | None = None  # ||grad r_k||_2 for kappa estimates
     name: str = "ocp"
 
     def __post_init__(self):
@@ -157,6 +156,22 @@ def _check_shape(value, shape, who):
     if arr.shape != shape:
         raise ConfigurationError(f"{who} returned shape {arr.shape}, expected {shape}")
     return arr
+
+
+@dataclass(frozen=True)
+class PointEval:
+    """Constraint values, Jacobians and objective gradient at one iterate.
+
+    The SQP driver evaluates these once per accepted iterate and shares
+    them between the QP assembly, the step rules, the trace and the
+    convergence test.
+    """
+
+    c: np.ndarray       # equality residuals, (m_eq,)
+    jac_c: np.ndarray   # (m_eq, n_z)
+    h: np.ndarray       # inequality values, (n_ineq,)
+    jac_h: np.ndarray   # (n_ineq, n_z)
+    grad_f: np.ndarray  # objective gradient, (n_z,)
 
 
 @dataclass
@@ -286,6 +301,14 @@ class TrajectoryNlp:
             jac[ocp.horizon * p:, off:off + n] = _terminal_con_jac(ocp, xs[-1])
         return jac
 
+    def evaluate(self, z: np.ndarray) -> PointEval:
+        """Every first-order quantity the SQP iteration needs at z."""
+        return PointEval(
+            c=self.equalities(z), jac_c=self.equalities_jacobian(z),
+            h=self.inequalities(z), jac_h=self.inequalities_jacobian(z),
+            grad_f=self.objective_gradient(z),
+        )
+
 
 # -- per-stage derivative dispatch (analytic with FD fallback) ---------------
 
@@ -410,25 +433,29 @@ def build_qp(
     cfg: BarrierConfig,
     *,
     max_dampings: int = 40,
-    with_condition_estimates: bool = True,
+    point: PointEval | None = None,
 ) -> QpData:
     """Assemble one iteration's quadratic subproblem.
 
     Q is the stage-cost Hessian (Gauss-Newton when declared) plus barrier
     curvature plus sigma*I; positive definiteness is asserted by a Cholesky
-    attempt, doubling sigma (from a 1e-8 floor) on failure.
+    attempt, doubling sigma (from a 1e-8 floor) on failure.  The accepted
+    factor is handed on as ``QpData.chol_Q``.  ``point`` holds the
+    first-order quantities at z; they are evaluated here when omitted.
     """
-    h = nlp.inequalities(z)
+    if point is None:
+        point = nlp.evaluate(z)
+    h = point.h
     if h.size and np.max(h) >= 0.0:
         raise InfeasiblePointError(
             f"strictly infeasible point: max H = {np.max(h):.3e} >= 0")
 
     _, d1, d2 = cfg.funcs
-    grad_f = nlp.objective_gradient(z)
+    grad_f = point.grad_f
     q_mat = nlp.objective_hessian(z)
     g = grad_f.copy()
     if h.size:
-        jac_h = nlp.inequalities_jacobian(z)
+        jac_h = point.jac_h
         weights = cfg.mu * d2(h)
         q_mat = q_mat + (jac_h.T * weights) @ jac_h
         g = g + jac_h.T @ (cfg.mu * d1(h))
@@ -439,7 +466,7 @@ def build_qp(
     while True:
         q_try = q_mat + sigma * np.eye(nlp.n_z) if sigma else q_mat
         try:
-            cho_factor(q_try, lower=True)
+            chol_q = cho_factor(q_try, lower=True)
             break
         except (LinAlgError, np.linalg.LinAlgError):
             attempts += 1
@@ -447,38 +474,12 @@ def build_qp(
                 raise ValueError(
                     f"Q not positive definite after {max_dampings} damping doublings")
             sigma = max(1e-8, 2.0 * sigma)
-    q_mat = q_try
-
-    a_mat = nlp.equalities_jacobian(z)
-    r = -nlp.equalities(z)
-
-    kappa_q = kappa_a = 1.0
-    if with_condition_estimates:
-        kappa_q = _estimate_kappa_q(nlp, z, q_mat, sigma)
-        kappa_a = estimate_condition_rect(a_mat) if a_mat.size else 1.0
 
     return QpData(
-        Q=q_mat, A=a_mat, g=g, r=r,
-        kappa_Q=kappa_q, kappa_A=kappa_a,
+        Q=q_try, A=point.jac_c, g=g, r=-point.c, chol_Q=chol_q,
         diagnostics={"sigma": sigma, "damping_attempts": attempts,
                      "grad_f_norm": float(np.linalg.norm(grad_f))},
     )
-
-
-def _estimate_kappa_q(nlp, z, q_mat, sigma):
-    """Stage-structure condition estimate when applicable, else power iteration.
-
-    For least-squares stage costs with damping the per-block estimate
-    (||grad r_k||^2 + sigma)/sigma applies; otherwise a randomized
-    power-iteration estimate with a 1.5x safety factor is used.
-    """
-    ocp = nlp.ocp
-    if ocp.stage_residual_norm is not None and sigma > 0.0:
-        xs, us = nlp.split(z)
-        worst = max(float(ocp.stage_residual_norm(xs[k], us[k])) ** 2
-                    for k in range(ocp.horizon))
-        return (worst + sigma) / sigma
-    return estimate_condition_spd(q_mat, safety=1.5)
 
 
 def validate_derivatives(

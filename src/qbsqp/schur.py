@@ -26,14 +26,19 @@ class SingularityError(RuntimeError):
 
 @dataclass
 class QpData:
-    """One iteration's quadratic subproblem data."""
+    """One iteration's quadratic subproblem data.
+
+    ``chol_Q`` is the lower Cholesky factor of Q as returned by
+    ``cho_factor(Q, lower=True)``.  ``build_qp`` fills it from its damping
+    loop so that ``exact_step`` does not factor Q a second time; when it is
+    None, ``exact_step`` factors Q itself.
+    """
 
     Q: np.ndarray
     A: np.ndarray
     g: np.ndarray
     r: np.ndarray
-    kappa_Q: float = 1.0
-    kappa_A: float = 1.0
+    chol_Q: tuple[np.ndarray, bool] | None = None
     diagnostics: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -105,12 +110,13 @@ def _chol(mat: np.ndarray, label: str):
 
 
 def exact_step(qp: QpData) -> SchurSolution:
-    """Block elimination with a single Cholesky factorization of Q.
+    """Block elimination with one Cholesky factorization each of Q and S.
 
-    The factorization is reused for the Schur assembly, the right-hand
-    side, and the primal recovery.
+    The factor of Q (``qp.chol_Q`` when present) is reused for the Schur
+    assembly, the right-hand side, and the primal recovery.  A Q or S that
+    is not positive definite raises SingularityError.
     """
-    cq = _chol(qp.Q, "Q")
+    cq = qp.chol_Q if qp.chol_Q is not None else _chol(qp.Q, "Q")
     diag: dict[str, Any] = {"solver": "exact"}
 
     if qp.m_eq == 0:
@@ -121,9 +127,6 @@ def exact_step(qp: QpData) -> SchurSolution:
         s_mat = qp.A @ qinv_at
         s_mat = 0.5 * (s_mat + s_mat.T)
         b = -qp.r - qp.A @ cho_solve(cq, qp.g)
-        s_eigs = eigvalsh(s_mat)
-        diag["schur_eig_min"] = float(s_eigs[0])
-        diag["schur_eig_max"] = float(s_eigs[-1])
         lam = cho_solve(_chol(s_mat, "Schur complement S"), b)
         dz = -cho_solve(cq, qp.g + qp.A.T @ lam)
 
@@ -194,46 +197,6 @@ class NoisySchurSolver:
 
     def step(self, qp: QpData) -> SchurSolution:
         return noisy_step(qp, self.eps_dz, self._rng, lambda_mode=self.lambda_mode)
-
-
-def power_iteration_norm(
-    mat: np.ndarray, n_iters: int = 64, seed: int = 0
-) -> float:
-    """Randomized power-iteration estimate of the spectral norm."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(mat.shape[1])
-    v /= np.linalg.norm(v)
-    mtm = mat.T @ mat
-    est = 0.0
-    for _ in range(n_iters):
-        w = mtm @ v
-        est = np.linalg.norm(w)
-        if est == 0.0:
-            return 0.0
-        v = w / est
-    return float(np.sqrt(est))
-
-
-def estimate_condition_spd(mat: np.ndarray, safety: float = 1.5, seed: int = 0) -> float:
-    """Power-iteration condition estimate for an SPD matrix, with safety factor."""
-    lam_max = power_iteration_norm(mat, seed=seed)
-    cf = cho_factor(mat, lower=True)
-    rng = np.random.default_rng(seed + 1)
-    v = rng.standard_normal(mat.shape[0])
-    v /= np.linalg.norm(v)
-    inv_norm = 1.0
-    for _ in range(64):
-        w = cho_solve(cf, v)
-        inv_norm = np.linalg.norm(w)
-        v = w / inv_norm
-    lam_min = 1.0 / inv_norm
-    return float(safety * lam_max / lam_min)
-
-
-def estimate_condition_rect(mat: np.ndarray, safety: float = 1.5, seed: int = 0) -> float:
-    """Condition estimate for a full-row-rank rectangular matrix via A A^T."""
-    gram = mat @ mat.T
-    return float(np.sqrt(estimate_condition_spd(gram, safety=safety**2, seed=seed)))
 
 
 def validate_qp(qp: QpData, *, tol: float = 1e-8) -> None:

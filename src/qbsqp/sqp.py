@@ -15,8 +15,8 @@ from typing import Any
 
 import numpy as np
 
-from .nlp import BarrierConfig, InfeasiblePointError, TrajectoryNlp, build_qp, \
-    eval_barrier_objective
+from .nlp import BarrierConfig, InfeasiblePointError, PointEval, TrajectoryNlp, \
+    build_qp, eval_barrier_objective
 from .schur import SchurSolution, SchurStepSolver
 
 
@@ -134,12 +134,12 @@ def backtrack(
     cfg: SqpConfig,
     *,
     allow_nondescent: bool = False,
-) -> tuple[float, float, int] | None:
+) -> tuple[float, float, int, float] | None:
     """Largest alpha in {alpha_max * tau^k} passing feasibility and Armijo.
 
-    Returns (alpha, barrier objective at the accepted point, k) or None
-    when max_backtracks trials are exhausted.  A zero step is accepted
-    immediately (both conditions hold with equality).  Raises
+    Returns (alpha, barrier objective at the accepted point, k, barrier
+    objective at z) or None when max_backtracks trials are exhausted.  A
+    zero step is accepted immediately (both conditions hold with equality).  Raises
     NonDescentError for a nonzero step with g^T dz >= 0: that signals
     solver-quality failure upstream.  ``allow_nondescent`` skips that
     gate and runs the acceptance loop as printed; the driver enables it
@@ -150,11 +150,12 @@ def backtrack(
     bcfg = BarrierConfig(mu=mu, barrier_kind=cfg.barrier_kind)
     f0 = eval_barrier_objective(nlp, z, bcfg)
     if np.linalg.norm(dz) == 0.0:
-        return alpha_max, f0, 0
+        return alpha_max, f0, 0, f0
     if slope >= 0.0 and not allow_nondescent:
         raise NonDescentError(f"g^T dz = {slope:.3e} >= 0")
 
-    eq0 = float(np.linalg.norm(nlp.equalities(z)))
+    eq0 = (float(np.linalg.norm(nlp.equalities(z)))
+           if cfg.enforce_infeasibility_decrease else 0.0)
     alpha = alpha_max
     for k in range(cfg.max_backtracks):
         trial = z + alpha * dz
@@ -164,7 +165,7 @@ def backtrack(
             eq_trial = float(np.linalg.norm(nlp.equalities(trial)))
             ok = eq_trial <= (1.0 - cfg.infeasibility_sigma * alpha) * eq0
         if ok:
-            return alpha, f_trial, k
+            return alpha, f_trial, k, f0
         alpha *= cfg.backtrack_tau
     return None
 
@@ -186,23 +187,15 @@ def update_barrier(mu: float, cfg: SqpConfig, progress: dict[str, float]) -> flo
     return new
 
 
-def _grad_f_norm(nlp, z):
-    return float(np.linalg.norm(nlp.objective_gradient(z)))
-
-
-def _barrier_gradient(nlp, z, mu, kind):
-    bcfg = BarrierConfig(mu=mu, barrier_kind=kind)
-    g = nlp.objective_gradient(z)
-    h = nlp.inequalities(z)
-    if h.size:
-        g = g + nlp.inequalities_jacobian(z).T @ (mu * bcfg.funcs[1](h))
-    return g
-
-
-def _stationarity_norm(nlp, z, mu, kind, lam):
-    g = _barrier_gradient(nlp, z, mu, kind)
-    if lam is not None and lam.size:
-        g = g + nlp.equalities_jacobian(z).T @ lam
+def _stationarity_norm(point: PointEval, mu: float, kind: str,
+                       lam: np.ndarray) -> float:
+    """||grad F + mu * jac_h^T phi'(h) + jac_c^T lam|| from cached evaluations."""
+    g = point.grad_f
+    if point.h.size:
+        d1 = BarrierConfig(mu=mu, barrier_kind=kind).funcs[1]
+        g = g + point.jac_h.T @ (mu * d1(point.h))
+    if lam.size:
+        g = g + point.jac_c.T @ lam
     return float(np.linalg.norm(g))
 
 
@@ -217,25 +210,31 @@ def solve(
     The trace records every iterate; termination is one of converged,
     mu_floor, iter_cap, or line_search_failure.  Hard backend failures
     (singular systems, exhausted error budgets) propagate as exceptions.
+    Constraint values, Jacobians and the objective gradient are evaluated
+    once per accepted iterate (see ``TrajectoryNlp.evaluate``).
     """
     z = np.asarray(z0, dtype=float).copy()
-    h = nlp.inequalities(z)
-    if h.size and np.max(h) >= 0.0:
+    point = nlp.evaluate(z)
+    if point.h.size and np.max(point.h) >= 0.0:
         raise InfeasiblePointError(
-            f"initial point violates strict feasibility: max H = {np.max(h):.3e}")
+            f"initial point violates strict feasibility: max H = {np.max(point.h):.3e}")
 
     mu = cfg.mu0
-    records = [_record_initial(nlp, z, mu, cfg)]
+    prev_eq = float(np.linalg.norm(point.c))
+    f_bar = eval_barrier_objective(
+        nlp, z, BarrierConfig(mu=mu, barrier_kind=cfg.barrier_kind))
+    records = [_record(0, z, mu, point, eq_norm=prev_eq, alpha=0.0, dz_norm=0.0,
+                       f_bar=f_bar)]
 
     # Short-circuit when the start already meets the convergence criteria.
-    if _check_convergence(nlp, z, mu, cfg, lam=None):
+    if _converged(records[0], _stationarity_norm(point, mu, cfg.barrier_kind,
+                                                 np.zeros(0)), cfg):
         return SolveReport(records=records, termination="converged",
                            z_star=z, mu_final=mu, message="initial point optimal")
 
     termination = None
     message = ""
     i = 0
-    prev_eq = records[0].eq_norm
     prev_stat = float("nan")
 
     while mu > cfg.mu_min:
@@ -244,7 +243,7 @@ def solve(
             break
 
         bcfg = BarrierConfig(mu=mu, sigma=cfg.sigma0, barrier_kind=cfg.barrier_kind)
-        qp = build_qp(nlp, z, bcfg)
+        qp = build_qp(nlp, z, bcfg, point=point)
 
         sol = solver.step(qp)
         retried = False
@@ -253,14 +252,12 @@ def solve(
         # feasibility and g^T dz may legitimately be nonnegative; run the
         # acceptance loop as printed.  At feasible iterates a non-descent
         # direction signals solver-quality failure instead.
-        restoring = float(np.linalg.norm(nlp.equalities(z))) > cfg.eps_feas
+        restoring = prev_eq > cfg.eps_feas  # prev_eq is ||c(z)|| at this z
         while True:
             try:
-                h_vals = nlp.inequalities(z)
-                if h_vals.size:
-                    h_dirderivs = nlp.inequalities_jacobian(z) @ sol.dz
+                if point.h.size:
                     alpha_max = fraction_to_boundary(
-                        z, sol.dz, h_vals, h_dirderivs, cfg.boundary_theta)
+                        z, sol.dz, point.h, point.jac_h @ sol.dz, cfg.boundary_theta)
                 else:
                     alpha_max = 1.0
                 accepted = backtrack(nlp, z, sol.dz, qp.g, mu, alpha_max, cfg,
@@ -270,7 +267,8 @@ def solve(
                 # Recoverable once for probabilistic backends: re-invoke with
                 # fresh randomness, mu untouched.  A second failure aborts.
                 if retried:
-                    if _check_convergence(nlp, z, mu, cfg, lam=sol.lam):
+                    stat_here = _stationarity_norm(point, mu, cfg.barrier_kind, sol.lam)
+                    if _converged(records[-1], stat_here, cfg):
                         termination = "converged"
                         message = "stationary at non-descent abort"
                     else:
@@ -287,25 +285,21 @@ def solve(
             message = f"backtracking exhausted {cfg.max_backtracks} trials"
             break
 
-        alpha, f_new, n_bt = accepted
+        alpha, f_new, n_bt, f_old = accepted
         slope = float(qp.g @ sol.dz)
-        f_old = eval_barrier_objective(
-            nlp, z, BarrierConfig(mu=mu, barrier_kind=cfg.barrier_kind))
+        del qp  # frees Q and its factor before the next evaluation and assembly
         z = z + alpha * sol.dz
+        point = nlp.evaluate(z)
 
-        eq_norm = float(np.linalg.norm(nlp.equalities(z)))
-        stat_norm = _stationarity_norm(nlp, z, mu, cfg.barrier_kind, sol.lam)
+        eq_norm = float(np.linalg.norm(point.c))
+        stat_norm = _stationarity_norm(point, mu, cfg.barrier_kind, sol.lam)
         infeas_ratio = eq_norm / prev_eq if prev_eq > 0.0 else float("nan")
-        records.append(IterateRecord(
-            i=i + 1,
-            z=z.copy(),
-            mu=mu,
+        records.append(_record(
+            i + 1, z, mu, point,
+            eq_norm=eq_norm,
             alpha=alpha,
             dz_norm=float(np.linalg.norm(sol.dz)),
-            eq_norm=eq_norm,
-            grad_f_norm=_grad_f_norm(nlp, z),
             f_bar=f_new,
-            h_max=_h_max(nlp, z),
             slope=slope,
             armijo_rhs=f_old + cfg.armijo_c * alpha * slope,
             kkt_stat_norm=stat_norm,
@@ -317,7 +311,7 @@ def solve(
             solver_diag=dict(sol.diagnostics),
         ))
 
-        if _check_convergence(nlp, z, mu, cfg, lam=sol.lam, stat_norm=stat_norm):
+        if _converged(records[-1], stat_norm, cfg):
             termination = "converged"
             break
 
@@ -335,33 +329,22 @@ def solve(
                        z_star=z, mu_final=mu, message=message)
 
 
-def _h_max(nlp, z):
-    h = nlp.inequalities(z)
-    return float(np.max(h)) if h.size else float("-inf")
-
-
-def _record_initial(nlp, z, mu, cfg):
-    bcfg = BarrierConfig(mu=mu, barrier_kind=cfg.barrier_kind)
+def _record(i, z, mu, point, **fields):
+    """Trace row for iterate i; grad_f_norm and h_max come from `point`."""
     return IterateRecord(
-        i=0,
+        i=i,
         z=z.copy(),
         mu=mu,
-        alpha=0.0,
-        dz_norm=0.0,
-        eq_norm=float(np.linalg.norm(nlp.equalities(z))),
-        grad_f_norm=_grad_f_norm(nlp, z),
-        f_bar=eval_barrier_objective(nlp, z, bcfg),
-        h_max=_h_max(nlp, z),
+        grad_f_norm=float(np.linalg.norm(point.grad_f)),
+        h_max=float(np.max(point.h)) if point.h.size else float("-inf"),
+        **fields,
     )
 
 
-def _check_convergence(nlp, z, mu, cfg, lam, stat_norm=None):
-    eq_norm = float(np.linalg.norm(nlp.equalities(z)))
-    if eq_norm > cfg.eps_feas:
+def _converged(rec: IterateRecord, stat_norm: float, cfg: SqpConfig) -> bool:
+    """Convergence test on the residual norms of the iterate `rec` records."""
+    if rec.eq_norm > cfg.eps_feas:
         return False
     if cfg.convergence_check == "grad_f":
-        return _grad_f_norm(nlp, z) <= cfg.eps_opt
-    if stat_norm is None:
-        stat_norm = _stationarity_norm(nlp, z, mu, cfg.barrier_kind,
-                                       lam if lam is not None else np.zeros(0))
+        return rec.grad_f_norm <= cfg.eps_opt
     return stat_norm <= cfg.eps_opt

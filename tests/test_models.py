@@ -91,8 +91,7 @@ class TestHivModel:
     def test_initial_conditioning_tractable(self):
         nlp = transcribe(hiv_ocp())
         z0 = hiv_initial_guess(nlp, 0.05)
-        qp = build_qp(nlp, z0, BarrierConfig(mu=1e-2),
-                      with_condition_estimates=False)
+        qp = build_qp(nlp, z0, BarrierConfig(mu=1e-2))
         assert np.linalg.cond(qp.Q) < 1e6
 
     def test_vector_field_positivity_structure(self):

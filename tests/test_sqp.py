@@ -1,7 +1,21 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from qbsqp.models import box1d_ocp, double_integrator_ocp, eqqp_ocp, toy_problems
+import qbsqp.nlp
+import qbsqp.schur
+import qbsqp.sqp
+from qbsqp.experiments import HIV_SQP_DEFAULTS
+from qbsqp.models import (
+    HivParameters,
+    box1d_ocp,
+    double_integrator_ocp,
+    eqqp_ocp,
+    hiv_initial_guess,
+    hiv_ocp,
+    toy_problems,
+)
 from qbsqp.nlp import InfeasiblePointError, OcpDefinition, rollout, transcribe
 from qbsqp.schur import ExactSchurSolver, NoisySchurSolver
 from qbsqp.sqp import (
@@ -56,7 +70,7 @@ class TestBacktrack:
         z = np.array([1.0, 0.0, 0.0])
         dz = np.array([-1.0, 0.0, 0.0])
         g = np.array([2.0, 0.0, 0.0])
-        alpha, f_new, k = backtrack(nlp, z, dz, g, 1.0, 1.0, cfg)
+        alpha, f_new, k, _ = backtrack(nlp, z, dz, g, 1.0, 1.0, cfg)
         assert alpha == 1.0 and k == 0
         assert f_new == pytest.approx(0.0)
 
@@ -82,15 +96,15 @@ class TestBacktrack:
         dz = np.array([0.0, 2.0, 0.0])
         mu = 0.1
         g = np.array([0.0, -1.0 + mu, 0.0])  # cost slope plus barrier slope
-        alpha, _, k = backtrack(nlp, z, dz, g, mu, 1.0, cfg)
+        alpha, _, k, _ = backtrack(nlp, z, dz, g, mu, 1.0, cfg)
         assert alpha == pytest.approx(0.25)
         assert k == 2
 
     def test_zero_step_accepted_immediately(self):
         nlp = transcribe(pure_state_cost_ocp())
         cfg = SqpConfig()
-        alpha, _, k = backtrack(nlp, np.ones(3), np.zeros(3),
-                                np.ones(3), 1.0, 0.7, cfg)
+        alpha, _, k, _ = backtrack(nlp, np.ones(3), np.zeros(3),
+                                   np.ones(3), 1.0, 0.7, cfg)
         assert alpha == 0.7 and k == 0
 
     def test_nondescent_raises_unless_allowed(self):
@@ -226,6 +240,38 @@ class TestSolve:
         rep = solve(nlp, toys["box1d"].z0, cfg, ExactSchurSolver())
         assert rep.termination == "iter_cap"
         assert rep.records[-1].mu == pytest.approx(1e-4)
+
+    def test_each_quantity_evaluated_once_per_iterate(self, monkeypatch):
+        nlp = transcribe(hiv_ocp(HivParameters(N=8)))
+        z0 = hiv_initial_guess(nlp, 0.05)
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        evaluators = ("equalities", "equalities_jacobian",
+                      "inequalities_jacobian", "objective_gradient")
+        for name in evaluators:
+            monkeypatch.setattr(nlp, name, counted(name, getattr(nlp, name)))
+        for mod in (qbsqp.nlp, qbsqp.schur):
+            monkeypatch.setattr(mod, "cho_factor",
+                                counted("cho_factor", mod.cho_factor))
+        monkeypatch.setattr(qbsqp.sqp, "eval_barrier_objective",
+                            counted("barrier", qbsqp.sqp.eval_barrier_objective))
+
+        rep = solve(nlp, z0, SqpConfig(**HIV_SQP_DEFAULTS), ExactSchurSolver())
+        n = rep.n_iters
+        assert rep.converged and n > 0
+        for name in evaluators:
+            assert calls[name] <= n + 1, (name, calls[name], n)
+        # one factorization of Q (in build_qp) and one of S per iteration
+        assert calls["cho_factor"] <= 2 * n
+        # the start, one f0 per line search, and the line-search trials
+        trials = sum(rec.backtracks + 1 for rec in rep.records[1:])
+        assert calls["barrier"] <= trials + n + 1
 
 
 def test_config_validation():
