@@ -167,12 +167,11 @@ def encode(
     )
 
 
-def be_mul(u: BlockEncoding, v: BlockEncoding, *, error_rule: str = "standard") -> BlockEncoding:
+def be_mul(u: BlockEncoding, v: BlockEncoding) -> BlockEncoding:
     """Product encoding of (U's operand) @ (V's operand).
 
-    Composes as (alpha_u * alpha_v, a_u + a_v, alpha_u*eps_v + alpha_v*eps_u).
-    ``error_rule="paper"`` switches to the alpha_u*eps_u + alpha_v*eps_v
-    variant so either convention can be exercised.
+    Composes as (alpha_u * alpha_v, a_u + a_v, alpha_u*eps_v + alpha_v*eps_u)
+    (Gilyen, Su, Low & Wiebe, arXiv:1806.01838, Lemma 30).
     """
     if u.size != v.size:
         raise EncodingError(f"embedded sizes differ: {u.size} vs {v.size}")
@@ -181,19 +180,13 @@ def be_mul(u: BlockEncoding, v: BlockEncoding, *, error_rule: str = "standard") 
             f"logical dimensions incompatible: ({u.logical_rows},{u.logical_cols}) @ "
             f"({v.logical_rows},{v.logical_cols})"
         )
-    if error_rule == "standard":
-        eps = u.alpha * v.eps + v.alpha * u.eps
-    elif error_rule == "paper":
-        eps = u.alpha * u.eps + v.alpha * v.eps
-    else:
-        raise EncodingError(f"unknown multiplication error rule {error_rule!r}")
     return BlockEncoding(
         embedded=u.embedded @ v.embedded,
         logical_rows=u.logical_rows,
         logical_cols=v.logical_cols,
         alpha=u.alpha * v.alpha,
         ancillas=u.ancillas + v.ancillas,
-        eps=eps,
+        eps=u.alpha * v.eps + v.alpha * u.eps,
     )
 
 

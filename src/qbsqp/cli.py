@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Subcommands: solve, compare, sweep, qsvt-check.  Global flags --config,
---out, --seed, --workers override the corresponding file fields.  Exit
-codes: 0 success, 1 usage/config error, 2 solver failure, 3 partial sweep.
+Subcommands: solve, compare, sweep, qsvt-check.  --config names the YAML
+file; --out and --seed override the corresponding file fields.  Exit codes:
+0 success (and --help), 1 usage or config error (unknown subcommand or
+flag, missing --config, invalid field), 2 solver failure, 3 partial sweep
+(some cells failed; without the reference cell no envelope is fitted).
 """
 
 from __future__ import annotations
@@ -21,8 +23,16 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on usage errors; here 2 means solver failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qbsqp",
         description="Barrier SQP solver with exact, noisy, or simulated-quantum "
                     "Schur-complement steps",
@@ -31,7 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="YAML configuration file")
     parser.add_argument("--out", help="output directory (overrides output.dir)")
     parser.add_argument("--seed", type=int, help="seed override")
-    parser.add_argument("--workers", type=int, help="worker pool size for sweeps")
     return parser
 
 
@@ -44,10 +53,6 @@ def main(argv: list[str] | None = None) -> int:
             cfg.output_dir = args.out
         if args.seed is not None:
             cfg.seed = args.seed
-        if args.workers is not None:
-            cfg.workers = args.workers
-        if cfg.workers < 1:
-            raise ConfigError("workers: must be >= 1")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -66,7 +71,7 @@ def main(argv: list[str] | None = None) -> int:
 
     summary = result.get("summary", {})
     for key, value in summary.items():
-        if key != "failures":
+        if key not in ("failures", "fit_skipped"):
             print(f"{key}: {value}")
     if code == 2:
         print("solver failure: run did not reach a successful termination",
@@ -74,6 +79,8 @@ def main(argv: list[str] | None = None) -> int:
     if code == 3:
         print(f"partial sweep: {len(summary.get('failures', []))} cell(s) failed",
               file=sys.stderr)
+        if "fit_skipped" in summary:
+            print(f"no envelope fit: {summary['fit_skipped']}", file=sys.stderr)
     return code
 
 

@@ -20,7 +20,6 @@ Schema (all sections optional unless a command requires them):
       matrix_size: 8
     output: {dir: path}
     seed: 0
-    workers: 1
 
 CLI flags override file fields.
 """
@@ -46,6 +45,12 @@ _PROBLEMS = ("hiv", "toy:eqqp", "toy:double_integrator", "toy:box1d")
 _SOLVER_KINDS = ("exact", "noisy", "quantum")
 _HIV_PARAMS = {f.name for f in dc_fields(HivParameters)}
 _SQP_OPTIONS = {f.name for f in dc_fields(SqpConfig)}
+# Keys each solver kind accepts besides "kind".
+_SOLVER_OPTIONS = {
+    "exact": set(),
+    "noisy": {"eps", "seed"},
+    "quantum": {f.name for f in dc_fields(QuantumConfig)},
+}
 
 
 @dataclass
@@ -60,7 +65,6 @@ class ExperimentConfig:
     qsvt: dict[str, Any] = field(default_factory=dict)
     output_dir: str = "out"
     seed: int = 0
-    workers: int = 1
 
 
 def load_config_file(path: str) -> dict:
@@ -83,10 +87,14 @@ def load_config_file(path: str) -> dict:
 def _check_solver_spec(spec: Any, where: str) -> dict:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"{where}: solver spec must be a mapping with a 'kind' field")
-    if spec["kind"] not in _SOLVER_KINDS:
-        raise ConfigError(f"{where}.kind: unknown solver kind {spec['kind']!r}, "
+    kind = spec["kind"]
+    if kind not in _SOLVER_KINDS:
+        raise ConfigError(f"{where}.kind: unknown solver kind {kind!r}, "
                           f"expected one of {_SOLVER_KINDS}")
-    if spec["kind"] == "noisy" and float(spec.get("eps", 0.0)) < 0.0:
+    for key in spec:
+        if key != "kind" and key not in _SOLVER_OPTIONS[kind]:
+            raise ConfigError(f"{where}.{key}: unknown {kind} solver option")
+    if kind == "noisy" and float(spec.get("eps", 0.0)) < 0.0:
         raise ConfigError(f"{where}.eps: must be nonnegative")
     return dict(spec)
 
@@ -149,17 +157,11 @@ def validate_config(data: dict) -> ExperimentConfig:
     out = data.get("output", {})
     cfg.output_dir = str(out.get("dir", cfg.output_dir))
     cfg.seed = int(data.get("seed", cfg.seed))
-    cfg.workers = int(data.get("workers", cfg.workers))
-    if cfg.workers < 1:
-        raise ConfigError("workers: must be >= 1")
     return cfg
 
 
-_QUANTUM_FIELDS = {f.name for f in dc_fields(QuantumConfig)}
-
-
 def build_solver(spec: dict, seed: int):
-    """Instantiate a Schur-step backend from a solver spec."""
+    """Instantiate a Schur-step backend from a validated solver spec."""
     kind = spec["kind"]
     if kind == "exact":
         return ExactSchurSolver()
@@ -167,13 +169,9 @@ def build_solver(spec: dict, seed: int):
         return NoisySchurSolver(
             eps=float(spec.get("eps", 0.0)),
             seed=int(spec.get("seed", seed)),
-            lambda_mode=spec.get("lambda_mode", "exact"),
         )
-    opts = {k: v for k, v in spec.items() if k in _QUANTUM_FIELDS}
+    opts = {k: v for k, v in spec.items() if k != "kind"}
     opts.setdefault("seed", seed)
-    for key in spec:
-        if key not in _QUANTUM_FIELDS and key != "kind":
-            raise ConfigError(f"solver.{key}: unknown quantum option")
     return QuantumSchurSolver(QuantumConfig(**opts))
 
 

@@ -80,29 +80,23 @@ def log_barrier_d2(s: np.ndarray) -> np.ndarray:
     return 1.0 / s**2
 
 
-_BARRIERS = {"log": (log_barrier, log_barrier_d1, log_barrier_d2)}
+_LOG_BARRIER = (log_barrier, log_barrier_d1, log_barrier_d2)
 
 
 @dataclass(frozen=True)
 class BarrierConfig:
-    """Barrier weight, barrier family, and Hessian damping."""
+    """Weight mu of the log barrier mu * sum phi(H_j), phi(s) = -log(-s)."""
 
     mu: float
-    barrier_kind: str = "log"
-    sigma: float = 0.0
 
     def __post_init__(self):
         if self.mu <= 0.0:
             raise ValueError("barrier parameter mu must be positive")
-        if self.sigma < 0.0:
-            raise ValueError("damping sigma must be nonnegative")
-        if self.barrier_kind not in _BARRIERS:
-            raise ValueError(f"only {sorted(_BARRIERS)} barrier(s) are shipped, "
-                             f"got {self.barrier_kind!r}")
 
     @property
     def funcs(self):
-        return _BARRIERS[self.barrier_kind]
+        """phi and its first two derivatives."""
+        return _LOG_BARRIER
 
 
 # ---------------------------------------------------------------------------
@@ -438,10 +432,11 @@ def build_qp(
     """Assemble one iteration's quadratic subproblem.
 
     Q is the stage-cost Hessian (Gauss-Newton when declared) plus barrier
-    curvature plus sigma*I; positive definiteness is asserted by a Cholesky
-    attempt, doubling sigma (from a 1e-8 floor) on failure.  The accepted
-    factor is handed on as ``QpData.chol_Q``.  ``point`` holds the
-    first-order quantities at z; they are evaluated here when omitted.
+    curvature plus sigma*I, with sigma = 0 at first; positive definiteness is
+    asserted by a Cholesky attempt, doubling sigma (from a 1e-8 floor) on
+    failure.  The accepted factor is handed on as ``QpData.chol_Q``.
+    ``point`` holds the first-order quantities at z; they are evaluated here
+    when omitted.
     """
     if point is None:
         point = nlp.evaluate(z)
@@ -461,7 +456,7 @@ def build_qp(
         g = g + jac_h.T @ (cfg.mu * d1(h))
     q_mat = 0.5 * (q_mat + q_mat.T)
 
-    sigma = cfg.sigma
+    sigma = 0.0
     attempts = 0
     while True:
         q_try = q_mat + sigma * np.eye(nlp.n_z) if sigma else q_mat

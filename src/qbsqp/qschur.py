@@ -141,15 +141,11 @@ class ErrorBudget:
     eps_1: float = 0.0
     eps_dz: float = 0.0
     constants: dict[str, float] = field(default_factory=dict)
-    mult_rule: str = "standard"
 
 
-def _mul_eps(alpha_u, eps_u, alpha_v, eps_v, rule):
-    if rule == "standard":
-        return alpha_u * eps_v + alpha_v * eps_u
-    if rule == "paper":
-        return alpha_u * eps_u + alpha_v * eps_v
-    raise ValueError(f"unknown multiplication error rule {rule!r}")
+def _mul_eps(alpha_u, eps_u, alpha_v, eps_v):
+    """Product-encoding error bound, as in ``be_mul``."""
+    return alpha_u * eps_v + alpha_v * eps_u
 
 
 def propagate_error_budget(
@@ -158,11 +154,10 @@ def propagate_error_budget(
 ) -> ErrorBudget:
     """Fill the intermediate and total error bounds from the input errors.
 
-    Mirrors the simulated pipeline exactly: products compose by the active
-    multiplication rule, LCU sums add, and each inversion contributes
+    Mirrors the simulated pipeline exactly: products compose as
+    alpha_u*eps_v + alpha_v*eps_u, LCU sums add, and each inversion contributes
     C * eps_in + alpha_out * eps' with C = 2*kappa^2/alpha_in^2.
     """
-    rule = inputs.mult_rule
     lg = ledger
 
     def chain(e_q, e_a, e_g, e_r, e_qp, e_sp):
@@ -171,22 +166,22 @@ def propagate_error_budget(
 
         # S = (A * Qinv) * A^T
         a_t1 = lg.alpha_A * lg.alpha_Qinv
-        e_t1 = _mul_eps(lg.alpha_A, e_a, lg.alpha_Qinv, eps_qinv, rule)
-        eps_s = _mul_eps(a_t1, e_t1, lg.alpha_A, e_a, rule)
+        e_t1 = _mul_eps(lg.alpha_A, e_a, lg.alpha_Qinv, eps_qinv)
+        eps_s = _mul_eps(a_t1, e_t1, lg.alpha_A, e_a)
 
         # b = -r - A * (Qinv * g)
         a_t2 = lg.alpha_Qinv * lg.alpha_g
-        e_t2 = _mul_eps(lg.alpha_Qinv, eps_qinv, lg.alpha_g, e_g, rule)
-        e_t3 = _mul_eps(lg.alpha_A, e_a, a_t2, e_t2, rule)
+        e_t2 = _mul_eps(lg.alpha_Qinv, eps_qinv, lg.alpha_g, e_g)
+        e_t3 = _mul_eps(lg.alpha_A, e_a, a_t2, e_t2)
         eps_b = e_r + e_t3
 
         c_s = inversion_error_factor(lg.kappa_S, lg.alpha_S)
         eps_sinv = c_s * eps_s + lg.alpha_Sinv * e_sp
 
-        eps_lam = _mul_eps(lg.alpha_Sinv, eps_sinv, lg.alpha_b, eps_b, rule)
-        e_t4 = _mul_eps(lg.alpha_A, e_a, lg.alpha_lambda, eps_lam, rule)
+        eps_lam = _mul_eps(lg.alpha_Sinv, eps_sinv, lg.alpha_b, eps_b)
+        e_t4 = _mul_eps(lg.alpha_A, e_a, lg.alpha_lambda, eps_lam)
         eps_1 = e_g + e_t4
-        eps_dz = _mul_eps(lg.alpha_Qinv, eps_qinv, lg.alpha_1, eps_1, rule)
+        eps_dz = _mul_eps(lg.alpha_Qinv, eps_qinv, lg.alpha_1, eps_1)
         return eps_qinv, eps_s, eps_b, eps_sinv, eps_lam, eps_1, eps_dz
 
     vals = chain(
@@ -223,23 +218,19 @@ class QuantumConfig:
     shots: int = 10**8
     seed: int = 0
     degree_cap: int = 4001
-    lsq_degree_max: int = 1200
-    kappa_safety: float = 1.0 + 1e-9
-    kappa_bucket: str = "pow2"  # "pow2" | "exact"
-    pre_scale: bool = True
-    mult_rule: str = "standard"
     usability_cap: float = float("inf")
     p_succ_floor: float = 0.0
-    minimize_degree: bool = False
     validate_nodes: bool = False
 
 
-def _bucket_kappa(kappa: float, mode: str) -> float:
-    if mode == "exact":
-        return max(1.0, kappa)
-    if mode == "pow2":
-        return float(2 ** max(0, math.ceil(math.log2(max(1.0, kappa)))))
-    raise ValueError(f"unknown kappa bucket mode {mode!r}")
+# Margin on the measured condition number, so that rounding in the SVD
+# cannot push a singular value just below 1/kappa.
+KAPPA_SAFETY = 1.0 + 1e-9
+
+
+def _bucket_kappa(kappa: float) -> float:
+    """Round kappa up to a power of two, so nearby iterates share one spec."""
+    return float(2 ** max(0, math.ceil(math.log2(max(1.0, kappa)))))
 
 
 def _encode_with_floor(op, eps_target, size, rng):
@@ -249,34 +240,27 @@ def _encode_with_floor(op, eps_target, size, rng):
 
 
 def _invert_encoding(u, eps_prime, qcfg, spec_cache):
-    """Pre-scale (optionally), pick the spectral-interval parameter, invert.
+    """Pre-scale to unit top singular value, pick the spectral interval, invert.
 
-    Returns the inverse encoding plus the ledger-level kappa (the condition
-    parameter relative to the composed normalization: fit kappa times the
-    pre-scale gain) and the spec actually used.
+    Returns the inverse encoding, the spec used, the ledger-level kappa (the
+    condition parameter relative to the composed normalization: fit kappa
+    times the pre-scale gain) and the pre-scale gain.
     """
     sigma = np.linalg.svd(u.block, compute_uv=False)
     s_max, s_min = float(sigma[0]), float(sigma[-1])
     if s_min <= 0.0 or not np.isfinite(s_min):
         raise SpectrumViolationError(f"operand block is singular (sigma_min={s_min})")
 
-    gamma = 1.0 / s_max if qcfg.pre_scale else 1.0
-    kappa_raw = (s_max / s_min if qcfg.pre_scale else 1.0 / s_min) * qcfg.kappa_safety
-    kappa_fit = _bucket_kappa(kappa_raw, qcfg.kappa_bucket)
+    gamma = 1.0 / s_max
+    kappa_fit = _bucket_kappa(s_max / s_min * KAPPA_SAFETY)
 
-    key = (round(kappa_fit, 12), eps_prime)
+    key = (kappa_fit, eps_prime)
     spec = spec_cache.get(key)
     if spec is None:
-        spec = build_inversion_spec(
-            kappa_fit, eps_prime,
-            degree_cap=qcfg.degree_cap,
-            lsq_degree_max=qcfg.lsq_degree_max,
-            minimize_degree=qcfg.minimize_degree,
-        )
+        spec = build_inversion_spec(kappa_fit, eps_prime, degree_cap=qcfg.degree_cap)
         spec_cache[key] = spec
 
-    u_scaled = be_rescale(u, gamma) if gamma != 1.0 else u
-    u_inv = qsvt_invert(u_scaled, spec)
+    u_inv = qsvt_invert(be_rescale(u, gamma), spec)
     return u_inv, spec, kappa_fit * gamma, gamma
 
 
@@ -334,24 +318,23 @@ def quantum_schur_step(
     u_r = _encode_with_floor(qp.r, qcfg.eps_r, size, rng)
     u_at = be_transpose(u_a)
 
-    rule = qcfg.mult_rule
     u_qinv, spec_q, kappa_q_ledger, gamma_q = _invert_encoding(
         u_q, qcfg.eps_prime_Q, qcfg, spec_cache
     )
 
-    u_s = be_mul(be_mul(u_a, u_qinv, error_rule=rule), u_at, error_rule=rule)
-    u_t2 = be_mul(u_qinv, u_g, error_rule=rule)
-    u_t3 = be_mul(u_a, u_t2, error_rule=rule)
+    u_s = be_mul(be_mul(u_a, u_qinv), u_at)
+    u_t2 = be_mul(u_qinv, u_g)
+    u_t3 = be_mul(u_a, u_t2)
     u_b = be_add(be_neg(u_r), be_neg(u_t3))
 
     u_sinv, spec_s, kappa_s_ledger, gamma_s = _invert_encoding(
         u_s, qcfg.eps_prime_S, qcfg, spec_cache
     )
 
-    u_lam = be_mul(u_sinv, u_b, error_rule=rule)
-    u_t4 = be_mul(u_at, u_lam, error_rule=rule)
+    u_lam = be_mul(u_sinv, u_b)
+    u_t4 = be_mul(u_at, u_lam)
     u_1 = be_add(u_g, u_t4)
-    u_dz = be_mul(be_neg(u_qinv), u_1, error_rule=rule)
+    u_dz = be_mul(be_neg(u_qinv), u_1)
 
     ledger = predict_normalization(
         alpha_Q=u_q.alpha, alpha_A=u_a.alpha, alpha_g=u_g.alpha, alpha_r=u_r.alpha,
@@ -367,7 +350,6 @@ def quantum_schur_step(
         ErrorBudget(
             eps_Q=u_q.eps, eps_A=u_a.eps, eps_g=u_g.eps, eps_r=u_r.eps,
             eps_Qprime=spec_q.achieved_err, eps_Sprime=spec_s.achieved_err,
-            mult_rule=rule,
         ),
         ledger,
     )

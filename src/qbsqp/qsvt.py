@@ -50,7 +50,7 @@ class QsvtInversionSpec:
     coeffs: np.ndarray = field(repr=False)  # Chebyshev basis, even entries exactly 0
     achieved_err: float  # sup |p - 1/(kappa*beta*x)| on the check grid of [1/kappa, 1]
     sup_abs: float       # max |p| on the [-1, 1] check grid
-    engine: str = "lsq"
+    engine: str          # "lsq" | "smooth" | "exact" (kappa = 1)
 
     def __call__(self, x):
         return cheb.chebval(x, self.coeffs)
@@ -161,19 +161,25 @@ def _bound_grid(degree: int) -> np.ndarray:
     return np.cos(np.pi * np.arange(n + 1) / n)
 
 
+# Above this degree a dense least-squares fit is impractical; the smooth
+# projection takes over.
+LSQ_DEGREE_MAX = 1200
+
+
 def build_inversion_spec(
     kappa: float,
     eps_prime: float,
     *,
     degree_cap: int = 4001,
     minimize_degree: bool = False,
-    engine: str = "auto",
-    lsq_degree_max: int = 1200,
 ) -> QsvtInversionSpec:
     """Construct the odd inversion polynomial for a given spectral interval.
 
-    Raises InfeasibleAccuracyError when no degree <= degree_cap meets
-    eps_prime.
+    The least-squares engine runs first, doubling its degree up to
+    min(degree_cap, LSQ_DEGREE_MAX); when it misses eps_prime the smooth
+    projection is used.  ``minimize_degree`` bisects a successful
+    least-squares degree down to near-minimal.  Raises
+    InfeasibleAccuracyError when no degree <= degree_cap meets eps_prime.
     """
     if kappa < 1.0:
         raise ValueError("kappa must be >= 1")
@@ -188,55 +194,40 @@ def build_inversion_spec(
             coeffs=coeffs, achieved_err=0.0, sup_abs=1.0, engine="exact",
         )
 
-    sup_abs = None
-    if engine not in ("auto", "lsq", "smooth"):
-        raise ValueError(f"unknown engine {engine!r}")
+    coeffs = err = sup_abs = None
+    degree = max(3, int(2 * math.ceil(kappa / 2) + 1))
+    last_fail = 1
+    while degree <= min(degree_cap, LSQ_DEGREE_MAX):
+        coeffs, err = _lsq_fit(kappa, degree)
+        if err <= eps_prime:
+            break
+        last_fail = degree
+        degree = 2 * degree + 1
 
-    coeffs = err = degree = None
-    used_engine = engine
-    if engine in ("auto", "lsq"):
-        degree = max(3, int(2 * math.ceil(kappa / 2) + 1))
-        last_fail = 1
-        while True:
-            if degree > min(degree_cap, lsq_degree_max if engine == "auto" else degree_cap):
-                break
-            coeffs, err = _lsq_fit(kappa, degree)
-            if err <= eps_prime:
-                break
-            last_fail = degree
-            degree = 2 * degree + 1
-        if coeffs is None or err > eps_prime:
-            if engine == "lsq":
-                raise InfeasibleAccuracyError(
-                    f"degree cap {degree_cap} exceeded for kappa={kappa}, eps'={eps_prime}"
-                )
-            used_engine = "smooth"
-        else:
-            used_engine = "lsq"
-            if minimize_degree:
-                lo, hi = last_fail, degree
-                best = (coeffs, err, degree)
-                while hi - lo > 2:
-                    mid = (lo + hi) // 2
-                    if mid % 2 == 0:
-                        mid += 1
-                    c_mid, e_mid = _lsq_fit(kappa, mid)
-                    if e_mid <= eps_prime:
-                        best = (c_mid, e_mid, mid)
-                        hi = mid
-                    else:
-                        lo = mid
-                coeffs, err, degree = best
-
-    if used_engine == "smooth":
+    if coeffs is None or err > eps_prime:
+        engine = "smooth"
         coeffs, err, sup_abs, degree = _smooth_fit(kappa, eps_prime, degree_cap)
         if degree > degree_cap:
             raise InfeasibleAccuracyError(
                 f"required degree {degree} exceeds cap {degree_cap} "
                 f"(kappa={kappa}, eps'={eps_prime})"
             )
-
-    if sup_abs is None:
+    else:
+        engine = "lsq"
+        if minimize_degree:
+            lo, hi = last_fail, degree
+            best = (coeffs, err, degree)
+            while hi - lo > 2:
+                mid = (lo + hi) // 2
+                if mid % 2 == 0:
+                    mid += 1
+                c_mid, e_mid = _lsq_fit(kappa, mid)
+                if e_mid <= eps_prime:
+                    best = (c_mid, e_mid, mid)
+                    hi = mid
+                else:
+                    lo = mid
+            coeffs, err, degree = best
         sup_abs = float(np.max(np.abs(cheb.chebval(_bound_grid(degree), coeffs))))
 
     # Rescaling the target by beta rescales the least-squares solution and
@@ -252,7 +243,7 @@ def build_inversion_spec(
         coeffs=coeffs,
         achieved_err=float(err / beta),
         sup_abs=float(sup_abs / beta),
-        engine=used_engine,
+        engine=engine,
     )
 
 

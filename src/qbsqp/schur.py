@@ -142,18 +142,12 @@ class ExactSchurSolver:
         return exact_step(qp)
 
 
-def noisy_step(
-    qp: QpData,
-    eps: float,
-    rng: np.random.Generator,
-    *,
-    lambda_mode: str = "exact",
-) -> SchurSolution:
+def noisy_step(qp: QpData, eps: float, rng: np.random.Generator) -> SchurSolution:
     """Exact step plus a hard-norm-bounded spherical perturbation.
 
     The perturbation has norm u*eps with u ~ Uniform(0, 1], drawn uniformly
     in direction, so ||dz - dz_exact|| <= eps always holds (Gaussian noise
-    would violate the hard bound).
+    would violate the hard bound).  The multipliers stay exact.
     """
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
@@ -171,16 +165,10 @@ def noisy_step(
     radius = eps * (1.0 - radius)  # in (0, eps]
     dz = sol.dz + (radius / nrm) * direction
 
-    lam = sol.lam
-    if lambda_mode == "consistent" and qp.m_eq:
-        lam, *_ = np.linalg.lstsq(qp.A.T, -(qp.g + qp.Q @ dz), rcond=None)
-    elif lambda_mode != "exact":
-        raise ValueError(f"unknown lambda_mode {lambda_mode!r}")
-
-    res = kkt_residual_norm(qp, dz, lam)
+    res = kkt_residual_norm(qp, dz, sol.lam)
     return SchurSolution(
         dz=dz,
-        lam=lam,
+        lam=sol.lam,
         kkt_residual=res,
         diagnostics={"solver": "noisy", "eps_dz": eps, "noise_norm": radius},
     )
@@ -189,14 +177,13 @@ def noisy_step(
 class NoisySchurSolver:
     """Bounded-error backend used for the perturbation sweeps."""
 
-    def __init__(self, eps: float, seed: int = 0, lambda_mode: str = "exact"):
+    def __init__(self, eps: float, seed: int = 0):
         self.eps_dz = float(eps)
-        self.lambda_mode = lambda_mode
         self.name = f"noisy:{eps:g}"
         self._rng = np.random.default_rng(seed)
 
     def step(self, qp: QpData) -> SchurSolution:
-        return noisy_step(qp, self.eps_dz, self._rng, lambda_mode=self.lambda_mode)
+        return noisy_step(qp, self.eps_dz, self._rng)
 
 
 def validate_qp(qp: QpData, *, tol: float = 1e-8) -> None:

@@ -41,10 +41,6 @@ class SqpConfig:
     max_outer_iters: int = 200
     max_backtracks: int = 60
     convergence_check: str = "grad_f"  # grad_f (as printed) | kkt (stationarity)
-    enforce_infeasibility_decrease: bool = False
-    infeasibility_sigma: float = 1e-4
-    sigma0: float = 0.0
-    barrier_kind: str = "log"
 
     def __post_init__(self):
         if self.mu0 <= 0.0 or self.mu_min <= 0.0:
@@ -52,8 +48,7 @@ class SqpConfig:
         for label, val in (("armijo_c", self.armijo_c),
                            ("backtrack_tau", self.backtrack_tau),
                            ("boundary_theta", self.boundary_theta),
-                           ("beta", self.beta),
-                           ("infeasibility_sigma", self.infeasibility_sigma)):
+                           ("beta", self.beta)):
             if not 0.0 < val < 1.0:
                 raise ValueError(f"{label} must lie strictly inside (0, 1)")
         if self.eps_opt <= 0.0 or self.eps_feas <= 0.0:
@@ -84,7 +79,6 @@ class IterateRecord:
     kkt_stat_norm: float = float("nan")
     backtracks: int = 0
     infeas_ratio: float = float("nan")
-    infeas_decrease_ok: bool = True
     solver_diag: dict[str, Any] = field(default_factory=dict)
 
 
@@ -147,24 +141,17 @@ def backtrack(
     barrier descent against feasibility restoration.
     """
     slope = float(g @ dz)
-    bcfg = BarrierConfig(mu=mu, barrier_kind=cfg.barrier_kind)
+    bcfg = BarrierConfig(mu=mu)
     f0 = eval_barrier_objective(nlp, z, bcfg)
     if np.linalg.norm(dz) == 0.0:
         return alpha_max, f0, 0, f0
     if slope >= 0.0 and not allow_nondescent:
         raise NonDescentError(f"g^T dz = {slope:.3e} >= 0")
 
-    eq0 = (float(np.linalg.norm(nlp.equalities(z)))
-           if cfg.enforce_infeasibility_decrease else 0.0)
     alpha = alpha_max
     for k in range(cfg.max_backtracks):
-        trial = z + alpha * dz
-        f_trial = eval_barrier_objective(nlp, trial, bcfg)  # +inf if H >= 0
-        ok = f_trial <= f0 + cfg.armijo_c * alpha * slope
-        if ok and cfg.enforce_infeasibility_decrease and eq0 > 0.0:
-            eq_trial = float(np.linalg.norm(nlp.equalities(trial)))
-            ok = eq_trial <= (1.0 - cfg.infeasibility_sigma * alpha) * eq0
-        if ok:
+        f_trial = eval_barrier_objective(nlp, z + alpha * dz, bcfg)  # +inf if H >= 0
+        if f_trial <= f0 + cfg.armijo_c * alpha * slope:
             return alpha, f_trial, k, f0
         alpha *= cfg.backtrack_tau
     return None
@@ -187,12 +174,11 @@ def update_barrier(mu: float, cfg: SqpConfig, progress: dict[str, float]) -> flo
     return new
 
 
-def _stationarity_norm(point: PointEval, mu: float, kind: str,
-                       lam: np.ndarray) -> float:
+def _stationarity_norm(point: PointEval, mu: float, lam: np.ndarray) -> float:
     """||grad F + mu * jac_h^T phi'(h) + jac_c^T lam|| from cached evaluations."""
     g = point.grad_f
     if point.h.size:
-        d1 = BarrierConfig(mu=mu, barrier_kind=kind).funcs[1]
+        d1 = BarrierConfig(mu=mu).funcs[1]
         g = g + point.jac_h.T @ (mu * d1(point.h))
     if lam.size:
         g = g + point.jac_c.T @ lam
@@ -221,14 +207,12 @@ def solve(
 
     mu = cfg.mu0
     prev_eq = float(np.linalg.norm(point.c))
-    f_bar = eval_barrier_objective(
-        nlp, z, BarrierConfig(mu=mu, barrier_kind=cfg.barrier_kind))
+    f_bar = eval_barrier_objective(nlp, z, BarrierConfig(mu=mu))
     records = [_record(0, z, mu, point, eq_norm=prev_eq, alpha=0.0, dz_norm=0.0,
                        f_bar=f_bar)]
 
     # Short-circuit when the start already meets the convergence criteria.
-    if _converged(records[0], _stationarity_norm(point, mu, cfg.barrier_kind,
-                                                 np.zeros(0)), cfg):
+    if _converged(records[0], _stationarity_norm(point, mu, np.zeros(0)), cfg):
         return SolveReport(records=records, termination="converged",
                            z_star=z, mu_final=mu, message="initial point optimal")
 
@@ -242,8 +226,7 @@ def solve(
             termination = "iter_cap"
             break
 
-        bcfg = BarrierConfig(mu=mu, sigma=cfg.sigma0, barrier_kind=cfg.barrier_kind)
-        qp = build_qp(nlp, z, bcfg, point=point)
+        qp = build_qp(nlp, z, BarrierConfig(mu=mu), point=point)
 
         sol = solver.step(qp)
         retried = False
@@ -267,7 +250,7 @@ def solve(
                 # Recoverable once for probabilistic backends: re-invoke with
                 # fresh randomness, mu untouched.  A second failure aborts.
                 if retried:
-                    stat_here = _stationarity_norm(point, mu, cfg.barrier_kind, sol.lam)
+                    stat_here = _stationarity_norm(point, mu, sol.lam)
                     if _converged(records[-1], stat_here, cfg):
                         termination = "converged"
                         message = "stationary at non-descent abort"
@@ -292,7 +275,7 @@ def solve(
         point = nlp.evaluate(z)
 
         eq_norm = float(np.linalg.norm(point.c))
-        stat_norm = _stationarity_norm(point, mu, cfg.barrier_kind, sol.lam)
+        stat_norm = _stationarity_norm(point, mu, sol.lam)
         infeas_ratio = eq_norm / prev_eq if prev_eq > 0.0 else float("nan")
         records.append(_record(
             i + 1, z, mu, point,
@@ -305,9 +288,6 @@ def solve(
             kkt_stat_norm=stat_norm,
             backtracks=n_bt,
             infeas_ratio=infeas_ratio,
-            infeas_decrease_ok=bool(
-                eq_norm <= (1.0 - cfg.infeasibility_sigma * alpha) * prev_eq
-            ) if prev_eq > 0.0 else True,
             solver_diag=dict(sol.diagnostics),
         ))
 

@@ -79,8 +79,6 @@ def test_mul_composition_arithmetic():
     assert w.alpha == 6.0
     assert np.isclose(w.eps, 3.2e-3)
     assert w.ancillas == 3
-    w_paper = be_mul(u, v, error_rule="paper")
-    assert np.isclose(w_paper.eps, 2.0 * 1e-3 + 3.0 * 1e-4)
 
 
 def test_add_composition_arithmetic():

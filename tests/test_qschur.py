@@ -96,15 +96,6 @@ class TestErrorBudget:
                  + c["c4"] * inp.eps_r + c["c5"] * inp.eps_Qprime + c["c6"] * inp.eps_Sprime)
         assert math.isclose(total, budget.eps_dz, rel_tol=1e-12)
 
-    def test_paper_rule_differs_but_stays_linear(self):
-        lg = self._ledger()
-        inp = ErrorBudget(1e-8, 0.0, 0.0, 0.0, 0.0, 0.0, mult_rule="paper")
-        std = propagate_error_budget(
-            ErrorBudget(1e-8, 0.0, 0.0, 0.0, 0.0, 0.0), lg)
-        alt = propagate_error_budget(inp, lg)
-        assert alt.eps_dz > 0.0
-        assert alt.eps_dz != std.eps_dz
-
 
 class TestQuantumSchurStep:
     def test_hand_instance_within_budget(self):

@@ -122,16 +122,6 @@ class TestNoisyStep:
             sol = solver.step(qp)
             assert np.linalg.norm(sol.dz - exact) <= solver.eps_dz
 
-    def test_consistent_lambda_mode(self):
-        rng = np.random.default_rng(8)
-        qp = random_qp(rng)
-        sol = noisy_step(qp, 1e-3, np.random.default_rng(0), lambda_mode="consistent")
-        stat = qp.Q @ sol.dz + qp.A.T @ sol.lam + qp.g
-        # lstsq lambda minimizes the stationarity residual for the noisy dz
-        sol_exact_lam = noisy_step(qp, 1e-3, np.random.default_rng(0), lambda_mode="exact")
-        stat_exact = qp.Q @ sol_exact_lam.dz + qp.A.T @ sol_exact_lam.lam + qp.g
-        assert np.linalg.norm(stat) <= np.linalg.norm(stat_exact) + 1e-12
-
 
 def test_validate_qp():
     rng = np.random.default_rng(9)
