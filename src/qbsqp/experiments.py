@@ -276,11 +276,15 @@ class IssFitReport:
     cells: list[dict[str, float]] = field(default_factory=list)
 
 
-def reference_solution(setup: ProblemSetup, sqp_overrides: dict) -> np.ndarray:
-    """Exact-backend ground truth at barrier floor 1e-10.
+def reference_solution(setup: ProblemSetup,
+                       sqp_overrides: dict) -> tuple[np.ndarray, dict]:
+    """Exact-backend ground truth at barrier floor 1e-10, and how it ended.
 
     A geometric descent reaches the floor; a constant-mu polish then runs
-    until the stationarity residual converges.
+    until the stationarity residual converges or the line search fails.
+    The second value maps "descent" and "polish" to that phase's
+    termination, message, iteration count and final KKT stationarity, so a
+    sweep records how well polished its reference point is.
     """
     base = dict(setup.sqp_defaults)
     base.update(sqp_overrides)
@@ -291,7 +295,16 @@ def reference_solution(setup: ProblemSetup, sqp_overrides: dict) -> np.ndarray:
     polish = dict(base)
     polish.update(mu0=1e-10, barrier_update="constant", max_outer_iters=80)
     rep2 = solve(setup.nlp, rep.z_star, SqpConfig(**polish), ExactSchurSolver())
-    return rep2.z_star
+    return rep2.z_star, {"descent": _phase_summary(rep),
+                         "polish": _phase_summary(rep2)}
+
+
+def _phase_summary(report: SolveReport) -> dict:
+    """Termination of one solve; stationarity is None without an iteration."""
+    stat = report.records[-1].kkt_stat_norm
+    return {"termination": report.termination, "message": report.message,
+            "n_iters": report.n_iters,
+            "kkt_stat_norm": None if math.isnan(stat) else stat}
 
 
 def _sweep_cell(setup, sqp_overrides, mu_min, eps, seed, floor_iters, z_ref):
@@ -312,7 +325,9 @@ def _sweep_cell(setup, sqp_overrides, mu_min, eps, seed, floor_iters, z_ref):
     solver = build_solver({"kind": "noisy", "eps": eps, "seed": seed}, seed)
     report = solve(setup.nlp, setup.z0, SqpConfig(**base), solver)
     dists = [float(np.linalg.norm(rec.z - z_ref)) for rec in report.records]
-    n_tail = max(5, math.ceil(0.2 * len(dists)))
+    # The last max(5, 20%) distances, never the start distance of a run
+    # with iterations.
+    n_tail = max(1, min(max(5, math.ceil(0.2 * len(dists))), len(dists) - 1))
     tail = max(dists[-n_tail:])
     return {
         "mu_min": mu_min, "eps": eps, "seed": seed,
@@ -405,7 +420,7 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[int, dict]:
     seeds = [int(s) for s in cfg.sweep["seeds"]]
     floor_iters = int(cfg.sweep.get("floor_iters", 40))
 
-    z_ref = reference_solution(setup, cfg.sqp)
+    z_ref, reference = reference_solution(setup, cfg.sqp)
 
     cells, failures = [], []
     for mu in mu_grid:
@@ -438,7 +453,8 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[int, dict]:
     write_csv(traces_path, ["mu_min", "eps_dz", "seed", "i", "dist", "mu"],
               trace_rows)
 
-    summary = {"problem": setup.name, "cells": len(cells), "failures": failures}
+    summary = {"problem": setup.name, "cells": len(cells), "failures": failures,
+               "reference": reference}
     outputs = [sweep_path, traces_path]
     # fit_iss takes rho from the clean run at the tightest barrier floor.
     ref_key = (min(mu_grid), 0.0, seeds[0])

@@ -29,68 +29,79 @@ class DiscreteDynamics:
 
 
 def rk4_discretize(f, jac_x, jac_u, dt: float, substeps: int = 1) -> DiscreteDynamics:
-    """Discretize continuous dynamics with substepped RK4.
+    """Discretize continuous dynamics with substepped RK4, stage-stacked.
 
-    Jacobians of the discrete map are propagated through every RK4 stage by
-    the chain rule, so the returned derivatives are analytic, not finite
-    differences.  Substeps keep the integration inside the RK4 stability
-    region for stiff rate constants.
+    ``f``, ``jac_x`` and ``jac_u`` take states ``xs`` of shape (K, n) and
+    controls ``us`` of shape (K, m) and return the K rates (K, n) and
+    Jacobians (K, n, n) and (K, n, m); the returned discrete map follows the
+    same contract.  One call advances all K points together with the
+    arithmetic of K separate calls, so its rows do not depend on K.
+
+    ``f`` of the result runs RK4 on the states alone.  The Jacobians of the
+    map are propagated through every RK4 stage by the chain rule, so they
+    are analytic, not finite differences; ``jac_x`` and ``jac_u`` share that
+    one pass through a cache of the last point asked for.  Substeps keep the
+    integration inside the RK4 stability region for stiff rate constants.
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
     h = dt / substeps
 
-    def _stage(x, u):
-        n = x.size
-        eye = np.eye(n)
-        k1 = f(x, u)
-        a1, b1 = jac_x(x, u), jac_u(x, u)
-        x2 = x + 0.5 * h * k1
-        k2 = f(x2, u)
-        fx2, fu2 = jac_x(x2, u), jac_u(x2, u)
-        a2 = fx2 @ (eye + 0.5 * h * a1)
-        b2 = fu2 + fx2 @ (0.5 * h * b1)
-        x3 = x + 0.5 * h * k2
-        k3 = f(x3, u)
-        fx3, fu3 = jac_x(x3, u), jac_u(x3, u)
-        a3 = fx3 @ (eye + 0.5 * h * a2)
-        b3 = fu3 + fx3 @ (0.5 * h * b2)
-        x4 = x + h * k3
-        k4 = f(x4, u)
-        fx4, fu4 = jac_x(x4, u), jac_u(x4, u)
-        a4 = fx4 @ (eye + h * a3)
-        b4 = fu4 + fx4 @ (h * b3)
-        x_next = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        jx = eye + (h / 6.0) * (a1 + 2 * a2 + 2 * a3 + a4)
-        ju = (h / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
-        return x_next, jx, ju
-
-    # The three accessors share one computation: the SQP loop asks for the
-    # map and both Jacobians at the same (x, u) many times per iteration.
-    cache: dict[bytes, tuple] = {}
-
-    def step_with_jac(x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        key = x.tobytes() + u.tobytes()
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        jx_acc = np.eye(x.size)
-        ju_acc = np.zeros((x.size, u.size))
+    def step(xs, us):
+        x = np.asarray(xs, dtype=float)
+        u = np.asarray(us, dtype=float)
         for _ in range(substeps):
-            x, jx, ju = _stage(x, u)
+            k1 = f(x, u)
+            k2 = f(x + 0.5 * h * k1, u)
+            k3 = f(x + 0.5 * h * k2, u)
+            k4 = f(x + h * k3, u)
+            x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        return x
+
+    def jacobians(x, u):
+        eye = np.eye(x.shape[1])
+        jx_acc, ju_acc = eye, np.zeros((len(x), x.shape[1], u.shape[1]))
+        for _ in range(substeps):
+            k1 = f(x, u)
+            a1, b1 = jac_x(x, u), jac_u(x, u)
+            x2 = x + 0.5 * h * k1
+            k2 = f(x2, u)
+            fx2, fu2 = jac_x(x2, u), jac_u(x2, u)
+            a2 = fx2 @ (eye + 0.5 * h * a1)
+            b2 = fu2 + fx2 @ (0.5 * h * b1)
+            x3 = x + 0.5 * h * k2
+            k3 = f(x3, u)
+            fx3, fu3 = jac_x(x3, u), jac_u(x3, u)
+            a3 = fx3 @ (eye + 0.5 * h * a2)
+            b3 = fu3 + fx3 @ (0.5 * h * b2)
+            x4 = x + h * k3
+            k4 = f(x4, u)
+            fx4, fu4 = jac_x(x4, u), jac_u(x4, u)
+            a4 = fx4 @ (eye + h * a3)
+            b4 = fu4 + fx4 @ (h * b3)
+            x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            jx = eye + (h / 6.0) * (a1 + 2 * a2 + 2 * a3 + a4)
+            ju = (h / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
             jx_acc = jx @ jx_acc
             ju_acc = jx @ ju_acc + ju
-        if len(cache) > 8192:
-            cache.clear()
-        cache[key] = (x, jx_acc, ju_acc)
-        return cache[key]
+        return jx_acc, ju_acc
+
+    # The SQP iteration asks for both Jacobians at the same stacked point.
+    last: dict[bytes, tuple] = {}
+
+    def shared_jacobians(xs, us):
+        x = np.asarray(xs, dtype=float)
+        u = np.asarray(us, dtype=float)
+        key = x.tobytes() + u.tobytes()
+        if key not in last:
+            last.clear()
+            last[key] = jacobians(x, u)
+        return last[key]
 
     return DiscreteDynamics(
-        f=lambda x, u: step_with_jac(x, u)[0],
-        jac_x=lambda x, u: step_with_jac(x, u)[1],
-        jac_u=lambda x, u: step_with_jac(x, u)[2],
+        f=step,
+        jac_x=lambda xs, us: shared_jacobians(xs, us)[0],
+        jac_u=lambda xs, us: shared_jacobians(xs, us)[1],
     )
 
 
@@ -141,35 +152,42 @@ class HivParameters:
 
 
 def hiv_vector_field(p: HivParameters):
-    """Continuous dynamics and Jacobians in scaled coordinates."""
+    """Continuous dynamics and Jacobians in scaled coordinates, stage-stacked.
+
+    Each callable takes states (K, 3) and controls (K, 2) and returns the
+    rates (K, 3) or the Jacobians (K, 3, 3) and (K, 3, 2).
+    """
     sc = np.asarray(p.scales)
+    ratio = sc[None, :] / sc[:, None]
 
-    def f(x, u):
-        t, i, v = x * sc
-        u1, u2 = u
-        dt_ = p.s - p.d * t - (1.0 - u1) * p.k * v * t
-        di = (1.0 - u1) * p.k * v * t - p.delta * i
-        dv = (1.0 - u2) * p.N_v * p.delta * i - p.c * v
-        return np.array([dt_, di, dv]) / sc
+    def f(xs, us):
+        t, i, v = (xs * sc).T
+        u1, u2 = us.T
+        rates = np.empty((len(xs), 3))
+        rates[:, 0] = p.s - p.d * t - (1.0 - u1) * p.k * v * t
+        rates[:, 1] = (1.0 - u1) * p.k * v * t - p.delta * i
+        rates[:, 2] = (1.0 - u2) * p.N_v * p.delta * i - p.c * v
+        return rates / sc
 
-    def jac_x(x, u):
-        t, i, v = x * sc
-        u1, _ = u
-        kk = (1.0 - u1) * p.k
-        jac = np.array([
-            [-p.d - kk * v, 0.0, -kk * t],
-            [kk * v, -p.delta, kk * t],
-            [0.0, (1.0 - u[1]) * p.N_v * p.delta, -p.c],
-        ])
-        return jac * (sc[None, :] / sc[:, None])
+    def jac_x(xs, us):
+        t, i, v = (xs * sc).T
+        kk = (1.0 - us[:, 0]) * p.k
+        jac = np.zeros((len(xs), 3, 3))
+        jac[:, 0, 0] = -p.d - kk * v
+        jac[:, 0, 2] = -kk * t
+        jac[:, 1, 0] = kk * v
+        jac[:, 1, 1] = -p.delta
+        jac[:, 1, 2] = kk * t
+        jac[:, 2, 1] = (1.0 - us[:, 1]) * p.N_v * p.delta
+        jac[:, 2, 2] = -p.c
+        return jac * ratio
 
-    def jac_u(x, u):
-        t, i, v = x * sc
-        jac = np.array([
-            [p.k * v * t, 0.0],
-            [-p.k * v * t, 0.0],
-            [0.0, -p.N_v * p.delta * i],
-        ])
+    def jac_u(xs, us):
+        t, i, v = (xs * sc).T
+        jac = np.zeros((len(xs), 3, 2))
+        jac[:, 0, 0] = p.k * v * t
+        jac[:, 1, 0] = -p.k * v * t
+        jac[:, 2, 1] = -p.N_v * p.delta * i
         return jac / sc[:, None]
 
     return f, jac_x, jac_u
@@ -311,9 +329,9 @@ def double_integrator_ocp(horizon: int = 8, dt: float = 0.2):
 
     ocp = OcpDefinition(
         n=2, m=1, horizon=horizon, x_init=x0,
-        dynamics=lambda x, u: a @ x + b @ u,
-        dynamics_jac_x=lambda x, u: a,
-        dynamics_jac_u=lambda x, u: b,
+        dynamics=lambda xs, us: (a @ xs[:, :, None] + b @ us[:, :, None])[:, :, 0],
+        dynamics_jac_x=lambda xs, us: np.broadcast_to(a, (len(xs), 2, 2)),
+        dynamics_jac_u=lambda xs, us: np.broadcast_to(b, (len(xs), 2, 1)),
         stage_cost=lambda x, u: 0.5 * (x @ q @ x + u @ r @ u),
         stage_cost_grad=lambda x, u: np.concatenate([q @ x, r @ u]),
         stage_cost_hess=lambda x, u: np.block(
@@ -336,9 +354,9 @@ def eqqp_ocp():
     """
     return OcpDefinition(
         n=1, m=1, horizon=1, x_init=np.array([1.0]),
-        dynamics=lambda x, u: np.zeros(1),
-        dynamics_jac_x=lambda x, u: np.zeros((1, 1)),
-        dynamics_jac_u=lambda x, u: np.zeros((1, 1)),
+        dynamics=lambda xs, us: np.zeros((len(xs), 1)),
+        dynamics_jac_x=lambda xs, us: np.zeros((len(xs), 1, 1)),
+        dynamics_jac_u=lambda xs, us: np.zeros((len(xs), 1, 1)),
         stage_cost=lambda x, u: 0.5 * float(x[0] ** 2 + u[0] ** 2),
         stage_cost_grad=lambda x, u: np.array([x[0], u[0]]),
         stage_cost_hess=lambda x, u: np.eye(2),
@@ -354,9 +372,9 @@ def box1d_ocp():
     violates the bound u <= 1; the constrained solution sits on the bound."""
     return OcpDefinition(
         n=1, m=1, horizon=1, x_init=np.array([0.0]),
-        dynamics=lambda x, u: np.array([u[0]]),
-        dynamics_jac_x=lambda x, u: np.zeros((1, 1)),
-        dynamics_jac_u=lambda x, u: np.ones((1, 1)),
+        dynamics=lambda xs, us: us.copy(),
+        dynamics_jac_x=lambda xs, us: np.zeros((len(xs), 1, 1)),
+        dynamics_jac_u=lambda xs, us: np.ones((len(xs), 1, 1)),
         stage_cost=lambda x, u: float((u[0] - 2.0) ** 2),
         stage_cost_grad=lambda x, u: np.array([0.0, 2.0 * (u[0] - 2.0)]),
         stage_cost_hess=lambda x, u: np.diag([0.0, 2.0]),

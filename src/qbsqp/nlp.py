@@ -55,6 +55,23 @@ def fd_jacobian(fun: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.nd
     return jac
 
 
+def _fd_stacked_jacobians(fun, xs: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobians of a stage-stacked map, one per row.
+
+    ``fun`` maps (K, d) to (K, r) row by row.  Component i is perturbed in
+    every row at once, with the steps of ``fd_jacobian``, so the result is
+    (K, r, d) and row k equals ``fd_jacobian`` of row k's map.
+    """
+    h = _fd_steps(xs)
+    cols = []
+    for i in range(xs.shape[1]):
+        xp, xm = xs.copy(), xs.copy()
+        xp[:, i] += h[:, i]
+        xm[:, i] -= h[:, i]
+        cols.append((fun(xp) - fun(xm)) / (2.0 * h[:, i:i + 1]))
+    return np.stack(cols, axis=2)
+
+
 def fd_gradient(fun: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
     return fd_jacobian(lambda v: np.array([fun(v)]), x)[0]
 
@@ -106,10 +123,15 @@ class BarrierConfig:
 class OcpDefinition:
     """Discrete-time optimal control problem over a fixed horizon.
 
-    Dynamics, costs and constraints are plain callables on (x, u) for stage
-    quantities and on (x,) for terminal quantities.  Analytic derivatives
-    are optional; transcription falls back to central finite differences
-    for any that are omitted.
+    The dynamics are stage-stacked: ``dynamics``, ``dynamics_jac_x`` and
+    ``dynamics_jac_u`` take states ``xs`` of shape (K, n) and controls
+    ``us`` of shape (K, m) and return the K next states (K, n) and the
+    Jacobians (K, n, n) and (K, n, m), row k depending on row k of the
+    inputs alone.  The transcription evaluates all N stages in one call.
+    Costs and constraints are plain callables on (x, u) for one stage and
+    on (x,) for the terminal stage.  Analytic derivatives are optional;
+    transcription falls back to central finite differences for any that
+    are omitted.
     """
 
     n: int
@@ -119,8 +141,8 @@ class OcpDefinition:
     dynamics: Callable
     stage_cost: Callable
     terminal_cost: Callable
-    dynamics_jac_x: Callable | None = None
-    dynamics_jac_u: Callable | None = None
+    dynamics_jac_x: Callable | None = None  # -> (K, n, n)
+    dynamics_jac_u: Callable | None = None  # -> (K, n, m)
     stage_cost_grad: Callable | None = None   # -> (n + m,)
     stage_cost_hess: Callable | None = None   # -> (n + m, n + m); GN form for LS costs
     terminal_cost_grad: Callable | None = None
@@ -181,25 +203,12 @@ class TrajectoryNlp:
     # -- layout ------------------------------------------------------------
     def split(self, z: np.ndarray):
         """Return (states (N+1, n), controls (N, m))."""
-        n, m, N = self.ocp.n, self.ocp.m, self.ocp.horizon
-        xs = np.empty((N + 1, n))
-        us = np.empty((N, m))
-        for k in range(N):
-            off = self.stage_offsets[k]
-            xs[k] = z[off:off + n]
-            us[k] = z[off + n:off + n + m]
-        xs[N] = z[self.stage_offsets[N]:self.stage_offsets[N] + n]
-        return xs, us
+        n, end = self.ocp.n, self.stage_offsets[-1]
+        stages = z[:end].reshape(self.ocp.horizon, -1)
+        return np.vstack([stages[:, :n], z[end:]]), stages[:, n:].copy()
 
     def join(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
-        n, m, N = self.ocp.n, self.ocp.m, self.ocp.horizon
-        z = np.empty(self.n_z)
-        for k in range(N):
-            off = self.stage_offsets[k]
-            z[off:off + n] = xs[k]
-            z[off + n:off + n + m] = us[k]
-        z[self.stage_offsets[N]:] = xs[N]
-        return z
+        return np.concatenate([np.hstack([xs[:-1], us]).ravel(), xs[-1]])
 
     # -- objective ---------------------------------------------------------
     def objective(self, z: np.ndarray) -> float:
@@ -239,9 +248,8 @@ class TrajectoryNlp:
         out = np.empty(self.m_eq)
         n = ocp.n
         out[:n] = xs[0] - ocp.x_init
-        for k in range(ocp.horizon):
-            fx = _check_shape(ocp.dynamics(xs[k], us[k]), (n,), "dynamics")
-            out[(k + 1) * n:(k + 2) * n] = xs[k + 1] - fx
+        fx = _check_shape(ocp.dynamics(xs[:-1], us), (ocp.horizon, n), "dynamics")
+        out[n:] = (xs[1:] - fx).ravel()
         return out
 
     def equalities_jacobian(self, z: np.ndarray) -> np.ndarray:
@@ -250,12 +258,12 @@ class TrajectoryNlp:
         n, m, N = ocp.n, ocp.m, ocp.horizon
         jac = np.zeros((self.m_eq, self.n_z))
         jac[:n, :n] = np.eye(n)
+        jx, ju = _dynamics_jacobians(ocp, xs[:-1], us)
         for k in range(N):
             off = self.stage_offsets[k]
-            jx, ju = _dynamics_jacobians(ocp, xs[k], us[k])
             rows = slice((k + 1) * n, (k + 2) * n)
-            jac[rows, off:off + n] = -jx
-            jac[rows, off + n:off + n + m] = -ju
+            jac[rows, off:off + n] = -jx[k]
+            jac[rows, off + n:off + n + m] = -ju[k]
             nxt = self.stage_offsets[k + 1]
             jac[rows, nxt:nxt + n] = np.eye(n)
         return jac
@@ -335,13 +343,15 @@ def _terminal_hess(ocp, x):
     return fd_hessian(ocp.terminal_cost, x)
 
 
-def _dynamics_jacobians(ocp, x, u):
+def _dynamics_jacobians(ocp, xs, us):
+    """Stacked Jacobians (K, n, n) and (K, n, m) at the K stage points."""
+    k, n, m = len(xs), ocp.n, ocp.m
     if ocp.dynamics_jac_x is not None and ocp.dynamics_jac_u is not None:
-        jx = _check_shape(ocp.dynamics_jac_x(x, u), (ocp.n, ocp.n), "dynamics_jac_x")
-        ju = _check_shape(ocp.dynamics_jac_u(x, u), (ocp.n, ocp.m), "dynamics_jac_u")
+        jx = _check_shape(ocp.dynamics_jac_x(xs, us), (k, n, n), "dynamics_jac_x")
+        ju = _check_shape(ocp.dynamics_jac_u(xs, us), (k, n, m), "dynamics_jac_u")
         return jx, ju
-    jx = fd_jacobian(lambda v: ocp.dynamics(v, u), x)
-    ju = fd_jacobian(lambda v: ocp.dynamics(x, v), u)
+    jx = _fd_stacked_jacobians(lambda v: ocp.dynamics(v, us), xs)
+    ju = _fd_stacked_jacobians(lambda v: ocp.dynamics(xs, v), us)
     return jx, ju
 
 
@@ -364,8 +374,9 @@ def _terminal_con_jac(ocp, x):
 def transcribe(ocp: OcpDefinition) -> TrajectoryNlp:
     """Transcribe via multiple shooting; validates all declared dimensions.
 
-    The probe evaluation at (x_init, 0) raises ConfigurationError naming the
-    offending callable if any output shape disagrees with the declaration.
+    The probe evaluation at (x_init, 0), one stacked stage (K = 1) for the
+    dynamics, raises ConfigurationError naming the offending callable if
+    any output shape disagrees with the declaration.
     """
     n, m, N = ocp.n, ocp.m, ocp.horizon
     n_z = N * (n + m) + n
@@ -375,7 +386,7 @@ def transcribe(ocp: OcpDefinition) -> TrajectoryNlp:
 
     x0 = np.asarray(ocp.x_init, dtype=float)
     u0 = np.zeros(m)
-    _check_shape(ocp.dynamics(x0, u0), (n,), "dynamics")
+    _check_shape(ocp.dynamics(x0[None], u0[None]), (1, n), "dynamics")
     float(ocp.stage_cost(x0, u0))
     float(ocp.terminal_cost(x0))
     if ocp.path_constraints is not None:
@@ -384,9 +395,11 @@ def transcribe(ocp: OcpDefinition) -> TrajectoryNlp:
         _check_shape(ocp.terminal_constraints(x0), (ocp.n_terminal,),
                      "terminal_constraints")
     if ocp.dynamics_jac_x is not None:
-        _check_shape(ocp.dynamics_jac_x(x0, u0), (n, n), "dynamics_jac_x")
+        _check_shape(ocp.dynamics_jac_x(x0[None], u0[None]), (1, n, n),
+                     "dynamics_jac_x")
     if ocp.dynamics_jac_u is not None:
-        _check_shape(ocp.dynamics_jac_u(x0, u0), (n, m), "dynamics_jac_u")
+        _check_shape(ocp.dynamics_jac_u(x0[None], u0[None]), (1, n, m),
+                     "dynamics_jac_u")
 
     return TrajectoryNlp(ocp=ocp, n_z=n_z, m_eq=m_eq, n_ineq=n_ineq,
                          stage_offsets=offsets)
@@ -396,13 +409,15 @@ def rollout(nlp: TrajectoryNlp, u_seq: np.ndarray) -> np.ndarray:
     """Simulate the dynamics from x_init under a control sequence.
 
     The result satisfies the shooting constraints exactly by construction.
+    Stage k + 1 needs stage k, so the dynamics are called once per stage
+    (K = 1).
     """
     ocp = nlp.ocp
     u_seq = np.asarray(u_seq, dtype=float).reshape(ocp.horizon, ocp.m)
     xs = np.empty((ocp.horizon + 1, ocp.n))
     xs[0] = ocp.x_init
     for k in range(ocp.horizon):
-        xs[k + 1] = ocp.dynamics(xs[k], u_seq[k])
+        xs[k + 1] = ocp.dynamics(xs[k:k + 1], u_seq[k:k + 1])[0]
     return nlp.join(xs, u_seq)
 
 
@@ -432,9 +447,13 @@ def build_qp(
     """Assemble one iteration's quadratic subproblem.
 
     Q is the stage-cost Hessian (Gauss-Newton when declared) plus barrier
-    curvature plus sigma*I, with sigma = 0 at first; positive definiteness is
-    asserted by a Cholesky attempt, doubling sigma (from a 1e-8 floor) on
-    failure.  The accepted factor is handed on as ``QpData.chol_Q``.
+    curvature plus sigma*I, with sigma = 0 at first.  The inequality rows of
+    stage k touch only z_k, so the barrier curvature J_k^T diag(w_k) J_k is
+    added to stage k's diagonal block (the terminal rows to z_N's) and Q
+    keeps the block-diagonal structure of the cost Hessian.  Positive
+    definiteness is asserted by a Cholesky attempt, doubling sigma (from a
+    1e-8 floor) on failure.  The accepted factor is handed on as
+    ``QpData.chol_Q``.
     ``point`` holds the first-order quantities at z; they are evaluated here
     when omitted.
     """
@@ -450,10 +469,8 @@ def build_qp(
     q_mat = nlp.objective_hessian(z)
     g = grad_f.copy()
     if h.size:
-        jac_h = point.jac_h
-        weights = cfg.mu * d2(h)
-        q_mat = q_mat + (jac_h.T * weights) @ jac_h
-        g = g + jac_h.T @ (cfg.mu * d1(h))
+        _add_barrier_curvature(nlp, q_mat, point.jac_h, cfg.mu * d2(h))
+        g = g + point.jac_h.T @ (cfg.mu * d1(h))
     q_mat = 0.5 * (q_mat + q_mat.T)
 
     sigma = 0.0
@@ -475,6 +492,24 @@ def build_qp(
         diagnostics={"sigma": sigma, "damping_attempts": attempts,
                      "grad_f_norm": float(np.linalg.norm(grad_f))},
     )
+
+
+def _add_barrier_curvature(nlp: TrajectoryNlp, q_mat: np.ndarray,
+                           jac_h: np.ndarray, weights: np.ndarray) -> None:
+    """Add jac_h^T diag(weights) jac_h to q_mat in place, block by block."""
+    ocp = nlp.ocp
+    N, p, end = ocp.horizon, ocp.n_path, nlp.stage_offsets[-1]
+    if p:
+        # Row r of stage k, column j of z_k: (N, p) row and (N, n + m)
+        # column indices, broadcast to the stage blocks (N, p, n + m).
+        rows = np.arange(N * p).reshape(N, p)
+        cols = np.reshape(nlp.stage_offsets[:-1], (N, 1)) + np.arange(ocp.n + ocp.m)
+        jac = jac_h[rows[:, :, None], cols[:, None, :]]
+        curv = np.swapaxes(jac * weights[rows][:, :, None], 1, 2) @ jac
+        q_mat[cols[:, :, None], cols[:, None, :]] += curv
+    if ocp.n_terminal:
+        jac = jac_h[N * p:, end:]
+        q_mat[end:, end:] += (jac.T * weights[N * p:]) @ jac
 
 
 def validate_derivatives(
@@ -502,11 +537,11 @@ def validate_derivatives(
         x = np.asarray(ocp.x_init, dtype=float) + 0.1 * scale * rng.standard_normal(ocp.n)
         u = 0.1 * rng.standard_normal(ocp.m)
         if ocp.dynamics_jac_x is not None:
-            record("dynamics_jac_x", ocp.dynamics_jac_x(x, u),
-                   fd_jacobian(lambda v: ocp.dynamics(v, u), x))
+            record("dynamics_jac_x", ocp.dynamics_jac_x(x[None], u[None])[0],
+                   fd_jacobian(lambda v: ocp.dynamics(v[None], u[None])[0], x))
         if ocp.dynamics_jac_u is not None:
-            record("dynamics_jac_u", ocp.dynamics_jac_u(x, u),
-                   fd_jacobian(lambda v: ocp.dynamics(x, v), u))
+            record("dynamics_jac_u", ocp.dynamics_jac_u(x[None], u[None])[0],
+                   fd_jacobian(lambda v: ocp.dynamics(x[None], v[None])[0], u))
         if ocp.stage_cost_grad is not None:
             xu = np.concatenate([x, u])
             record("stage_cost_grad", ocp.stage_cost_grad(x, u),

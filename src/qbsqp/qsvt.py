@@ -111,12 +111,20 @@ def _cheb_eval_at_extremes(coeffs: np.ndarray, m: int) -> np.ndarray:
     return dct(v, type=1)
 
 
+# The smooth engine's DCT grid is capped at this multiple of degree_cap.
+SMOOTH_GRID_PER_DEGREE = 32
+
+
 def _smooth_fit(kappa: float, eps_prime: float, degree_cap: int):
     """DCT projection of a Gaussian-regularized 1/(kappa*x) on [-1, 1].
 
     The cutoff width is chosen so the regularization error on
     [1/kappa, 1] is at most eps_prime / 2; the remaining budget covers
-    truncation of the Chebyshev tail.
+    truncation of the Chebyshev tail.  The DCT grid is never larger than
+    SMOOTH_GRID_PER_DEGREE * degree_cap points: a first grid beyond that
+    raises InfeasibleAccuracyError before anything is allocated, because
+    the fitted degree is a fixed fraction of the first grid (at least 1/16
+    over kappa in 3..4096 and eps' in 1e-12..1e-3) and would exceed the cap.
     """
     c = math.sqrt(math.log(4.0 / eps_prime))
     width = 1.0 / (c * kappa)
@@ -128,8 +136,16 @@ def _smooth_fit(kappa: float, eps_prime: float, degree_cap: int):
         out[nz] = (1.0 - np.exp(-((x[nz] / width) ** 2))) / (kappa * x[nz])
         return out
 
+    grid_max = SMOOTH_GRID_PER_DEGREE * degree_cap
     m = 1 << max(10, math.ceil(math.log2(8.0 * c * kappa)))
+    if m > grid_max:
+        raise InfeasibleAccuracyError(
+            f"smooth-projection grid of {m} points for kappa={kappa:g}, "
+            f"eps'={eps_prime:g} exceeds {SMOOTH_GRID_PER_DEGREE} x degree cap "
+            f"{degree_cap}")
     for _ in range(8):
+        if m > grid_max:
+            break
         nodes = np.cos(np.pi * np.arange(m + 1) / m)
         coeffs = _cheb_coeffs_from_extremes(target(nodes))
         coeffs[0::2] = 0.0
@@ -152,7 +168,7 @@ def _smooth_fit(kappa: float, eps_prime: float, degree_cap: int):
 
     raise InfeasibleAccuracyError(
         f"smooth-projection engine failed to reach eps'={eps_prime} for kappa={kappa} "
-        f"(degree cap {degree_cap})"
+        f"(degree cap {degree_cap}, grid of {m // 2} points)"
     )
 
 

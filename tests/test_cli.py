@@ -75,6 +75,19 @@ def test_quantum_default_on_double_integrator_exits_two(tmp_path, capsys):
     assert "InfeasibleAccuracyError" in capsys.readouterr().err
 
 
+def test_quantum_grid_beyond_degree_cap_exits_two(tmp_path, capsys):
+    # Damping leaves kappa_Q near 1e8; the smooth fit would ask for a grid
+    # of 2^35 points (256 GiB) and is refused before any allocation.
+    code, _ = run(tmp_path, "solve", {
+        "problem": "toy:box1d",
+        "solver": {"kind": "quantum", "eps_prime_Q": 1.0e-8, "eps_prime_S": 1.0e-8}})
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "InfeasibleAccuracyError" in err
+    for part in ("kappa=", "eps'=1e-08", "grid of", "degree cap 4001"):
+        assert part in err
+
+
 def test_partial_sweep_exits_three_and_sorts_failures(tmp_path, monkeypatch):
     real_cell = experiments._sweep_cell
     failing = [(1.0e-3, 1.0e-4), (1.0e-3, 1.0e-3)]
@@ -143,6 +156,29 @@ def test_sweep_fit_with_exact_zero_distances_is_finite(tmp_path):
                parse_constant=_reject_constant)
     assert math.isfinite(fit["rho_hat"])
     assert fit["envelope_ok"]
+    # The clean cells converge in one iteration; their tail leaves out the
+    # start distance.
+    for cell in fit["cells"]:
+        assert cell["i_tail"] >= 1
+        assert cell["tail"] < cell["d0"]
+
+
+def test_sweep_manifest_records_reference_phases(tmp_path):
+    code, out_dir = run(tmp_path, "sweep", BOX1D_SWEEP)
+    assert code == 0
+    reference = json.loads((out_dir / "manifest.json").read_text(),
+                           parse_constant=_reject_constant)["summary"]["reference"]
+    assert sorted(reference) == ["descent", "polish"]
+    for phase in reference.values():
+        assert sorted(phase) == ["kkt_stat_norm", "message", "n_iters",
+                                 "termination"]
+        assert phase["termination"] in ("converged", "mu_floor", "iter_cap",
+                                        "line_search_failure")
+        if phase["n_iters"] > 0:
+            assert math.isfinite(phase["kkt_stat_norm"])
+        else:
+            assert phase["kkt_stat_norm"] is None
+    assert reference["descent"]["n_iters"] > 0
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -1,7 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import qbsqp.models
 from qbsqp.models import (
     HivParameters,
     box1d_barrier_path,
@@ -25,34 +28,127 @@ from qbsqp.schur import ExactSchurSolver
 from qbsqp.sqp import SqpConfig, solve
 
 
+def pendulum_field():
+    """Pendulum with control-scaled damping, stage-stacked."""
+    def f(xs, us):
+        return np.stack([xs[:, 1], -np.sin(xs[:, 0]) + us[:, 0] * xs[:, 1]], axis=1)
+
+    def fx(xs, us):
+        jac = np.zeros((len(xs), 2, 2))
+        jac[:, 0, 1] = 1.0
+        jac[:, 1, 0] = -np.cos(xs[:, 0])
+        jac[:, 1, 1] = us[:, 0]
+        return jac
+
+    def fu(xs, us):
+        jac = np.zeros((len(xs), 2, 1))
+        jac[:, 1, 0] = xs[:, 1]
+        return jac
+
+    return f, fx, fu
+
+
+def reference_rk4_point(field, x, u, dt, substeps):
+    """RK4 with Jacobian propagation for one point, with 2-D matrix products.
+
+    The stacked pass must reproduce this loop bit for bit in every row.
+    """
+    f, fx, fu = (lambda x, u, g=g: g(x[None], u[None])[0] for g in field)
+    h = dt / substeps
+    eye = np.eye(x.size)
+    jx_acc, ju_acc = eye, np.zeros((x.size, u.size))
+    for _ in range(substeps):
+        k1, a1, b1 = f(x, u), fx(x, u), fu(x, u)
+        x2 = x + 0.5 * h * k1
+        k2, fx2, fu2 = f(x2, u), fx(x2, u), fu(x2, u)
+        a2 = fx2 @ (eye + 0.5 * h * a1)
+        b2 = fu2 + fx2 @ (0.5 * h * b1)
+        x3 = x + 0.5 * h * k2
+        k3, fx3, fu3 = f(x3, u), fx(x3, u), fu(x3, u)
+        a3 = fx3 @ (eye + 0.5 * h * a2)
+        b3 = fu3 + fx3 @ (0.5 * h * b2)
+        x4 = x + h * k3
+        k4, fx4, fu4 = f(x4, u), fx(x4, u), fu(x4, u)
+        a4 = fx4 @ (eye + h * a3)
+        b4 = fu4 + fx4 @ (h * b3)
+        x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        jx = eye + (h / 6.0) * (a1 + 2 * a2 + 2 * a3 + a4)
+        ju = (h / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
+        jx_acc = jx @ jx_acc
+        ju_acc = jx @ ju_acc + ju
+    return x, jx_acc, ju_acc
+
+
 class TestRk4Discretize:
     def test_linear_system_matches_matrix_exponential(self):
         a = np.array([[0.0, 1.0], [-2.0, -0.3]])
         b = np.array([[0.0], [1.0]])
         disc = rk4_discretize(
-            lambda x, u: a @ x + b @ u,
-            lambda x, u: a,
-            lambda x, u: b,
+            lambda xs, us: xs @ a.T + us @ b.T,
+            lambda xs, us: np.broadcast_to(a, (len(xs), 2, 2)),
+            lambda xs, us: np.broadcast_to(b, (len(xs), 2, 1)),
             dt=0.5, substeps=8,
         )
-        x0 = np.array([1.0, -0.5])
-        x1 = disc.f(x0, np.zeros(1))
+        x0 = np.array([[1.0, -0.5]])
+        x1 = disc.f(x0, np.zeros((1, 1)))
         # fourth-order accuracy: global error ~ (dt/substeps)^4
-        np.testing.assert_allclose(x1, expm(0.5 * a) @ x0, atol=1e-6)
-        np.testing.assert_allclose(disc.jac_x(x0, np.zeros(1)), expm(0.5 * a),
-                                   atol=1e-6)
+        np.testing.assert_allclose(x1[0], expm(0.5 * a) @ x0[0], atol=1e-6)
+        np.testing.assert_allclose(disc.jac_x(x0, np.zeros((1, 1)))[0],
+                                   expm(0.5 * a), atol=1e-6)
 
     def test_jacobians_match_finite_differences_nonlinear(self):
-        f = lambda x, u: np.array([x[1], -np.sin(x[0]) + u[0] * x[1]])
-        fx = lambda x, u: np.array([[0.0, 1.0], [-np.cos(x[0]), u[0]]])
-        fu = lambda x, u: np.array([[0.0], [x[1]]])
-        disc = rk4_discretize(f, fx, fu, dt=0.3, substeps=4)
-        x = np.array([0.4, -0.2])
-        u = np.array([0.1])
+        disc = rk4_discretize(*pendulum_field(), dt=0.3, substeps=4)
+        x = np.array([[0.4, -0.2]])
+        u = np.array([[0.1]])
         np.testing.assert_allclose(
-            disc.jac_x(x, u), fd_jacobian(lambda v: disc.f(v, u), x), atol=1e-7)
+            disc.jac_x(x, u)[0], fd_jacobian(lambda v: disc.f(v[None], u)[0], x[0]),
+            atol=1e-7)
         np.testing.assert_allclose(
-            disc.jac_u(x, u), fd_jacobian(lambda v: disc.f(x, v), u), atol=1e-7)
+            disc.jac_u(x, u)[0], fd_jacobian(lambda v: disc.f(x, v[None])[0], u[0]),
+            atol=1e-7)
+
+
+    def test_stacked_hiv_stages_equal_single_stage_calls_bitwise(self):
+        p = HivParameters()
+        field = hiv_vector_field(p)
+        disc = rk4_discretize(*field, p.dt, p.substeps)
+        rng = np.random.default_rng(3)
+        xs = (np.asarray(p.x0) / np.asarray(p.scales)) * rng.uniform(0.5, 1.5, (16, 3))
+        us = rng.uniform(0.0, 1.0, (16, 2))
+        stacked = (disc.f(xs, us), disc.jac_x(xs, us), disc.jac_u(xs, us))
+        for k in range(16):
+            x, u = xs[k:k + 1], us[k:k + 1]
+            single = (disc.f(x, u)[0], disc.jac_x(x, u)[0], disc.jac_u(x, u)[0])
+            reference = reference_rk4_point(field, xs[k], us[k], p.dt, p.substeps)
+            for got, one, ref in zip(stacked, single, reference):
+                np.testing.assert_array_equal(got[k], one)
+                np.testing.assert_array_equal(got[k], ref)
+
+    def test_vector_field_calls_per_evaluation_independent_of_horizon(
+            self, monkeypatch):
+        calls = Counter()
+        field = hiv_vector_field
+
+        def counting_field(p):
+            f, fx, fu = field(p)
+
+            def counted(xs, us):
+                calls["f"] += 1
+                return f(xs, us)
+
+            return counted, fx, fu
+
+        monkeypatch.setattr(qbsqp.models, "hiv_vector_field", counting_field)
+        per_evaluation = []
+        for horizon in (8, 32):
+            nlp = transcribe(hiv_ocp(HivParameters(N=horizon)))
+            z = 1.001 * hiv_initial_guess(nlp)  # off every point seen so far
+            calls.clear()
+            nlp.evaluate(z)
+            per_evaluation.append(calls["f"])
+        # one state pass and one Jacobian pass, 4 RK4 stages per substep each
+        substeps = HivParameters().substeps
+        assert per_evaluation == [2 * 4 * substeps] * 2
 
 
 class TestHivModel:
@@ -98,8 +194,8 @@ class TestHivModel:
         p = HivParameters()
         f, _, _ = hiv_vector_field(p)
         # at the I = 0 face with V, T > 0 the I-derivative is nonnegative
-        rate = f(np.array([0.5, 0.0, 0.1]), np.array([0.3, 0.3]))
-        assert rate[1] >= 0.0
+        rate = f(np.array([[0.5, 0.0, 0.1]]), np.array([[0.3, 0.3]]))
+        assert rate[0, 1] >= 0.0
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbsqp.models import box1d_ocp, double_integrator_ocp, eqqp_ocp, hiv_ocp
+from qbsqp.models import (
+    HivParameters,
+    box1d_ocp,
+    double_integrator_ocp,
+    eqqp_ocp,
+    hiv_initial_guess,
+    hiv_ocp,
+)
 from qbsqp.nlp import (
     BarrierConfig,
     ConfigurationError,
@@ -12,6 +19,7 @@ from qbsqp.nlp import (
     build_qp,
     eval_barrier_objective,
     fd_jacobian,
+    log_barrier_d2,
     rollout,
     transcribe,
     validate_derivatives,
@@ -22,9 +30,9 @@ def scalar_linear_ocp(horizon=2):
     """f(x, u) = x + u with quadratic cost; n = m = 1."""
     return OcpDefinition(
         n=1, m=1, horizon=horizon, x_init=np.array([1.0]),
-        dynamics=lambda x, u: x + u,
-        dynamics_jac_x=lambda x, u: np.ones((1, 1)),
-        dynamics_jac_u=lambda x, u: np.ones((1, 1)),
+        dynamics=lambda xs, us: xs + us,
+        dynamics_jac_x=lambda xs, us: np.ones((len(xs), 1, 1)),
+        dynamics_jac_u=lambda xs, us: np.ones((len(xs), 1, 1)),
         stage_cost=lambda x, u: 0.5 * float(x[0] ** 2 + u[0] ** 2),
         terminal_cost=lambda x: 0.5 * float(x[0] ** 2),
         name="scalar_linear",
@@ -70,7 +78,7 @@ class TestTranscribe:
     def test_dimension_mismatch_names_offender(self):
         bad = OcpDefinition(
             n=2, m=1, horizon=2, x_init=np.zeros(2),
-            dynamics=lambda x, u: np.zeros(3),  # wrong size
+            dynamics=lambda xs, us: np.zeros((len(xs), 3)),  # wrong size
             stage_cost=lambda x, u: 0.0,
             terminal_cost=lambda x: 0.0,
         )
@@ -78,17 +86,33 @@ class TestTranscribe:
             transcribe(bad)
 
     def test_jacobian_fd_fallback(self):
+        def dynamics(xs, us):
+            return np.stack([xs[:, 0] * xs[:, 1] + us[:, 0],
+                             np.sin(xs[:, 1]) - us[:, 0] ** 2], axis=1)
+
         ocp = OcpDefinition(
-            n=1, m=1, horizon=2, x_init=np.array([1.0]),
-            dynamics=lambda x, u: x * x + u,
-            stage_cost=lambda x, u: float(x[0] ** 2 + u[0] ** 2),
-            terminal_cost=lambda x: float(x[0] ** 2),
+            n=2, m=1, horizon=3, x_init=np.array([1.0, -0.5]),
+            dynamics=dynamics,
+            stage_cost=lambda x, u: float(x @ x + u[0] ** 2),
+            terminal_cost=lambda x: float(x @ x),
         )
         nlp = transcribe(ocp)
-        z = rollout(nlp, np.array([[0.1], [0.2]]))
+        z = rollout(nlp, np.array([[0.1], [0.2], [-0.3]]))
         jac = nlp.equalities_jacobian(z)
         jac_fd = fd_jacobian(nlp.equalities, z)
         np.testing.assert_allclose(jac, jac_fd, atol=1e-7)
+        # the stacked fallback perturbs all stages at once, with the
+        # per-stage steps and arithmetic
+        xs, us = nlp.split(z)
+        for k in range(3):
+            rows, off = slice(2 * k + 2, 2 * k + 4), nlp.stage_offsets[k]
+            x, u = xs[k:k + 1], us[k:k + 1]
+            np.testing.assert_array_equal(
+                -jac[rows, off:off + 2],
+                fd_jacobian(lambda v: dynamics(v[None], u)[0], xs[k]))
+            np.testing.assert_array_equal(
+                -jac[rows, off + 2:off + 3],
+                fd_jacobian(lambda v: dynamics(x, v[None])[0], us[k]))
 
 
 class TestBarrierObjective:
@@ -111,7 +135,7 @@ class TestBarrierObjective:
         # F = 2, H = (-0.5, -2), mu = 1 -> 2 - log 0.5 - log 2 = 2
         ocp = OcpDefinition(
             n=1, m=1, horizon=1, x_init=np.zeros(1),
-            dynamics=lambda x, u: np.array([u[0]]),
+            dynamics=lambda xs, us: us.copy(),
             stage_cost=lambda x, u: 2.0,
             terminal_cost=lambda x: 0.0,
             path_constraints=lambda x, u: np.array([u[0] - 0.5, u[0] - 2.0]),
@@ -166,6 +190,17 @@ class TestBuildQp:
         assert qp.Q[1, 1] == pytest.approx(3.0 + sigma, rel=1e-12)
         # g_u = 2*(u-2) + mu*phi'(-1)*1 = -4 + 1
         assert qp.g[1] == pytest.approx(-3.0, rel=1e-12)
+
+    def test_stagewise_barrier_curvature_equals_dense_product_bitwise(self):
+        nlp = transcribe(hiv_ocp(HivParameters(N=8)))
+        z = hiv_initial_guess(nlp, 0.05)
+        cfg = BarrierConfig(mu=1e-2)
+        qp = build_qp(nlp, z, cfg)
+        assert qp.diagnostics["sigma"] == 0.0
+        h, jac_h = nlp.inequalities(z), nlp.inequalities_jacobian(z)
+        dense = (nlp.objective_hessian(z)
+                 + (jac_h.T * (cfg.mu * log_barrier_d2(h))) @ jac_h)
+        np.testing.assert_array_equal(qp.Q, 0.5 * (dense + dense.T))
 
     def test_infeasible_point_rejected(self):
         nlp = transcribe(box1d_ocp())
@@ -241,7 +276,7 @@ class TestValidateDerivatives:
     def test_catches_wrong_jacobian(self):
         ocp = scalar_linear_ocp()
         bad = OcpDefinition(**{**ocp.__dict__,
-                               "dynamics_jac_x": lambda x, u: 2.0 * np.ones((1, 1))})
+                               "dynamics_jac_x": lambda xs, us: 2.0 * np.ones((len(xs), 1, 1))})
         with pytest.raises(ConfigurationError, match="dynamics_jac_x"):
             validate_derivatives(bad)
 

@@ -51,9 +51,9 @@ def pure_state_cost_ocp():
     """F(z) = x0^2; no constraints. Used for scalar backtracking checks."""
     return OcpDefinition(
         n=1, m=1, horizon=1, x_init=np.array([1.0]),
-        dynamics=lambda x, u: np.zeros(1),
-        dynamics_jac_x=lambda x, u: np.zeros((1, 1)),
-        dynamics_jac_u=lambda x, u: np.zeros((1, 1)),
+        dynamics=lambda xs, us: np.zeros((len(xs), 1)),
+        dynamics_jac_x=lambda xs, us: np.zeros((len(xs), 1, 1)),
+        dynamics_jac_u=lambda xs, us: np.zeros((len(xs), 1, 1)),
         stage_cost=lambda x, u: float(x[0] ** 2),
         stage_cost_grad=lambda x, u: np.array([2.0 * x[0], 0.0]),
         stage_cost_hess=lambda x, u: np.diag([2.0, 0.0]),
@@ -79,9 +79,9 @@ class TestBacktrack:
         # H >= 0; the first feasible candidate 0.25 is accepted.
         ocp = OcpDefinition(
             n=1, m=1, horizon=1, x_init=np.zeros(1),
-            dynamics=lambda x, u: np.array([u[0]]),
-            dynamics_jac_x=lambda x, u: np.zeros((1, 1)),
-            dynamics_jac_u=lambda x, u: np.ones((1, 1)),
+            dynamics=lambda xs, us: us.copy(),
+            dynamics_jac_x=lambda xs, us: np.zeros((len(xs), 1, 1)),
+            dynamics_jac_u=lambda xs, us: np.ones((len(xs), 1, 1)),
             stage_cost=lambda x, u: -float(u[0]),
             stage_cost_grad=lambda x, u: np.array([0.0, -1.0]),
             stage_cost_hess=lambda x, u: np.zeros((2, 2)),
