@@ -16,7 +16,20 @@ Two construction engines are provided:
                required degree makes a dense least-squares fit impractical.
 
 Both engines verify the three constraints (accuracy on the spectral
-interval, odd parity, boundedness) on dense grids before returning.
+interval, odd parity, boundedness) on dense grids before returning.  The
+least-squares engine is skipped at every degree where Achieser's lower
+bound on the error of any odd fit already exceeds the target.
+
+Chebyshev series are evaluated by a blocked Clenshaw recurrence: the
+coefficients are cut into blocks of CLENSHAW_BLOCK, the recurrence runs on
+all blocks and points at once, and the blocks are folded from the top with
+the recurrence's 2x2 homogeneous response; near |x| = 1 it runs in
+Reinsch's difference form.  A degree-58k series thus takes about 970
+vectorised steps per form instead of 58k scalar-loop steps.  Against an
+extended-precision Clenshaw reference its error on [1/kappa, 1] stays
+below 1e-2 of the polynomial's achieved error for the kappa = 64 and 1024,
+eps' = 1e-12 polynomials; odd series stay exactly odd and vanish exactly
+at 0.
 """
 
 from __future__ import annotations
@@ -25,7 +38,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import chebyshev as cheb
+from numpy.polynomial.chebyshev import chebvander
 from scipy.fft import dct
 
 from .blockenc import BlockEncoding, EncodingError
@@ -53,7 +66,86 @@ class QsvtInversionSpec:
     engine: str          # "lsq" | "smooth" | "exact" (kappa = 1)
 
     def __call__(self, x):
-        return cheb.chebval(x, self.coeffs)
+        return _clenshaw(x, self.coeffs)
+
+
+# Coefficients per block of the blocked Clenshaw evaluator, and the most
+# elements one of its (blocks + 2) x points work arrays may hold.
+CLENSHAW_BLOCK = 64
+CLENSHAW_CHUNK = 1 << 20
+
+
+def _clenshaw(x, coeffs: np.ndarray):
+    """Evaluate sum_k coeffs[k] T_k(x) by a blocked Clenshaw recurrence.
+
+    Block i holds coeffs[i*L : (i+1)*L] with L = CLENSHAW_BLOCK.  The
+    recurrence runs for j = L-1..0 on every block from the zero state,
+    together with two coefficient-free rows started at the unit states,
+    which give the 2x2 homogeneous response H of L steps.  Folding the
+    blocks from the top, s <- local_i + H s, yields the state at index 0.
+    Points with |x| < 1/2 use the plain state (b_k, b_{k+1}); points with
+    |x| >= 1/2 use Reinsch's state (b_k, b_k - sign(x) b_{k+1}), because
+    near |x| = 1 the block-local sums grow like L*|c| and the plain form
+    loses their digits.  Points are processed in chunks so that each work
+    array holds at most about CLENSHAW_CHUNK elements.  Accepts scalar
+    input.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1)
+    n_blocks = -(-len(coeffs) // CLENSHAW_BLOCK)
+    rows = n_blocks + 2
+    table = np.zeros((rows, CLENSHAW_BLOCK))
+    table.reshape(-1)[: len(coeffs)] = coeffs
+
+    out = np.empty(flat.size)
+    width = max(1, min(flat.size, CLENSHAW_CHUNK // rows))
+    work = np.empty(3 * rows * width)
+    for sign, mask in ((0.0, np.abs(flat) < 0.5), (1.0, flat >= 0.5),
+                       (-1.0, flat <= -0.5)):
+        idx = np.flatnonzero(mask)
+        for lo in range(0, idx.size, width):
+            sel = idx[lo: lo + width]
+            out[sel] = _clenshaw_chunk(flat[sel], table, sign, work)
+    return out.reshape(x.shape)[()]
+
+
+def _clenshaw_chunk(xs, table, sign, work):
+    """One chunk of `_clenshaw`; sign 0 selects the plain recurrence."""
+    rows = table.shape[0]
+    n_blocks = rows - 2
+    t, b, w = work[: 3 * rows * xs.size].reshape(3, rows, xs.size)
+    b[:] = 0.0
+    w[:] = 0.0
+    b[n_blocks] = 1.0
+    w[n_blocks + 1] = 1.0
+    if sign == 0.0:
+        # w = b_{k+1}:  b_k = c_k + 2x b_{k+1} - b_{k+2}
+        x2 = 2.0 * xs
+        for j in range(CLENSHAW_BLOCK - 1, -1, -1):
+            np.multiply(x2, b, out=t)
+            t -= w
+            t += table[:, j, None]
+            t, b, w = w, t, b
+    else:
+        # w = d_k = b_k - sign*b_{k+1}:  d_k = c_k + 2(x - sign) b_{k+1}
+        # + sign*d_{k+1},  b_k = d_k + sign*b_{k+1}
+        combine = np.add if sign > 0.0 else np.subtract
+        xm2 = 2.0 * (xs - sign)
+        for j in range(CLENSHAW_BLOCK - 1, -1, -1):
+            np.multiply(xm2, b, out=t)
+            t += table[:, j, None]
+            combine(t, w, out=w)
+            combine(w, b, out=b)
+    h00, h01 = b[n_blocks:]
+    h10, h11 = w[n_blocks:]
+    s0 = np.zeros(xs.size)
+    s1 = np.zeros(xs.size)
+    for i in range(n_blocks - 1, -1, -1):
+        s0, s1 = b[i] + h00 * s0 + h01 * s1, w[i] + h10 * s0 + h11 * s1
+    if sign == 0.0:
+        return s0 - xs * s1
+    ax = sign * xs  # b_0 - x b_1 with b_1 = sign*(b_0 - d_0)
+    return (1.0 - ax) * s0 + ax * s1
 
 
 def _interval_grid(kappa: float, n: int) -> np.ndarray:
@@ -83,14 +175,26 @@ def _lsq_fit(kappa: float, degree: int, grid_mult: int = 4):
     """
     n_odd = (degree + 1) // 2
     x = _interval_grid(kappa, max(64, grid_mult * n_odd))
-    basis = cheb.chebvander(x, degree)[:, 1::2]
+    basis = chebvander(x, degree)[:, 1::2]
     target = 1.0 / (kappa * x)
     odd_coef, *_ = np.linalg.lstsq(basis, target, rcond=None)
     coeffs = _full_coeffs(odd_coef, degree)
 
     x_check = _interval_grid(kappa, max(129, 2 * grid_mult * n_odd + 1))
-    err = float(np.max(np.abs(cheb.chebval(x_check, coeffs) - 1.0 / (kappa * x_check))))
+    err = float(np.max(np.abs(_clenshaw(x_check, coeffs) - 1.0 / (kappa * x_check))))
     return coeffs, err
+
+
+def _odd_fit_error_floor(kappa: float, degree: int) -> float:
+    """Lower bound on sup |p - 1/(kappa*x)| on [1/kappa, 1] over odd p.
+
+    With a = 1/kappa, y = x^2 and p(x) = x q(y), deg q = k = (degree-1)/2,
+    the error is x |q(y) - a/y| >= a^2 |q(y)/a - 1/y| on [a^2, 1].
+    Achieser's closed form for the best approximation of 1/y there gives
+    (1 - a^2)/(2 a^2) rho^k with rho = (1 - a)/(1 + a).
+    """
+    a = 1.0 / kappa
+    return 0.5 * (1.0 - a * a) * ((1.0 - a) / (1.0 + a)) ** ((degree - 1) // 2)
 
 
 def _cheb_coeffs_from_extremes(values: np.ndarray) -> np.ndarray:
@@ -192,7 +296,8 @@ def build_inversion_spec(
     """Construct the odd inversion polynomial for a given spectral interval.
 
     The least-squares engine runs first, doubling its degree up to
-    min(degree_cap, LSQ_DEGREE_MAX); when it misses eps_prime the smooth
+    min(degree_cap, LSQ_DEGREE_MAX) and skipping every degree whose error
+    floor exceeds eps_prime; when it misses eps_prime the smooth
     projection is used.  ``minimize_degree`` bisects a successful
     least-squares degree down to near-minimal.  Raises
     InfeasibleAccuracyError when no degree <= degree_cap meets eps_prime.
@@ -214,9 +319,10 @@ def build_inversion_spec(
     degree = max(3, int(2 * math.ceil(kappa / 2) + 1))
     last_fail = 1
     while degree <= min(degree_cap, LSQ_DEGREE_MAX):
-        coeffs, err = _lsq_fit(kappa, degree)
-        if err <= eps_prime:
-            break
+        if _odd_fit_error_floor(kappa, degree) <= eps_prime:
+            coeffs, err = _lsq_fit(kappa, degree)
+            if err <= eps_prime:
+                break
         last_fail = degree
         degree = 2 * degree + 1
 
@@ -244,7 +350,7 @@ def build_inversion_spec(
                 else:
                     lo = mid
             coeffs, err, degree = best
-        sup_abs = float(np.max(np.abs(cheb.chebval(_bound_grid(degree), coeffs))))
+        sup_abs = float(np.max(np.abs(_clenshaw(_bound_grid(degree), coeffs))))
 
     # Rescaling the target by beta rescales the least-squares solution and
     # its error exactly, so boundedness is enforced without refitting.
@@ -281,7 +387,8 @@ def qsvt_invert(
 
     The embedded block is decomposed, p is applied to each singular value,
     and the factors are recomposed with the transpose structure of the
-    inverse.  Padding singular values map through p(0) = 0 and stay inert.
+    inverse.  Only the logical singular values (>= 1/(2 kappa)) are
+    evaluated; padding singular values map to exactly 0 and stay inert.
     """
     if u.logical_rows != u.logical_cols:
         raise EncodingError("inversion requires a square logical block")
@@ -308,8 +415,9 @@ def qsvt_invert(
             f"(kappa*eps/alpha = {spec.kappa * u.eps / u.alpha:.3g} > 0.5)"
         )
 
-    pvals = cheb.chebval(sigma, spec.coeffs)
-    pvals[sigma < lo / 2.0] = 0.0  # padding zeros; p is odd so p(0) = 0 anyway
+    pvals = np.zeros_like(sigma)
+    inside = sigma >= lo / 2.0
+    pvals[inside] = _clenshaw(sigma[inside], spec.coeffs)
 
     out = (vt.T * pvals) @ w.T
     out[n_logical:, :] = 0.0

@@ -158,16 +158,23 @@ def backtrack(
 
 
 def update_barrier(mu: float, cfg: SqpConfig, progress: dict[str, float]) -> float:
-    """Barrier update rule: geometric, constant, or progress-adaptive."""
+    """Barrier update rule: geometric, constant, or progress-adaptive.
+
+    The adaptive rule reads this and the previous iterate's residual norms
+    from `progress` (keys eq_norm, prev_eq_norm, stat_norm, prev_stat_norm).
+    """
     if mu <= 0.0:
         raise ValueError("mu must be positive")
     if cfg.barrier_update == "constant":
         new = mu
     elif cfg.barrier_update == "geometric":
         new = cfg.beta * mu
-    else:  # adaptive: shrink only when both residuals improved
-        improved = (progress.get("eq_decreased", False)
-                    and progress.get("stat_decreased", False))
+    else:
+        # Shrink when ||c|| did not rise and stationarity fell.  ||c|| need
+        # not fall strictly: a rounding-level step can leave it bitwise
+        # equal, and a strict test would then hold mu for good.
+        improved = (progress["eq_norm"] <= progress["prev_eq_norm"]
+                    and progress["stat_norm"] < progress["prev_stat_norm"])
         new = cfg.beta * mu if improved else mu
     if cfg.mu_clamp is not None:
         new = max(new, cfg.mu_clamp)
@@ -295,10 +302,8 @@ def solve(
             termination = "converged"
             break
 
-        progress = {
-            "eq_decreased": eq_norm < prev_eq,
-            "stat_decreased": not np.isnan(prev_stat) and stat_norm < prev_stat,
-        }
+        progress = {"eq_norm": eq_norm, "prev_eq_norm": prev_eq,
+                    "stat_norm": stat_norm, "prev_stat_norm": prev_stat}
         mu = update_barrier(mu, cfg, progress)
         prev_eq, prev_stat = eq_norm, stat_norm
         i += 1

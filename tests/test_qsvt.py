@@ -1,8 +1,16 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev as cheb
 
+from qbsqp import qsvt
 from qbsqp.blockenc import encode
 from qbsqp.qsvt import (
+    CLENSHAW_BLOCK,
+    CLENSHAW_CHUNK,
+    LSQ_DEGREE_MAX,
     InfeasibleAccuracyError,
     SpectrumViolationError,
     build_inversion_spec,
@@ -67,6 +75,107 @@ class TestInversionSpec:
             build_inversion_spec(0.5, 1e-6)
         with pytest.raises(ValueError):
             build_inversion_spec(2.0, 1.5)
+
+
+def clenshaw_longdouble(x, coeffs):
+    """Plain Clenshaw recurrence in extended precision: the test oracle."""
+    x = np.asarray(x, dtype=np.longdouble)
+    c = np.asarray(coeffs, dtype=np.longdouble)
+    b1 = np.zeros_like(x)
+    b2 = np.zeros_like(x)
+    for k in range(len(c) - 1, 0, -1):
+        b1, b2 = c[k] + 2 * x * b1 - b2, b1
+    return c[0] + x * b1 - b2
+
+
+def random_odd_series(degree, seed):
+    coeffs = np.zeros(degree + 1)
+    coeffs[1::2] = np.random.default_rng(seed).standard_normal((degree + 1) // 2)
+    return coeffs
+
+
+@pytest.fixture(scope="module")
+def spec_kappa64():
+    return build_inversion_spec(64.0, 1e-12, degree_cap=400001)
+
+
+class TestClenshaw:
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="the oracle needs an extended-precision longdouble")
+    @pytest.mark.parametrize("kappa,degree", [(64.0, 46935), (1024.0, 57997)])
+    def test_accuracy_against_extended_precision(self, kappa, degree):
+        spec = build_inversion_spec(kappa, 1e-12, degree_cap=400001)
+        assert spec.engine == "smooth" and spec.degree == degree
+        # the interval, the band just below 1 where the top singular value
+        # of a pre-scaled block lies, and 1 itself
+        x = np.concatenate([np.linspace(1.0 / kappa, 1.0, 41),
+                            1.0 - np.array([1e-3, 1e-5, 1e-8, 1e-12, 2.0**-52]), [1.0]])
+        err = np.abs(spec(x) - clenshaw_longdouble(x, spec.coeffs))
+        assert float(np.max(err)) <= 1e-2 * spec.achieved_err
+
+    @pytest.mark.parametrize("degree", [3, CLENSHAW_BLOCK - 1, CLENSHAW_BLOCK + 1,
+                                        3 * CLENSHAW_BLOCK + 17])
+    def test_matches_chebval_at_any_degree(self, degree):
+        coeffs = random_odd_series(degree, degree)
+        x = np.linspace(-1.0, 1.0, 257)
+        np.testing.assert_allclose(qsvt._clenshaw(x, coeffs), cheb.chebval(x, coeffs),
+                                   rtol=0.0, atol=1e-12)
+
+    def test_degree_one_is_identity(self):
+        x = np.linspace(-1.0, 1.0, 11)
+        np.testing.assert_array_equal(qsvt._clenshaw(x, np.array([0.0, 1.0])), x)
+
+    def test_scalar_and_shaped_input(self):
+        coeffs = random_odd_series(99, 7)
+        y = qsvt._clenshaw(0.3, coeffs)
+        assert isinstance(y, float) and np.ndim(y) == 0
+        assert y == pytest.approx(cheb.chebval(0.3, coeffs), abs=1e-13)
+        grid = np.array([[0.1, -0.2], [0.5, 0.9]])
+        out = qsvt._clenshaw(grid, coeffs)
+        assert out.shape == (2, 2)
+        np.testing.assert_array_equal(out.ravel(), qsvt._clenshaw(grid.ravel(), coeffs))
+
+    def test_odd_series_exactly_odd_and_zero_at_origin(self, spec_kappa64):
+        for coeffs in (random_odd_series(3 * CLENSHAW_BLOCK + 17, 3), spec_kappa64.coeffs):
+            x = np.linspace(0.0, 1.0, 129)
+            np.testing.assert_array_equal(qsvt._clenshaw(-x, coeffs),
+                                          -qsvt._clenshaw(x, coeffs))
+            assert qsvt._clenshaw(0.0, coeffs) == 0.0
+
+    def test_work_arrays_stay_within_chunk_bound(self, spec_kappa64):
+        coeffs = spec_kappa64.coeffs
+        x = np.linspace(-1.0, 1.0, 40001)
+        rows = -(-len(coeffs) // CLENSHAW_BLOCK) + 2
+        assert rows * x.size > 20 * CLENSHAW_CHUNK  # unchunked would be far larger
+        tracemalloc.start()
+        try:
+            y = qsvt._clenshaw(x, coeffs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # three work arrays of at most CLENSHAW_CHUNK doubles, plus O(points)
+        assert peak <= 8 * (3 * CLENSHAW_CHUNK + 8 * x.size)
+        assert np.max(np.abs(y)) <= 1.0
+
+
+class TestLsqPreflight:
+    @pytest.mark.parametrize("kappa", [2.0, 4.0, 16.0, 64.0, 256.0])
+    def test_skipped_fits_cannot_reach_target(self, kappa):
+        degree = max(3, int(2 * math.ceil(kappa / 2) + 1))
+        while degree <= LSQ_DEGREE_MAX:
+            floor = qsvt._odd_fit_error_floor(kappa, degree)
+            _, err = qsvt._lsq_fit(kappa, degree)
+            assert floor <= err
+            for eps_prime in (1e-3, 1e-6, 1e-8, 1e-10, 1e-12):
+                if floor > eps_prime:  # build_inversion_spec skips this fit
+                    assert err > eps_prime
+            degree = 2 * degree + 1
+
+    def test_engine_selection_pinned(self):
+        smooth = build_inversion_spec(64.0, 1e-8)
+        assert smooth.engine == "smooth"
+        lsq = build_inversion_spec(16.0, 1e-6)
+        assert lsq.engine == "lsq" and lsq.degree == 287
 
 
 class TestQsvtInvert:

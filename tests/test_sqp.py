@@ -17,6 +17,7 @@ from qbsqp.models import (
     toy_problems,
 )
 from qbsqp.nlp import InfeasiblePointError, OcpDefinition, rollout, transcribe
+from qbsqp.qschur import QuantumConfig, QuantumSchurSolver
 from qbsqp.schur import ExactSchurSolver, NoisySchurSolver
 from qbsqp.sqp import (
     NonDescentError,
@@ -142,10 +143,24 @@ class TestUpdateBarrier:
 
     def test_adaptive_stalls_hold_mu(self):
         cfg = SqpConfig(beta=0.5, barrier_update="adaptive")
-        stalled = {"eq_decreased": False, "stat_decreased": True}
+        stalled = {"eq_norm": 2.0, "prev_eq_norm": 1.0,
+                   "stat_norm": 0.5, "prev_stat_norm": 1.0}
         assert update_barrier(0.1, cfg, stalled) == 0.1
-        improved = {"eq_decreased": True, "stat_decreased": True}
+        improved = {"eq_norm": 0.5, "prev_eq_norm": 1.0,
+                    "stat_norm": 0.5, "prev_stat_norm": 1.0}
         assert update_barrier(0.1, cfg, improved) == pytest.approx(0.05)
+
+    def test_adaptive_shrinks_when_eq_norm_unchanged(self):
+        # A rounding-level step can leave ||c|| bitwise equal; that is not
+        # a stall.  Stationarity must still fall strictly.
+        cfg = SqpConfig(beta=0.5, barrier_update="adaptive")
+        level = {"eq_norm": 3.6e-6, "prev_eq_norm": 3.6e-6,
+                 "stat_norm": 0.5, "prev_stat_norm": 1.0}
+        assert update_barrier(0.1, cfg, level) == pytest.approx(0.05)
+        level_stat = {**level, "stat_norm": 1.0}
+        assert update_barrier(0.1, cfg, level_stat) == 0.1
+        first = {**level, "prev_stat_norm": float("nan")}
+        assert update_barrier(0.1, cfg, first) == 0.1
 
     def test_clamp_floor(self):
         cfg = SqpConfig(beta=0.5, barrier_update="geometric", mu_clamp=0.08)
@@ -272,6 +287,17 @@ class TestSolve:
         # the start, one f0 per line search, and the line-search trials
         trials = sum(rec.backtracks + 1 for rec in rep.records[1:])
         assert calls["barrier"] <= trials + n + 1
+
+
+def test_hiv_quantum_solve_converges_like_exact():
+    # HIV N=4 at eps' = 1e-10 from the start control of seed 1.
+    nlp = transcribe(hiv_ocp(HivParameters(N=4)))
+    z0 = hiv_initial_guess(nlp, 0.04 + 0.02 * np.random.default_rng(1).random())
+    qcfg = QuantumConfig(eps_prime_Q=1e-10, eps_prime_S=1e-10, degree_cap=400001)
+    rep = solve(nlp, z0, SqpConfig(**HIV_SQP_DEFAULTS), QuantumSchurSolver(qcfg))
+    exact = solve(nlp, z0, SqpConfig(**HIV_SQP_DEFAULTS), ExactSchurSolver())
+    assert rep.converged and rep.n_iters <= 12
+    assert np.max(np.abs(rep.z_star - exact.z_star)) <= 1e-8
 
 
 def test_config_validation():
