@@ -94,7 +94,6 @@ class ProblemSetup:
 
 
 HIV_SQP_DEFAULTS = {
-    "convergence_check": "kkt",
     "mu0": 1e-2,
     "mu_min": 1e-8,
     "eps_opt": 1e-3,
@@ -289,7 +288,7 @@ def reference_solution(setup: ProblemSetup,
     base = dict(setup.sqp_defaults)
     base.update(sqp_overrides)
     base.update(mu_min=1e-11, mu_clamp=1e-10, barrier_update="geometric",
-                convergence_check="kkt", eps_opt=1e-11, eps_feas=1e-11,
+                eps_opt=1e-11, eps_feas=1e-11,
                 max_outer_iters=300)
     rep = solve(setup.nlp, setup.z0, SqpConfig(**base), ExactSchurSolver())
     polish = dict(base)
@@ -317,7 +316,6 @@ def _sweep_cell(setup, sqp_overrides, mu_min, eps, seed, floor_iters, z_ref):
         mu_clamp=mu_min,
         barrier_update="geometric",
         beta=base.get("beta", 0.5),
-        convergence_check="kkt",
         eps_opt=1e-14,
         eps_feas=1e-14,
         max_outer_iters=descent_iters + floor_iters,
@@ -526,16 +524,3 @@ def run_qsvt_check(cfg: ExperimentConfig) -> tuple[int, dict]:
     summary = {"rows": len(rows)}
     write_manifest(cfg.output_dir, "qsvt-check", cfg, summary, [path])
     return 0, {"records": records, "summary": summary}
-
-
-def degree_linearity(records: list[dict], eps_prime: float) -> float:
-    """R^2 of the linear fit degree ~ kappa at a fixed accuracy target."""
-    pts = [(r["kappa"], r["degree"]) for r in records
-           if r["eps_prime"] == eps_prime]
-    xs = np.array([p[0] for p in pts], dtype=float)
-    ys = np.array([p[1] for p in pts], dtype=float)
-    slope, intercept = np.polyfit(xs, ys, 1)
-    pred = slope * xs + intercept
-    ss_res = float(np.sum((ys - pred) ** 2))
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-    return 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .nlp import OcpDefinition, TrajectoryNlp, rollout, transcribe
 
@@ -37,26 +36,18 @@ def rk4_discretize(f, jac_x, jac_u, dt: float, substeps: int = 1) -> DiscreteDyn
     same contract.  One call advances all K points together with the
     arithmetic of K separate calls, so its rows do not depend on K.
 
-    ``f`` of the result runs RK4 on the states alone.  The Jacobians of the
-    map are propagated through every RK4 stage by the chain rule, so they
-    are analytic, not finite differences; ``jac_x`` and ``jac_u`` share that
-    one pass through a cache of the last point asked for.  Substeps keep the
+    The Jacobians of the map are propagated through every RK4 stage by the
+    chain rule, so they are analytic, not finite differences.  That pass
+    also advances the states with the arithmetic of ``f``, and it keeps
+    both Jacobians and the next states for the last point it was asked
+    for: ``jac_x`` and ``jac_u`` share one pass, and ``f`` at that point
+    returns the kept states (read-only) instead of integrating again.
+    Elsewhere ``f`` runs RK4 on the states alone.  Substeps keep the
     integration inside the RK4 stability region for stiff rate constants.
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
     h = dt / substeps
-
-    def step(xs, us):
-        x = np.asarray(xs, dtype=float)
-        u = np.asarray(us, dtype=float)
-        for _ in range(substeps):
-            k1 = f(x, u)
-            k2 = f(x + 0.5 * h * k1, u)
-            k3 = f(x + 0.5 * h * k2, u)
-            k4 = f(x + h * k3, u)
-            x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        return x
 
     def jacobians(x, u):
         eye = np.eye(x.shape[1])
@@ -84,19 +75,38 @@ def rk4_discretize(f, jac_x, jac_u, dt: float, substeps: int = 1) -> DiscreteDyn
             ju = (h / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
             jx_acc = jx @ jx_acc
             ju_acc = jx @ ju_acc + ju
-        return jx_acc, ju_acc
+        return jx_acc, ju_acc, x
 
-    # The SQP iteration asks for both Jacobians at the same stacked point.
+    # The SQP iteration asks for both Jacobians at the same stacked point,
+    # and then for the map value there.
     last: dict[bytes, tuple] = {}
 
-    def shared_jacobians(xs, us):
+    def key_of(xs, us):
         x = np.asarray(xs, dtype=float)
         u = np.asarray(us, dtype=float)
-        key = x.tobytes() + u.tobytes()
+        return x, u, x.tobytes() + u.tobytes()
+
+    def shared_jacobians(xs, us):
+        x, u, key = key_of(xs, us)
         if key not in last:
             last.clear()
-            last[key] = jacobians(x, u)
+            kept = jacobians(x, u)
+            for arr in kept:
+                arr.flags.writeable = False
+            last[key] = kept
         return last[key]
+
+    def step(xs, us):
+        x, u, key = key_of(xs, us)
+        if key in last:
+            return last[key][2]
+        for _ in range(substeps):
+            k1 = f(x, u)
+            k2 = f(x + 0.5 * h * k1, u)
+            k3 = f(x + 0.5 * h * k2, u)
+            k4 = f(x + h * k3, u)
+            x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        return x
 
     return DiscreteDynamics(
         f=step,
@@ -208,20 +218,25 @@ def hiv_ocp(params: HivParameters | None = None) -> OcpDefinition:
     w_term = np.array([2 * p.q_T_f, 2 * p.q_I_f, 2 * p.q_V_f])
     t_ref = p.T_ref
 
-    def stage_cost(x, u):
-        t, i, v = x
+    def stage_cost(xs, us):
+        t, i, v = xs.T
         return (p.q_T * (t_ref - t) ** 2 + p.q_I * i**2 + p.q_V * v**2
-                + p.r_1 * u[0] ** 2 + p.r_2 * u[1] ** 2)
+                + p.r_1 * us[:, 0] ** 2 + p.r_2 * us[:, 1] ** 2)
 
-    def stage_cost_grad(x, u):
-        t, i, v = x
-        return np.array([
-            -2 * p.q_T * (t_ref - t), 2 * p.q_I * i, 2 * p.q_V * v,
-            2 * p.r_1 * u[0], 2 * p.r_2 * u[1],
-        ])
+    def stage_cost_grad(xs, us):
+        t, i, v = xs.T
+        grad = np.empty((len(xs), 5))
+        grad[:, 0] = -2 * p.q_T * (t_ref - t)
+        grad[:, 1] = 2 * p.q_I * i
+        grad[:, 2] = 2 * p.q_V * v
+        grad[:, 3] = 2 * p.r_1 * us[:, 0]
+        grad[:, 4] = 2 * p.r_2 * us[:, 1]
+        return grad
 
-    def stage_cost_hess(x, u):
-        return np.diag(w_stage)
+    hess_stage = np.diag(w_stage)
+
+    def stage_cost_hess(xs, us):
+        return np.broadcast_to(hess_stage, (len(xs), 5, 5))
 
     def terminal_cost(x):
         t, i, v = x
@@ -236,11 +251,14 @@ def hiv_ocp(params: HivParameters | None = None) -> OcpDefinition:
 
     margin = p.margin
 
-    def path_constraints(x, u):
-        return np.array([
-            -u[0], u[0] - 1.0, -u[1], u[1] - 1.0,
-            margin - x[0], margin - x[1], margin - x[2],
-        ])
+    def path_constraints(xs, us):
+        rows = np.empty((len(xs), 7))
+        rows[:, 0] = -us[:, 0]
+        rows[:, 1] = us[:, 0] - 1.0
+        rows[:, 2] = -us[:, 1]
+        rows[:, 3] = us[:, 1] - 1.0
+        rows[:, 4:] = margin - xs
+        return rows
 
     path_jac_const = np.zeros((7, 5))
     path_jac_const[0, 3] = -1.0
@@ -270,7 +288,7 @@ def hiv_ocp(params: HivParameters | None = None) -> OcpDefinition:
         terminal_cost_hess=terminal_cost_hess,
         path_constraints=path_constraints,
         n_path=7,
-        path_jac=lambda x, u: path_jac_const,
+        path_jac=lambda xs, us: np.broadcast_to(path_jac_const, (len(xs), 7, 5)),
         terminal_constraints=terminal_constraints,
         n_terminal=3,
         terminal_jac=lambda x: -np.eye(3),
@@ -332,10 +350,10 @@ def double_integrator_ocp(horizon: int = 8, dt: float = 0.2):
         dynamics=lambda xs, us: (a @ xs[:, :, None] + b @ us[:, :, None])[:, :, 0],
         dynamics_jac_x=lambda xs, us: np.broadcast_to(a, (len(xs), 2, 2)),
         dynamics_jac_u=lambda xs, us: np.broadcast_to(b, (len(xs), 2, 1)),
-        stage_cost=lambda x, u: 0.5 * (x @ q @ x + u @ r @ u),
-        stage_cost_grad=lambda x, u: np.concatenate([q @ x, r @ u]),
-        stage_cost_hess=lambda x, u: np.block(
-            [[q, np.zeros((2, 1))], [np.zeros((1, 2)), r]]),
+        stage_cost=lambda xs, us: 0.5 * (np.vecdot(xs @ q, xs) + np.vecdot(us @ r, us)),
+        stage_cost_grad=lambda xs, us: np.hstack([xs @ q.T, us @ r.T]),
+        stage_cost_hess=lambda xs, us: np.broadcast_to(
+            np.block([[q, np.zeros((2, 1))], [np.zeros((1, 2)), r]]), (len(xs), 3, 3)),
         terminal_cost=lambda x: 0.5 * x @ qf @ x,
         terminal_cost_grad=lambda x: qf @ x,
         terminal_cost_hess=lambda x: qf,
@@ -357,9 +375,9 @@ def eqqp_ocp():
         dynamics=lambda xs, us: np.zeros((len(xs), 1)),
         dynamics_jac_x=lambda xs, us: np.zeros((len(xs), 1, 1)),
         dynamics_jac_u=lambda xs, us: np.zeros((len(xs), 1, 1)),
-        stage_cost=lambda x, u: 0.5 * float(x[0] ** 2 + u[0] ** 2),
-        stage_cost_grad=lambda x, u: np.array([x[0], u[0]]),
-        stage_cost_hess=lambda x, u: np.eye(2),
+        stage_cost=lambda xs, us: 0.5 * (xs[:, 0] ** 2 + us[:, 0] ** 2),
+        stage_cost_grad=lambda xs, us: np.hstack([xs, us]),
+        stage_cost_hess=lambda xs, us: np.broadcast_to(np.eye(2), (len(xs), 2, 2)),
         terminal_cost=lambda x: 0.5 * float(x[0] ** 2),
         terminal_cost_grad=lambda x: x.copy(),
         terminal_cost_hess=lambda x: np.eye(1),
@@ -375,15 +393,15 @@ def box1d_ocp():
         dynamics=lambda xs, us: us.copy(),
         dynamics_jac_x=lambda xs, us: np.zeros((len(xs), 1, 1)),
         dynamics_jac_u=lambda xs, us: np.ones((len(xs), 1, 1)),
-        stage_cost=lambda x, u: float((u[0] - 2.0) ** 2),
-        stage_cost_grad=lambda x, u: np.array([0.0, 2.0 * (u[0] - 2.0)]),
-        stage_cost_hess=lambda x, u: np.diag([0.0, 2.0]),
+        stage_cost=lambda xs, us: (us[:, 0] - 2.0) ** 2,
+        stage_cost_grad=lambda xs, us: np.hstack([np.zeros_like(xs), 2.0 * (us - 2.0)]),
+        stage_cost_hess=lambda xs, us: np.broadcast_to(np.diag([0.0, 2.0]), (len(xs), 2, 2)),
         terminal_cost=lambda x: 0.0,
         terminal_cost_grad=lambda x: np.zeros(1),
         terminal_cost_hess=lambda x: np.zeros((1, 1)),
-        path_constraints=lambda x, u: np.array([u[0] - 1.0]),
+        path_constraints=lambda xs, us: us - 1.0,
         n_path=1,
-        path_jac=lambda x, u: np.array([[0.0, 1.0]]),
+        path_jac=lambda xs, us: np.broadcast_to([[[0.0, 1.0]]], (len(xs), 1, 2)),
         name="box1d",
     )
 
@@ -394,12 +412,6 @@ def box1d_barrier_path(mu: float) -> float:
     Solves 2(u - 2) + mu/(1 - u) = 0 for u < 1.
     """
     return (3.0 - np.sqrt(1.0 + 2.0 * mu)) / 2.0
-
-
-def box1d_barrier_path_root(mu: float) -> float:
-    """Independent root-finding cross-check of box1d_barrier_path."""
-    fun = lambda u: 2.0 * (u - 2.0) + mu / (1.0 - u)
-    return float(brentq(fun, -10.0, 1.0 - 1e-14, xtol=1e-15))
 
 
 def toy_problems() -> dict[str, ToyProblem]:
@@ -414,7 +426,7 @@ def toy_problems() -> dict[str, ToyProblem]:
         ocp=di_ocp,
         z0=rollout(nlp, np.zeros((di_ocp.horizon, 1))),
         z_star=nlp.join(xs, us),
-        sqp_overrides={"convergence_check": "kkt", "mu0": 1e-2},
+        sqp_overrides={"mu0": 1e-2},
         info={"oracle": "riccati"},
     )
 
@@ -426,7 +438,6 @@ def toy_problems() -> dict[str, ToyProblem]:
         z0=rollout(eq_nlp, np.array([[0.7]])),
         z_star=np.array([1.0, 0.0, 0.0]),
         lam_star=np.array([-1.0, 0.0]),
-        sqp_overrides={"convergence_check": "kkt"},
         info={"oracle": "hand KKT"},
     )
 
@@ -437,7 +448,6 @@ def toy_problems() -> dict[str, ToyProblem]:
         ocp=box_ocp,
         z0=rollout(box_nlp, np.array([[0.0]])),
         z_star=np.array([0.0, 1.0, 1.0]),
-        sqp_overrides={"convergence_check": "kkt"},
         info={"oracle": "barrier path root", "barrier_path": box1d_barrier_path},
     )
     return problems

@@ -123,15 +123,18 @@ class BarrierConfig:
 class OcpDefinition:
     """Discrete-time optimal control problem over a fixed horizon.
 
-    The dynamics are stage-stacked: ``dynamics``, ``dynamics_jac_x`` and
-    ``dynamics_jac_u`` take states ``xs`` of shape (K, n) and controls
-    ``us`` of shape (K, m) and return the K next states (K, n) and the
-    Jacobians (K, n, n) and (K, n, m), row k depending on row k of the
-    inputs alone.  The transcription evaluates all N stages in one call.
-    Costs and constraints are plain callables on (x, u) for one stage and
-    on (x,) for the terminal stage.  Analytic derivatives are optional;
-    transcription falls back to central finite differences for any that
-    are omitted.
+    Every per-stage callable is stage-stacked: it takes states ``xs`` of
+    shape (K, n) and controls ``us`` of shape (K, m), and row k of its
+    output depends on row k of the inputs alone.  ``dynamics``,
+    ``dynamics_jac_x`` and ``dynamics_jac_u`` return the K next states
+    (K, n) and the Jacobians (K, n, n) and (K, n, m); ``stage_cost``,
+    ``stage_cost_grad`` and ``stage_cost_hess`` return (K,), (K, n + m) and
+    (K, n + m, n + m), derivatives taken with respect to (x, u);
+    ``path_constraints`` and ``path_jac`` return (K, n_path) and
+    (K, n_path, n + m).  The transcription evaluates all N stages in one
+    call of each.  The terminal callables take one state (n,).  Analytic
+    derivatives are optional; transcription falls back to central finite
+    differences for any that are omitted.
     """
 
     n: int
@@ -143,13 +146,13 @@ class OcpDefinition:
     terminal_cost: Callable
     dynamics_jac_x: Callable | None = None  # -> (K, n, n)
     dynamics_jac_u: Callable | None = None  # -> (K, n, m)
-    stage_cost_grad: Callable | None = None   # -> (n + m,)
-    stage_cost_hess: Callable | None = None   # -> (n + m, n + m); GN form for LS costs
+    stage_cost_grad: Callable | None = None   # -> (K, n + m)
+    stage_cost_hess: Callable | None = None   # -> (K, n + m, n + m); GN form for LS costs
     terminal_cost_grad: Callable | None = None
     terminal_cost_hess: Callable | None = None
-    path_constraints: Callable | None = None  # c(x, u) -> (n_path,)
+    path_constraints: Callable | None = None  # c(xs, us) -> (K, n_path)
     n_path: int = 0
-    path_jac: Callable | None = None          # -> (n_path, n + m)
+    path_jac: Callable | None = None          # -> (K, n_path, n + m)
     terminal_constraints: Callable | None = None
     n_terminal: int = 0
     terminal_jac: Callable | None = None      # -> (n_terminal, n)
@@ -202,7 +205,7 @@ class TrajectoryNlp:
 
     # -- layout ------------------------------------------------------------
     def split(self, z: np.ndarray):
-        """Return (states (N+1, n), controls (N, m))."""
+        """Return (states (N+1, n), controls (N, m)) as new arrays."""
         n, end = self.ocp.n, self.stage_offsets[-1]
         stages = z[:end].reshape(self.ocp.horizon, -1)
         return np.vstack([stages[:, :n], z[end:]]), stages[:, n:].copy()
@@ -210,62 +213,75 @@ class TrajectoryNlp:
     def join(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
         return np.concatenate([np.hstack([xs[:-1], us]).ravel(), xs[-1]])
 
+    def _stages(self, z: np.ndarray):
+        """Views of z: the stage blocks z_k = (x_k, u_k) as rows (N, n + m),
+        and x_N (n,).  The evaluators hand the callables column slices of
+        the blocks, so no stage data is copied."""
+        end = self.stage_offsets[-1]
+        return z[:end].reshape(self.ocp.horizon, -1), z[end:]
+
+    def _stage_columns(self) -> np.ndarray:
+        """(N, n + m) column indices of z_k in z, row k for stage k."""
+        return (np.reshape(self.stage_offsets[:-1], (self.ocp.horizon, 1))
+                + np.arange(self.ocp.n + self.ocp.m))
+
     # -- objective ---------------------------------------------------------
     def objective(self, z: np.ndarray) -> float:
-        xs, us = self.split(z)
-        total = sum(float(self.ocp.stage_cost(xs[k], us[k]))
-                    for k in range(self.ocp.horizon))
-        return total + float(self.ocp.terminal_cost(xs[-1]))
+        ocp = self.ocp
+        stages, x_end = self._stages(z)
+        costs = _stage_call(ocp, "stage_cost", stages, (ocp.horizon,))
+        # Added one at a time in stage order; np.sum would add pairwise, and
+        # the line search compares values at rounding level.
+        total = float(np.cumsum(costs)[-1])
+        return total + float(ocp.terminal_cost(x_end))
 
     def objective_gradient(self, z: np.ndarray) -> np.ndarray:
         ocp = self.ocp
-        xs, us = self.split(z)
-        grad = np.zeros(self.n_z)
-        nm = ocp.n + ocp.m
-        for k in range(ocp.horizon):
-            off = self.stage_offsets[k]
-            grad[off:off + nm] = _stage_grad(ocp, xs[k], us[k])
-        grad[self.stage_offsets[-1]:] = _terminal_grad(ocp, xs[-1])
+        stages, x_end = self._stages(z)
+        end = self.stage_offsets[-1]
+        grad = np.empty(self.n_z)
+        grad[:end] = _stage_grads(ocp, stages).ravel()
+        grad[end:] = _terminal_grad(ocp, x_end)
         return grad
 
     def objective_hessian(self, z: np.ndarray) -> np.ndarray:
         """Block-diagonal stage Hessian (Gauss-Newton form when supplied)."""
         ocp = self.ocp
-        xs, us = self.split(z)
+        stages, x_end = self._stages(z)
+        end = self.stage_offsets[-1]
         hess = np.zeros((self.n_z, self.n_z))
-        nm = ocp.n + ocp.m
-        for k in range(ocp.horizon):
-            off = self.stage_offsets[k]
-            hess[off:off + nm, off:off + nm] = _stage_hess(ocp, xs[k], us[k])
-        off = self.stage_offsets[-1]
-        hess[off:, off:] = _terminal_hess(ocp, xs[-1])
+        cols = self._stage_columns()
+        hess[cols[:, :, None], cols[:, None, :]] = _stage_hessians(ocp, stages)
+        hess[end:, end:] = _terminal_hess(ocp, x_end)
         return hess
 
     # -- equality constraints ----------------------------------------------
     def equalities(self, z: np.ndarray) -> np.ndarray:
         ocp = self.ocp
-        xs, us = self.split(z)
+        n, N = ocp.n, ocp.horizon
+        stages, x_end = self._stages(z)
+        fx = _stage_call(ocp, "dynamics", stages, (N, n))
         out = np.empty(self.m_eq)
-        n = ocp.n
-        out[:n] = xs[0] - ocp.x_init
-        fx = _check_shape(ocp.dynamics(xs[:-1], us), (ocp.horizon, n), "dynamics")
-        out[n:] = (xs[1:] - fx).ravel()
+        out[:n] = stages[0, :n] - ocp.x_init
+        gaps = out[n:].reshape(N, n)  # x_{k+1} - f(x_k, u_k), row k
+        np.subtract(stages[1:, :n], fx[:-1], out=gaps[:-1])
+        np.subtract(x_end, fx[-1], out=gaps[-1])
         return out
 
     def equalities_jacobian(self, z: np.ndarray) -> np.ndarray:
         ocp = self.ocp
-        xs, us = self.split(z)
-        n, m, N = ocp.n, ocp.m, ocp.horizon
+        n, N = ocp.n, ocp.horizon
+        stages, _ = self._stages(z)
         jac = np.zeros((self.m_eq, self.n_z))
         jac[:n, :n] = np.eye(n)
-        jx, ju = _dynamics_jacobians(ocp, xs[:-1], us)
-        for k in range(N):
-            off = self.stage_offsets[k]
-            rows = slice((k + 1) * n, (k + 2) * n)
-            jac[rows, off:off + n] = -jx[k]
-            jac[rows, off + n:off + n + m] = -ju[k]
-            nxt = self.stage_offsets[k + 1]
-            jac[rows, nxt:nxt + n] = np.eye(n)
+        jx, ju = _dynamics_jacobians(ocp, stages)
+        # Gap row i of stage k is n + k n + i; it reads z_k and x_{k+1},
+        # whose columns are those of z_k shifted by one stage.
+        rows = n + np.arange(N * n).reshape(N, n)
+        cols = self._stage_columns()
+        jac[rows[:, :, None], cols[:, None, :n]] = -jx
+        jac[rows[:, :, None], cols[:, None, n:]] = -ju
+        jac[rows, cols[:, :n] + (n + ocp.m)] = 1.0
         return jac
 
     # -- inequality constraints ---------------------------------------------
@@ -273,16 +289,14 @@ class TrajectoryNlp:
         ocp = self.ocp
         if self.n_ineq == 0:
             return np.zeros(0)
-        xs, us = self.split(z)
+        stages, x_end = self._stages(z)
         out = np.empty(self.n_ineq)
-        p = ocp.n_path
-        for k in range(ocp.horizon):
-            if p:
-                out[k * p:(k + 1) * p] = _check_shape(
-                    ocp.path_constraints(xs[k], us[k]), (p,), "path_constraints")
+        N, p = ocp.horizon, ocp.n_path
+        if p:
+            out[:N * p] = _stage_call(ocp, "path_constraints", stages, (N, p)).ravel()
         if ocp.n_terminal:
-            out[ocp.horizon * p:] = _check_shape(
-                ocp.terminal_constraints(xs[-1]), (ocp.n_terminal,),
+            out[N * p:] = _check_shape(
+                ocp.terminal_constraints(x_end), (ocp.n_terminal,),
                 "terminal_constraints")
         return out
 
@@ -291,43 +305,67 @@ class TrajectoryNlp:
         jac = np.zeros((self.n_ineq, self.n_z))
         if self.n_ineq == 0:
             return jac
-        xs, us = self.split(z)
-        n, m, p = ocp.n, ocp.m, ocp.n_path
-        for k in range(ocp.horizon):
-            if p:
-                off = self.stage_offsets[k]
-                rows = slice(k * p, (k + 1) * p)
-                jac[rows, off:off + n + m] = _path_jac(ocp, xs[k], us[k])
+        stages, x_end = self._stages(z)
+        N, p, end = ocp.horizon, ocp.n_path, self.stage_offsets[-1]
+        if p:
+            rows = np.arange(N * p).reshape(N, p)
+            cols = self._stage_columns()
+            jac[rows[:, :, None], cols[:, None, :]] = _path_jacobians(ocp, stages)
         if ocp.n_terminal:
-            off = self.stage_offsets[-1]
-            jac[ocp.horizon * p:, off:off + n] = _terminal_con_jac(ocp, xs[-1])
+            jac[N * p:, end:] = _terminal_con_jac(ocp, x_end)
         return jac
 
     def evaluate(self, z: np.ndarray) -> PointEval:
-        """Every first-order quantity the SQP iteration needs at z."""
+        """Every first-order quantity the SQP iteration needs at z.
+
+        The dynamics Jacobians are asked for before the residuals: the RK4
+        map of ``models.rk4_discretize`` keeps the next states of its
+        Jacobian pass, so ``equalities`` then integrates nothing.
+        """
+        jac_c = self.equalities_jacobian(z)
         return PointEval(
-            c=self.equalities(z), jac_c=self.equalities_jacobian(z),
+            c=self.equalities(z), jac_c=jac_c,
             h=self.inequalities(z), jac_h=self.inequalities_jacobian(z),
             grad_f=self.objective_gradient(z),
         )
 
 
-# -- per-stage derivative dispatch (analytic with FD fallback) ---------------
+# -- stacked derivative dispatch (analytic with FD fallback) -----------------
+# ``stages`` holds one stage block (x_k, u_k) per row, (K, n + m).
 
-def _stage_grad(ocp, x, u):
+def _on_stages(fun, n):
+    """``fun(xs, us)`` as a function of the stage blocks (K, n + m)."""
+    return lambda v: fun(v[:, :n], v[:, n:])
+
+
+def _stage_call(ocp, name, stages, shape):
+    """``ocp.<name>`` at the stage blocks, its output shape checked."""
+    return _check_shape(_on_stages(getattr(ocp, name), ocp.n)(stages), shape, name)
+
+
+def _fd_stacked_gradients(fun, v: np.ndarray) -> np.ndarray:
+    """Row k is ``fd_gradient`` of row k's scalar; ``fun`` maps (K, d) to (K,)."""
+    return _fd_stacked_jacobians(lambda w: fun(w)[:, None], v)[:, 0, :]
+
+
+def _fd_stacked_hessians(fun, v: np.ndarray) -> np.ndarray:
+    """Row k is ``fd_hessian`` of row k's scalar; ``fun`` maps (K, d) to (K,)."""
+    hess = _fd_stacked_jacobians(lambda w: _fd_stacked_gradients(fun, w), v)
+    return 0.5 * (hess + np.swapaxes(hess, 1, 2))
+
+
+def _stage_grads(ocp, stages):
+    k, nm = stages.shape
     if ocp.stage_cost_grad is not None:
-        return _check_shape(ocp.stage_cost_grad(x, u), (ocp.n + ocp.m,),
-                            "stage_cost_grad")
-    xu = np.concatenate([x, u])
-    return fd_gradient(lambda v: ocp.stage_cost(v[:ocp.n], v[ocp.n:]), xu)
+        return _stage_call(ocp, "stage_cost_grad", stages, (k, nm))
+    return _fd_stacked_gradients(_on_stages(ocp.stage_cost, ocp.n), stages)
 
 
-def _stage_hess(ocp, x, u):
+def _stage_hessians(ocp, stages):
+    k, nm = stages.shape
     if ocp.stage_cost_hess is not None:
-        return _check_shape(ocp.stage_cost_hess(x, u),
-                            (ocp.n + ocp.m, ocp.n + ocp.m), "stage_cost_hess")
-    xu = np.concatenate([x, u])
-    return fd_hessian(lambda v: ocp.stage_cost(v[:ocp.n], v[ocp.n:]), xu)
+        return _stage_call(ocp, "stage_cost_hess", stages, (k, nm, nm))
+    return _fd_stacked_hessians(_on_stages(ocp.stage_cost, ocp.n), stages)
 
 
 def _terminal_grad(ocp, x):
@@ -343,23 +381,21 @@ def _terminal_hess(ocp, x):
     return fd_hessian(ocp.terminal_cost, x)
 
 
-def _dynamics_jacobians(ocp, xs, us):
+def _dynamics_jacobians(ocp, stages):
     """Stacked Jacobians (K, n, n) and (K, n, m) at the K stage points."""
-    k, n, m = len(xs), ocp.n, ocp.m
+    k, n, m = len(stages), ocp.n, ocp.m
     if ocp.dynamics_jac_x is not None and ocp.dynamics_jac_u is not None:
-        jx = _check_shape(ocp.dynamics_jac_x(xs, us), (k, n, n), "dynamics_jac_x")
-        ju = _check_shape(ocp.dynamics_jac_u(xs, us), (k, n, m), "dynamics_jac_u")
-        return jx, ju
-    jx = _fd_stacked_jacobians(lambda v: ocp.dynamics(v, us), xs)
-    ju = _fd_stacked_jacobians(lambda v: ocp.dynamics(xs, v), us)
-    return jx, ju
+        return (_stage_call(ocp, "dynamics_jac_x", stages, (k, n, n)),
+                _stage_call(ocp, "dynamics_jac_u", stages, (k, n, m)))
+    jac = _fd_stacked_jacobians(_on_stages(ocp.dynamics, n), stages)
+    return jac[:, :, :n], jac[:, :, n:]
 
 
-def _path_jac(ocp, x, u):
+def _path_jacobians(ocp, stages):
+    k, nm = stages.shape
     if ocp.path_jac is not None:
-        return _check_shape(ocp.path_jac(x, u), (ocp.n_path, ocp.n + ocp.m), "path_jac")
-    xu = np.concatenate([x, u])
-    return fd_jacobian(lambda v: ocp.path_constraints(v[:ocp.n], v[ocp.n:]), xu)
+        return _stage_call(ocp, "path_jac", stages, (k, ocp.n_path, nm))
+    return _fd_stacked_jacobians(_on_stages(ocp.path_constraints, ocp.n), stages)
 
 
 def _terminal_con_jac(ocp, x):
@@ -374,9 +410,9 @@ def _terminal_con_jac(ocp, x):
 def transcribe(ocp: OcpDefinition) -> TrajectoryNlp:
     """Transcribe via multiple shooting; validates all declared dimensions.
 
-    The probe evaluation at (x_init, 0), one stacked stage (K = 1) for the
-    dynamics, raises ConfigurationError naming the offending callable if
-    any output shape disagrees with the declaration.
+    The probe evaluation at (x_init, 0), one stacked stage (K = 1) for each
+    stage callable, raises ConfigurationError naming the offending callable
+    if any output shape disagrees with the declaration.
     """
     n, m, N = ocp.n, ocp.m, ocp.horizon
     n_z = N * (n + m) + n
@@ -385,21 +421,21 @@ def transcribe(ocp: OcpDefinition) -> TrajectoryNlp:
     offsets = tuple([k * (n + m) for k in range(N)] + [N * (n + m)])
 
     x0 = np.asarray(ocp.x_init, dtype=float)
-    u0 = np.zeros(m)
-    _check_shape(ocp.dynamics(x0[None], u0[None]), (1, n), "dynamics")
-    float(ocp.stage_cost(x0, u0))
+    stage = np.concatenate([x0, np.zeros(m)])[None]
+    nm, p = n + m, ocp.n_path
+    stage_shapes = (
+        ("dynamics", (1, n)), ("dynamics_jac_x", (1, n, n)),
+        ("dynamics_jac_u", (1, n, m)), ("stage_cost", (1,)),
+        ("stage_cost_grad", (1, nm)), ("stage_cost_hess", (1, nm, nm)),
+        ("path_constraints", (1, p)), ("path_jac", (1, p, nm)),
+    )
+    for name, shape in stage_shapes:
+        if getattr(ocp, name) is not None:
+            _stage_call(ocp, name, stage, shape)
     float(ocp.terminal_cost(x0))
-    if ocp.path_constraints is not None:
-        _check_shape(ocp.path_constraints(x0, u0), (ocp.n_path,), "path_constraints")
     if ocp.terminal_constraints is not None:
         _check_shape(ocp.terminal_constraints(x0), (ocp.n_terminal,),
                      "terminal_constraints")
-    if ocp.dynamics_jac_x is not None:
-        _check_shape(ocp.dynamics_jac_x(x0[None], u0[None]), (1, n, n),
-                     "dynamics_jac_x")
-    if ocp.dynamics_jac_u is not None:
-        _check_shape(ocp.dynamics_jac_u(x0[None], u0[None]), (1, n, m),
-                     "dynamics_jac_u")
 
     return TrajectoryNlp(ocp=ocp, n_z=n_z, m_eq=m_eq, n_ineq=n_ineq,
                          stage_offsets=offsets)
@@ -503,7 +539,7 @@ def _add_barrier_curvature(nlp: TrajectoryNlp, q_mat: np.ndarray,
         # Row r of stage k, column j of z_k: (N, p) row and (N, n + m)
         # column indices, broadcast to the stage blocks (N, p, n + m).
         rows = np.arange(N * p).reshape(N, p)
-        cols = np.reshape(nlp.stage_offsets[:-1], (N, 1)) + np.arange(ocp.n + ocp.m)
+        cols = nlp._stage_columns()
         jac = jac_h[rows[:, :, None], cols[:, None, :]]
         curv = np.swapaxes(jac * weights[rows][:, :, None], 1, 2) @ jac
         q_mat[cols[:, :, None], cols[:, None, :]] += curv
@@ -533,26 +569,30 @@ def validate_derivatives(
         err = float(np.max(np.abs(analytic - numeric))) / denom
         worst[name] = max(worst.get(name, 0.0), err)
 
+    def at_point(fun):
+        """A stacked stage callable as a map of one stage block (n + m,)."""
+        stacked = _on_stages(fun, ocp.n)
+        return lambda v: stacked(v[None])[0]
+
     for _ in range(n_points):
         x = np.asarray(ocp.x_init, dtype=float) + 0.1 * scale * rng.standard_normal(ocp.n)
         u = 0.1 * rng.standard_normal(ocp.m)
+        xu, one = np.concatenate([x, u]), (x[None], u[None])
+        if ocp.dynamics_jac_x is not None or ocp.dynamics_jac_u is not None:
+            dyn_fd = fd_jacobian(at_point(ocp.dynamics), xu)
         if ocp.dynamics_jac_x is not None:
-            record("dynamics_jac_x", ocp.dynamics_jac_x(x[None], u[None])[0],
-                   fd_jacobian(lambda v: ocp.dynamics(v[None], u[None])[0], x))
+            record("dynamics_jac_x", ocp.dynamics_jac_x(*one)[0], dyn_fd[:, :ocp.n])
         if ocp.dynamics_jac_u is not None:
-            record("dynamics_jac_u", ocp.dynamics_jac_u(x[None], u[None])[0],
-                   fd_jacobian(lambda v: ocp.dynamics(x[None], v[None])[0], u))
+            record("dynamics_jac_u", ocp.dynamics_jac_u(*one)[0], dyn_fd[:, ocp.n:])
         if ocp.stage_cost_grad is not None:
-            xu = np.concatenate([x, u])
-            record("stage_cost_grad", ocp.stage_cost_grad(x, u),
-                   fd_gradient(lambda v: ocp.stage_cost(v[:ocp.n], v[ocp.n:]), xu))
+            record("stage_cost_grad", ocp.stage_cost_grad(*one)[0],
+                   fd_gradient(at_point(ocp.stage_cost), xu))
         if ocp.terminal_cost_grad is not None:
             record("terminal_cost_grad", ocp.terminal_cost_grad(x),
                    fd_gradient(ocp.terminal_cost, x))
         if ocp.path_jac is not None:
-            xu = np.concatenate([x, u])
-            record("path_jac", ocp.path_jac(x, u),
-                   fd_jacobian(lambda v: ocp.path_constraints(v[:ocp.n], v[ocp.n:]), xu))
+            record("path_jac", ocp.path_jac(*one)[0],
+                   fd_jacobian(at_point(ocp.path_constraints), xu))
         if ocp.terminal_jac is not None:
             record("terminal_jac", ocp.terminal_jac(x),
                    fd_jacobian(ocp.terminal_constraints, x))

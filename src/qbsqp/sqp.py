@@ -40,7 +40,6 @@ class SqpConfig:
     eps_feas: float = 1e-8
     max_outer_iters: int = 200
     max_backtracks: int = 60
-    convergence_check: str = "grad_f"  # grad_f (as printed) | kkt (stationarity)
 
     def __post_init__(self):
         if self.mu0 <= 0.0 or self.mu_min <= 0.0:
@@ -57,8 +56,6 @@ class SqpConfig:
             raise ValueError("iteration caps must be positive")
         if self.barrier_update not in ("geometric", "constant", "adaptive"):
             raise ValueError(f"unknown barrier update {self.barrier_update!r}")
-        if self.convergence_check not in ("grad_f", "kkt"):
-            raise ValueError(f"unknown convergence check {self.convergence_check!r}")
 
 
 @dataclass
@@ -327,9 +324,6 @@ def _record(i, z, mu, point, **fields):
 
 
 def _converged(rec: IterateRecord, stat_norm: float, cfg: SqpConfig) -> bool:
-    """Convergence test on the residual norms of the iterate `rec` records."""
-    if rec.eq_norm > cfg.eps_feas:
-        return False
-    if cfg.convergence_check == "grad_f":
-        return rec.grad_f_norm <= cfg.eps_opt
-    return stat_norm <= cfg.eps_opt
+    """KKT test: ||c|| of the iterate `rec` records and the barrier-KKT
+    stationarity ``stat_norm`` there within eps_feas and eps_opt."""
+    return rec.eq_norm <= cfg.eps_feas and stat_norm <= cfg.eps_opt

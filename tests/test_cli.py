@@ -3,10 +3,14 @@ errors that name the offending field, and reproducible manifests."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 import yaml
 
+import qbsqp
 from qbsqp import cli, experiments
 from qbsqp.config import validate_config
 
@@ -206,6 +210,7 @@ def test_usage_errors_exit_one_and_help_exits_zero(argv, code):
     ("sqp", None, "barrier_kind", "log"),
     ("sqp", None, "enforce_infeasibility_decrease", True),
     ("sqp", None, "infeasibility_sigma", 1.0e-4),
+    ("sqp", None, "convergence_check", "kkt"),
 ])
 def test_removed_options_are_config_errors(tmp_path, capsys, section, kind,
                                            option, value):
@@ -213,6 +218,15 @@ def test_removed_options_are_config_errors(tmp_path, capsys, section, kind,
     code, _ = run(tmp_path, "solve", {"problem": "toy:eqqp", section: body})
     assert code == 1
     assert f"{section}.{option}" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize adds about 0.15 s to every process start.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qbsqp.__file__)))
+    code = ("import sys, qbsqp.cli; "
+            "sys.exit(int('scipy.optimize' in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_unknown_top_level_keys_are_ignored():

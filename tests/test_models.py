@@ -3,12 +3,12 @@ from collections import Counter
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.optimize import brentq
 
 import qbsqp.models
 from qbsqp.models import (
     HivParameters,
     box1d_barrier_path,
-    box1d_barrier_path_root,
     hiv_initial_guess,
     hiv_ocp,
     hiv_vector_field,
@@ -26,6 +26,12 @@ from qbsqp.nlp import (
 )
 from qbsqp.schur import ExactSchurSolver
 from qbsqp.sqp import SqpConfig, solve
+
+
+def box1d_barrier_path_root(mu):
+    """Root-finding oracle for box1d_barrier_path: 2(u - 2) + mu/(1 - u) = 0."""
+    fun = lambda u: 2.0 * (u - 2.0) + mu / (1.0 - u)
+    return float(brentq(fun, -10.0, 1.0 - 1e-14, xtol=1e-15))
 
 
 def pendulum_field():
@@ -146,9 +152,34 @@ class TestRk4Discretize:
             calls.clear()
             nlp.evaluate(z)
             per_evaluation.append(calls["f"])
-        # one state pass and one Jacobian pass, 4 RK4 stages per substep each
+        # one Jacobian pass, 4 RK4 stages per substep; the residuals take
+        # the next states it kept
         substeps = HivParameters().substeps
-        assert per_evaluation == [2 * 4 * substeps] * 2
+        assert per_evaluation == [4 * substeps] * 2
+
+    def test_map_value_at_jacobian_point_equals_fresh_integration(self):
+        p = HivParameters()
+        field = hiv_vector_field(p)
+        disc = rk4_discretize(*field, p.dt, p.substeps)
+        fresh = rk4_discretize(*field, p.dt, p.substeps)
+        rng = np.random.default_rng(4)
+        xs = (np.asarray(p.x0) / np.asarray(p.scales)) * rng.uniform(0.5, 1.5, (12, 3))
+        us = rng.uniform(0.0, 1.0, (12, 2))
+        disc.jac_x(xs, us)
+        np.testing.assert_array_equal(disc.f(xs, us), fresh.f(xs, us))
+        # a copy of the point hits the same entry; another point integrates
+        np.testing.assert_array_equal(disc.f(xs.copy(), us.copy()), fresh.f(xs, us))
+        np.testing.assert_array_equal(disc.f(xs[:3], us[:3]), fresh.f(xs[:3], us[:3]))
+
+    def test_kept_map_value_cannot_be_mutated_by_a_caller(self):
+        disc = rk4_discretize(*pendulum_field(), dt=0.3, substeps=4)
+        x, u = np.array([[0.4, -0.2], [0.1, 0.3]]), np.array([[0.1], [-0.2]])
+        disc.jac_u(x, u)
+        expected = disc.f(x, u).copy()
+        for kept in (disc.f(x, u), disc.jac_x(x, u), disc.jac_u(x, u)):
+            with pytest.raises(ValueError):  # read-only
+                kept.flat[0] += 1.0
+        np.testing.assert_array_equal(disc.f(x, u), expected)
 
 
 class TestHivModel:
@@ -225,7 +256,7 @@ class TestToyProblems:
     def test_double_integrator_riccati_oracle(self):
         t = toy_problems()["double_integrator"]
         nlp = transcribe(t.ocp)
-        cfg = SqpConfig(convergence_check="kkt", mu0=1e-2, **{})
+        cfg = SqpConfig(mu0=1e-2)
         rep = solve(nlp, t.z0, cfg, ExactSchurSolver())
         assert rep.converged
         assert np.linalg.norm(rep.z_star - t.z_star) < 1e-8
@@ -237,7 +268,7 @@ class TestToyProblems:
         xs, us = riccati_lqr(a, b, q, r, qf, 1, x0)
         z_ref = nlp.join(xs, us)
         rep = solve(nlp, rollout(nlp, np.zeros((1, 1))),
-                    SqpConfig(convergence_check="kkt"), ExactSchurSolver())
+                    SqpConfig(), ExactSchurSolver())
         assert rep.converged
         assert np.linalg.norm(rep.z_star - z_ref) < 1e-8
 
@@ -259,7 +290,7 @@ class TestToyProblems:
         nlp = transcribe(t.ocp)
         mu = 1e-3
         cfg = SqpConfig(mu0=mu, barrier_update="constant", max_outer_iters=60,
-                        convergence_check="kkt", eps_opt=1e-10, eps_feas=1e-12)
+                        eps_opt=1e-10, eps_feas=1e-12)
         rep = solve(nlp, t.z0, cfg, ExactSchurSolver())
         assert rep.converged
         assert rep.z_star[1] == pytest.approx(box1d_barrier_path(mu), abs=1e-8)

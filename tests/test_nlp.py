@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,10 @@ from qbsqp.nlp import (
     OcpDefinition,
     build_qp,
     eval_barrier_objective,
+    fd_gradient,
+    fd_hessian,
     fd_jacobian,
+    log_barrier,
     log_barrier_d2,
     rollout,
     transcribe,
@@ -33,7 +38,7 @@ def scalar_linear_ocp(horizon=2):
         dynamics=lambda xs, us: xs + us,
         dynamics_jac_x=lambda xs, us: np.ones((len(xs), 1, 1)),
         dynamics_jac_u=lambda xs, us: np.ones((len(xs), 1, 1)),
-        stage_cost=lambda x, u: 0.5 * float(x[0] ** 2 + u[0] ** 2),
+        stage_cost=lambda xs, us: 0.5 * (xs[:, 0] ** 2 + us[:, 0] ** 2),
         terminal_cost=lambda x: 0.5 * float(x[0] ** 2),
         name="scalar_linear",
     )
@@ -79,7 +84,7 @@ class TestTranscribe:
         bad = OcpDefinition(
             n=2, m=1, horizon=2, x_init=np.zeros(2),
             dynamics=lambda xs, us: np.zeros((len(xs), 3)),  # wrong size
-            stage_cost=lambda x, u: 0.0,
+            stage_cost=lambda xs, us: np.zeros(len(xs)),
             terminal_cost=lambda x: 0.0,
         )
         with pytest.raises(ConfigurationError, match="dynamics"):
@@ -93,7 +98,7 @@ class TestTranscribe:
         ocp = OcpDefinition(
             n=2, m=1, horizon=3, x_init=np.array([1.0, -0.5]),
             dynamics=dynamics,
-            stage_cost=lambda x, u: float(x @ x + u[0] ** 2),
+            stage_cost=lambda xs, us: np.sum(xs**2, axis=1) + us[:, 0] ** 2,
             terminal_cost=lambda x: float(x @ x),
         )
         nlp = transcribe(ocp)
@@ -113,6 +118,125 @@ class TestTranscribe:
             np.testing.assert_array_equal(
                 -jac[rows, off + 2:off + 3],
                 fd_jacobian(lambda v: dynamics(x, v[None])[0], us[k]))
+
+
+def perturbed_hiv_point(nlp, seed):
+    """Strictly feasible HIV iterate off the rollout: states and controls
+    scaled by factors in [0.9, 1.1]."""
+    z = hiv_initial_guess(nlp, 0.3)
+    return z * np.random.default_rng(seed).uniform(0.9, 1.1, z.size)
+
+
+def counting(fn, calls, name):
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
+    return wrapper
+
+
+class TestStackedStageContract:
+    STAGE_CALLABLES = ("stage_cost", "stage_cost_grad", "stage_cost_hess",
+                       "path_constraints", "path_jac")
+
+    def test_hiv_stacked_rows_equal_single_stage_calls_bitwise(self):
+        ocp = hiv_ocp(HivParameters(N=20))
+        xs, us = transcribe(ocp).split(perturbed_hiv_point(transcribe(ocp), 5))
+        xs = xs[:-1]
+        for name in self.STAGE_CALLABLES:
+            fun = getattr(ocp, name)
+            stacked = np.asarray(fun(xs, us))
+            assert stacked.shape[0] == len(xs), name
+            for k in range(len(xs)):
+                np.testing.assert_array_equal(
+                    stacked[k], np.asarray(fun(xs[k:k + 1], us[k:k + 1]))[0],
+                    err_msg=f"{name} row {k}")
+
+    @pytest.mark.parametrize("horizon", [20, 160])
+    def test_barrier_objective_equals_per_stage_sequential_reference(self, horizon):
+        ocp = hiv_ocp(HivParameters(N=horizon))
+        nlp = transcribe(ocp)
+        cfg = BarrierConfig(mu=1e-3)
+        for seed in range(3):
+            z = perturbed_hiv_point(nlp, seed)
+            xs, us = nlp.split(z)
+            total = 0.0
+            h = []
+            for k in range(horizon):
+                x, u = xs[k:k + 1], us[k:k + 1]
+                total += float(ocp.stage_cost(x, u)[0])
+                h.append(ocp.path_constraints(x, u)[0])
+            h.append(ocp.terminal_constraints(xs[-1]))
+            h = np.concatenate(h)
+            assert np.max(h) < 0.0
+            expected = (total + float(ocp.terminal_cost(xs[-1]))
+                        + cfg.mu * float(np.sum(log_barrier(h))))
+            assert eval_barrier_objective(nlp, z, cfg) == expected
+
+    def test_objective_adds_stage_costs_in_stage_order(self):
+        # 1 + 2^-53 rounds back to 1, so only the sequential sum of
+        # (1, 2^-53, ..., 2^-53) is exactly 1; pairwise sums exceed it.
+        horizon = 64
+        ocp = OcpDefinition(**{**scalar_linear_ocp(horizon).__dict__,
+                               "stage_cost": lambda xs, us: np.where(
+                                   xs[:, 0] == 1.0, 1.0, 2.0**-53),
+                               "terminal_cost": lambda x: 0.0})
+        nlp = transcribe(ocp)
+        z = nlp.join(np.vstack([[1.0], np.zeros((horizon, 1))]),
+                     np.zeros((horizon, 1)))
+        assert nlp.objective(z) == 1.0
+
+    @pytest.mark.parametrize("horizon", [8, 32])
+    def test_one_stage_call_per_barrier_evaluation(self, horizon):
+        calls = Counter()
+        ocp = hiv_ocp(HivParameters(N=horizon))
+        wrapped = {name: counting(getattr(ocp, name), calls, name)
+                   for name in ("stage_cost", "path_constraints")}
+        nlp = transcribe(OcpDefinition(**{**ocp.__dict__, **wrapped}))
+        z = perturbed_hiv_point(nlp, 1)
+        calls.clear()
+        eval_barrier_objective(nlp, z, BarrierConfig(mu=1e-2))
+        assert calls == {"stage_cost": 1, "path_constraints": 1}
+
+    @pytest.mark.parametrize("name, bad", [
+        # per-stage returns, the contract before stacking
+        ("stage_cost", lambda xs, us: 0.0),
+        ("path_constraints", lambda xs, us: np.array([us[0, 0] - 1.0])),
+        ("stage_cost_grad", lambda xs, us: np.zeros(2)),
+        ("stage_cost_hess", lambda xs, us: np.zeros((2, 2))),
+        ("path_jac", lambda xs, us: np.array([[0.0, 1.0]])),
+    ])
+    def test_transcribe_names_callable_with_wrong_stacked_shape(self, name, bad):
+        ocp = OcpDefinition(**{**box1d_ocp().__dict__, name: bad})
+        with pytest.raises(ConfigurationError, match=f"^{name} returned shape"):
+            transcribe(ocp)
+
+    def test_fd_fallbacks_match_per_stage_fd_bitwise(self):
+        def stage_cost(xs, us):
+            return np.sin(xs[:, 0]) * xs[:, 1] + np.exp(0.3 * us[:, 0]) * xs[:, 0] ** 2
+
+        def path_constraints(xs, us):
+            return np.stack([xs[:, 0] * us[:, 0] - 5.0, np.cos(xs[:, 1]) - 3.0], axis=1)
+
+        ocp = OcpDefinition(
+            n=2, m=1, horizon=4, x_init=np.array([0.7, -0.4]),
+            dynamics=lambda xs, us: np.stack([xs[:, 1], us[:, 0] - xs[:, 0]], axis=1),
+            stage_cost=stage_cost,
+            terminal_cost=lambda x: float(x @ x),
+            path_constraints=path_constraints, n_path=2,
+        )
+        nlp = transcribe(ocp)
+        z = rollout(nlp, np.array([[0.2], [-0.1], [0.4], [0.3]]))
+        grad, hess = nlp.objective_gradient(z), nlp.objective_hessian(z)
+        jac_h = nlp.inequalities_jacobian(z)
+        for k in range(4):
+            block = slice(nlp.stage_offsets[k], nlp.stage_offsets[k] + 3)
+            xu = z[block]
+            cost = lambda v: stage_cost(v[None, :2], v[None, 2:])[0]
+            np.testing.assert_array_equal(grad[block], fd_gradient(cost, xu))
+            np.testing.assert_array_equal(hess[block, block], fd_hessian(cost, xu))
+            np.testing.assert_array_equal(
+                jac_h[2 * k:2 * k + 2, block],
+                fd_jacobian(lambda v: path_constraints(v[None, :2], v[None, 2:])[0], xu))
 
 
 class TestBarrierObjective:
@@ -136,9 +260,9 @@ class TestBarrierObjective:
         ocp = OcpDefinition(
             n=1, m=1, horizon=1, x_init=np.zeros(1),
             dynamics=lambda xs, us: us.copy(),
-            stage_cost=lambda x, u: 2.0,
+            stage_cost=lambda xs, us: np.full(len(xs), 2.0),
             terminal_cost=lambda x: 0.0,
-            path_constraints=lambda x, u: np.array([u[0] - 0.5, u[0] - 2.0]),
+            path_constraints=lambda xs, us: np.hstack([us - 0.5, us - 2.0]),
             n_path=2,
         )
         nlp = transcribe(ocp)
