@@ -253,11 +253,3 @@ def be_rescale(u: BlockEncoding, gamma: float) -> BlockEncoding:
         eps=u.eps,
     )
 
-
-def padding_is_zero(u: BlockEncoding, tol: float = 0.0) -> bool:
-    """Check that every entry outside the logical block is (exactly) zero."""
-    mask = np.ones_like(u.embedded, dtype=bool)
-    mask[: u.logical_rows, : u.logical_cols] = False
-    if tol == 0.0:
-        return bool(np.all(u.embedded[mask] == 0.0))
-    return bool(np.all(np.abs(u.embedded[mask]) <= tol))

@@ -37,45 +37,70 @@ def rk4_discretize(f, jac_x, jac_u, dt: float, substeps: int = 1) -> DiscreteDyn
     arithmetic of K separate calls, so its rows do not depend on K.
 
     The Jacobians of the map are propagated through every RK4 stage by the
-    chain rule, so they are analytic, not finite differences.  That pass
-    also advances the states with the arithmetic of ``f``, and it keeps
-    both Jacobians and the next states for the last point it was asked
-    for: ``jac_x`` and ``jac_u`` share one pass, and ``f`` at that point
-    returns the kept states (read-only) instead of integrating again.
-    Elsewhere ``f`` runs RK4 on the states alone.  Substeps keep the
+    chain rule, so they are analytic, not finite differences.  One pass
+    runs in four phases:
+
+    1. RK4 on the states alone, keeping the 4 stage points of every
+       substep in one (substeps, 4, K, n) array;
+    2. one ``jac_x`` and one ``jac_u`` call on all 4·substeps·K points;
+    3. the stage chain rule and each substep's Jacobians, on arrays
+       stacked over substeps;
+    4. the product of the substep Jacobians, in substep order.
+
+    The stage points depend on the states alone, not on the Jacobians, and
+    each row of a stacked call depends only on its own point, so phases 2
+    and 3 make the same floating-point operations on the same operands as
+    a loop over substeps would; only phase 4 carries one substep into the
+    next.  The outputs are therefore bitwise those of the loop.
+
+    The pass keeps both Jacobians and the next states for the last point
+    it was asked for: ``jac_x`` and ``jac_u`` share one pass, and ``f`` at
+    that point returns the kept states (read-only) instead of integrating
+    again.  Elsewhere ``f`` runs phase 1 alone.  Substeps keep the
     integration inside the RK4 stability region for stiff rate constants.
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
     h = dt / substeps
 
-    def jacobians(x, u):
-        eye = np.eye(x.shape[1])
-        jx_acc, ju_acc = eye, np.zeros((len(x), x.shape[1], u.shape[1]))
-        for _ in range(substeps):
+    def integrate(x, u, points=None):
+        for s in range(substeps):
             k1 = f(x, u)
-            a1, b1 = jac_x(x, u), jac_u(x, u)
             x2 = x + 0.5 * h * k1
             k2 = f(x2, u)
-            fx2, fu2 = jac_x(x2, u), jac_u(x2, u)
-            a2 = fx2 @ (eye + 0.5 * h * a1)
-            b2 = fu2 + fx2 @ (0.5 * h * b1)
             x3 = x + 0.5 * h * k2
             k3 = f(x3, u)
-            fx3, fu3 = jac_x(x3, u), jac_u(x3, u)
-            a3 = fx3 @ (eye + 0.5 * h * a2)
-            b3 = fu3 + fx3 @ (0.5 * h * b2)
             x4 = x + h * k3
             k4 = f(x4, u)
-            fx4, fu4 = jac_x(x4, u), jac_u(x4, u)
-            a4 = fx4 @ (eye + h * a3)
-            b4 = fu4 + fx4 @ (h * b3)
+            if points is not None:
+                points[s] = x, x2, x3, x4
             x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            jx = eye + (h / 6.0) * (a1 + 2 * a2 + 2 * a3 + a4)
-            ju = (h / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
-            jx_acc = jx @ jx_acc
-            ju_acc = jx @ ju_acc + ju
-        return jx_acc, ju_acc, x
+        return x
+
+    def jacobians(x, u):
+        k, n = x.shape
+        m = u.shape[1]
+        points = np.empty((substeps, 4, k, n))
+        x_next = integrate(x, u, points)
+        flat = points.reshape(-1, n)
+        u_all = np.tile(u, (4 * substeps, 1))
+        fx = jac_x(flat, u_all).reshape(substeps, 4, k, n, n)
+        fu = jac_u(flat, u_all).reshape(substeps, 4, k, n, m)
+        eye = np.eye(n)
+        a1, b1 = fx[:, 0], fu[:, 0]
+        a2 = fx[:, 1] @ (eye + 0.5 * h * a1)
+        b2 = fu[:, 1] + fx[:, 1] @ (0.5 * h * b1)
+        a3 = fx[:, 2] @ (eye + 0.5 * h * a2)
+        b3 = fu[:, 2] + fx[:, 2] @ (0.5 * h * b2)
+        a4 = fx[:, 3] @ (eye + h * a3)
+        b4 = fu[:, 3] + fx[:, 3] @ (h * b3)
+        jx = eye + (h / 6.0) * (a1 + 2 * a2 + 2 * a3 + a4)
+        ju = (h / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
+        jx_acc, ju_acc = eye, np.zeros((k, n, m))
+        for s in range(substeps):
+            jx_acc = jx[s] @ jx_acc
+            ju_acc = jx[s] @ ju_acc + ju[s]
+        return jx_acc, ju_acc, x_next
 
     # The SQP iteration asks for both Jacobians at the same stacked point,
     # and then for the map value there.
@@ -100,13 +125,7 @@ def rk4_discretize(f, jac_x, jac_u, dt: float, substeps: int = 1) -> DiscreteDyn
         x, u, key = key_of(xs, us)
         if key in last:
             return last[key][2]
-        for _ in range(substeps):
-            k1 = f(x, u)
-            k2 = f(x + 0.5 * h * k1, u)
-            k3 = f(x + 0.5 * h * k2, u)
-            k4 = f(x + h * k3, u)
-            x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        return x
+        return integrate(x, u)
 
     return DiscreteDynamics(
         f=step,
@@ -174,8 +193,9 @@ def hiv_vector_field(p: HivParameters):
         t, i, v = (xs * sc).T
         u1, u2 = us.T
         rates = np.empty((len(xs), 3))
-        rates[:, 0] = p.s - p.d * t - (1.0 - u1) * p.k * v * t
-        rates[:, 1] = (1.0 - u1) * p.k * v * t - p.delta * i
+        infection = (1.0 - u1) * p.k * v * t
+        rates[:, 0] = p.s - p.d * t - infection
+        rates[:, 1] = infection - p.delta * i
         rates[:, 2] = (1.0 - u2) * p.N_v * p.delta * i - p.c * v
         return rates / sc
 

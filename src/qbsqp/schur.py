@@ -86,18 +86,6 @@ def kkt_residual_norm(qp: QpData, dz: np.ndarray, lam: np.ndarray) -> float:
     return float(stat + feas)
 
 
-def dense_kkt_solve(qp: QpData) -> tuple[np.ndarray, np.ndarray]:
-    """Oracle: factorize the full KKT matrix directly (no Schur elimination)."""
-    n, m = qp.n_z, qp.m_eq
-    kkt = np.zeros((n + m, n + m))
-    kkt[:n, :n] = qp.Q
-    kkt[:n, n:] = qp.A.T
-    kkt[n:, :n] = qp.A
-    rhs = np.concatenate([-qp.g, qp.r])
-    sol = np.linalg.solve(kkt, rhs)
-    return sol[:n], sol[n:]
-
-
 def _chol(mat: np.ndarray, label: str):
     try:
         return cho_factor(mat, lower=True)
@@ -185,14 +173,3 @@ class NoisySchurSolver:
     def step(self, qp: QpData) -> SchurSolution:
         return noisy_step(qp, self.eps_dz, self._rng)
 
-
-def validate_qp(qp: QpData, *, tol: float = 1e-8) -> None:
-    """Debug-mode checks: Q symmetric positive definite, A full row rank."""
-    sym_err = np.linalg.norm(qp.Q - qp.Q.T) / max(1.0, np.linalg.norm(qp.Q))
-    if sym_err > 1e-12:
-        raise ValueError(f"Q asymmetric (relative error {sym_err:.3e})")
-    _chol(qp.Q, "Q")
-    if qp.m_eq:
-        rank = np.linalg.matrix_rank(qp.A, tol=tol)
-        if rank < qp.m_eq:
-            raise ValueError(f"A row rank {rank} < m_eq={qp.m_eq} (LICQ surrogate fails)")

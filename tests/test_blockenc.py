@@ -13,8 +13,14 @@ from qbsqp.blockenc import (
     be_transpose,
     encode,
     operator_norm,
-    padding_is_zero,
 )
+
+
+def padding_is_zero(u: BlockEncoding) -> bool:
+    """Every entry outside the logical block is exactly zero."""
+    mask = np.ones_like(u.embedded, dtype=bool)
+    mask[: u.logical_rows, : u.logical_cols] = False
+    return bool(np.all(u.embedded[mask] == 0.0))
 
 
 def test_encode_identity_2x2():

@@ -26,6 +26,7 @@ from qbsqp.nlp import (
 )
 from qbsqp.schur import ExactSchurSolver
 from qbsqp.sqp import SqpConfig, solve
+from test_schur import dense_kkt_solve
 
 
 def box1d_barrier_path_root(mu):
@@ -129,6 +130,41 @@ class TestRk4Discretize:
             for got, one, ref in zip(stacked, single, reference):
                 np.testing.assert_array_equal(got[k], one)
                 np.testing.assert_array_equal(got[k], ref)
+
+    @pytest.mark.parametrize("substeps", [1, 3])
+    @pytest.mark.parametrize("k", [1, 7])
+    def test_stacked_pendulum_pass_equals_reference_bitwise(self, substeps, k):
+        field = pendulum_field()
+        disc = rk4_discretize(*field, dt=0.3, substeps=substeps)
+        rng = np.random.default_rng(5)
+        xs = rng.uniform(-1.0, 1.0, (k, 2))
+        us = rng.uniform(-0.5, 0.5, (k, 1))
+        stacked = (disc.f(xs, us), disc.jac_x(xs, us), disc.jac_u(xs, us))
+        for row in range(k):
+            reference = reference_rk4_point(field, xs[row], us[row], 0.3, substeps)
+            for got, ref in zip(stacked, reference):
+                np.testing.assert_array_equal(got[row], ref)
+
+    @pytest.mark.parametrize("substeps", [1, 10])
+    @pytest.mark.parametrize("k", [1, 20])
+    def test_jacobian_pass_calls_each_jacobian_once(self, substeps, k):
+        calls = Counter()
+
+        def counted(name, g):
+            def call(xs, us):
+                calls[name] += 1
+                return g(xs, us)
+            return call
+
+        f, fx, fu = hiv_vector_field(HivParameters())
+        disc = rk4_discretize(counted("f", f), counted("jac_x", fx),
+                              counted("jac_u", fu), dt=1.0, substeps=substeps)
+        xs = np.tile([1.0, 0.1, 1.0], (k, 1))
+        us = np.full((k, 2), 0.5)
+        disc.jac_x(xs, us)
+        disc.jac_u(xs, us)
+        disc.f(xs, us)
+        assert calls == {"f": 4 * substeps, "jac_x": 1, "jac_u": 1}
 
     def test_vector_field_calls_per_evaluation_independent_of_horizon(
             self, monkeypatch):
@@ -246,9 +282,7 @@ class TestToyProblems:
         np.testing.assert_array_equal(t.lam_star, [-1.0, 0.0])
         # cross-check by dense KKT solve on the transcribed QP
         nlp = transcribe(t.ocp)
-        from qbsqp.nlp import build_qp as bq
-        from qbsqp.schur import dense_kkt_solve
-        qp = bq(nlp, t.z0, BarrierConfig(mu=1.0))
+        qp = build_qp(nlp, t.z0, BarrierConfig(mu=1.0))
         dz, lam = dense_kkt_solve(qp)
         np.testing.assert_allclose(t.z0 + dz, t.z_star, atol=1e-12)
         np.testing.assert_allclose(lam, t.lam_star, atol=1e-12)
