@@ -258,16 +258,22 @@ def hiv_ocp(params: HivParameters | None = None) -> OcpDefinition:
     def stage_cost_hess(xs, us):
         return np.broadcast_to(hess_stage, (len(xs), 5, 5))
 
-    def terminal_cost(x):
-        t, i, v = x
+    def terminal_cost(xs):
+        t, i, v = xs.T
         return p.q_T_f * (t_ref - t) ** 2 + p.q_I_f * i**2 + p.q_V_f * v**2
 
-    def terminal_cost_grad(x):
-        t, i, v = x
-        return np.array([-2 * p.q_T_f * (t_ref - t), 2 * p.q_I_f * i, 2 * p.q_V_f * v])
+    def terminal_cost_grad(xs):
+        t, i, v = xs.T
+        grad = np.empty((len(xs), 3))
+        grad[:, 0] = -2 * p.q_T_f * (t_ref - t)
+        grad[:, 1] = 2 * p.q_I_f * i
+        grad[:, 2] = 2 * p.q_V_f * v
+        return grad
 
-    def terminal_cost_hess(x):
-        return np.diag(w_term)
+    hess_term = np.diag(w_term)
+
+    def terminal_cost_hess(xs):
+        return np.broadcast_to(hess_term, (len(xs), 3, 3))
 
     margin = p.margin
 
@@ -289,8 +295,8 @@ def hiv_ocp(params: HivParameters | None = None) -> OcpDefinition:
     path_jac_const[5, 1] = -1.0
     path_jac_const[6, 2] = -1.0
 
-    def terminal_constraints(x):
-        return margin - x
+    def terminal_constraints(xs):
+        return margin - xs
 
     x0_scaled = np.asarray(p.x0) / np.asarray(p.scales)
 
@@ -311,7 +317,7 @@ def hiv_ocp(params: HivParameters | None = None) -> OcpDefinition:
         path_jac=lambda xs, us: np.broadcast_to(path_jac_const, (len(xs), 7, 5)),
         terminal_constraints=terminal_constraints,
         n_terminal=3,
-        terminal_jac=lambda x: -np.eye(3),
+        terminal_jac=lambda xs: np.broadcast_to(-np.eye(3), (len(xs), 3, 3)),
         name="hiv",
     )
 
@@ -374,9 +380,9 @@ def double_integrator_ocp(horizon: int = 8, dt: float = 0.2):
         stage_cost_grad=lambda xs, us: np.hstack([xs @ q.T, us @ r.T]),
         stage_cost_hess=lambda xs, us: np.broadcast_to(
             np.block([[q, np.zeros((2, 1))], [np.zeros((1, 2)), r]]), (len(xs), 3, 3)),
-        terminal_cost=lambda x: 0.5 * x @ qf @ x,
-        terminal_cost_grad=lambda x: qf @ x,
-        terminal_cost_hess=lambda x: qf,
+        terminal_cost=lambda xs: 0.5 * np.vecdot(xs @ qf, xs),
+        terminal_cost_grad=lambda xs: xs @ qf.T,
+        terminal_cost_hess=lambda xs: np.broadcast_to(qf, (len(xs), 2, 2)),
         name="double_integrator",
     )
     return ocp, (a, b, q, r, qf, x0)
@@ -398,9 +404,9 @@ def eqqp_ocp():
         stage_cost=lambda xs, us: 0.5 * (xs[:, 0] ** 2 + us[:, 0] ** 2),
         stage_cost_grad=lambda xs, us: np.hstack([xs, us]),
         stage_cost_hess=lambda xs, us: np.broadcast_to(np.eye(2), (len(xs), 2, 2)),
-        terminal_cost=lambda x: 0.5 * float(x[0] ** 2),
-        terminal_cost_grad=lambda x: x.copy(),
-        terminal_cost_hess=lambda x: np.eye(1),
+        terminal_cost=lambda xs: 0.5 * xs[:, 0] ** 2,
+        terminal_cost_grad=lambda xs: xs.copy(),
+        terminal_cost_hess=lambda xs: np.broadcast_to(np.eye(1), (len(xs), 1, 1)),
         name="eqqp",
     )
 
@@ -416,9 +422,9 @@ def box1d_ocp():
         stage_cost=lambda xs, us: (us[:, 0] - 2.0) ** 2,
         stage_cost_grad=lambda xs, us: np.hstack([np.zeros_like(xs), 2.0 * (us - 2.0)]),
         stage_cost_hess=lambda xs, us: np.broadcast_to(np.diag([0.0, 2.0]), (len(xs), 2, 2)),
-        terminal_cost=lambda x: 0.0,
-        terminal_cost_grad=lambda x: np.zeros(1),
-        terminal_cost_hess=lambda x: np.zeros((1, 1)),
+        terminal_cost=lambda xs: np.zeros(len(xs)),
+        terminal_cost_grad=lambda xs: np.zeros((len(xs), 1)),
+        terminal_cost_hess=lambda xs: np.zeros((len(xs), 1, 1)),
         path_constraints=lambda xs, us: us - 1.0,
         n_path=1,
         path_jac=lambda xs, us: np.broadcast_to([[[0.0, 1.0]]], (len(xs), 1, 2)),

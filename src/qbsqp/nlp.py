@@ -76,12 +76,6 @@ def fd_gradient(fun: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray
     return fd_jacobian(lambda v: np.array([fun(v)]), x)[0]
 
 
-def fd_hessian(fun: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
-    grad = lambda v: fd_gradient(fun, v)
-    hess = fd_jacobian(grad, x)
-    return 0.5 * (hess + hess.T)
-
-
 # ---------------------------------------------------------------------------
 # barrier functions
 
@@ -132,9 +126,15 @@ class OcpDefinition:
     (K, n + m, n + m), derivatives taken with respect to (x, u);
     ``path_constraints`` and ``path_jac`` return (K, n_path) and
     (K, n_path, n + m).  The transcription evaluates all N stages in one
-    call of each.  The terminal callables take one state (n,).  Analytic
-    derivatives are optional; transcription falls back to central finite
-    differences for any that are omitted.
+    call of each.  The terminal callables are stacked the same way over
+    terminal states ``xs`` of shape (K, n): ``terminal_cost``,
+    ``terminal_cost_grad`` and ``terminal_cost_hess`` return (K,), (K, n)
+    and (K, n, n); ``terminal_constraints`` and ``terminal_jac`` return
+    (K, n_terminal) and (K, n_terminal, n).  The single-point evaluators
+    call them at K = 1; the barrier objective of the line search calls them
+    once for a block of K trial points.  Analytic derivatives are optional;
+    transcription falls back to central finite differences for any that are
+    omitted.
     """
 
     n: int
@@ -148,14 +148,14 @@ class OcpDefinition:
     dynamics_jac_u: Callable | None = None  # -> (K, n, m)
     stage_cost_grad: Callable | None = None   # -> (K, n + m)
     stage_cost_hess: Callable | None = None   # -> (K, n + m, n + m); GN form for LS costs
-    terminal_cost_grad: Callable | None = None
-    terminal_cost_hess: Callable | None = None
+    terminal_cost_grad: Callable | None = None  # -> (K, n)
+    terminal_cost_hess: Callable | None = None  # -> (K, n, n)
     path_constraints: Callable | None = None  # c(xs, us) -> (K, n_path)
     n_path: int = 0
     path_jac: Callable | None = None          # -> (K, n_path, n + m)
-    terminal_constraints: Callable | None = None
+    terminal_constraints: Callable | None = None  # c_N(xs) -> (K, n_terminal)
     n_terminal: int = 0
-    terminal_jac: Callable | None = None      # -> (n_terminal, n)
+    terminal_jac: Callable | None = None      # -> (K, n_terminal, n)
     name: str = "ocp"
 
     def __post_init__(self):
@@ -214,11 +214,16 @@ class TrajectoryNlp:
         return np.concatenate([np.hstack([xs[:-1], us]).ravel(), xs[-1]])
 
     def _stages(self, z: np.ndarray):
-        """Views of z: the stage blocks z_k = (x_k, u_k) as rows (N, n + m),
-        and x_N (n,).  The evaluators hand the callables column slices of
-        the blocks, so no stage data is copied."""
+        """The stage blocks z_k = (x_k, u_k) as rows, and x_N.
+
+        For one point z (n_z,) these are views (N, n + m) and (n,), so no
+        stage data is copied.  For K points (K, n_z) they are the K·N blocks
+        (K·N, n + m), point by point in stage order, and x_N of each point
+        (K, n).  The evaluators hand the callables column slices of the
+        blocks.
+        """
         end = self.stage_offsets[-1]
-        return z[:end].reshape(self.ocp.horizon, -1), z[end:]
+        return z[..., :end].reshape(-1, self.ocp.n + self.ocp.m), z[..., end:]
 
     def _stage_columns(self) -> np.ndarray:
         """(N, n + m) column indices of z_k in z, row k for stage k."""
@@ -226,14 +231,18 @@ class TrajectoryNlp:
                 + np.arange(self.ocp.n + self.ocp.m))
 
     # -- objective ---------------------------------------------------------
-    def objective(self, z: np.ndarray) -> float:
+    def objective(self, z: np.ndarray) -> float | np.ndarray:
+        """F(z): a float for one point (n_z,), (K,) for K points (K, n_z)."""
         ocp = self.ocp
-        stages, x_end = self._stages(z)
-        costs = _stage_call(ocp, "stage_cost", stages, (ocp.horizon,))
+        zs = np.atleast_2d(z)
+        k = len(zs)
+        stages, x_end = self._stages(zs)
+        costs = _stage_call(ocp, "stage_cost", stages, (k * ocp.horizon,))
         # Added one at a time in stage order; np.sum would add pairwise, and
         # the line search compares values at rounding level.
-        total = float(np.cumsum(costs)[-1])
-        return total + float(ocp.terminal_cost(x_end))
+        total = np.cumsum(costs.reshape(k, -1), axis=1)[:, -1]
+        total = total + _terminal_call(ocp, "terminal_cost", x_end, (k,))
+        return total if z.ndim > 1 else float(total[0])
 
     def objective_gradient(self, z: np.ndarray) -> np.ndarray:
         ocp = self.ocp
@@ -241,7 +250,7 @@ class TrajectoryNlp:
         end = self.stage_offsets[-1]
         grad = np.empty(self.n_z)
         grad[:end] = _stage_grads(ocp, stages).ravel()
-        grad[end:] = _terminal_grad(ocp, x_end)
+        grad[end:] = _terminal_grad(ocp, x_end[None])[0]
         return grad
 
     def objective_hessian(self, z: np.ndarray) -> np.ndarray:
@@ -252,7 +261,7 @@ class TrajectoryNlp:
         hess = np.zeros((self.n_z, self.n_z))
         cols = self._stage_columns()
         hess[cols[:, :, None], cols[:, None, :]] = _stage_hessians(ocp, stages)
-        hess[end:, end:] = _terminal_hess(ocp, x_end)
+        hess[end:, end:] = _terminal_hess(ocp, x_end[None])[0]
         return hess
 
     # -- equality constraints ----------------------------------------------
@@ -286,19 +295,20 @@ class TrajectoryNlp:
 
     # -- inequality constraints ---------------------------------------------
     def inequalities(self, z: np.ndarray) -> np.ndarray:
+        """H(z): (n_ineq,) for one point (n_z,), (K, n_ineq) for K points."""
         ocp = self.ocp
-        if self.n_ineq == 0:
-            return np.zeros(0)
-        stages, x_end = self._stages(z)
-        out = np.empty(self.n_ineq)
+        zs = np.atleast_2d(z)
+        k = len(zs)
+        stages, x_end = self._stages(zs)
+        out = np.empty((k, self.n_ineq))
         N, p = ocp.horizon, ocp.n_path
         if p:
-            out[:N * p] = _stage_call(ocp, "path_constraints", stages, (N, p)).ravel()
+            out[:, :N * p] = _stage_call(
+                ocp, "path_constraints", stages, (k * N, p)).reshape(k, N * p)
         if ocp.n_terminal:
-            out[N * p:] = _check_shape(
-                ocp.terminal_constraints(x_end), (ocp.n_terminal,),
-                "terminal_constraints")
-        return out
+            out[:, N * p:] = _terminal_call(ocp, "terminal_constraints", x_end,
+                                            (k, ocp.n_terminal))
+        return out.reshape(z.shape[:-1] + (self.n_ineq,))
 
     def inequalities_jacobian(self, z: np.ndarray) -> np.ndarray:
         ocp = self.ocp
@@ -312,7 +322,7 @@ class TrajectoryNlp:
             cols = self._stage_columns()
             jac[rows[:, :, None], cols[:, None, :]] = _path_jacobians(ocp, stages)
         if ocp.n_terminal:
-            jac[N * p:, end:] = _terminal_con_jac(ocp, x_end)
+            jac[N * p:, end:] = _terminal_con_jac(ocp, x_end[None])[0]
         return jac
 
     def evaluate(self, z: np.ndarray) -> PointEval:
@@ -349,7 +359,8 @@ def _fd_stacked_gradients(fun, v: np.ndarray) -> np.ndarray:
 
 
 def _fd_stacked_hessians(fun, v: np.ndarray) -> np.ndarray:
-    """Row k is ``fd_hessian`` of row k's scalar; ``fun`` maps (K, d) to (K,)."""
+    """Row k is the symmetrised ``fd_jacobian`` of the ``fd_gradient`` of
+    row k's scalar; ``fun`` maps (K, d) to (K,)."""
     hess = _fd_stacked_jacobians(lambda w: _fd_stacked_gradients(fun, w), v)
     return 0.5 * (hess + np.swapaxes(hess, 1, 2))
 
@@ -368,17 +379,22 @@ def _stage_hessians(ocp, stages):
     return _fd_stacked_hessians(_on_stages(ocp.stage_cost, ocp.n), stages)
 
 
-def _terminal_grad(ocp, x):
+def _terminal_call(ocp, name, xs, shape):
+    """``ocp.<name>`` at the terminal states xs (K, n), its output shape checked."""
+    return _check_shape(getattr(ocp, name)(xs), shape, name)
+
+
+def _terminal_grad(ocp, xs):
     if ocp.terminal_cost_grad is not None:
-        return _check_shape(ocp.terminal_cost_grad(x), (ocp.n,), "terminal_cost_grad")
-    return fd_gradient(ocp.terminal_cost, x)
+        return _terminal_call(ocp, "terminal_cost_grad", xs, xs.shape)
+    return _fd_stacked_gradients(ocp.terminal_cost, xs)
 
 
-def _terminal_hess(ocp, x):
+def _terminal_hess(ocp, xs):
+    k, n = xs.shape
     if ocp.terminal_cost_hess is not None:
-        return _check_shape(ocp.terminal_cost_hess(x), (ocp.n, ocp.n),
-                            "terminal_cost_hess")
-    return fd_hessian(ocp.terminal_cost, x)
+        return _terminal_call(ocp, "terminal_cost_hess", xs, (k, n, n))
+    return _fd_stacked_hessians(ocp.terminal_cost, xs)
 
 
 def _dynamics_jacobians(ocp, stages):
@@ -398,10 +414,11 @@ def _path_jacobians(ocp, stages):
     return _fd_stacked_jacobians(_on_stages(ocp.path_constraints, ocp.n), stages)
 
 
-def _terminal_con_jac(ocp, x):
+def _terminal_con_jac(ocp, xs):
+    k, n = xs.shape
     if ocp.terminal_jac is not None:
-        return _check_shape(ocp.terminal_jac(x), (ocp.n_terminal, ocp.n), "terminal_jac")
-    return fd_jacobian(ocp.terminal_constraints, x)
+        return _terminal_call(ocp, "terminal_jac", xs, (k, ocp.n_terminal, n))
+    return _fd_stacked_jacobians(ocp.terminal_constraints, xs)
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +428,9 @@ def transcribe(ocp: OcpDefinition) -> TrajectoryNlp:
     """Transcribe via multiple shooting; validates all declared dimensions.
 
     The probe evaluation at (x_init, 0), one stacked stage (K = 1) for each
-    stage callable, raises ConfigurationError naming the offending callable
-    if any output shape disagrees with the declaration.
+    stage callable and one terminal state x_init (K = 1) for each terminal
+    callable, raises ConfigurationError naming the offending callable if any
+    output shape disagrees with the declaration.
     """
     n, m, N = ocp.n, ocp.m, ocp.horizon
     n_z = N * (n + m) + n
@@ -432,10 +450,15 @@ def transcribe(ocp: OcpDefinition) -> TrajectoryNlp:
     for name, shape in stage_shapes:
         if getattr(ocp, name) is not None:
             _stage_call(ocp, name, stage, shape)
-    float(ocp.terminal_cost(x0))
-    if ocp.terminal_constraints is not None:
-        _check_shape(ocp.terminal_constraints(x0), (ocp.n_terminal,),
-                     "terminal_constraints")
+    t = ocp.n_terminal
+    terminal_shapes = (
+        ("terminal_cost", (1,)), ("terminal_cost_grad", (1, n)),
+        ("terminal_cost_hess", (1, n, n)), ("terminal_constraints", (1, t)),
+        ("terminal_jac", (1, t, n)),
+    )
+    for name, shape in terminal_shapes:
+        if getattr(ocp, name) is not None:
+            _terminal_call(ocp, name, x0[None], shape)
 
     return TrajectoryNlp(ocp=ocp, n_z=n_z, m_eq=m_eq, n_ineq=n_ineq,
                          stage_offsets=offsets)
@@ -458,18 +481,30 @@ def rollout(nlp: TrajectoryNlp, u_seq: np.ndarray) -> np.ndarray:
 
 
 def eval_barrier_objective(nlp: TrajectoryNlp, z: np.ndarray,
-                           cfg: BarrierConfig) -> float:
-    """F(z) + mu * sum phi(H_j(z)); +inf when any H_j(z) >= 0.
+                           cfg: BarrierConfig, *, terms: bool = False,
+                           ) -> float | np.ndarray | tuple:
+    """F(z) + mu * B(z) with B(z) = sum_j phi(H_j(z)); +inf when any H_j(z) >= 0.
 
-    The infinity sentinel lets the line search reject boundary-crossing
-    trial points without special-casing.
+    z is one point (n_z,), for which the result is a float, or K points
+    (K, n_z), for which it is (K,) and row k equals the call at z[k].  The
+    infinity sentinel lets the line search reject boundary-crossing trial
+    points without special-casing; at such points F and B are not
+    evaluated and read +inf.  With ``terms`` the result is (F̄, F, B): F
+    and B do not depend on mu, so the line search forms F̄ at the next mu
+    from them, as F + mu * B, without evaluating again.
     """
-    h = nlp.inequalities(z)
-    if h.size and np.max(h) >= 0.0:
-        return float("inf")
-    phi = cfg.funcs[0]
-    barrier = float(np.sum(phi(h))) if h.size else 0.0
-    return nlp.objective(z) + cfg.mu * barrier
+    zs = np.atleast_2d(z)
+    h = nlp.inequalities(zs)
+    inside = ~np.any(h >= 0.0, axis=1)  # a NaN row stays and reads NaN
+    f = np.full(len(zs), np.inf)
+    barrier = np.full(len(zs), np.inf)
+    if inside.any():
+        f[inside] = nlp.objective(zs[inside])
+        barrier[inside] = np.sum(cfg.funcs[0](h[inside]), axis=1)
+    f_bar = f + cfg.mu * barrier
+    if z.ndim == 1:
+        f_bar, f, barrier = float(f_bar[0]), float(f[0]), float(barrier[0])
+    return (f_bar, f, barrier) if terms else f_bar
 
 
 def build_qp(
@@ -569,10 +604,13 @@ def validate_derivatives(
         err = float(np.max(np.abs(analytic - numeric))) / denom
         worst[name] = max(worst.get(name, 0.0), err)
 
+    def one_row(stacked):
+        """A stacked callable of rows (K, d) as a map of one row (d,)."""
+        return lambda v: stacked(v[None])[0]
+
     def at_point(fun):
         """A stacked stage callable as a map of one stage block (n + m,)."""
-        stacked = _on_stages(fun, ocp.n)
-        return lambda v: stacked(v[None])[0]
+        return one_row(_on_stages(fun, ocp.n))
 
     for _ in range(n_points):
         x = np.asarray(ocp.x_init, dtype=float) + 0.1 * scale * rng.standard_normal(ocp.n)
@@ -588,14 +626,14 @@ def validate_derivatives(
             record("stage_cost_grad", ocp.stage_cost_grad(*one)[0],
                    fd_gradient(at_point(ocp.stage_cost), xu))
         if ocp.terminal_cost_grad is not None:
-            record("terminal_cost_grad", ocp.terminal_cost_grad(x),
-                   fd_gradient(ocp.terminal_cost, x))
+            record("terminal_cost_grad", ocp.terminal_cost_grad(x[None])[0],
+                   fd_gradient(one_row(ocp.terminal_cost), x))
         if ocp.path_jac is not None:
             record("path_jac", ocp.path_jac(*one)[0],
                    fd_jacobian(at_point(ocp.path_constraints), xu))
         if ocp.terminal_jac is not None:
-            record("terminal_jac", ocp.terminal_jac(x),
-                   fd_jacobian(ocp.terminal_constraints, x))
+            record("terminal_jac", ocp.terminal_jac(x[None])[0],
+                   fd_jacobian(one_row(ocp.terminal_constraints), x))
 
     bad = {k: v for k, v in worst.items() if v > tol}
     if bad:

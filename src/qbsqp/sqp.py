@@ -52,8 +52,13 @@ class SqpConfig:
                 raise ValueError(f"{label} must lie strictly inside (0, 1)")
         if self.eps_opt <= 0.0 or self.eps_feas <= 0.0:
             raise ValueError("tolerances must be positive")
-        if self.max_outer_iters <= 0 or self.max_backtracks <= 0:
-            raise ValueError("iteration caps must be positive")
+        for label in ("max_outer_iters", "max_backtracks"):
+            cap = getattr(self, label)
+            if isinstance(cap, bool) or not isinstance(cap, int):
+                raise ValueError(f"iteration cap {label} must be an integer, "
+                                 f"got {cap!r}")
+            if cap <= 0:
+                raise ValueError(f"iteration caps must be positive: {label} = {cap}")
         if self.barrier_update not in ("geometric", "constant", "adaptive"):
             raise ValueError(f"unknown barrier update {self.barrier_update!r}")
 
@@ -115,6 +120,11 @@ def fraction_to_boundary(
     return float(min(1.0, theta * np.min(ratios)))
 
 
+# Trials per evaluator call after the first.  At least the default
+# max_backtracks, so that a default search makes at most two calls.
+TRIAL_BLOCK = 64
+
+
 def backtrack(
     nlp: TrajectoryNlp,
     z: np.ndarray,
@@ -123,34 +133,53 @@ def backtrack(
     mu: float,
     alpha_max: float,
     cfg: SqpConfig,
+    terms: tuple[float, float],
     *,
     allow_nondescent: bool = False,
-) -> tuple[float, float, int, float] | None:
+) -> tuple[float, float, int, float, tuple[float, float]] | None:
     """Largest alpha in {alpha_max * tau^k} passing feasibility and Armijo.
 
-    Returns (alpha, barrier objective at the accepted point, k, barrier
-    objective at z) or None when max_backtracks trials are exhausted.  A
-    zero step is accepted immediately (both conditions hold with equality).  Raises
+    ``terms`` holds the objective F and the barrier sum B at z, which do not
+    depend on mu (see ``eval_barrier_objective``); the barrier objective at
+    z is F + mu * B.  Returns (alpha, barrier objective at the accepted
+    point, k, barrier objective at z, (F, B) at the accepted point) or None
+    when max_backtracks trials are exhausted.  A zero step is accepted
+    immediately (both conditions hold with equality).  Raises
     NonDescentError for a nonzero step with g^T dz >= 0: that signals
     solver-quality failure upstream.  ``allow_nondescent`` skips that
     gate and runs the acceptance loop as printed; the driver enables it
     while the iterate is equality-infeasible, where the step trades
     barrier descent against feasibility restoration.
+
+    The first trial, alpha_max, is evaluated alone, so a search that
+    accepts it builds no other.  The later trials are evaluated TRIAL_BLOCK
+    at a time in one stacked call, and the first that passes is accepted:
+    the result is that of trying them one by one.
     """
     slope = float(g @ dz)
-    bcfg = BarrierConfig(mu=mu)
-    f0 = eval_barrier_objective(nlp, z, bcfg)
+    f_z, b_z = terms
+    f0 = f_z + mu * b_z
     if np.linalg.norm(dz) == 0.0:
-        return alpha_max, f0, 0, f0
+        return alpha_max, f0, 0, f0, terms
     if slope >= 0.0 and not allow_nondescent:
         raise NonDescentError(f"g^T dz = {slope:.3e} >= 0")
 
+    bcfg = BarrierConfig(mu=mu)
     alpha = alpha_max
-    for k in range(cfg.max_backtracks):
-        f_trial = eval_barrier_objective(nlp, z + alpha * dz, bcfg)  # +inf if H >= 0
-        if f_trial <= f0 + cfg.armijo_c * alpha * slope:
-            return alpha, f_trial, k, f0
-        alpha *= cfg.backtrack_tau
+    k = 0
+    while k < cfg.max_backtracks:
+        alphas = np.empty(min(TRIAL_BLOCK if k else 1, cfg.max_backtracks - k))
+        for j in range(len(alphas)):
+            alphas[j] = alpha
+            alpha *= cfg.backtrack_tau
+        f_trial, f, b = eval_barrier_objective(  # +inf where H >= 0
+            nlp, z + alphas[:, None] * dz, bcfg, terms=True)
+        passed = np.flatnonzero(f_trial <= f0 + cfg.armijo_c * alphas * slope)
+        if passed.size:
+            j = passed[0]
+            return (float(alphas[j]), float(f_trial[j]), k + int(j), f0,
+                    (float(f[j]), float(b[j])))
+        k += len(alphas)
     return None
 
 
@@ -201,7 +230,8 @@ def solve(
     mu_floor, iter_cap, or line_search_failure.  Hard backend failures
     (singular systems, exhausted error budgets) propagate as exceptions.
     Constraint values, Jacobians and the objective gradient are evaluated
-    once per accepted iterate (see ``TrajectoryNlp.evaluate``).
+    once per accepted iterate (see ``TrajectoryNlp.evaluate``); the
+    objective and barrier sum come from the line search's accepted trial.
     """
     z = np.asarray(z0, dtype=float).copy()
     point = nlp.evaluate(z)
@@ -211,7 +241,8 @@ def solve(
 
     mu = cfg.mu0
     prev_eq = float(np.linalg.norm(point.c))
-    f_bar = eval_barrier_objective(nlp, z, BarrierConfig(mu=mu))
+    f_bar, f_z, b_z = eval_barrier_objective(nlp, z, BarrierConfig(mu=mu), terms=True)
+    terms = (f_z, b_z)  # F and B at z; each line search hands on the next
     records = [_record(0, z, mu, point, eq_norm=prev_eq, alpha=0.0, dz_norm=0.0,
                        f_bar=f_bar)]
 
@@ -248,7 +279,7 @@ def solve(
                 else:
                     alpha_max = 1.0
                 accepted = backtrack(nlp, z, sol.dz, qp.g, mu, alpha_max, cfg,
-                                     allow_nondescent=restoring)
+                                     terms, allow_nondescent=restoring)
                 break
             except NonDescentError as exc:
                 # Recoverable once for probabilistic backends: re-invoke with
@@ -272,7 +303,7 @@ def solve(
             message = f"backtracking exhausted {cfg.max_backtracks} trials"
             break
 
-        alpha, f_new, n_bt, f_old = accepted
+        alpha, f_new, n_bt, f_old, terms = accepted
         slope = float(qp.g @ sol.dz)
         del qp  # frees Q and its factor before the next evaluation and assembly
         z = z + alpha * sol.dz

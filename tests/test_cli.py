@@ -58,6 +58,10 @@ def test_commands_succeed_on_eqqp(tmp_path, command, config):
     ("compare", {"problem": "toy:eqqp",
                  "solvers": [{"kind": "exact"}, {"kind": "noisy", "bogus": 1}]},
      "solvers[1].bogus"),
+    ("solve", {"problem": "toy:eqqp", "sqp": {"max_backtracks": 2.5}},
+     "max_backtracks"),
+    ("solve", {"problem": "toy:eqqp", "sqp": {"max_outer_iters": 0}},
+     "max_outer_iters"),
 ])
 def test_config_errors_exit_one_and_name_the_field(tmp_path, capsys, command,
                                                    config, field):

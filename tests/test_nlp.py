@@ -1,3 +1,4 @@
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -21,7 +22,6 @@ from qbsqp.nlp import (
     build_qp,
     eval_barrier_objective,
     fd_gradient,
-    fd_hessian,
     fd_jacobian,
     log_barrier,
     log_barrier_d2,
@@ -29,6 +29,13 @@ from qbsqp.nlp import (
     transcribe,
     validate_derivatives,
 )
+
+
+def fd_hessian(fun, x):
+    """Reference central-difference Hessian: the FD Jacobian of the FD
+    gradient, symmetrised."""
+    hess = fd_jacobian(lambda v: fd_gradient(fun, v), x)
+    return 0.5 * (hess + hess.T)
 
 
 def scalar_linear_ocp(horizon=2):
@@ -39,7 +46,7 @@ def scalar_linear_ocp(horizon=2):
         dynamics_jac_x=lambda xs, us: np.ones((len(xs), 1, 1)),
         dynamics_jac_u=lambda xs, us: np.ones((len(xs), 1, 1)),
         stage_cost=lambda xs, us: 0.5 * (xs[:, 0] ** 2 + us[:, 0] ** 2),
-        terminal_cost=lambda x: 0.5 * float(x[0] ** 2),
+        terminal_cost=lambda xs: 0.5 * xs[:, 0] ** 2,
         name="scalar_linear",
     )
 
@@ -85,7 +92,7 @@ class TestTranscribe:
             n=2, m=1, horizon=2, x_init=np.zeros(2),
             dynamics=lambda xs, us: np.zeros((len(xs), 3)),  # wrong size
             stage_cost=lambda xs, us: np.zeros(len(xs)),
-            terminal_cost=lambda x: 0.0,
+            terminal_cost=lambda xs: np.zeros(len(xs)),
         )
         with pytest.raises(ConfigurationError, match="dynamics"):
             transcribe(bad)
@@ -99,7 +106,7 @@ class TestTranscribe:
             n=2, m=1, horizon=3, x_init=np.array([1.0, -0.5]),
             dynamics=dynamics,
             stage_cost=lambda xs, us: np.sum(xs**2, axis=1) + us[:, 0] ** 2,
-            terminal_cost=lambda x: float(x @ x),
+            terminal_cost=lambda xs: np.sum(xs**2, axis=1),
         )
         nlp = transcribe(ocp)
         z = rollout(nlp, np.array([[0.1], [0.2], [-0.3]]))
@@ -165,12 +172,36 @@ class TestStackedStageContract:
                 x, u = xs[k:k + 1], us[k:k + 1]
                 total += float(ocp.stage_cost(x, u)[0])
                 h.append(ocp.path_constraints(x, u)[0])
-            h.append(ocp.terminal_constraints(xs[-1]))
+            h.append(ocp.terminal_constraints(xs[-1:])[0])
             h = np.concatenate(h)
             assert np.max(h) < 0.0
-            expected = (total + float(ocp.terminal_cost(xs[-1]))
+            expected = (total + float(ocp.terminal_cost(xs[-1:])[0])
                         + cfg.mu * float(np.sum(log_barrier(h))))
             assert eval_barrier_objective(nlp, z, cfg) == expected
+
+    def test_stacked_barrier_objective_equals_single_point_calls_bitwise(self):
+        # Feasible rows, rows across the boundary (+inf: a control above 1,
+        # or a terminal state below the margin) and a NaN row, in one
+        # stacked call; a RuntimeWarning fails the test.
+        nlp = transcribe(hiv_ocp(HivParameters(N=20)))
+        cfg = BarrierConfig(mu=3e-4)
+        rows = [perturbed_hiv_point(nlp, seed) for seed in range(6)]
+        rows[1][nlp.stage_offsets[4] + 3] = 1.5
+        rows[3][-1] = -0.2
+        rows[4][7] = np.nan
+        zs = np.array(rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            f_bar, f, b = eval_barrier_objective(nlp, zs, cfg, terms=True)
+            single = [eval_barrier_objective(nlp, z, cfg, terms=True) for z in rows]
+        np.testing.assert_array_equal(np.array([f_bar, f, b]).T, single)
+        assert np.isinf(f_bar[[1, 3]]).all() and np.isnan(f_bar[4])
+        assert np.isfinite(f_bar[[0, 2, 5]]).all()
+        np.testing.assert_array_equal(f_bar, f + cfg.mu * b)
+        np.testing.assert_array_equal(nlp.objective(zs[[0, 2]]),
+                                      [nlp.objective(rows[0]), nlp.objective(rows[2])])
+        np.testing.assert_array_equal(nlp.inequalities(zs),
+                                      [nlp.inequalities(z) for z in rows])
 
     def test_objective_adds_stage_costs_in_stage_order(self):
         # 1 + 2^-53 rounds back to 1, so only the sequential sum of
@@ -179,7 +210,7 @@ class TestStackedStageContract:
         ocp = OcpDefinition(**{**scalar_linear_ocp(horizon).__dict__,
                                "stage_cost": lambda xs, us: np.where(
                                    xs[:, 0] == 1.0, 1.0, 2.0**-53),
-                               "terminal_cost": lambda x: 0.0})
+                               "terminal_cost": lambda xs: np.zeros(len(xs))})
         nlp = transcribe(ocp)
         z = nlp.join(np.vstack([[1.0], np.zeros((horizon, 1))]),
                      np.zeros((horizon, 1)))
@@ -197,6 +228,18 @@ class TestStackedStageContract:
         eval_barrier_objective(nlp, z, BarrierConfig(mu=1e-2))
         assert calls == {"stage_cost": 1, "path_constraints": 1}
 
+    def test_one_call_of_each_callable_per_block_of_points(self):
+        calls = Counter()
+        ocp = hiv_ocp(HivParameters(N=8))
+        names = ("stage_cost", "path_constraints", "terminal_cost",
+                 "terminal_constraints")
+        wrapped = {name: counting(getattr(ocp, name), calls, name) for name in names}
+        nlp = transcribe(OcpDefinition(**{**ocp.__dict__, **wrapped}))
+        zs = np.array([perturbed_hiv_point(nlp, seed) for seed in range(5)])
+        calls.clear()
+        assert eval_barrier_objective(nlp, zs, BarrierConfig(mu=1e-2)).shape == (5,)
+        assert calls == dict.fromkeys(names, 1)
+
     @pytest.mark.parametrize("name, bad", [
         # per-stage returns, the contract before stacking
         ("stage_cost", lambda xs, us: 0.0),
@@ -204,6 +247,10 @@ class TestStackedStageContract:
         ("stage_cost_grad", lambda xs, us: np.zeros(2)),
         ("stage_cost_hess", lambda xs, us: np.zeros((2, 2))),
         ("path_jac", lambda xs, us: np.array([[0.0, 1.0]])),
+        # single-state terminal returns, the contract before stacking
+        ("terminal_cost", lambda x: 0.0),
+        ("terminal_cost_grad", lambda x: np.zeros(1)),
+        ("terminal_cost_hess", lambda x: np.zeros((1, 1))),
     ])
     def test_transcribe_names_callable_with_wrong_stacked_shape(self, name, bad):
         ocp = OcpDefinition(**{**box1d_ocp().__dict__, name: bad})
@@ -221,7 +268,7 @@ class TestStackedStageContract:
             n=2, m=1, horizon=4, x_init=np.array([0.7, -0.4]),
             dynamics=lambda xs, us: np.stack([xs[:, 1], us[:, 0] - xs[:, 0]], axis=1),
             stage_cost=stage_cost,
-            terminal_cost=lambda x: float(x @ x),
+            terminal_cost=lambda xs: np.sum(xs**2, axis=1),
             path_constraints=path_constraints, n_path=2,
         )
         nlp = transcribe(ocp)
@@ -261,7 +308,7 @@ class TestBarrierObjective:
             n=1, m=1, horizon=1, x_init=np.zeros(1),
             dynamics=lambda xs, us: us.copy(),
             stage_cost=lambda xs, us: np.full(len(xs), 2.0),
-            terminal_cost=lambda x: 0.0,
+            terminal_cost=lambda xs: np.zeros(len(xs)),
             path_constraints=lambda xs, us: np.hstack([us - 0.5, us - 2.0]),
             n_path=2,
         )
@@ -380,7 +427,6 @@ class TestBuildQp:
         z = rollout(small, np.full((2, 2), 0.3))
         cfg = BarrierConfig(mu=1e-2)
         qp = build_qp(small, z, cfg)
-        from qbsqp.nlp import fd_hessian
         h_fd = fd_hessian(lambda v: eval_barrier_objective(small, v, cfg), z)
         scale = max(1.0, np.max(np.abs(h_fd)))
         assert np.max(np.abs(qp.Q - qp.diagnostics["sigma"] * np.eye(small.n_z) - h_fd)) / scale < 2e-4

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -16,10 +17,18 @@ from qbsqp.models import (
     hiv_ocp,
     toy_problems,
 )
-from qbsqp.nlp import InfeasiblePointError, OcpDefinition, rollout, transcribe
+from qbsqp.nlp import (
+    BarrierConfig,
+    InfeasiblePointError,
+    OcpDefinition,
+    eval_barrier_objective,
+    rollout,
+    transcribe,
+)
 from qbsqp.qschur import QuantumConfig, QuantumSchurSolver
 from qbsqp.schur import ExactSchurSolver, NoisySchurSolver
 from qbsqp.sqp import (
+    TRIAL_BLOCK,
     NonDescentError,
     SqpConfig,
     backtrack,
@@ -59,7 +68,48 @@ def pure_state_cost_ocp():
         stage_cost_grad=lambda xs, us: np.hstack([2.0 * xs, np.zeros_like(us)]),
         stage_cost_hess=lambda xs, us: np.broadcast_to(np.diag([2.0, 0.0]),
                                                        (len(xs), 2, 2)),
-        terminal_cost=lambda x: 0.0,
+        terminal_cost=lambda xs: np.zeros(len(xs)),
+    )
+
+
+def terms_at(nlp, z):
+    """(F, B) at z: the objective and barrier sum a line search starts from."""
+    return tuple(eval_barrier_objective(nlp, z, BarrierConfig(mu=1.0), terms=True)[1:])
+
+
+def scalar_backtrack(nlp, z, dz, g, mu, alpha_max, cfg):
+    """Reference line search: F-bar at z evaluated afresh, then one
+    evaluator call per trial.  Returns (alpha, F-bar, k, F-bar at z) or
+    None."""
+    slope = float(g @ dz)
+    bcfg = BarrierConfig(mu=mu)
+    f0 = eval_barrier_objective(nlp, z, bcfg)
+    if np.linalg.norm(dz) == 0.0:
+        return alpha_max, f0, 0, f0
+    alpha = alpha_max
+    for k in range(cfg.max_backtracks):
+        f_trial = eval_barrier_objective(nlp, z + alpha * dz, bcfg)
+        if f_trial <= f0 + cfg.armijo_c * alpha * slope:
+            return alpha, f_trial, k, f0
+        alpha *= cfg.backtrack_tau
+    return None
+
+
+def boundary_ocp():
+    """H(z) = u - 1 and F = -u: from u = 0 along du = +2, alpha = 1 and 0.5
+    cross the boundary and 0.25 is the first feasible trial."""
+    return OcpDefinition(
+        n=1, m=1, horizon=1, x_init=np.zeros(1),
+        dynamics=lambda xs, us: us.copy(),
+        dynamics_jac_x=lambda xs, us: np.zeros((len(xs), 1, 1)),
+        dynamics_jac_u=lambda xs, us: np.ones((len(xs), 1, 1)),
+        stage_cost=lambda xs, us: -us[:, 0],
+        stage_cost_grad=lambda xs, us: np.hstack([np.zeros_like(xs), -np.ones_like(us)]),
+        stage_cost_hess=lambda xs, us: np.zeros((len(xs), 2, 2)),
+        terminal_cost=lambda xs: np.zeros(len(xs)),
+        path_constraints=lambda xs, us: us - 1.0,
+        n_path=1,
+        path_jac=lambda xs, us: np.broadcast_to([[[0.0, 1.0]]], (len(xs), 1, 2)),
     )
 
 
@@ -72,42 +122,51 @@ class TestBacktrack:
         z = np.array([1.0, 0.0, 0.0])
         dz = np.array([-1.0, 0.0, 0.0])
         g = np.array([2.0, 0.0, 0.0])
-        alpha, f_new, k, _ = backtrack(nlp, z, dz, g, 1.0, 1.0, cfg)
+        alpha, f_new, k, _, terms = backtrack(nlp, z, dz, g, 1.0, 1.0, cfg,
+                                              terms_at(nlp, z))
         assert alpha == 1.0 and k == 0
         assert f_new == pytest.approx(0.0)
+        assert terms == terms_at(nlp, z + dz)
 
     def test_boundary_crossing_backtracks_to_feasible(self):
-        # H(z) = u - 1 from u = 0 with dz_u = +2: alpha = 1 and 0.5 give
-        # H >= 0; the first feasible candidate 0.25 is accepted.
-        ocp = OcpDefinition(
-            n=1, m=1, horizon=1, x_init=np.zeros(1),
-            dynamics=lambda xs, us: us.copy(),
-            dynamics_jac_x=lambda xs, us: np.zeros((len(xs), 1, 1)),
-            dynamics_jac_u=lambda xs, us: np.ones((len(xs), 1, 1)),
-            stage_cost=lambda xs, us: -us[:, 0],
-            stage_cost_grad=lambda xs, us: np.hstack([np.zeros_like(xs), -np.ones_like(us)]),
-            stage_cost_hess=lambda xs, us: np.zeros((len(xs), 2, 2)),
-            terminal_cost=lambda x: 0.0,
-            path_constraints=lambda xs, us: us - 1.0,
-            n_path=1,
-            path_jac=lambda xs, us: np.broadcast_to([[[0.0, 1.0]]], (len(xs), 1, 2)),
-        )
-        nlp = transcribe(ocp)
+        # alpha = 1 and 0.5 give H >= 0; the first feasible candidate 0.25
+        # is accepted.
+        nlp = transcribe(boundary_ocp())
         cfg = SqpConfig(armijo_c=0.1, backtrack_tau=0.5)
         z = np.zeros(3)
         dz = np.array([0.0, 2.0, 0.0])
         mu = 0.1
         g = np.array([0.0, -1.0 + mu, 0.0])  # cost slope plus barrier slope
-        alpha, _, k, _ = backtrack(nlp, z, dz, g, mu, 1.0, cfg)
+        alpha, _, k, _, _ = backtrack(nlp, z, dz, g, mu, 1.0, cfg, terms_at(nlp, z))
         assert alpha == pytest.approx(0.25)
         assert k == 2
+
+    def test_huge_backtrack_cap_allocates_one_block(self):
+        # The trial ladder is built block by block, never max_backtracks
+        # long: a search that stops at k = 2 under a cap of 1e7 allocates
+        # about one block of trial points.
+        nlp = transcribe(boundary_ocp())
+        cfg = SqpConfig(armijo_c=0.1, backtrack_tau=0.5, max_backtracks=10**7)
+        z = np.zeros(3)
+        dz = np.array([0.0, 2.0, 0.0])
+        g = np.array([0.0, -0.9, 0.0])
+        terms = terms_at(nlp, z)
+        tracemalloc.start()
+        try:
+            result = backtrack(nlp, z, dz, g, 0.1, 1.0, cfg, terms)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result[2] == 2
+        assert peak <= 8 * TRIAL_BLOCK * nlp.n_z + 64 * 1024
 
     def test_zero_step_accepted_immediately(self):
         nlp = transcribe(pure_state_cost_ocp())
         cfg = SqpConfig()
-        alpha, _, k, _ = backtrack(nlp, np.ones(3), np.zeros(3),
-                                   np.ones(3), 1.0, 0.7, cfg)
-        assert alpha == 0.7 and k == 0
+        terms = terms_at(nlp, np.ones(3))
+        alpha, _, k, _, kept = backtrack(nlp, np.ones(3), np.zeros(3),
+                                         np.ones(3), 1.0, 0.7, cfg, terms)
+        assert alpha == 0.7 and k == 0 and kept == terms
 
     def test_nondescent_raises_unless_allowed(self):
         nlp = transcribe(pure_state_cost_ocp())
@@ -115,11 +174,12 @@ class TestBacktrack:
         z = np.array([1.0, 0.0, 0.0])
         dz = np.array([1.0, 0.0, 0.0])
         g = np.array([2.0, 0.0, 0.0])
+        terms = terms_at(nlp, z)
         with pytest.raises(NonDescentError):
-            backtrack(nlp, z, dz, g, 1.0, 1.0, cfg)
+            backtrack(nlp, z, dz, g, 1.0, 1.0, cfg, terms)
         # with the gate open, an ascent direction backs off to (at most)
         # a numerically null step rather than raising
-        res = backtrack(nlp, z, dz, g, 1.0, 1.0, cfg, allow_nondescent=True)
+        res = backtrack(nlp, z, dz, g, 1.0, 1.0, cfg, terms, allow_nondescent=True)
         assert res is None or res[0] <= 1e-12
 
     def test_exhaustion_returns_none(self):
@@ -130,7 +190,32 @@ class TestBacktrack:
         z = np.array([1.0, 0.0, 0.0])
         dz = np.array([-400.0, 0.0, 0.0])
         g = np.array([2.0, 0.0, 0.0])
-        assert backtrack(nlp, z, dz, g, 1.0, 1.0, cfg) is None
+        assert backtrack(nlp, z, dz, g, 1.0, 1.0, cfg, terms_at(nlp, z)) is None
+
+    def test_every_search_of_a_null_step_solve_matches_scalar_loop(self, monkeypatch):
+        # HIV N=8 at a clamped barrier floor: from i = 8 on, every step is a
+        # null step after 27-42 backtracks, across block boundaries.  Each
+        # search returns what the trial-by-trial loop returns, bitwise, and
+        # hands on F and B of the accepted point.
+        nlp = transcribe(hiv_ocp(HivParameters(N=8)))
+        searches = []
+
+        def checked(nlp, z, dz, g, mu, alpha_max, cfg, terms, **kwargs):
+            result = backtrack(nlp, z, dz, g, mu, alpha_max, cfg, terms, **kwargs)
+            assert result is not None
+            assert result[:4] == scalar_backtrack(nlp, z, dz, g, mu, alpha_max, cfg)
+            alpha, _, k, _, kept = result
+            assert kept == terms_at(nlp, z + alpha * dz)
+            searches.append(k)
+            return result
+
+        monkeypatch.setattr(qbsqp.sqp, "backtrack", checked)
+        cfg = SqpConfig(**{**HIV_SQP_DEFAULTS, "mu_min": 5e-5, "mu_clamp": 1e-4,
+                           "barrier_update": "geometric", "eps_opt": 1e-14,
+                           "eps_feas": 1e-14, "max_outer_iters": 20})
+        rep = solve(nlp, hiv_initial_guess(nlp, 0.05), cfg, NoisySchurSolver(0.0, seed=1))
+        assert len(searches) == rep.n_iters == 20
+        assert searches.count(0) >= 5 and min(k for k in searches if k) >= 20
 
 
 class TestUpdateBarrier:
@@ -294,9 +379,10 @@ class TestSolve:
             assert calls[name] <= n + 1, (name, calls[name], n)
         # one factorization of Q (in build_qp) and one of S per iteration
         assert calls["cho_factor"] <= 2 * n
-        # the start, one f0 per line search, and the line-search trials
-        trials = sum(rec.backtracks + 1 for rec in rep.records[1:])
-        assert calls["barrier"] <= trials + n + 1
+        # the start, then per line search the first trial alone and, when
+        # it fails, one block of the rest
+        searches = sum(1 if rec.backtracks == 0 else 2 for rec in rep.records[1:])
+        assert calls["barrier"] <= searches + 1
 
 
 def test_hiv_quantum_solve_converges_like_exact():
@@ -319,3 +405,8 @@ def test_config_validation():
         SqpConfig(mu0=-1.0)
     with pytest.raises(ValueError):
         SqpConfig(barrier_update="bogus")
+    for cap in (2.5, True, "60"):
+        with pytest.raises(ValueError, match="max_backtracks must be an integer"):
+            SqpConfig(max_backtracks=cap)
+    with pytest.raises(ValueError, match="max_outer_iters = 0"):
+        SqpConfig(max_outer_iters=0)
