@@ -45,11 +45,11 @@ _PROBLEMS = ("hiv", "toy:eqqp", "toy:double_integrator", "toy:box1d")
 _SOLVER_KINDS = ("exact", "noisy", "quantum")
 _HIV_PARAMS = {f.name for f in dc_fields(HivParameters)}
 _SQP_OPTIONS = {f.name for f in dc_fields(SqpConfig)}
-# Keys each solver kind accepts besides "kind".
+# Keys each solver kind accepts besides "kind", with the type of each.
 _SOLVER_OPTIONS = {
-    "exact": set(),
-    "noisy": {"eps", "seed"},
-    "quantum": {f.name for f in dc_fields(QuantumConfig)},
+    "exact": {},
+    "noisy": {"eps": float, "seed": int},
+    "quantum": {f.name: type(f.default) for f in dc_fields(QuantumConfig)},
 }
 
 
@@ -84,6 +84,32 @@ def load_config_file(path: str) -> dict:
     return data
 
 
+def _typed(value: Any, kind: type, where: str):
+    """``value`` as ``kind`` (float, int or bool), or a ConfigError naming
+    ``where``.  A float may be written as a string such as "1e-3", which
+    YAML does not read as a number; an int or bool must be one already."""
+    if kind is float and not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    elif isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
+        return value
+    raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}")
+
+
+def _mapping(value: Any, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: expected a mapping, got {value!r}")
+    return value
+
+
+def _typed_list(value: Any, kind: type, where: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: expected a list, got {value!r}")
+    return [_typed(v, kind, f"{where}[{i}]") for i, v in enumerate(value)]
+
+
 def _check_solver_spec(spec: Any, where: str) -> dict:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"{where}: solver spec must be a mapping with a 'kind' field")
@@ -91,9 +117,12 @@ def _check_solver_spec(spec: Any, where: str) -> dict:
     if kind not in _SOLVER_KINDS:
         raise ConfigError(f"{where}.kind: unknown solver kind {kind!r}, "
                           f"expected one of {_SOLVER_KINDS}")
-    for key in spec:
-        if key != "kind" and key not in _SOLVER_OPTIONS[kind]:
+    for key, value in spec.items():
+        if key == "kind":
+            continue
+        if key not in _SOLVER_OPTIONS[kind]:
             raise ConfigError(f"{where}.{key}: unknown {kind} solver option")
+        _typed(value, _SOLVER_OPTIONS[kind][key], f"{where}.{key}")
     if kind == "noisy" and float(spec.get("eps", 0.0)) < 0.0:
         raise ConfigError(f"{where}.eps: must be nonnegative")
     return dict(spec)
@@ -105,17 +134,19 @@ def validate_config(data: dict) -> ExperimentConfig:
     problem = data.get("problem", {})
     if isinstance(problem, str):
         problem = {"name": problem}
-    if problem:
+    if _mapping(problem, "problem"):
         name = problem.get("name", cfg.problem)
         if name not in _PROBLEMS:
             raise ConfigError(f"problem.name: unknown problem {name!r}, "
                               f"expected one of {_PROBLEMS}")
         cfg.problem = name
-        cfg.problem_params = dict(problem.get("params", {}))
+        cfg.problem_params = dict(_mapping(problem.get("params", {}),
+                                           "problem.params"))
         for key in cfg.problem_params:
             if key not in _HIV_PARAMS:
                 raise ConfigError(f"problem.params.{key}: unknown parameter")
-        cfg.u_guess = float(problem.get("u_guess", cfg.u_guess))
+        cfg.u_guess = _typed(problem.get("u_guess", cfg.u_guess), float,
+                             "problem.u_guess")
 
     if "solver" in data:
         cfg.solver = _check_solver_spec(data["solver"], "solver")
@@ -126,37 +157,42 @@ def validate_config(data: dict) -> ExperimentConfig:
         cfg.solvers = [_check_solver_spec(s, f"solvers[{i}]")
                        for i, s in enumerate(specs)]
 
-    cfg.sqp = dict(data.get("sqp", {}))
+    cfg.sqp = dict(_mapping(data.get("sqp", {}), "sqp"))
     for key in cfg.sqp:
         if key not in _SQP_OPTIONS:
             raise ConfigError(f"sqp.{key}: unknown option")
 
-    sweep = data.get("sweep", {})
+    sweep = _mapping(data.get("sweep", {}), "sweep")
     if sweep:
-        grids = sweep.get("mu_min_grid", [])
-        eps = sweep.get("eps_grid", [])
-        seeds = sweep.get("seeds", [])
+        grids = _typed_list(sweep.get("mu_min_grid", []), float, "sweep.mu_min_grid")
+        eps = _typed_list(sweep.get("eps_grid", []), float, "sweep.eps_grid")
+        seeds = _typed_list(sweep.get("seeds", []), int, "sweep.seeds")
         if len(grids) < 2:
             raise ConfigError("sweep.mu_min_grid: needs at least two values")
-        if len(eps) < 3 or 0.0 not in [float(e) for e in eps]:
+        if len(eps) < 3 or 0.0 not in eps:
             raise ConfigError("sweep.eps_grid: needs at least three values including 0")
         if len(seeds) < 1 or len(set(seeds)) != len(seeds):
             raise ConfigError("sweep.seeds: must be nonempty and distinct")
+        if "floor_iters" in sweep:
+            _typed(sweep["floor_iters"], int, "sweep.floor_iters")
         cfg.sweep = dict(sweep)
 
-    qsvt = data.get("qsvt", {})
+    qsvt = _mapping(data.get("qsvt", {}), "qsvt")
     if qsvt:
-        if not qsvt.get("kappas"):
+        kappas = _typed_list(qsvt.get("kappas", []), float, "qsvt.kappas")
+        if not kappas:
             raise ConfigError("qsvt.kappas: must be nonempty")
-        if any(float(k) < 1.0 for k in qsvt["kappas"]):
+        if any(k < 1.0 for k in kappas):
             raise ConfigError("qsvt.kappas: entries must be >= 1")
-        if not qsvt.get("eps_primes"):
+        if not _typed_list(qsvt.get("eps_primes", []), float, "qsvt.eps_primes"):
             raise ConfigError("qsvt.eps_primes: must be nonempty")
+        if "matrix_size" in qsvt:
+            _typed(qsvt["matrix_size"], int, "qsvt.matrix_size")
         cfg.qsvt = dict(qsvt)
 
-    out = data.get("output", {})
+    out = _mapping(data.get("output", {}), "output")
     cfg.output_dir = str(out.get("dir", cfg.output_dir))
-    cfg.seed = int(data.get("seed", cfg.seed))
+    cfg.seed = _typed(data.get("seed", cfg.seed), int, "seed")
     return cfg
 
 
@@ -170,7 +206,8 @@ def build_solver(spec: dict, seed: int):
             eps=float(spec.get("eps", 0.0)),
             seed=int(spec.get("seed", seed)),
         )
-    opts = {k: v for k, v in spec.items() if k != "kind"}
+    types = _SOLVER_OPTIONS["quantum"]
+    opts = {k: types[k](v) for k, v in spec.items() if k != "kind"}
     opts.setdefault("seed", seed)
     return QuantumSchurSolver(QuantumConfig(**opts))
 

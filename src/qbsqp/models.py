@@ -176,6 +176,10 @@ class HivParameters:
         for label in ("q_V", "q_I", "q_T", "r_1", "r_2", "q_V_f", "q_I_f", "q_T_f"):
             if getattr(self, label) < 0.0:
                 raise ValueError(f"weight {label} must be nonnegative")
+        for label in ("N", "substeps"):
+            value = getattr(self, label)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{label} must be an integer, got {value!r}")
         if self.N <= 0:
             raise ValueError("horizon N must be positive")
 
@@ -339,7 +343,6 @@ class ToyProblem:
     z_star: np.ndarray | None = None
     lam_star: np.ndarray | None = None
     sqp_overrides: dict[str, Any] = field(default_factory=dict)
-    info: dict[str, Any] = field(default_factory=dict)
 
 
 def riccati_lqr(a, b, q, r, qf, horizon, x0):
@@ -453,7 +456,6 @@ def toy_problems() -> dict[str, ToyProblem]:
         z0=rollout(nlp, np.zeros((di_ocp.horizon, 1))),
         z_star=nlp.join(xs, us),
         sqp_overrides={"mu0": 1e-2},
-        info={"oracle": "riccati"},
     )
 
     eq_ocp = eqqp_ocp()
@@ -464,7 +466,6 @@ def toy_problems() -> dict[str, ToyProblem]:
         z0=rollout(eq_nlp, np.array([[0.7]])),
         z_star=np.array([1.0, 0.0, 0.0]),
         lam_star=np.array([-1.0, 0.0]),
-        info={"oracle": "hand KKT"},
     )
 
     box_ocp = box1d_ocp()
@@ -474,6 +475,5 @@ def toy_problems() -> dict[str, ToyProblem]:
         ocp=box_ocp,
         z0=rollout(box_nlp, np.array([[0.0]])),
         z_star=np.array([0.0, 1.0, 1.0]),
-        info={"oracle": "barrier path root", "barrier_path": box1d_barrier_path},
     )
     return problems

@@ -14,7 +14,7 @@ Gauss-Newton Hessian feed the quadratic subproblem of each SQP iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -32,13 +32,9 @@ class InfeasiblePointError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# finite differences (fallback for models that omit analytic derivatives)
+# finite differences (the reference of validate_derivatives)
 
 FD_STEP = 1e-6
-
-
-def _fd_steps(x: np.ndarray) -> np.ndarray:
-    return FD_STEP * (1.0 + np.abs(x))
 
 
 def fd_jacobian(fun: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
@@ -46,30 +42,13 @@ def fd_jacobian(fun: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.nd
     x = np.asarray(x, dtype=float)
     f0 = np.atleast_1d(np.asarray(fun(x), dtype=float))
     jac = np.zeros((f0.size, x.size))
-    h = _fd_steps(x)
+    h = FD_STEP * (1.0 + np.abs(x))
     for i in range(x.size):
         xp, xm = x.copy(), x.copy()
         xp[i] += h[i]
         xm[i] -= h[i]
         jac[:, i] = (np.atleast_1d(fun(xp)) - np.atleast_1d(fun(xm))) / (2.0 * h[i])
     return jac
-
-
-def _fd_stacked_jacobians(fun, xs: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobians of a stage-stacked map, one per row.
-
-    ``fun`` maps (K, d) to (K, r) row by row.  Component i is perturbed in
-    every row at once, with the steps of ``fd_jacobian``, so the result is
-    (K, r, d) and row k equals ``fd_jacobian`` of row k's map.
-    """
-    h = _fd_steps(xs)
-    cols = []
-    for i in range(xs.shape[1]):
-        xp, xm = xs.copy(), xs.copy()
-        xp[:, i] += h[:, i]
-        xm[:, i] -= h[:, i]
-        cols.append((fun(xp) - fun(xm)) / (2.0 * h[:, i:i + 1]))
-    return np.stack(cols, axis=2)
 
 
 def fd_gradient(fun: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
@@ -132,9 +111,14 @@ class OcpDefinition:
     and (K, n, n); ``terminal_constraints`` and ``terminal_jac`` return
     (K, n_terminal) and (K, n_terminal, n).  The single-point evaluators
     call them at K = 1; the barrier objective of the line search calls them
-    once for a block of K trial points.  Analytic derivatives are optional;
-    transcription falls back to central finite differences for any that are
-    omitted.
+    once for a block of K trial points.
+
+    Every derivative is required and analytic: the truncation error of
+    finite differences would enter the step with no bound to account for it.
+    ``stage_cost_hess`` may be a Gauss-Newton form, as for least-squares
+    costs.  ``path_jac`` and ``terminal_jac`` are required together with
+    their constraints.  ``validate_derivatives`` checks the first
+    derivatives against central differences.
     """
 
     n: int
@@ -142,14 +126,14 @@ class OcpDefinition:
     horizon: int
     x_init: np.ndarray
     dynamics: Callable
+    dynamics_jac_x: Callable      # -> (K, n, n)
+    dynamics_jac_u: Callable      # -> (K, n, m)
     stage_cost: Callable
+    stage_cost_grad: Callable     # -> (K, n + m)
+    stage_cost_hess: Callable     # -> (K, n + m, n + m); GN form for LS costs
     terminal_cost: Callable
-    dynamics_jac_x: Callable | None = None  # -> (K, n, n)
-    dynamics_jac_u: Callable | None = None  # -> (K, n, m)
-    stage_cost_grad: Callable | None = None   # -> (K, n + m)
-    stage_cost_hess: Callable | None = None   # -> (K, n + m, n + m); GN form for LS costs
-    terminal_cost_grad: Callable | None = None  # -> (K, n)
-    terminal_cost_hess: Callable | None = None  # -> (K, n, n)
+    terminal_cost_grad: Callable  # -> (K, n)
+    terminal_cost_hess: Callable  # -> (K, n, n)
     path_constraints: Callable | None = None  # c(xs, us) -> (K, n_path)
     n_path: int = 0
     path_jac: Callable | None = None          # -> (K, n_path, n + m)
@@ -168,6 +152,10 @@ class OcpDefinition:
             raise ConfigurationError("n_path must be declared with path_constraints")
         if self.terminal_constraints is not None and self.n_terminal <= 0:
             raise ConfigurationError("n_terminal must be declared with terminal_constraints")
+        for con, jac in (("path_constraints", "path_jac"),
+                         ("terminal_constraints", "terminal_jac")):
+            if getattr(self, con) is not None and getattr(self, jac) is None:
+                raise ConfigurationError(f"{jac} must be supplied with {con}")
 
 
 def _check_shape(value, shape, who):
@@ -249,19 +237,23 @@ class TrajectoryNlp:
         stages, x_end = self._stages(z)
         end = self.stage_offsets[-1]
         grad = np.empty(self.n_z)
-        grad[:end] = _stage_grads(ocp, stages).ravel()
-        grad[end:] = _terminal_grad(ocp, x_end[None])[0]
+        grad[:end] = _stage_call(ocp, "stage_cost_grad", stages, stages.shape).ravel()
+        grad[end:] = _terminal_call(ocp, "terminal_cost_grad", x_end[None],
+                                    (1, ocp.n))[0]
         return grad
 
     def objective_hessian(self, z: np.ndarray) -> np.ndarray:
         """Block-diagonal stage Hessian (Gauss-Newton form when supplied)."""
         ocp = self.ocp
         stages, x_end = self._stages(z)
+        N, nm = stages.shape
         end = self.stage_offsets[-1]
         hess = np.zeros((self.n_z, self.n_z))
         cols = self._stage_columns()
-        hess[cols[:, :, None], cols[:, None, :]] = _stage_hessians(ocp, stages)
-        hess[end:, end:] = _terminal_hess(ocp, x_end[None])[0]
+        hess[cols[:, :, None], cols[:, None, :]] = _stage_call(
+            ocp, "stage_cost_hess", stages, (N, nm, nm))
+        hess[end:, end:] = _terminal_call(ocp, "terminal_cost_hess", x_end[None],
+                                          (1, ocp.n, ocp.n))[0]
         return hess
 
     # -- equality constraints ----------------------------------------------
@@ -279,18 +271,19 @@ class TrajectoryNlp:
 
     def equalities_jacobian(self, z: np.ndarray) -> np.ndarray:
         ocp = self.ocp
-        n, N = ocp.n, ocp.horizon
+        n, m, N = ocp.n, ocp.m, ocp.horizon
         stages, _ = self._stages(z)
         jac = np.zeros((self.m_eq, self.n_z))
         jac[:n, :n] = np.eye(n)
-        jx, ju = _dynamics_jacobians(ocp, stages)
+        jx = _stage_call(ocp, "dynamics_jac_x", stages, (N, n, n))
+        ju = _stage_call(ocp, "dynamics_jac_u", stages, (N, n, m))
         # Gap row i of stage k is n + k n + i; it reads z_k and x_{k+1},
         # whose columns are those of z_k shifted by one stage.
         rows = n + np.arange(N * n).reshape(N, n)
         cols = self._stage_columns()
         jac[rows[:, :, None], cols[:, None, :n]] = -jx
         jac[rows[:, :, None], cols[:, None, n:]] = -ju
-        jac[rows, cols[:, :n] + (n + ocp.m)] = 1.0
+        jac[rows, cols[:, :n] + (n + m)] = 1.0
         return jac
 
     # -- inequality constraints ---------------------------------------------
@@ -316,13 +309,16 @@ class TrajectoryNlp:
         if self.n_ineq == 0:
             return jac
         stages, x_end = self._stages(z)
-        N, p, end = ocp.horizon, ocp.n_path, self.stage_offsets[-1]
+        n, N, p, t = ocp.n, ocp.horizon, ocp.n_path, ocp.n_terminal
+        end = self.stage_offsets[-1]
         if p:
             rows = np.arange(N * p).reshape(N, p)
             cols = self._stage_columns()
-            jac[rows[:, :, None], cols[:, None, :]] = _path_jacobians(ocp, stages)
-        if ocp.n_terminal:
-            jac[N * p:, end:] = _terminal_con_jac(ocp, x_end[None])[0]
+            jac[rows[:, :, None], cols[:, None, :]] = _stage_call(
+                ocp, "path_jac", stages, (N, p, n + ocp.m))
+        if t:
+            jac[N * p:, end:] = _terminal_call(ocp, "terminal_jac", x_end[None],
+                                               (1, t, n))[0]
         return jac
 
     def evaluate(self, z: np.ndarray) -> PointEval:
@@ -340,7 +336,7 @@ class TrajectoryNlp:
         )
 
 
-# -- stacked derivative dispatch (analytic with FD fallback) -----------------
+# -- calls of the stage-stacked model callables -----------------------------
 # ``stages`` holds one stage block (x_k, u_k) per row, (K, n + m).
 
 def _on_stages(fun, n):
@@ -353,72 +349,9 @@ def _stage_call(ocp, name, stages, shape):
     return _check_shape(_on_stages(getattr(ocp, name), ocp.n)(stages), shape, name)
 
 
-def _fd_stacked_gradients(fun, v: np.ndarray) -> np.ndarray:
-    """Row k is ``fd_gradient`` of row k's scalar; ``fun`` maps (K, d) to (K,)."""
-    return _fd_stacked_jacobians(lambda w: fun(w)[:, None], v)[:, 0, :]
-
-
-def _fd_stacked_hessians(fun, v: np.ndarray) -> np.ndarray:
-    """Row k is the symmetrised ``fd_jacobian`` of the ``fd_gradient`` of
-    row k's scalar; ``fun`` maps (K, d) to (K,)."""
-    hess = _fd_stacked_jacobians(lambda w: _fd_stacked_gradients(fun, w), v)
-    return 0.5 * (hess + np.swapaxes(hess, 1, 2))
-
-
-def _stage_grads(ocp, stages):
-    k, nm = stages.shape
-    if ocp.stage_cost_grad is not None:
-        return _stage_call(ocp, "stage_cost_grad", stages, (k, nm))
-    return _fd_stacked_gradients(_on_stages(ocp.stage_cost, ocp.n), stages)
-
-
-def _stage_hessians(ocp, stages):
-    k, nm = stages.shape
-    if ocp.stage_cost_hess is not None:
-        return _stage_call(ocp, "stage_cost_hess", stages, (k, nm, nm))
-    return _fd_stacked_hessians(_on_stages(ocp.stage_cost, ocp.n), stages)
-
-
 def _terminal_call(ocp, name, xs, shape):
     """``ocp.<name>`` at the terminal states xs (K, n), its output shape checked."""
     return _check_shape(getattr(ocp, name)(xs), shape, name)
-
-
-def _terminal_grad(ocp, xs):
-    if ocp.terminal_cost_grad is not None:
-        return _terminal_call(ocp, "terminal_cost_grad", xs, xs.shape)
-    return _fd_stacked_gradients(ocp.terminal_cost, xs)
-
-
-def _terminal_hess(ocp, xs):
-    k, n = xs.shape
-    if ocp.terminal_cost_hess is not None:
-        return _terminal_call(ocp, "terminal_cost_hess", xs, (k, n, n))
-    return _fd_stacked_hessians(ocp.terminal_cost, xs)
-
-
-def _dynamics_jacobians(ocp, stages):
-    """Stacked Jacobians (K, n, n) and (K, n, m) at the K stage points."""
-    k, n, m = len(stages), ocp.n, ocp.m
-    if ocp.dynamics_jac_x is not None and ocp.dynamics_jac_u is not None:
-        return (_stage_call(ocp, "dynamics_jac_x", stages, (k, n, n)),
-                _stage_call(ocp, "dynamics_jac_u", stages, (k, n, m)))
-    jac = _fd_stacked_jacobians(_on_stages(ocp.dynamics, n), stages)
-    return jac[:, :, :n], jac[:, :, n:]
-
-
-def _path_jacobians(ocp, stages):
-    k, nm = stages.shape
-    if ocp.path_jac is not None:
-        return _stage_call(ocp, "path_jac", stages, (k, ocp.n_path, nm))
-    return _fd_stacked_jacobians(_on_stages(ocp.path_constraints, ocp.n), stages)
-
-
-def _terminal_con_jac(ocp, xs):
-    k, n = xs.shape
-    if ocp.terminal_jac is not None:
-        return _terminal_call(ocp, "terminal_jac", xs, (k, ocp.n_terminal, n))
-    return _fd_stacked_jacobians(ocp.terminal_constraints, xs)
 
 
 # ---------------------------------------------------------------------------
@@ -507,12 +440,15 @@ def eval_barrier_objective(nlp: TrajectoryNlp, z: np.ndarray,
     return (f_bar, f, barrier) if terms else f_bar
 
 
+# Doublings of the damping sigma before build_qp gives up on Q.
+MAX_DAMPINGS = 40
+
+
 def build_qp(
     nlp: TrajectoryNlp,
     z: np.ndarray,
     cfg: BarrierConfig,
     *,
-    max_dampings: int = 40,
     point: PointEval | None = None,
 ) -> QpData:
     """Assemble one iteration's quadratic subproblem.
@@ -553,9 +489,9 @@ def build_qp(
             break
         except (LinAlgError, np.linalg.LinAlgError):
             attempts += 1
-            if attempts > max_dampings:
+            if attempts > MAX_DAMPINGS:
                 raise ValueError(
-                    f"Q not positive definite after {max_dampings} damping doublings")
+                    f"Q not positive definite after {MAX_DAMPINGS} damping doublings")
             sigma = max(1e-8, 2.0 * sigma)
 
     return QpData(
@@ -590,10 +526,12 @@ def validate_derivatives(
     n_points: int = 5,
     tol: float = 1e-5,
 ) -> dict[str, float]:
-    """Opt-in check of supplied analytic derivatives against central FD.
+    """Opt-in check of the analytic first derivatives against central FD.
 
-    Returns the worst relative error per callable and raises
-    ConfigurationError when any exceeds tol.
+    Checks the dynamics Jacobians, the cost gradients and the Jacobians of
+    the declared constraints; the Hessians are not checked, since a
+    Gauss-Newton form is allowed.  Returns the worst relative error per
+    callable and raises ConfigurationError when any exceeds tol.
     """
     rng = np.random.default_rng(seed)
     scale = 1.0 + np.abs(np.asarray(ocp.x_init, dtype=float))
@@ -616,22 +554,17 @@ def validate_derivatives(
         x = np.asarray(ocp.x_init, dtype=float) + 0.1 * scale * rng.standard_normal(ocp.n)
         u = 0.1 * rng.standard_normal(ocp.m)
         xu, one = np.concatenate([x, u]), (x[None], u[None])
-        if ocp.dynamics_jac_x is not None or ocp.dynamics_jac_u is not None:
-            dyn_fd = fd_jacobian(at_point(ocp.dynamics), xu)
-        if ocp.dynamics_jac_x is not None:
-            record("dynamics_jac_x", ocp.dynamics_jac_x(*one)[0], dyn_fd[:, :ocp.n])
-        if ocp.dynamics_jac_u is not None:
-            record("dynamics_jac_u", ocp.dynamics_jac_u(*one)[0], dyn_fd[:, ocp.n:])
-        if ocp.stage_cost_grad is not None:
-            record("stage_cost_grad", ocp.stage_cost_grad(*one)[0],
-                   fd_gradient(at_point(ocp.stage_cost), xu))
-        if ocp.terminal_cost_grad is not None:
-            record("terminal_cost_grad", ocp.terminal_cost_grad(x[None])[0],
-                   fd_gradient(one_row(ocp.terminal_cost), x))
-        if ocp.path_jac is not None:
+        dyn_fd = fd_jacobian(at_point(ocp.dynamics), xu)
+        record("dynamics_jac_x", ocp.dynamics_jac_x(*one)[0], dyn_fd[:, :ocp.n])
+        record("dynamics_jac_u", ocp.dynamics_jac_u(*one)[0], dyn_fd[:, ocp.n:])
+        record("stage_cost_grad", ocp.stage_cost_grad(*one)[0],
+               fd_gradient(at_point(ocp.stage_cost), xu))
+        record("terminal_cost_grad", ocp.terminal_cost_grad(x[None])[0],
+               fd_gradient(one_row(ocp.terminal_cost), x))
+        if ocp.path_constraints is not None:
             record("path_jac", ocp.path_jac(*one)[0],
                    fd_jacobian(at_point(ocp.path_constraints), xu))
-        if ocp.terminal_jac is not None:
+        if ocp.terminal_constraints is not None:
             record("terminal_jac", ocp.terminal_jac(x[None])[0],
                    fd_jacobian(one_row(ocp.terminal_constraints), x))
 

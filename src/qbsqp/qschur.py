@@ -4,9 +4,10 @@ The step mirrors the block-encoding pipeline operation by operation:
 encode (Q, A, g, r), invert Q by singular value transformation, assemble
 the Schur complement S = A Q^{-1} A^T and right-hand side
 b = -r - A Q^{-1} g by encoding products and LCU sums, invert S, recover
-lam and dz, and read out dz classically.  Normalization factors and error
-bounds propagate alongside every encoding, so the final alpha_dz and
-eps_dz are exact arithmetic consequences of the composition rules.
+lam and dz, and read out dz exactly as alpha_dz times the encoded column.
+Normalization factors and error bounds propagate alongside every encoding,
+so the final alpha_dz and eps_dz are exact arithmetic consequences of the
+composition rules.  The readout adds no error to the budget eps_dz.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .qsvt import (
     inversion_error_factor,
     qsvt_invert,
 )
-from .schur import QpData, SchurSolution, kkt_residual_norm
+from .schur import QpData, SchurSolution
 
 
 class QuantumStepError(RuntimeError):
@@ -214,8 +215,6 @@ class QuantumConfig:
     eps_r: float = 0.0
     eps_prime_Q: float = 1e-10
     eps_prime_S: float = 1e-10
-    readout_mode: str = "exact"  # "exact" | "sampled"
-    shots: int = 10**8
     seed: int = 0
     degree_cap: int = 4001
     usability_cap: float = float("inf")
@@ -267,32 +266,20 @@ def _invert_encoding(u, eps_prime, qcfg, spec_cache):
 def readout(
     u_dz: BlockEncoding,
     ledger: NormalizationLedger,
-    mode: str = "exact",
     *,
-    shots: int = 10**8,
-    rng: np.random.Generator | None = None,
     p_succ_floor: float = 0.0,
 ) -> np.ndarray:
-    """Recover the classical vector from the final encoding.
+    """Recover the classical vector from the final encoding, exactly.
 
-    Exact mode returns alpha_dz times the encoded column, unpadded.
-    Sampled mode adds zero-mean readout noise with per-component standard
-    deviation alpha_dz/sqrt(shots), deterministic for a given rng.
+    Returns alpha_dz times the encoded column, unpadded, or raises
+    QuantumStepError when the success probability is below the floor.
     """
     if ledger.p_succ < p_succ_floor:
         raise QuantumStepError(
             f"success probability {ledger.p_succ:.3e} below floor {p_succ_floor:.3e}; "
             f"expected repetitions {ledger.expected_repetitions:.3e}"
         )
-    vec = ledger.alpha_dz * u_dz.embedded[: u_dz.logical_rows, 0]
-    if mode == "exact":
-        return vec
-    if mode == "sampled":
-        if rng is None:
-            rng = np.random.default_rng(0)
-        sdev = ledger.alpha_dz / math.sqrt(shots)
-        return vec + rng.normal(0.0, sdev, size=vec.shape)
-    raise ValueError(f"unknown readout mode {mode!r}")
+    return ledger.alpha_dz * u_dz.embedded[: u_dz.logical_rows, 0]
 
 
 def quantum_schur_step(
@@ -367,10 +354,7 @@ def quantum_schur_step(
     ledger.p_succ = p_succ
     ledger.expected_repetitions = 1.0 / p_succ if p_succ > 0.0 else float("inf")
 
-    dz = readout(
-        u_dz, ledger, qcfg.readout_mode,
-        shots=qcfg.shots, rng=rng, p_succ_floor=qcfg.p_succ_floor,
-    )
+    dz = readout(u_dz, ledger, p_succ_floor=qcfg.p_succ_floor)
     lam = u_lam.alpha * u_lam.embedded[:m, 0]
 
     diagnostics: dict[str, Any] = {
@@ -397,8 +381,7 @@ def quantum_schur_step(
             qp, u_q, u_a, u_g, u_r, u_qinv, u_s, u_b, u_sinv, u_lam, u_1, u_dz
         )
 
-    res = kkt_residual_norm(qp, dz, lam)
-    return SchurSolution(dz=dz, lam=lam, kkt_residual=res, diagnostics=diagnostics)
+    return SchurSolution(dz=dz, lam=lam, diagnostics=diagnostics)
 
 
 def _conformance_report(qp, u_q, u_a, u_g, u_r, u_qinv, u_s, u_b, u_sinv, u_lam, u_1, u_dz):

@@ -377,12 +377,12 @@ def inversion_error_factor(kappa: float, alpha: float) -> float:
     return 2.0 * kappa**2 / alpha**2
 
 
-def qsvt_invert(
-    u: BlockEncoding,
-    spec: QsvtInversionSpec,
-    *,
-    sigma_tol: float = 1e-9,
-) -> BlockEncoding:
+# Rounding slack of the spectral-interval check in qsvt_invert, on top of
+# the encoding's own relative error eps/alpha.
+SIGMA_TOL = 1e-9
+
+
+def qsvt_invert(u: BlockEncoding, spec: QsvtInversionSpec) -> BlockEncoding:
     """Invert a block-encoded operator by transforming its singular values.
 
     The embedded block is decomposed, p is applied to each singular value,
@@ -396,7 +396,7 @@ def qsvt_invert(
 
     w, sigma, vt = np.linalg.svd(u.embedded)
 
-    slack = sigma_tol + u.eps / u.alpha
+    slack = SIGMA_TOL + u.eps / u.alpha
     lo, hi = 1.0 / spec.kappa, 1.0
     logical = sigma[:n_logical]
     if np.any(logical < lo - slack) or np.any(logical > hi + slack):

@@ -65,7 +65,6 @@ class QpData:
 class SchurSolution:
     dz: np.ndarray
     lam: np.ndarray
-    kkt_residual: float
     diagnostics: dict[str, Any] = field(default_factory=dict)
 
 
@@ -77,13 +76,6 @@ class SchurStepSolver(Protocol):
     eps_dz: float  # declared accuracy; inf means exact
 
     def step(self, qp: QpData) -> SchurSolution: ...
-
-
-def kkt_residual_norm(qp: QpData, dz: np.ndarray, lam: np.ndarray) -> float:
-    """||Q dz + A^T lam + g|| + ||A dz - r||."""
-    stat = np.linalg.norm(qp.Q @ dz + qp.A.T @ lam + qp.g)
-    feas = np.linalg.norm(qp.A @ dz - qp.r) if qp.m_eq else 0.0
-    return float(stat + feas)
 
 
 def _chol(mat: np.ndarray, label: str):
@@ -118,8 +110,7 @@ def exact_step(qp: QpData) -> SchurSolution:
         lam = cho_solve(_chol(s_mat, "Schur complement S"), b)
         dz = -cho_solve(cq, qp.g + qp.A.T @ lam)
 
-    res = kkt_residual_norm(qp, dz, lam)
-    return SchurSolution(dz=dz, lam=lam, kkt_residual=res, diagnostics=diag)
+    return SchurSolution(dz=dz, lam=lam, diagnostics=diag)
 
 
 class ExactSchurSolver:
@@ -153,11 +144,9 @@ def noisy_step(qp: QpData, eps: float, rng: np.random.Generator) -> SchurSolutio
     radius = eps * (1.0 - radius)  # in (0, eps]
     dz = sol.dz + (radius / nrm) * direction
 
-    res = kkt_residual_norm(qp, dz, sol.lam)
     return SchurSolution(
         dz=dz,
         lam=sol.lam,
-        kkt_residual=res,
         diagnostics={"solver": "noisy", "eps_dz": eps, "noise_norm": radius},
     )
 

@@ -62,6 +62,33 @@ def test_commands_succeed_on_eqqp(tmp_path, command, config):
      "max_backtracks"),
     ("solve", {"problem": "toy:eqqp", "sqp": {"max_outer_iters": 0}},
      "max_outer_iters"),
+    # malformed values, one per field
+    ("solve", {"problem": {"name": "toy:eqqp", "u_guess": "abc"}},
+     "problem.u_guess"),
+    ("solve", {"problem": "toy:eqqp", "seed": "abc"}, "seed"),
+    ("solve", {"problem": "toy:eqqp", "sqp": 5}, "sqp"),
+    ("solve", {"problem": "toy:eqqp", "output": "out_e"}, "output"),
+    ("qsvt-check", {"problem": "toy:eqqp",
+                    "qsvt": {"kappas": ["abc"], "eps_primes": [1.0e-2]}},
+     "qsvt.kappas[0]"),
+    ("solve", {"problem": "toy:eqqp", "solver": {"kind": "noisy", "eps": "abc"}},
+     "solver.eps"),
+    ("sweep", {"problem": "toy:box1d",
+               "sweep": dict(BOX1D_SWEEP["sweep"], mu_min_grid=5)},
+     "sweep.mu_min_grid"),
+    ("sweep", {"problem": "toy:eqqp",
+               "sweep": dict(BOX1D_SWEEP["sweep"], floor_iters="abc")},
+     "sweep.floor_iters"),
+    ("solve", {"problem": {"name": "hiv", "params": {"N": 2.5}}},
+     "N must be an integer"),
+    ("solve", {"problem": {"name": "hiv", "params": {"N": 2, "substeps": 2.5}}},
+     "substeps"),
+    ("solve", {"problem": "toy:eqqp",
+               "solver": {"kind": "quantum", "eps_prime_Q": "abc"}},
+     "solver.eps_prime_Q"),
+    ("solve", {"problem": "toy:eqqp",
+               "solver": {"kind": "quantum", "degree_cap": 2.5}},
+     "solver.degree_cap"),
 ])
 def test_config_errors_exit_one_and_name_the_field(tmp_path, capsys, command,
                                                    config, field):
@@ -209,6 +236,8 @@ def test_usage_errors_exit_one_and_help_exits_zero(argv, code):
     ("solver", "quantum", "mult_rule", "paper"),
     ("solver", "quantum", "lsq_degree_max", 31),
     ("solver", "quantum", "minimize_degree", True),
+    ("solver", "quantum", "readout_mode", "sampled"),
+    ("solver", "quantum", "shots", 100),
     ("solver", "noisy", "lambda_mode", "consistent"),
     ("sqp", None, "sigma0", 1.0e-8),
     ("sqp", None, "barrier_kind", "log"),

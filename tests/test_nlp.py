@@ -46,8 +46,25 @@ def scalar_linear_ocp(horizon=2):
         dynamics_jac_x=lambda xs, us: np.ones((len(xs), 1, 1)),
         dynamics_jac_u=lambda xs, us: np.ones((len(xs), 1, 1)),
         stage_cost=lambda xs, us: 0.5 * (xs[:, 0] ** 2 + us[:, 0] ** 2),
+        stage_cost_grad=lambda xs, us: np.hstack([xs, us]),
+        stage_cost_hess=lambda xs, us: np.broadcast_to(np.eye(2), (len(xs), 2, 2)),
         terminal_cost=lambda xs: 0.5 * xs[:, 0] ** 2,
+        terminal_cost_grad=lambda xs: xs.copy(),
+        terminal_cost_hess=lambda xs: np.ones((len(xs), 1, 1)),
         name="scalar_linear",
+    )
+
+
+def zero_derivatives(n, m):
+    """Every required derivative of an OCP with n states and m controls,
+    each returning zeros of its stacked shape."""
+    return dict(
+        dynamics_jac_x=lambda xs, us: np.zeros((len(xs), n, n)),
+        dynamics_jac_u=lambda xs, us: np.zeros((len(xs), n, m)),
+        stage_cost_grad=lambda xs, us: np.zeros((len(xs), n + m)),
+        stage_cost_hess=lambda xs, us: np.zeros((len(xs), n + m, n + m)),
+        terminal_cost_grad=lambda xs: np.zeros((len(xs), n)),
+        terminal_cost_hess=lambda xs: np.zeros((len(xs), n, n)),
     )
 
 
@@ -93,38 +110,27 @@ class TestTranscribe:
             dynamics=lambda xs, us: np.zeros((len(xs), 3)),  # wrong size
             stage_cost=lambda xs, us: np.zeros(len(xs)),
             terminal_cost=lambda xs: np.zeros(len(xs)),
+            **zero_derivatives(2, 1),
         )
         with pytest.raises(ConfigurationError, match="dynamics"):
             transcribe(bad)
 
-    def test_jacobian_fd_fallback(self):
-        def dynamics(xs, us):
-            return np.stack([xs[:, 0] * xs[:, 1] + us[:, 0],
-                             np.sin(xs[:, 1]) - us[:, 0] ** 2], axis=1)
+    @pytest.mark.parametrize("name", ["dynamics_jac_x", "dynamics_jac_u",
+                                      "stage_cost_grad", "stage_cost_hess",
+                                      "terminal_cost_grad", "terminal_cost_hess"])
+    def test_missing_derivative_is_named(self, name):
+        fields = dict(box1d_ocp().__dict__)
+        del fields[name]
+        with pytest.raises(TypeError, match=name):
+            OcpDefinition(**fields)
 
-        ocp = OcpDefinition(
-            n=2, m=1, horizon=3, x_init=np.array([1.0, -0.5]),
-            dynamics=dynamics,
-            stage_cost=lambda xs, us: np.sum(xs**2, axis=1) + us[:, 0] ** 2,
-            terminal_cost=lambda xs: np.sum(xs**2, axis=1),
-        )
-        nlp = transcribe(ocp)
-        z = rollout(nlp, np.array([[0.1], [0.2], [-0.3]]))
-        jac = nlp.equalities_jacobian(z)
-        jac_fd = fd_jacobian(nlp.equalities, z)
-        np.testing.assert_allclose(jac, jac_fd, atol=1e-7)
-        # the stacked fallback perturbs all stages at once, with the
-        # per-stage steps and arithmetic
-        xs, us = nlp.split(z)
-        for k in range(3):
-            rows, off = slice(2 * k + 2, 2 * k + 4), nlp.stage_offsets[k]
-            x, u = xs[k:k + 1], us[k:k + 1]
-            np.testing.assert_array_equal(
-                -jac[rows, off:off + 2],
-                fd_jacobian(lambda v: dynamics(v[None], u)[0], xs[k]))
-            np.testing.assert_array_equal(
-                -jac[rows, off + 2:off + 3],
-                fd_jacobian(lambda v: dynamics(x, v[None])[0], us[k]))
+    @pytest.mark.parametrize("constraints, jac", [
+        (dict(path_constraints=lambda xs, us: us - 1.0, n_path=1), "path_jac"),
+        (dict(terminal_constraints=lambda xs: xs - 1.0, n_terminal=1), "terminal_jac"),
+    ])
+    def test_constraints_without_jacobian_name_it(self, constraints, jac):
+        with pytest.raises(ConfigurationError, match=f"^{jac} must be supplied"):
+            OcpDefinition(**{**scalar_linear_ocp().__dict__, **constraints})
 
 
 def perturbed_hiv_point(nlp, seed):
@@ -257,34 +263,6 @@ class TestStackedStageContract:
         with pytest.raises(ConfigurationError, match=f"^{name} returned shape"):
             transcribe(ocp)
 
-    def test_fd_fallbacks_match_per_stage_fd_bitwise(self):
-        def stage_cost(xs, us):
-            return np.sin(xs[:, 0]) * xs[:, 1] + np.exp(0.3 * us[:, 0]) * xs[:, 0] ** 2
-
-        def path_constraints(xs, us):
-            return np.stack([xs[:, 0] * us[:, 0] - 5.0, np.cos(xs[:, 1]) - 3.0], axis=1)
-
-        ocp = OcpDefinition(
-            n=2, m=1, horizon=4, x_init=np.array([0.7, -0.4]),
-            dynamics=lambda xs, us: np.stack([xs[:, 1], us[:, 0] - xs[:, 0]], axis=1),
-            stage_cost=stage_cost,
-            terminal_cost=lambda xs: np.sum(xs**2, axis=1),
-            path_constraints=path_constraints, n_path=2,
-        )
-        nlp = transcribe(ocp)
-        z = rollout(nlp, np.array([[0.2], [-0.1], [0.4], [0.3]]))
-        grad, hess = nlp.objective_gradient(z), nlp.objective_hessian(z)
-        jac_h = nlp.inequalities_jacobian(z)
-        for k in range(4):
-            block = slice(nlp.stage_offsets[k], nlp.stage_offsets[k] + 3)
-            xu = z[block]
-            cost = lambda v: stage_cost(v[None, :2], v[None, 2:])[0]
-            np.testing.assert_array_equal(grad[block], fd_gradient(cost, xu))
-            np.testing.assert_array_equal(hess[block, block], fd_hessian(cost, xu))
-            np.testing.assert_array_equal(
-                jac_h[2 * k:2 * k + 2, block],
-                fd_jacobian(lambda v: path_constraints(v[None, :2], v[None, 2:])[0], xu))
-
 
 class TestBarrierObjective:
     def test_zero_cost_single_constraint(self):
@@ -311,6 +289,10 @@ class TestBarrierObjective:
             terminal_cost=lambda xs: np.zeros(len(xs)),
             path_constraints=lambda xs, us: np.hstack([us - 0.5, us - 2.0]),
             n_path=2,
+            path_jac=lambda xs, us: np.broadcast_to([[0.0, 1.0], [0.0, 1.0]],
+                                                    (len(xs), 2, 2)),
+            **{**zero_derivatives(1, 1),
+               "dynamics_jac_u": lambda xs, us: np.ones((len(xs), 1, 1))},
         )
         nlp = transcribe(ocp)
         z = np.zeros(3)  # u = 0: H = (-0.5, -2)
@@ -439,8 +421,16 @@ class TestBuildQp:
 
 
 class TestValidateDerivatives:
-    def test_passes_on_correct_model(self):
-        worst = validate_derivatives(hiv_ocp(), n_points=2)
+    @pytest.mark.parametrize("ocp", [
+        hiv_ocp(), eqqp_ocp(), double_integrator_ocp()[0], box1d_ocp()],
+        ids=["hiv", "eqqp", "double_integrator", "box1d"])
+    def test_passes_on_correct_model(self, ocp):
+        worst = validate_derivatives(ocp, n_points=2)
+        expected = {"dynamics_jac_x", "dynamics_jac_u", "stage_cost_grad",
+                    "terminal_cost_grad"}
+        expected |= {"path_jac"} if ocp.n_path else set()
+        expected |= {"terminal_jac"} if ocp.n_terminal else set()
+        assert set(worst) == expected
         assert max(worst.values()) < 1e-5
 
     def test_catches_wrong_jacobian(self):

@@ -205,36 +205,17 @@ class TestReadout:
         lg = self._ledger_with(alpha_dz=2.0, p_succ=p)
         assert lg.expected_repetitions == 4.0
         u = self._fake_encoding(col)
-        dz = readout(u, lg, "exact")
+        dz = readout(u, lg)
         np.testing.assert_allclose(dz, 2.0 * col)
 
     def test_full_amplitude_means_one_repetition(self):
         col = np.array([1.0, 0.0])
         lg = self._ledger_with(alpha_dz=2.0, p_succ=1.0)
         assert lg.expected_repetitions == 1.0
-        readout(self._fake_encoding(col), lg, "exact", p_succ_floor=0.99)
+        readout(self._fake_encoding(col), lg, p_succ_floor=0.99)
 
     def test_floor_failure(self):
         lg = self._ledger_with(alpha_dz=2.0, p_succ=1e-8)
         with pytest.raises(QuantumStepError, match="floor"):
-            readout(self._fake_encoding(np.array([1e-4, 0.0])), lg, "exact",
+            readout(self._fake_encoding(np.array([1e-4, 0.0])), lg,
                     p_succ_floor=1e-4)
-
-    def test_sampled_mode_converges_to_exact(self):
-        col = np.array([0.6, -0.3, 0.1])
-        lg = self._ledger_with(alpha_dz=2.0, p_succ=float(np.linalg.norm(col) ** 2))
-        u = self._fake_encoding(col)
-        exact = readout(u, lg, "exact")
-        shots = 10**8
-        seeds = range(8)
-        samples = np.array([
-            readout(u, lg, "sampled", shots=shots, rng=np.random.default_rng(s))
-            for s in seeds
-        ])
-        sdev = lg.alpha_dz / math.sqrt(shots)
-        # mean over seeds within 3 standard errors, componentwise
-        np.testing.assert_allclose(samples.mean(axis=0), exact,
-                                   atol=3.0 * sdev / math.sqrt(len(samples)))
-        # each draw is deterministic per seed
-        again = readout(u, lg, "sampled", shots=shots, rng=np.random.default_rng(0))
-        np.testing.assert_array_equal(samples[0], again)

@@ -69,6 +69,8 @@ def pure_state_cost_ocp():
         stage_cost_hess=lambda xs, us: np.broadcast_to(np.diag([2.0, 0.0]),
                                                        (len(xs), 2, 2)),
         terminal_cost=lambda xs: np.zeros(len(xs)),
+        terminal_cost_grad=lambda xs: np.zeros((len(xs), 1)),
+        terminal_cost_hess=lambda xs: np.zeros((len(xs), 1, 1)),
     )
 
 
@@ -107,6 +109,8 @@ def boundary_ocp():
         stage_cost_grad=lambda xs, us: np.hstack([np.zeros_like(xs), -np.ones_like(us)]),
         stage_cost_hess=lambda xs, us: np.zeros((len(xs), 2, 2)),
         terminal_cost=lambda xs: np.zeros(len(xs)),
+        terminal_cost_grad=lambda xs: np.zeros((len(xs), 1)),
+        terminal_cost_hess=lambda xs: np.zeros((len(xs), 1, 1)),
         path_constraints=lambda xs, us: us - 1.0,
         n_path=1,
         path_jac=lambda xs, us: np.broadcast_to([[[0.0, 1.0]]], (len(xs), 1, 2)),
