@@ -26,6 +26,7 @@ CLI flags override file fields.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields as dc_fields
 from typing import Any
 
@@ -51,6 +52,15 @@ _SOLVER_OPTIONS = {
     "noisy": {"eps": float, "seed": int},
     "quantum": {f.name: type(f.default) for f in dc_fields(QuantumConfig)},
 }
+
+# Admissible values of the numeric solver options, checked after typing.
+_SOLVER_LIMITS = (
+    (("eps", "eps_Q", "eps_A", "eps_g", "eps_r"), lambda v: 0.0 <= v < math.inf,
+     "must be finite and nonnegative"),
+    (("eps_prime_Q", "eps_prime_S"), lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
+    (("degree_cap",), lambda v: v >= 1, "must be at least 1"),
+    (("usability_cap", "p_succ_floor"), lambda v: not math.isnan(v), "must not be NaN"),
+)
 
 
 @dataclass
@@ -122,9 +132,10 @@ def _check_solver_spec(spec: Any, where: str) -> dict:
             continue
         if key not in _SOLVER_OPTIONS[kind]:
             raise ConfigError(f"{where}.{key}: unknown {kind} solver option")
-        _typed(value, _SOLVER_OPTIONS[kind][key], f"{where}.{key}")
-    if kind == "noisy" and float(spec.get("eps", 0.0)) < 0.0:
-        raise ConfigError(f"{where}.eps: must be nonnegative")
+        value = _typed(value, _SOLVER_OPTIONS[kind][key], f"{where}.{key}")
+        for keys, admissible, rule in _SOLVER_LIMITS:
+            if key in keys and not admissible(value):
+                raise ConfigError(f"{where}.{key}: {rule}, got {value!r}")
     return dict(spec)
 
 

@@ -9,6 +9,8 @@ are O(1); weights apply to the scaled variables.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -170,10 +172,17 @@ class HivParameters:
     substeps: int = 10
 
     def __post_init__(self):
-        for label in ("s", "d", "k", "delta", "N_v", "c", "dt"):
+        rates = ("s", "d", "k", "delta", "N_v", "c", "dt")
+        weights = ("q_V", "q_I", "q_T", "r_1", "r_2", "q_V_f", "q_I_f", "q_T_f")
+        for label in rates + weights + ("T_ref", "margin"):
+            value = getattr(self, label)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValueError(f"{label} must be a finite number, got {value!r}")
+        for label in rates:
             if getattr(self, label) <= 0.0:
                 raise ValueError(f"rate {label} must be positive")
-        for label in ("q_V", "q_I", "q_T", "r_1", "r_2", "q_V_f", "q_I_f", "q_T_f"):
+        for label in weights:
             if getattr(self, label) < 0.0:
                 raise ValueError(f"weight {label} must be nonnegative")
         for label in ("N", "substeps"):

@@ -148,13 +148,15 @@ class OcpDefinition:
                 raise ConfigurationError(f"{label} must be a positive integer")
         if np.asarray(self.x_init).shape != (self.n,):
             raise ConfigurationError("x_init must have length n")
-        if self.path_constraints is not None and self.n_path <= 0:
-            raise ConfigurationError("n_path must be declared with path_constraints")
-        if self.terminal_constraints is not None and self.n_terminal <= 0:
-            raise ConfigurationError("n_terminal must be declared with terminal_constraints")
-        for con, jac in (("path_constraints", "path_jac"),
-                         ("terminal_constraints", "terminal_jac")):
-            if getattr(self, con) is not None and getattr(self, jac) is None:
+        for con, count, jac in (("path_constraints", "n_path", "path_jac"),
+                                ("terminal_constraints", "n_terminal", "terminal_jac")):
+            declared = getattr(self, count) > 0
+            if getattr(self, con) is None:
+                if declared:
+                    raise ConfigurationError(f"{con} must be supplied with {count} > 0")
+            elif not declared:
+                raise ConfigurationError(f"{count} must be declared with {con}")
+            elif getattr(self, jac) is None:
                 raise ConfigurationError(f"{jac} must be supplied with {con}")
 
 

@@ -14,6 +14,12 @@ Two construction engines are provided:
 * ``smooth`` - Chebyshev projection (via DCT) of 1/(kappa*x) multiplied by
                a Gaussian cutoff that vanishes at the origin; used when the
                required degree makes a dense least-squares fit impractical.
+               The series is chopped where its coefficients reach the DCT's
+               rounding plateau: before the first run of CHOP_RUN odd
+               coefficients below eps'*1e-4, not at the last noise spike
+               above it.  At eps' = 1e-12 this gives degree 3,873 for
+               kappa = 64, 15,061 for kappa = 256 and 57,911 for
+               kappa = 1024.
 
 Both engines verify the three constraints (accuracy on the spectral
 interval, odd parity, boundedness) on dense grids before returning.  The
@@ -22,14 +28,15 @@ bound on the error of any odd fit already exceeds the target.
 
 Chebyshev series are evaluated by a blocked Clenshaw recurrence: the
 coefficients are cut into blocks of CLENSHAW_BLOCK, the recurrence runs on
-all blocks and points at once, and the blocks are folded from the top with
-the recurrence's 2x2 homogeneous response; near |x| = 1 it runs in
-Reinsch's difference form.  A degree-58k series thus takes about 970
-vectorised steps per form instead of 58k scalar-loop steps.  Against an
-extended-precision Clenshaw reference its error on [1/kappa, 1] stays
-below 1e-2 of the polynomial's achieved error for the kappa = 64 and 1024,
-eps' = 1e-12 polynomials; odd series stay exactly odd and vanish exactly
-at 0.
+all blocks and points at once, and the blocks are folded with the
+recurrence's 2x2 homogeneous response in two levels: groups of up to
+CLENSHAW_BLOCK blocks all at once, then the groups from the top.  Near
+|x| = 1 it runs in Reinsch's difference form.  A degree-58k series (905
+blocks in 15 groups of 61) thus takes 64 + 61 + 15 = 140 vectorised steps
+per form instead of 58k scalar-loop steps.  Against an extended-precision
+Clenshaw reference its error on [1/kappa, 1] stays below 1e-2 of the
+polynomial's achieved error for the kappa = 1024, eps' = 1e-12
+polynomial; odd series stay exactly odd and vanish exactly at 0.
 """
 
 from __future__ import annotations
@@ -69,8 +76,9 @@ class QsvtInversionSpec:
         return _clenshaw(x, self.coeffs)
 
 
-# Coefficients per block of the blocked Clenshaw evaluator, and the most
-# elements one of its (blocks + 2) x points work arrays may hold.
+# Coefficients per block of the blocked Clenshaw evaluator, the most blocks
+# one fold group holds, and the most elements one of its (blocks + 2) x
+# points work arrays may hold.
 CLENSHAW_BLOCK = 64
 CLENSHAW_CHUNK = 1 << 20
 
@@ -81,8 +89,12 @@ def _clenshaw(x, coeffs: np.ndarray):
     Block i holds coeffs[i*L : (i+1)*L] with L = CLENSHAW_BLOCK.  The
     recurrence runs for j = L-1..0 on every block from the zero state,
     together with two coefficient-free rows started at the unit states,
-    which give the 2x2 homogeneous response H of L steps.  Folding the
-    blocks from the top, s <- local_i + H s, yields the state at index 0.
+    which give the 2x2 homogeneous response H of L steps.  The fold
+    s <- local_i + H s from the top block down yields the state at index 0.
+    It runs in two levels: the blocks are cut into G groups of at most L
+    consecutive blocks, every group is folded at once from the zero state,
+    again with two unit rows, which give the group response H^g, and the G
+    group states are then folded from the top with H^g.
     Points with |x| < 1/2 use the plain state (b_k, b_{k+1}); points with
     |x| >= 1/2 use Reinsch's state (b_k, b_k - sign(x) b_{k+1}), because
     near |x| = 1 the block-local sums grow like L*|c| and the plain form
@@ -93,7 +105,9 @@ def _clenshaw(x, coeffs: np.ndarray):
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1)
     n_blocks = -(-len(coeffs) // CLENSHAW_BLOCK)
-    rows = n_blocks + 2
+    n_groups = -(-n_blocks // CLENSHAW_BLOCK)
+    group = -(-n_blocks // n_groups)  # pads fewer than n_groups blocks
+    rows = n_groups * group + 2
     table = np.zeros((rows, CLENSHAW_BLOCK))
     table.reshape(-1)[: len(coeffs)] = coeffs
 
@@ -105,11 +119,11 @@ def _clenshaw(x, coeffs: np.ndarray):
         idx = np.flatnonzero(mask)
         for lo in range(0, idx.size, width):
             sel = idx[lo: lo + width]
-            out[sel] = _clenshaw_chunk(flat[sel], table, sign, work)
+            out[sel] = _clenshaw_chunk(flat[sel], table, group, sign, work)
     return out.reshape(x.shape)[()]
 
 
-def _clenshaw_chunk(xs, table, sign, work):
+def _clenshaw_chunk(xs, table, group, sign, work):
     """One chunk of `_clenshaw`; sign 0 selects the plain recurrence."""
     rows = table.shape[0]
     n_blocks = rows - 2
@@ -138,10 +152,26 @@ def _clenshaw_chunk(xs, table, sign, work):
             combine(w, b, out=b)
     h00, h01 = b[n_blocks:]
     h10, h11 = w[n_blocks:]
+
+    # Fold every group of blocks at once; rows n_groups and n_groups + 1
+    # start at the unit states and end as the columns of H^group.
+    n_groups = n_blocks // group
+    loc0 = b[:n_blocks].reshape(n_groups, group, xs.size)
+    loc1 = w[:n_blocks].reshape(n_groups, group, xs.size)
+    g0 = np.zeros((n_groups + 2, xs.size))
+    g1 = np.zeros((n_groups + 2, xs.size))
+    g0[n_groups] = 1.0
+    g1[n_groups + 1] = 1.0
+    for j in range(group - 1, -1, -1):
+        g0, g1 = h00 * g0 + h01 * g1, h10 * g0 + h11 * g1
+        g0[:n_groups] += loc0[:, j]
+        g1[:n_groups] += loc1[:, j]
+    m00, m01 = g0[n_groups:]
+    m10, m11 = g1[n_groups:]
     s0 = np.zeros(xs.size)
     s1 = np.zeros(xs.size)
-    for i in range(n_blocks - 1, -1, -1):
-        s0, s1 = b[i] + h00 * s0 + h01 * s1, w[i] + h10 * s0 + h11 * s1
+    for i in range(n_groups - 1, -1, -1):
+        s0, s1 = g0[i] + m00 * s0 + m01 * s1, g1[i] + m10 * s0 + m11 * s1
     if sign == 0.0:
         return s0 - xs * s1
     ax = sign * xs  # b_0 - x b_1 with b_1 = sign*(b_0 - d_0)
@@ -217,14 +247,36 @@ def _cheb_eval_at_extremes(coeffs: np.ndarray, m: int) -> np.ndarray:
 
 # The smooth engine's DCT grid is capped at this multiple of degree_cap.
 SMOOTH_GRID_PER_DEGREE = 32
+# A series is chopped at the first run of this many odd coefficients below
+# the tolerance: the start of its rounding plateau.
+CHOP_RUN = 256
+
+
+def _chop_degree(coeffs: np.ndarray, tol: float) -> int:
+    """Odd degree of the last coefficient above tol before the first run of
+    CHOP_RUN odd coefficients at or below tol.
+
+    Past that run the DCT coefficients are rounding noise of about 1e-17 to
+    1e-16, whose isolated spikes above a tolerance that low would otherwise
+    set the degree.  Without such a run the last coefficient above tol sets
+    it, as it does when the series is cut off by the grid.
+    """
+    above = np.flatnonzero(np.abs(coeffs[1::2]) > tol)
+    if not len(above):
+        return 1
+    gaps = np.diff(above, append=len(coeffs[1::2]) + CHOP_RUN) - 1
+    return 2 * int(above[np.argmax(gaps >= CHOP_RUN)]) + 1
 
 
 def _smooth_fit(kappa: float, eps_prime: float, degree_cap: int):
     """DCT projection of a Gaussian-regularized 1/(kappa*x) on [-1, 1].
 
     The cutoff width is chosen so the regularization error on
-    [1/kappa, 1] is at most eps_prime / 2; the remaining budget covers
-    truncation of the Chebyshev tail.  The DCT grid is never larger than
+    [1/kappa, 1] is at most eps_prime / 4, reached at x = 1/kappa; the
+    remaining budget covers truncation of the Chebyshev tail, chopped by
+    `_chop_degree`.  The accuracy check covers the grid nodes in
+    [1/kappa, 1] and 1/kappa itself, so a coarse grid cannot miss the
+    peak.  The DCT grid is never larger than
     SMOOTH_GRID_PER_DEGREE * degree_cap points: a first grid beyond that
     raises InfeasibleAccuracyError before anything is allocated, because
     the fitted degree is a fixed fraction of the first grid (at least 1/16
@@ -254,17 +306,14 @@ def _smooth_fit(kappa: float, eps_prime: float, degree_cap: int):
         coeffs = _cheb_coeffs_from_extremes(target(nodes))
         coeffs[0::2] = 0.0
 
-        # Truncate where the coefficient tail is negligible against eps'.
-        mags = np.abs(coeffs)
-        keep = np.nonzero(mags > eps_prime * 1e-4)[0]
-        degree = int(keep[-1]) if len(keep) else 1
-        if degree % 2 == 0:
-            degree += 1
+        degree = _chop_degree(coeffs, eps_prime * 1e-4)
         coeffs = coeffs[: degree + 1]
 
         vals = _cheb_eval_at_extremes(coeffs, m)
         inside = (nodes >= 1.0 / kappa) & (nodes <= 1.0)
         err = float(np.max(np.abs(vals[inside] - 1.0 / (kappa * nodes[inside]))))
+        # The cutoff's error peaks at 1/kappa, which need not be a node.
+        err = max(err, abs(float(_clenshaw(1.0 / kappa, coeffs)) - 1.0))
         if err <= eps_prime and 4 * degree <= m:
             sup_abs = float(np.max(np.abs(vals)))
             return coeffs, err, sup_abs, degree

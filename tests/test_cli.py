@@ -89,6 +89,20 @@ def test_commands_succeed_on_eqqp(tmp_path, command, config):
     ("solve", {"problem": "toy:eqqp",
                "solver": {"kind": "quantum", "degree_cap": 2.5}},
      "solver.degree_cap"),
+    # well-typed values that cannot run
+    ("solve", {"problem": {"name": "hiv", "params": {"N": 2, "s": "abc"}}},
+     "s must be a finite number"),
+    ("solve", {"problem": "toy:eqqp", "solver": {"kind": "noisy", "eps": math.nan}},
+     "solver.eps: must be finite"),
+    ("solve", {"problem": "toy:eqqp",
+               "solver": {"kind": "quantum", "eps_prime_Q": math.inf}},
+     "solver.eps_prime_Q: must lie in (0, 1)"),
+    ("solve", {"problem": "toy:eqqp",
+               "solver": {"kind": "quantum", "eps_prime_S": math.nan}},
+     "solver.eps_prime_S: must lie in (0, 1)"),
+    ("solve", {"problem": "toy:eqqp",
+               "solver": {"kind": "quantum", "degree_cap": 0}},
+     "solver.degree_cap: must be at least 1"),
 ])
 def test_config_errors_exit_one_and_name_the_field(tmp_path, capsys, command,
                                                    config, field):

@@ -132,6 +132,16 @@ class TestTranscribe:
         with pytest.raises(ConfigurationError, match=f"^{jac} must be supplied"):
             OcpDefinition(**{**scalar_linear_ocp().__dict__, **constraints})
 
+    @pytest.mark.parametrize("removed, con", [
+        (dict(path_constraints=None, path_jac=None), "path_constraints"),
+        (dict(n_terminal=1), "terminal_constraints"),
+    ])
+    def test_declared_constraints_without_callable_name_it(self, removed, con):
+        # box1d declares n_path = 1; the first inequalities call would
+        # otherwise fail on None
+        with pytest.raises(ConfigurationError, match=f"^{con} must be supplied"):
+            OcpDefinition(**{**box1d_ocp().__dict__, **removed})
+
 
 def perturbed_hiv_point(nlp, seed):
     """Strictly feasible HIV iterate off the rollout: states and controls

@@ -88,6 +88,17 @@ def clenshaw_longdouble(x, coeffs):
     return c[0] + x * b1 - b2
 
 
+# The interval of the kappa = 1024 polynomial, the band just below 1 where the
+# top singular value of a pre-scaled block lies, and 1 itself.
+LONG_GRID = np.concatenate([np.linspace(1.0 / 1024.0, 1.0, 41),
+                            1.0 - np.array([1e-3, 1e-5, 1e-8, 1e-12, 2.0**-52]), [1.0]])
+
+
+# The long-series tests run at this degree or above, where the blocked
+# evaluator folds about 730 blocks in 12 groups.
+LONG_DEGREE = 46935
+
+
 def random_odd_series(degree, seed):
     coeffs = np.zeros(degree + 1)
     coeffs[1::2] = np.random.default_rng(seed).standard_normal((degree + 1) // 2)
@@ -99,19 +110,52 @@ def spec_kappa64():
     return build_inversion_spec(64.0, 1e-12, degree_cap=400001)
 
 
+@pytest.fixture(scope="module")
+def spec_kappa1024():
+    return build_inversion_spec(1024.0, 1e-12, degree_cap=400001)
+
+
+class TestSmoothChop:
+    def test_degree_set_by_the_series_not_its_rounding_noise(self, spec_kappa64,
+                                                            spec_kappa1024):
+        # The kappa = 64 coefficients fall below 1e-16 by about k = 3900,
+        # but the DCT's rounding noise has spikes above 1e-16 up to
+        # k = 46,935; they must not set the degree.
+        assert spec_kappa64.engine == spec_kappa1024.engine == "smooth"
+        assert spec_kappa64.degree <= 4500
+        assert spec_kappa1024.degree >= 10 * spec_kappa64.degree
+
+    @pytest.mark.parametrize("kappa", [64.0, 1024.0])
+    def test_achieved_err_bounds_a_dense_independent_grid(self, kappa, spec_kappa64,
+                                                          spec_kappa1024):
+        spec = spec_kappa64 if kappa == 64.0 else spec_kappa1024
+        # the cutoff's error peaks at 1/kappa, so the grid is densest there
+        x = np.unique(np.concatenate([np.linspace(1.0 / kappa, 1.0, 4001),
+                                      np.geomspace(1.0 / kappa, 4.0 / kappa, 1001)]))
+        assert x[0] == 1.0 / kappa
+        err = np.max(np.abs(spec(x) - 1.0 / (kappa * spec.beta * x)))
+        assert err <= spec.achieved_err <= 1e-12 / spec.beta
+
+
 class TestClenshaw:
     @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
                         reason="the oracle needs an extended-precision longdouble")
-    @pytest.mark.parametrize("kappa,degree", [(64.0, 46935), (1024.0, 57997)])
-    def test_accuracy_against_extended_precision(self, kappa, degree):
-        spec = build_inversion_spec(kappa, 1e-12, degree_cap=400001)
-        assert spec.engine == "smooth" and spec.degree == degree
-        # the interval, the band just below 1 where the top singular value
-        # of a pre-scaled block lies, and 1 itself
-        x = np.concatenate([np.linspace(1.0 / kappa, 1.0, 41),
-                            1.0 - np.array([1e-3, 1e-5, 1e-8, 1e-12, 2.0**-52]), [1.0]])
-        err = np.abs(spec(x) - clenshaw_longdouble(x, spec.coeffs))
+    def test_accuracy_against_extended_precision(self, spec_kappa1024):
+        spec = spec_kappa1024
+        assert spec.engine == "smooth" and spec.degree >= LONG_DEGREE
+        err = np.abs(spec(LONG_GRID) - clenshaw_longdouble(LONG_GRID, spec.coeffs))
         assert float(np.max(err)) <= 1e-2 * spec.achieved_err
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="the oracle needs an extended-precision longdouble")
+    def test_random_long_series_against_extended_precision(self):
+        # Undamped coefficients: the partial sums do not decay, so the bound
+        # scales with the l1 norm (measured 2.6e-15 of it; numpy's chebval
+        # is off by 1.6e-7 here).
+        coeffs = random_odd_series(LONG_DEGREE, 1)
+        err = np.abs(qsvt._clenshaw(LONG_GRID, coeffs)
+                     - clenshaw_longdouble(LONG_GRID, coeffs))
+        assert float(np.max(err)) <= 1e-14 * np.sum(np.abs(coeffs))
 
     @pytest.mark.parametrize("degree", [3, CLENSHAW_BLOCK - 1, CLENSHAW_BLOCK + 1,
                                         3 * CLENSHAW_BLOCK + 17])
@@ -120,6 +164,17 @@ class TestClenshaw:
         x = np.linspace(-1.0, 1.0, 257)
         np.testing.assert_allclose(qsvt._clenshaw(x, coeffs), cheb.chebval(x, coeffs),
                                    rtol=0.0, atol=1e-12)
+
+    # One full fold group of CLENSHAW_BLOCK blocks, then two groups of 33
+    # blocks (one padded), then three groups of 44 (two padded).
+    @pytest.mark.parametrize("degree", [CLENSHAW_BLOCK**2 - 1, CLENSHAW_BLOCK**2 + 1,
+                                        2 * CLENSHAW_BLOCK**2 + CLENSHAW_BLOCK + 1])
+    def test_matches_chebval_across_fold_groups(self, degree):
+        coeffs = random_odd_series(degree, degree)
+        x = np.linspace(-1.0, 1.0, 257)
+        # chebval's own rounding error grows with the degree (1e-10 here)
+        np.testing.assert_allclose(qsvt._clenshaw(x, coeffs), cheb.chebval(x, coeffs),
+                                   rtol=0.0, atol=1e-13 * degree)
 
     def test_degree_one_is_identity(self):
         x = np.linspace(-1.0, 1.0, 11)
@@ -142,8 +197,9 @@ class TestClenshaw:
                                           -qsvt._clenshaw(x, coeffs))
             assert qsvt._clenshaw(0.0, coeffs) == 0.0
 
-    def test_work_arrays_stay_within_chunk_bound(self, spec_kappa64):
-        coeffs = spec_kappa64.coeffs
+    def test_work_arrays_stay_within_chunk_bound(self):
+        coeffs = random_odd_series(LONG_DEGREE, 2)
+        coeffs /= np.sum(np.abs(coeffs))
         x = np.linspace(-1.0, 1.0, 40001)
         rows = -(-len(coeffs) // CLENSHAW_BLOCK) + 2
         assert rows * x.size > 20 * CLENSHAW_CHUNK  # unchunked would be far larger
