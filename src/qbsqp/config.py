@@ -169,9 +169,11 @@ def validate_config(data: dict) -> ExperimentConfig:
                        for i, s in enumerate(specs)]
 
     cfg.sqp = dict(_mapping(data.get("sqp", {}), "sqp"))
-    for key in cfg.sqp:
+    for key, value in cfg.sqp.items():
         if key not in _SQP_OPTIONS:
             raise ConfigError(f"sqp.{key}: unknown option")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"sqp.{key}: must be finite, got {value!r}")
 
     sweep = _mapping(data.get("sweep", {}), "sweep")
     if sweep:
@@ -190,13 +192,15 @@ def validate_config(data: dict) -> ExperimentConfig:
 
     qsvt = _mapping(data.get("qsvt", {}), "qsvt")
     if qsvt:
-        kappas = _typed_list(qsvt.get("kappas", []), float, "qsvt.kappas")
-        if not kappas:
-            raise ConfigError("qsvt.kappas: must be nonempty")
-        if any(k < 1.0 for k in kappas):
-            raise ConfigError("qsvt.kappas: entries must be >= 1")
-        if not _typed_list(qsvt.get("eps_primes", []), float, "qsvt.eps_primes"):
-            raise ConfigError("qsvt.eps_primes: must be nonempty")
+        for name, admissible, rule in (
+                ("kappas", lambda v: 1.0 <= v < math.inf, "must be finite and >= 1"),
+                ("eps_primes", lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")):
+            values = _typed_list(qsvt.get(name, []), float, f"qsvt.{name}")
+            if not values:
+                raise ConfigError(f"qsvt.{name}: must be nonempty")
+            for i, v in enumerate(values):
+                if not admissible(v):
+                    raise ConfigError(f"qsvt.{name}[{i}]: {rule}, got {v!r}")
         if "matrix_size" in qsvt:
             _typed(qsvt["matrix_size"], int, "qsvt.matrix_size")
         cfg.qsvt = dict(qsvt)

@@ -500,8 +500,7 @@ def run_qsvt_check(cfg: ExperimentConfig) -> tuple[int, dict]:
     for kappa in kappas:
         for eps_prime in eps_primes:
             try:
-                spec = build_inversion_spec(kappa, eps_prime,
-                                            minimize_degree=True)
+                spec = build_inversion_spec(kappa, eps_prime)
             except InfeasibleAccuracyError as exc:
                 rows.append([kappa, eps_prime, "", "", "", f"cap: {exc}"])
                 continue

@@ -185,6 +185,14 @@ class HivParameters:
         for label in weights:
             if getattr(self, label) < 0.0:
                 raise ValueError(f"weight {label} must be nonnegative")
+        for label in ("x0", "scales"):
+            value = getattr(self, label)
+            if (not isinstance(value, (tuple, list)) or len(value) != 3
+                    or not all(not isinstance(v, bool) and isinstance(v, numbers.Real)
+                               and math.isfinite(v) for v in value)):
+                raise ValueError(f"{label} must be 3 finite numbers, got {value!r}")
+        if min(self.scales) <= 0.0:
+            raise ValueError(f"scales must be positive, got {self.scales!r}")
         for label in ("N", "substeps"):
             value = getattr(self, label)
             if isinstance(value, bool) or not isinstance(value, int):

@@ -29,7 +29,6 @@ from .blockenc import (
     operator_norm,
 )
 from .qsvt import (
-    QsvtInversionSpec,
     SpectrumViolationError,
     build_inversion_spec,
     inversion_error_factor,
@@ -238,7 +237,7 @@ def _encode_with_floor(op, eps_target, size, rng):
                   size=size, rng=rng)
 
 
-def _invert_encoding(u, eps_prime, qcfg, spec_cache):
+def _invert_encoding(u, eps_prime, qcfg):
     """Pre-scale to unit top singular value, pick the spectral interval, invert.
 
     Returns the inverse encoding, the spec used, the ledger-level kappa (the
@@ -253,11 +252,7 @@ def _invert_encoding(u, eps_prime, qcfg, spec_cache):
     gamma = 1.0 / s_max
     kappa_fit = _bucket_kappa(s_max / s_min * KAPPA_SAFETY)
 
-    key = (kappa_fit, eps_prime)
-    spec = spec_cache.get(key)
-    if spec is None:
-        spec = build_inversion_spec(kappa_fit, eps_prime, degree_cap=qcfg.degree_cap)
-        spec_cache[key] = spec
+    spec = build_inversion_spec(kappa_fit, eps_prime, degree_cap=qcfg.degree_cap)
 
     u_inv = qsvt_invert(be_rescale(u, gamma), spec)
     return u_inv, spec, kappa_fit * gamma, gamma
@@ -287,7 +282,6 @@ def quantum_schur_step(
     qcfg: QuantumConfig,
     *,
     rng: np.random.Generator | None = None,
-    spec_cache: dict | None = None,
 ) -> SchurSolution:
     """Run the simulated block-encoding pipeline on one KKT system."""
     n, m = qp.n_z, qp.m_eq
@@ -295,8 +289,6 @@ def quantum_schur_step(
         raise ValueError("quantum Schur step requires at least one equality constraint")
     if rng is None:
         rng = np.random.default_rng(qcfg.seed)
-    if spec_cache is None:
-        spec_cache = {}
 
     size = 1 << max(0, math.ceil(math.log2(max(n, m))))
     u_q = _encode_with_floor(qp.Q, qcfg.eps_Q, size, rng)
@@ -306,7 +298,7 @@ def quantum_schur_step(
     u_at = be_transpose(u_a)
 
     u_qinv, spec_q, kappa_q_ledger, gamma_q = _invert_encoding(
-        u_q, qcfg.eps_prime_Q, qcfg, spec_cache
+        u_q, qcfg.eps_prime_Q, qcfg
     )
 
     u_s = be_mul(be_mul(u_a, u_qinv), u_at)
@@ -315,7 +307,7 @@ def quantum_schur_step(
     u_b = be_add(be_neg(u_r), be_neg(u_t3))
 
     u_sinv, spec_s, kappa_s_ledger, gamma_s = _invert_encoding(
-        u_s, qcfg.eps_prime_S, qcfg, spec_cache
+        u_s, qcfg.eps_prime_S, qcfg
     )
 
     u_lam = be_mul(u_sinv, u_b)
@@ -372,8 +364,6 @@ def quantum_schur_step(
         "kappa_S_fit": kappa_s_ledger / gamma_s,
         "gamma_Q": gamma_q,
         "gamma_S": gamma_s,
-        "poly_engine_Q": spec_q.engine,
-        "poly_engine_S": spec_s.engine,
     }
 
     if qcfg.validate_nodes:
@@ -426,12 +416,11 @@ class QuantumSchurSolver:
         self.qcfg = qcfg or QuantumConfig()
         self.name = "quantum"
         self.eps_dz = float("nan")  # per-step value; see diagnostics["eps_dz"]
-        self._spec_cache: dict = {}
         self._calls = 0
 
     def step(self, qp: QpData) -> SchurSolution:
         rng = np.random.default_rng((self.qcfg.seed, self._calls))
         self._calls += 1
-        sol = quantum_schur_step(qp, self.qcfg, rng=rng, spec_cache=self._spec_cache)
+        sol = quantum_schur_step(qp, self.qcfg, rng=rng)
         self.eps_dz = sol.diagnostics["eps_dz"]
         return sol

@@ -42,16 +42,19 @@ class SqpConfig:
     max_backtracks: int = 60
 
     def __post_init__(self):
-        if self.mu0 <= 0.0 or self.mu_min <= 0.0:
-            raise ValueError("mu0 and mu_min must be positive")
+        # Each check is written so that NaN fails it.
+        if not (0.0 < self.mu0 < np.inf and 0.0 < self.mu_min < np.inf):
+            raise ValueError("mu0 and mu_min must be positive and finite")
+        if self.mu_clamp is not None and not np.isfinite(self.mu_clamp):
+            raise ValueError("mu_clamp must be finite")
         for label, val in (("armijo_c", self.armijo_c),
                            ("backtrack_tau", self.backtrack_tau),
                            ("boundary_theta", self.boundary_theta),
                            ("beta", self.beta)):
             if not 0.0 < val < 1.0:
                 raise ValueError(f"{label} must lie strictly inside (0, 1)")
-        if self.eps_opt <= 0.0 or self.eps_feas <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.eps_opt < np.inf and 0.0 < self.eps_feas < np.inf):
+            raise ValueError("tolerances must be positive and finite")
         for label in ("max_outer_iters", "max_backtracks"):
             cap = getattr(self, label)
             if isinstance(cap, bool) or not isinstance(cap, int):

@@ -103,6 +103,38 @@ def test_commands_succeed_on_eqqp(tmp_path, command, config):
     ("solve", {"problem": "toy:eqqp",
                "solver": {"kind": "quantum", "degree_cap": 0}},
      "solver.degree_cap: must be at least 1"),
+    ("qsvt-check", {"problem": "toy:eqqp",
+                    "qsvt": {"kappas": [2.0, math.nan], "eps_primes": [1.0e-2]}},
+     "qsvt.kappas[1]: must be finite and >= 1"),
+    ("qsvt-check", {"problem": "toy:eqqp",
+                    "qsvt": {"kappas": [math.inf], "eps_primes": [1.0e-2]}},
+     "qsvt.kappas[0]: must be finite and >= 1"),
+    ("qsvt-check", {"problem": "toy:eqqp",
+                    "qsvt": {"kappas": [0.5], "eps_primes": [1.0e-2]}},
+     "qsvt.kappas[0]: must be finite and >= 1"),
+    ("qsvt-check", {"problem": "toy:eqqp",
+                    "qsvt": {"kappas": [2.0], "eps_primes": [1.0e-2, 2.0]}},
+     "qsvt.eps_primes[1]: must lie in (0, 1)"),
+    ("qsvt-check", {"problem": "toy:eqqp",
+                    "qsvt": {"kappas": [2.0], "eps_primes": [0.0]}},
+     "qsvt.eps_primes[0]: must lie in (0, 1)"),
+    ("solve", {"problem": "toy:box1d", "sqp": {"mu0": math.nan}},
+     "sqp.mu0: must be finite"),
+    ("solve", {"problem": "toy:box1d", "sqp": {"eps_opt": math.nan}},
+     "sqp.eps_opt: must be finite"),
+    ("solve", {"problem": "toy:box1d", "sqp": {"mu_min": math.inf}},
+     "sqp.mu_min: must be finite"),
+    ("solve", {"problem": "toy:box1d", "sqp": {"mu_clamp": math.nan}},
+     "sqp.mu_clamp: must be finite"),
+    ("solve", {"problem": {"name": "hiv", "params": {"N": 2, "x0": "abc"}}},
+     "x0 must be 3 finite numbers"),
+    ("solve", {"problem": {"name": "hiv", "params": {"N": 2, "x0": [1.0, 2.0]}}},
+     "x0 must be 3 finite numbers"),
+    ("solve", {"problem": {"name": "hiv",
+                           "params": {"N": 2, "scales": [1.0, math.nan, 1.0]}}},
+     "scales must be 3 finite numbers"),
+    ("solve", {"problem": {"name": "hiv", "params": {"N": 2, "scales": [1, 0, 1]}}},
+     "scales must be positive"),
 ])
 def test_config_errors_exit_one_and_name_the_field(tmp_path, capsys, command,
                                                    config, field):
@@ -125,15 +157,15 @@ def test_quantum_default_on_double_integrator_exits_two(tmp_path, capsys):
 
 
 def test_quantum_grid_beyond_degree_cap_exits_two(tmp_path, capsys):
-    # Damping leaves kappa_Q near 1e8; the smooth fit would ask for a grid
-    # of 2^35 points (256 GiB) and is refused before any allocation.
+    # Damping leaves kappa_Q near 1e8 (bucketed to 2^27); the predicted
+    # degree of about 3e9 is refused before any allocation.
     code, _ = run(tmp_path, "solve", {
         "problem": "toy:box1d",
         "solver": {"kind": "quantum", "eps_prime_Q": 1.0e-8, "eps_prime_S": 1.0e-8}})
     assert code == 2
     err = capsys.readouterr().err
     assert "InfeasibleAccuracyError" in err
-    for part in ("kappa=", "eps'=1e-08", "grid of", "degree cap 4001"):
+    for part in ("kappa=", "eps'=1e-08", "predicted degree", "degree cap 4001"):
         assert part in err
 
 
@@ -267,11 +299,13 @@ def test_removed_options_are_config_errors(tmp_path, capsys, section, kind,
     assert f"{section}.{option}" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize adds about 0.15 s to every process start.
+@pytest.mark.parametrize("module", ["scipy.optimize", "scipy.fft"])
+def test_cli_import_leaves_scipy_module_unloaded(module):
+    # scipy.optimize and scipy.fft add about 0.15 s and 0.07 s to every
+    # process start.
     src = os.path.dirname(os.path.dirname(os.path.abspath(qbsqp.__file__)))
     code = ("import sys, qbsqp.cli; "
-            "sys.exit(int('scipy.optimize' in sys.modules))")
+            f"sys.exit(int({module!r} in sys.modules))")
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 

@@ -114,7 +114,6 @@ class TestQuantumSchurStep:
 
     def test_budget_validity_random_instances(self):
         rng = np.random.default_rng(0)
-        cache = {}
         for trial in range(15):
             qp = random_qp(rng)
             eps_in = 10.0 ** rng.uniform(-9, -6, size=4)
@@ -122,7 +121,7 @@ class TestQuantumSchurStep:
                 eps_Q=eps_in[0], eps_A=eps_in[1], eps_g=eps_in[2], eps_r=eps_in[3],
                 eps_prime_Q=1e-9, eps_prime_S=1e-9, seed=trial, degree_cap=100000,
             )
-            sol = quantum_schur_step(qp, qcfg, spec_cache=cache)
+            sol = quantum_schur_step(qp, qcfg)
             err = np.linalg.norm(sol.dz - exact_step(qp).dz)
             assert err <= sol.diagnostics["eps_dz"]
 
@@ -137,11 +136,9 @@ class TestQuantumSchurStep:
 
     def test_success_probability_law(self):
         rng = np.random.default_rng(2)
-        cache = {}
         for trial in range(20):
             qp = random_qp(rng)
-            sol = quantum_schur_step(
-                qp, QuantumConfig(degree_cap=100000), spec_cache=cache)
+            sol = quantum_schur_step(qp, QuantumConfig(degree_cap=100000))
             lg = sol.diagnostics["ledger"]
             expected = np.linalg.norm(sol.dz) ** 2 / lg.alpha_dz**2
             assert abs(lg.p_succ - expected) <= 1e-12

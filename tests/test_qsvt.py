@@ -1,16 +1,13 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from numpy.polynomial import chebyshev as cheb
 
-from qbsqp import qsvt
 from qbsqp.blockenc import encode
 from qbsqp.qsvt import (
-    CLENSHAW_BLOCK,
-    CLENSHAW_CHUNK,
-    LSQ_DEGREE_MAX,
+    SIGMA_TOL,
     InfeasibleAccuracyError,
     SpectrumViolationError,
     build_inversion_spec,
@@ -25,10 +22,47 @@ def random_spd_with_spectrum(n, lo, hi, rng):
     return (q * eigs) @ q.T
 
 
+def chebyshev_recurrence(d, lvals):
+    """T_d by the three-term recurrence in extended precision."""
+    t_prev, t = np.ones_like(lvals), lvals
+    for _ in range(d - 1):
+        t_prev, t = t, 2 * lvals * t - t_prev
+    return t
+
+
+def closed_form_longdouble(spec, x):
+    """p(x)/beta of the spec from its definition, in extended precision: the
+    test oracle.  Assumes x != 0."""
+    x = np.asarray(x, dtype=np.longdouble)
+    a = 1 / np.longdouble(spec.kappa)
+    lvals = (1 + a * a - 2 * x * x) / (1 - a * a)
+    l0 = np.array([(1 + a * a) / (1 - a * a)])
+    t0 = chebyshev_recurrence(spec.d, l0)[0]
+    return (1 - chebyshev_recurrence(spec.d, lvals) / t0) / (spec.kappa * spec.beta * x)
+
+
+def achieser_floor(kappa, degree):
+    """Lower bound on sup |p - 1/(kappa*x)| on [1/kappa, 1] over odd p.
+
+    With a = 1/kappa, y = x^2 and p(x) = x q(y), deg q = k = (degree-1)/2,
+    the error is x |q(y) - a/y| >= a^2 |q(y)/a - 1/y| on [a^2, 1].
+    Achieser's closed form for the best approximation of 1/y there gives
+    (1 - a^2)/(2 a^2) rho^k with rho = (1 - a)/(1 + a).
+    """
+    a = 1.0 / kappa
+    return 0.5 * (1.0 - a * a) * ((1.0 - a) / (1.0 + a)) ** ((degree - 1) // 2)
+
+
+DOUBLE_EPS = np.finfo(float).eps
+needs_longdouble = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps > 1e-18,
+    reason="the oracle needs an extended-precision longdouble")
+
+
 class TestInversionSpec:
     def test_degenerate_interval_kappa_one(self):
         spec = build_inversion_spec(1.0, 1e-6)
-        assert spec.degree <= 3
+        assert spec.degree <= 3 and spec.engine == "exact"
         # p(1) * kappa * beta recovers 1/1 within eps'.
         assert abs(spec(1.0) * spec.kappa * spec.beta - 1.0) <= 1e-6
 
@@ -45,193 +79,133 @@ class TestInversionSpec:
         x = np.linspace(-1.0, 1.0, 20001)
         assert np.max(np.abs(spec(x))) <= 1.0 + 1e-12
         xg = np.linspace(0.0, 1.0, 1000)
-        np.testing.assert_allclose(spec(-xg), -spec(xg), atol=1e-14)
-        assert np.all(spec.coeffs[0::2] == 0.0)
+        np.testing.assert_array_equal(spec(-xg), -spec(xg))
+        assert spec(0.0) == 0.0
+
+    def test_scalar_and_shaped_input(self):
+        spec = build_inversion_spec(8.0, 1e-8)
+        y = spec(0.3)
+        assert isinstance(y, float) and np.ndim(y) == 0
+        grid = np.array([[0.1, -0.2], [0.5, 0.9]])
+        out = spec(grid)
+        assert out.shape == (2, 2)
+        np.testing.assert_array_equal(out.ravel(), spec(grid.ravel()))
+
+    @pytest.mark.parametrize("kappa,epsp", [(2.0, 1e-6), (64.0, 1e-12),
+                                            (1024.0, 1e-12), (1024.0, 1e-6)])
+    def test_degree_is_predicted_from_kappa_and_eps(self, kappa, epsp):
+        spec = build_inversion_spec(kappa, epsp, degree_cap=400001)
+        d = math.ceil(math.acosh(8.0 / epsp) / (2.0 * math.atanh(1.0 / kappa)))
+        assert spec.engine == "chebyshev"
+        assert (spec.d, spec.degree) == (d, 2 * d - 1)
+        assert spec.t0 >= 8.0 / epsp
+        assert spec.achieved_err == 1.0 / (spec.t0 * spec.beta) <= epsp / 8.0
+
+    def test_hiv_quantum_specs_keep_beta_four(self):
+        # sup |p| <= 3.90 from the analytic bound at eps' = 1e-12
+        for kappa in (64.0, 1024.0):
+            spec = build_inversion_spec(kappa, 1e-12, degree_cap=400001)
+            assert spec.beta == 4.0
+            assert 0.97 <= spec.sup_abs <= 1.0
 
     def test_degree_grows_roughly_linearly_in_kappa(self):
-        degrees = [
-            build_inversion_spec(k, 1e-8, minimize_degree=True).degree
-            for k in (10, 20)
-        ]
+        degrees = [build_inversion_spec(k, 1e-8).degree for k in (10, 20)]
         assert 1.6 <= degrees[1] / degrees[0] <= 2.6
+
+    def test_near_optimal_against_achieser_floor(self):
+        # No odd polynomial of degree below the floor degree reaches the
+        # spec's own (unscaled) error; the spec is within 10% of it.
+        spec = build_inversion_spec(64.0, 1e-12)
+        err = spec.achieved_err * spec.beta
+        floor_degree = 1
+        while achieser_floor(64.0, floor_degree) > err:
+            floor_degree += 2
+        assert floor_degree <= spec.degree <= 1.1 * floor_degree
 
     def test_degree_cap_raises(self):
         with pytest.raises(InfeasibleAccuracyError):
             build_inversion_spec(64.0, 1e-10, degree_cap=31)
 
-    def test_smooth_engine_matches_constraints(self):
-        # Least squares misses 1e-8 below its degree limit at kappa = 64.
-        spec = build_inversion_spec(64.0, 1e-8)
-        assert spec.engine == "smooth"
-        x = np.linspace(1.0 / 64.0, 1.0, 4001)
-        err = np.max(np.abs(spec(x) - 1.0 / (64.0 * spec.beta * x)))
-        assert err <= 1e-8
-        xb = np.linspace(-1.0, 1.0, 40001)
-        assert np.max(np.abs(spec(xb))) <= 1.0 + 1e-12
-        assert np.all(spec.coeffs[0::2] == 0.0)
+    @pytest.mark.parametrize("cap", [1, 2, 36, 37, 38])
+    def test_degree_never_exceeds_cap(self, cap):
+        # kappa = 4 at eps' = 1e-3 needs degree 37
+        try:
+            spec = build_inversion_spec(4.0, 1e-3, degree_cap=cap)
+        except InfeasibleAccuracyError:
+            assert cap < 37
+        else:
+            assert spec.degree == 37 <= cap
 
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            build_inversion_spec(0.5, 1e-6)
-        with pytest.raises(ValueError):
-            build_inversion_spec(2.0, 1.5)
-
-
-def clenshaw_longdouble(x, coeffs):
-    """Plain Clenshaw recurrence in extended precision: the test oracle."""
-    x = np.asarray(x, dtype=np.longdouble)
-    c = np.asarray(coeffs, dtype=np.longdouble)
-    b1 = np.zeros_like(x)
-    b2 = np.zeros_like(x)
-    for k in range(len(c) - 1, 0, -1):
-        b1, b2 = c[k] + 2 * x * b1 - b2, b1
-    return c[0] + x * b1 - b2
-
-
-# The interval of the kappa = 1024 polynomial, the band just below 1 where the
-# top singular value of a pre-scaled block lies, and 1 itself.
-LONG_GRID = np.concatenate([np.linspace(1.0 / 1024.0, 1.0, 41),
-                            1.0 - np.array([1e-3, 1e-5, 1e-8, 1e-12, 2.0**-52]), [1.0]])
-
-
-# The long-series tests run at this degree or above, where the blocked
-# evaluator folds about 730 blocks in 12 groups.
-LONG_DEGREE = 46935
-
-
-def random_odd_series(degree, seed):
-    coeffs = np.zeros(degree + 1)
-    coeffs[1::2] = np.random.default_rng(seed).standard_normal((degree + 1) // 2)
-    return coeffs
-
-
-@pytest.fixture(scope="module")
-def spec_kappa64():
-    return build_inversion_spec(64.0, 1e-12, degree_cap=400001)
-
-
-@pytest.fixture(scope="module")
-def spec_kappa1024():
-    return build_inversion_spec(1024.0, 1e-12, degree_cap=400001)
-
-
-class TestSmoothChop:
-    def test_degree_set_by_the_series_not_its_rounding_noise(self, spec_kappa64,
-                                                            spec_kappa1024):
-        # The kappa = 64 coefficients fall below 1e-16 by about k = 3900,
-        # but the DCT's rounding noise has spikes above 1e-16 up to
-        # k = 46,935; they must not set the degree.
-        assert spec_kappa64.engine == spec_kappa1024.engine == "smooth"
-        assert spec_kappa64.degree <= 4500
-        assert spec_kappa1024.degree >= 10 * spec_kappa64.degree
-
-    @pytest.mark.parametrize("kappa", [64.0, 1024.0])
-    def test_achieved_err_bounds_a_dense_independent_grid(self, kappa, spec_kappa64,
-                                                          spec_kappa1024):
-        spec = spec_kappa64 if kappa == 64.0 else spec_kappa1024
-        # the cutoff's error peaks at 1/kappa, so the grid is densest there
-        x = np.unique(np.concatenate([np.linspace(1.0 / kappa, 1.0, 4001),
-                                      np.geomspace(1.0 / kappa, 4.0 / kappa, 1001)]))
-        assert x[0] == 1.0 / kappa
-        err = np.max(np.abs(spec(x) - 1.0 / (kappa * spec.beta * x)))
-        assert err <= spec.achieved_err <= 1e-12 / spec.beta
-
-
-class TestClenshaw:
-    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
-                        reason="the oracle needs an extended-precision longdouble")
-    def test_accuracy_against_extended_precision(self, spec_kappa1024):
-        spec = spec_kappa1024
-        assert spec.engine == "smooth" and spec.degree >= LONG_DEGREE
-        err = np.abs(spec(LONG_GRID) - clenshaw_longdouble(LONG_GRID, spec.coeffs))
-        assert float(np.max(err)) <= 1e-2 * spec.achieved_err
-
-    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
-                        reason="the oracle needs an extended-precision longdouble")
-    def test_random_long_series_against_extended_precision(self):
-        # Undamped coefficients: the partial sums do not decay, so the bound
-        # scales with the l1 norm (measured 2.6e-15 of it; numpy's chebval
-        # is off by 1.6e-7 here).
-        coeffs = random_odd_series(LONG_DEGREE, 1)
-        err = np.abs(qsvt._clenshaw(LONG_GRID, coeffs)
-                     - clenshaw_longdouble(LONG_GRID, coeffs))
-        assert float(np.max(err)) <= 1e-14 * np.sum(np.abs(coeffs))
-
-    @pytest.mark.parametrize("degree", [3, CLENSHAW_BLOCK - 1, CLENSHAW_BLOCK + 1,
-                                        3 * CLENSHAW_BLOCK + 17])
-    def test_matches_chebval_at_any_degree(self, degree):
-        coeffs = random_odd_series(degree, degree)
-        x = np.linspace(-1.0, 1.0, 257)
-        np.testing.assert_allclose(qsvt._clenshaw(x, coeffs), cheb.chebval(x, coeffs),
-                                   rtol=0.0, atol=1e-12)
-
-    # One full fold group of CLENSHAW_BLOCK blocks, then two groups of 33
-    # blocks (one padded), then three groups of 44 (two padded).
-    @pytest.mark.parametrize("degree", [CLENSHAW_BLOCK**2 - 1, CLENSHAW_BLOCK**2 + 1,
-                                        2 * CLENSHAW_BLOCK**2 + CLENSHAW_BLOCK + 1])
-    def test_matches_chebval_across_fold_groups(self, degree):
-        coeffs = random_odd_series(degree, degree)
-        x = np.linspace(-1.0, 1.0, 257)
-        # chebval's own rounding error grows with the degree (1e-10 here)
-        np.testing.assert_allclose(qsvt._clenshaw(x, coeffs), cheb.chebval(x, coeffs),
-                                   rtol=0.0, atol=1e-13 * degree)
-
-    def test_degree_one_is_identity(self):
-        x = np.linspace(-1.0, 1.0, 11)
-        np.testing.assert_array_equal(qsvt._clenshaw(x, np.array([0.0, 1.0])), x)
-
-    def test_scalar_and_shaped_input(self):
-        coeffs = random_odd_series(99, 7)
-        y = qsvt._clenshaw(0.3, coeffs)
-        assert isinstance(y, float) and np.ndim(y) == 0
-        assert y == pytest.approx(cheb.chebval(0.3, coeffs), abs=1e-13)
-        grid = np.array([[0.1, -0.2], [0.5, 0.9]])
-        out = qsvt._clenshaw(grid, coeffs)
-        assert out.shape == (2, 2)
-        np.testing.assert_array_equal(out.ravel(), qsvt._clenshaw(grid.ravel(), coeffs))
-
-    def test_odd_series_exactly_odd_and_zero_at_origin(self, spec_kappa64):
-        for coeffs in (random_odd_series(3 * CLENSHAW_BLOCK + 17, 3), spec_kappa64.coeffs):
-            x = np.linspace(0.0, 1.0, 129)
-            np.testing.assert_array_equal(qsvt._clenshaw(-x, coeffs),
-                                          -qsvt._clenshaw(x, coeffs))
-            assert qsvt._clenshaw(0.0, coeffs) == 0.0
-
-    def test_work_arrays_stay_within_chunk_bound(self):
-        coeffs = random_odd_series(LONG_DEGREE, 2)
-        coeffs /= np.sum(np.abs(coeffs))
-        x = np.linspace(-1.0, 1.0, 40001)
-        rows = -(-len(coeffs) // CLENSHAW_BLOCK) + 2
-        assert rows * x.size > 20 * CLENSHAW_CHUNK  # unchunked would be far larger
+    def test_rounded_interval_raises_with_prediction_before_allocation(self):
+        # At kappa = 2^27, 1 + 1/kappa^2 rounds to 1, so l(0) = 1 in double
+        # precision; theta_0 = 2 atanh(1/kappa) stays positive.
+        kappa = 2.0**27
         tracemalloc.start()
         try:
-            y = qsvt._clenshaw(x, coeffs)
+            with pytest.raises(InfeasibleAccuracyError) as info:
+                build_inversion_spec(kappa, 1e-8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # three work arrays of at most CLENSHAW_CHUNK doubles, plus O(points)
-        assert peak <= 8 * (3 * CLENSHAW_CHUNK + 8 * x.size)
-        assert np.max(np.abs(y)) <= 1.0
+        assert peak < 1 << 16
+        message = str(info.value)
+        for part in ("kappa=1.34218e+08", "eps'=1e-08", "degree cap 4001"):
+            assert part in message
+        predicted = float(re.search(r"predicted degree (\d+)", message).group(1))
+        theta0 = 2.0 * math.atanh(1.0 / kappa)
+        assert abs(predicted - (2.0 * math.acosh(8e8) / theta0 - 1.0)) <= 1.0
+
+    def test_invalid_parameters(self):
+        for kappa, epsp in ((0.5, 1e-6), (2.0, 1.5), (math.nan, 1e-6),
+                            (math.inf, 1e-6), (2.0, math.nan)):
+            with pytest.raises(ValueError):
+                build_inversion_spec(kappa, epsp)
 
 
-class TestLsqPreflight:
-    @pytest.mark.parametrize("kappa", [2.0, 4.0, 16.0, 64.0, 256.0])
-    def test_skipped_fits_cannot_reach_target(self, kappa):
-        degree = max(3, int(2 * math.ceil(kappa / 2) + 1))
-        while degree <= LSQ_DEGREE_MAX:
-            floor = qsvt._odd_fit_error_floor(kappa, degree)
-            _, err = qsvt._lsq_fit(kappa, degree)
-            assert floor <= err
-            for eps_prime in (1e-3, 1e-6, 1e-8, 1e-10, 1e-12):
-                if floor > eps_prime:  # build_inversion_spec skips this fit
-                    assert err > eps_prime
-            degree = 2 * degree + 1
+class TestClosedFormOracle:
+    @needs_longdouble
+    @pytest.mark.parametrize("kappa,epsp", [(2.0, 1e-6), (64.0, 1e-12),
+                                            (1024.0, 1e-12)])
+    def test_matches_extended_precision_at_the_edges(self, kappa, epsp):
+        spec = build_inversion_spec(kappa, epsp, degree_cap=400001)
+        x = np.concatenate([
+            np.linspace(1.0 / kappa, 1.0, 41),
+            [1.0 / kappa, 0.5 / kappa, 1.0 - 1e-12, 1.0 - DOUBLE_EPS,
+             1.0 + SIGMA_TOL, 1.0 - SIGMA_TOL, 1.0 / kappa - SIGMA_TOL],
+        ])
+        got = spec(x)
+        want = closed_form_longdouble(spec, x)
+        np.testing.assert_allclose(got.astype(np.longdouble), want,
+                                   rtol=16 * DOUBLE_EPS, atol=0.0)
 
-    def test_engine_selection_pinned(self):
-        smooth = build_inversion_spec(64.0, 1e-8)
-        assert smooth.engine == "smooth"
-        lsq = build_inversion_spec(16.0, 1e-6)
-        assert lsq.engine == "lsq" and lsq.degree == 287
+    @needs_longdouble
+    @pytest.mark.parametrize("kappa,epsp", [(8.0, 1e-6), (64.0, 1e-12)])
+    def test_declared_bounds_hold_on_a_dense_grid(self, kappa, epsp):
+        spec = build_inversion_spec(kappa, epsp)
+        # the error peaks at 1/kappa, so the grid is densest there
+        x = np.unique(np.concatenate([np.linspace(1.0 / kappa, 1.0, 4001),
+                                      np.geomspace(1.0 / kappa, 4.0 / kappa, 1001)]))
+        true_err = np.max(np.abs(closed_form_longdouble(spec, x)
+                                 - 1 / (kappa * spec.beta * x.astype(np.longdouble))))
+        # 1/T_0 is attained at x = 1/kappa, where T_d(l) = 1; the error is
+        # a difference of O(1) values, rounded in extended precision
+        rounding = 16 * np.finfo(np.longdouble).eps
+        assert abs(true_err - spec.achieved_err) <= rounding
+        float_err = np.max(np.abs(spec(x) - 1.0 / (kappa * spec.beta * x)))
+        assert float_err <= spec.achieved_err + 4 * DOUBLE_EPS
+
+        xb = np.linspace(1e-6, 1.0, 8001)
+        assert np.max(np.abs(closed_form_longdouble(spec, xb))) <= spec.sup_abs <= 1.0
+
+    def test_huge_kappa_evaluates_without_nan(self):
+        # the toy:box1d interval, where 1 + 1/kappa^2 rounds to 1
+        kappa = 2.0**27
+        spec = build_inversion_spec(kappa, 1e-8, degree_cap=1 << 32)
+        x = np.array([0.5 / kappa, 1.0 / kappa, 1e-4, 0.5, 1.0 - SIGMA_TOL, 1.0])
+        p = spec(x)
+        assert np.all(np.isfinite(p)) and np.all(np.abs(p) <= spec.sup_abs)
+        inside = p[1:] - 1.0 / (kappa * spec.beta * x[1:])
+        assert np.max(np.abs(inside)) <= 1e-8
 
 
 class TestQsvtInvert:
