@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import cho_factor, LinAlgError
 
-from .schur import QpData
+from .schur import QpData, SingularityError
 
 
 class ConfigurationError(ValueError):
@@ -461,7 +461,8 @@ def build_qp(
     added to stage k's diagonal block (the terminal rows to z_N's) and Q
     keeps the block-diagonal structure of the cost Hessian.  Positive
     definiteness is asserted by a Cholesky attempt, doubling sigma (from a
-    1e-8 floor) on failure.  The accepted factor is handed on as
+    1e-8 floor) on failure; SingularityError is raised once MAX_DAMPINGS
+    doublings have failed too.  The accepted factor is handed on as
     ``QpData.chol_Q``.
     ``point`` holds the first-order quantities at z; they are evaluated here
     when omitted.
@@ -492,8 +493,9 @@ def build_qp(
         except (LinAlgError, np.linalg.LinAlgError):
             attempts += 1
             if attempts > MAX_DAMPINGS:
-                raise ValueError(
-                    f"Q not positive definite after {MAX_DAMPINGS} damping doublings")
+                raise SingularityError(
+                    f"Q not positive definite after {attempts} Cholesky attempts "
+                    f"(last sigma = {sigma:.3e})")
             sigma = max(1e-8, 2.0 * sigma)
 
     return QpData(

@@ -42,7 +42,8 @@ from .blockenc import BlockEncoding, EncodingError
 
 
 class InfeasibleAccuracyError(RuntimeError):
-    """The degree that meets the accuracy target exceeds the degree cap."""
+    """The degree that meets the accuracy target exceeds the degree cap, or
+    its T_0 overflows double precision."""
 
 
 class SpectrumViolationError(RuntimeError):
@@ -96,7 +97,7 @@ def build_inversion_spec(kappa: float, eps_prime: float, *,
     """Construct the odd inversion polynomial for the interval [1/kappa, 1].
 
     Raises InfeasibleAccuracyError, before any work, when the predicted
-    degree exceeds degree_cap.
+    degree exceeds degree_cap or T_0 = cosh(d theta_0) overflows.
     """
     if not 1.0 <= kappa < math.inf:
         raise ValueError("kappa must be finite and >= 1")
@@ -121,7 +122,12 @@ def build_inversion_spec(kappa: float, eps_prime: float, *,
             f"predicted degree {2.0 * half - 1.0:.0f} for kappa={kappa:g}, "
             f"eps'={eps_prime:g} exceeds degree cap {degree_cap}")
     d = math.ceil(half)
-    t0 = math.cosh(d * theta0)
+    try:
+        t0 = math.cosh(d * theta0)
+    except OverflowError:
+        raise InfeasibleAccuracyError(
+            f"T_0 = cosh({d * theta0:.6g}) at degree {2 * d - 1} for kappa={kappa:g}, "
+            f"eps'={eps_prime:g} overflows double precision") from None
 
     c_a = d * math.tanh(d * theta0) * a  # the bound C x at x = a
     sup_abs = max(1.0 + 1.0 / t0, min(c_a, math.sqrt(c_a)))

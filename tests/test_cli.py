@@ -7,12 +7,15 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 import yaml
 
 import qbsqp
 from qbsqp import cli, experiments
 from qbsqp.config import validate_config
+from qbsqp.models import eqqp_ocp
+from qbsqp.nlp import OcpDefinition, transcribe
 
 BOX1D_SWEEP = {
     "problem": "toy:box1d",
@@ -169,6 +172,37 @@ def test_quantum_grid_beyond_degree_cap_exits_two(tmp_path, capsys):
         assert part in err
 
 
+def test_overflowing_inversion_grid_writes_a_row_and_exits_zero(tmp_path):
+    # At kappa = 1.01, eps' = 5e-308 the degree is small but T_0 overflows.
+    code, out_dir = run(tmp_path, "qsvt-check", {
+        "problem": "toy:eqqp",
+        "qsvt": {"kappas": [1.01], "eps_primes": [5.0e-308], "matrix_size": 4}})
+    assert code == 0
+    rows = (out_dir / "qsvt.csv").read_text().splitlines()
+    assert len(rows) == 2
+    assert rows[1].startswith("1.01,") and "overflows" in rows[1]
+
+
+def test_exhausted_damping_exits_two(tmp_path, monkeypatch, capsys):
+    # A stage Hessian of -1e6 I outlasts every damping doubling of build_qp.
+    concave = OcpDefinition(**{
+        **eqqp_ocp().__dict__,
+        "stage_cost_hess": lambda xs, us: np.broadcast_to(-1e6 * np.eye(2),
+                                                          (len(xs), 2, 2))})
+    real_build = experiments.build_problem
+
+    def build_concave(cfg):
+        setup = real_build(cfg)
+        setup.nlp = transcribe(concave)
+        return setup
+
+    monkeypatch.setattr(experiments, "build_problem", build_concave)
+    code, _ = run(tmp_path, "solve", {"problem": "toy:eqqp"})
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "SingularityError" in err and "last sigma" in err
+
+
 def test_partial_sweep_exits_three_and_sorts_failures(tmp_path, monkeypatch):
     real_cell = experiments._sweep_cell
     failing = [(1.0e-3, 1.0e-4), (1.0e-3, 1.0e-3)]
@@ -284,6 +318,7 @@ def test_usage_errors_exit_one_and_help_exits_zero(argv, code):
     ("solver", "quantum", "minimize_degree", True),
     ("solver", "quantum", "readout_mode", "sampled"),
     ("solver", "quantum", "shots", 100),
+    ("solver", "quantum", "validate_nodes", True),
     ("solver", "noisy", "lambda_mode", "consistent"),
     ("sqp", None, "sigma0", 1.0e-8),
     ("sqp", None, "barrier_kind", "log"),

@@ -15,6 +15,7 @@ from qbsqp.models import (
     hiv_ocp,
 )
 from qbsqp.nlp import (
+    MAX_DAMPINGS,
     BarrierConfig,
     ConfigurationError,
     InfeasiblePointError,
@@ -29,6 +30,7 @@ from qbsqp.nlp import (
     transcribe,
     validate_derivatives,
 )
+from qbsqp.schur import SingularityError
 
 
 def fd_hessian(fun, x):
@@ -428,6 +430,18 @@ class TestBuildQp:
         qp = build_qp(nlp, np.zeros(3), BarrierConfig(mu=1.0))
         assert qp.diagnostics["sigma"] >= 1e-8
         assert np.linalg.eigvalsh(qp.Q).min() > 0.0
+
+    def test_exhausted_damping_raises_singularity_error(self):
+        # sigma stops at 1e-8 * 2^39 ~ 5.5e3, short of a -1e6 I stage Hessian.
+        concave = OcpDefinition(**{
+            **scalar_linear_ocp().__dict__,
+            "stage_cost_hess": lambda xs, us: np.broadcast_to(-1e6 * np.eye(2),
+                                                              (len(xs), 2, 2))})
+        nlp = transcribe(concave)
+        with pytest.raises(SingularityError,
+                           match=rf"after {MAX_DAMPINGS + 1} Cholesky attempts "
+                                 r"\(last sigma = 5\.498e\+03\)"):
+            build_qp(nlp, np.zeros(nlp.n_z), BarrierConfig(mu=1.0))
 
 
 class TestValidateDerivatives:

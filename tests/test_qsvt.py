@@ -155,6 +155,14 @@ class TestInversionSpec:
         theta0 = 2.0 * math.atanh(1.0 / kappa)
         assert abs(predicted - (2.0 * math.acosh(8e8) / theta0 - 1.0)) <= 1.0
 
+    @pytest.mark.parametrize("eps_prime", [5e-308, 1e-306])
+    def test_overflowing_t0_raises_typed_error(self, eps_prime):
+        # The degree is small, but cosh(d theta_0) exceeds the largest double.
+        with pytest.raises(InfeasibleAccuracyError) as info:
+            build_inversion_spec(1.01, eps_prime)
+        for part in ("kappa=1.01", f"eps'={eps_prime:g}", "overflows"):
+            assert part in str(info.value)
+
     def test_invalid_parameters(self):
         for kappa, epsp in ((0.5, 1e-6), (2.0, 1.5), (math.nan, 1e-6),
                             (math.inf, 1e-6), (2.0, math.nan)):
