@@ -502,7 +502,7 @@ def run_qsvt_check(cfg: ExperimentConfig) -> tuple[int, dict]:
             try:
                 spec = build_inversion_spec(kappa, eps_prime)
             except InfeasibleAccuracyError as exc:
-                rows.append([kappa, eps_prime, "", "", "", f"cap: {exc}"])
+                rows.append([kappa, eps_prime, "", "", "", f"infeasible: {exc}"])
                 continue
             basis, _ = np.linalg.qr(rng.standard_normal((size, size)))
             eigs = np.linspace(1.0 / kappa, 1.0, size)

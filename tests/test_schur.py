@@ -1,6 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
+from qbsqp.models import HivParameters, hiv_initial_guess, hiv_ocp, toy_problems
+from qbsqp.nlp import BarrierConfig, build_qp, transcribe
 from qbsqp.schur import (
     ExactSchurSolver,
     NoisySchurSolver,
@@ -87,6 +91,27 @@ class TestExactStep:
         with pytest.raises(SingularityError, match="eig range"):
             exact_step(qp)
 
+    @pytest.mark.parametrize("bad, name", [(1, "stage block 1"), (3, "stage block 3")])
+    def test_indefinite_block_raises_naming_the_block(self, bad, name):
+        # Three stage blocks of size 2, then a trailing block of size 1
+        # (stage 3); block `bad` gets the eigenvalues -2 and 0.5.
+        q = np.eye(7)
+        q[2 * bad, 2 * bad] = -2.0
+        if bad < 3:
+            q[2 * bad + 1, 2 * bad + 1] = 0.5
+        qp = QpData(Q=q, A=np.ones((1, 7)), g=np.zeros(7), r=np.zeros(1),
+                    layout=(3, 2))
+        low, high = (-2.0, 0.5) if bad < 3 else (-2.0, -2.0)
+        message = (f"Q {name} is not positive definite "
+                   f"(eig range [{low:.3e}, {high:.3e}])")
+        with pytest.raises(SingularityError, match=f"^{re.escape(message)}$"):
+            exact_step(qp)
+
+    def test_layout_must_fit_q(self):
+        with pytest.raises(ValueError, match="layout"):
+            QpData(Q=np.eye(3), A=np.ones((1, 3)), g=np.zeros(3), r=np.zeros(1),
+                   layout=(2, 2))
+
     def test_singular_schur_complement_raises(self):
         # Repeated constraint rows make S = A Q^-1 A^T singular.
         qp = QpData(Q=np.eye(2), A=np.array([[1.0, 0.0], [1.0, 0.0]]),
@@ -102,6 +127,28 @@ class TestExactStep:
             kappa_s = np.linalg.cond(s)
             bound = np.linalg.cond(qp.A) ** 2 * np.linalg.cond(qp.Q)
             assert kappa_s <= bound * (1 + 1e-6)
+
+
+def ocp_qps():
+    """build_qp subproblems at each OCP's start point, HIV at three horizons."""
+    qps = {}
+    for horizon in (4, 20, 160):
+        nlp = transcribe(hiv_ocp(HivParameters(N=horizon)))
+        qps[f"hiv_N{horizon}"] = build_qp(nlp, hiv_initial_guess(nlp, 0.05),
+                                          BarrierConfig(mu=1e-2))
+    for name, toy in toy_problems().items():
+        qps[name] = build_qp(transcribe(toy.ocp), toy.z0, BarrierConfig(mu=1e-2))
+    return qps
+
+
+@pytest.mark.parametrize("name, qp", list(ocp_qps().items()))
+def test_block_step_matches_dense_kkt_oracle_on_ocp_qps(name, qp):
+    count, size = qp.layout
+    assert count >= 1 and qp.n_z - count * size >= 1  # stage and terminal blocks
+    sol = exact_step(qp)
+    dz_ref, lam_ref = dense_kkt_solve(qp)
+    assert np.linalg.norm(sol.dz - dz_ref) <= 1e-10 * np.linalg.norm(dz_ref)
+    assert np.linalg.norm(sol.lam - lam_ref) <= 1e-10 * np.linalg.norm(lam_ref)
 
 
 class TestNoisyStep:
