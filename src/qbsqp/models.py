@@ -32,11 +32,29 @@ class DiscreteDynamics:
 def rk4_discretize(f, jac_x, jac_u, dt: float, substeps: int = 1) -> DiscreteDynamics:
     """Discretize continuous dynamics with substepped RK4, stage-stacked.
 
-    ``f``, ``jac_x`` and ``jac_u`` take states ``xs`` of shape (K, n) and
-    controls ``us`` of shape (K, m) and return the K rates (K, n) and
-    Jacobians (K, n, n) and (K, n, m); the returned discrete map follows the
-    same contract.  One call advances all K points together with the
-    arithmetic of K separate calls, so its rows do not depend on K.
+    ``f`` is written component-wise: ``f(x, u)`` takes the n state
+    components ``x`` and the m control components ``u``, each a float or
+    each a (K,) array of K points, and returns the n rate components of
+    the same kind.  ``jac_x`` and ``jac_u`` take states ``xs`` of shape
+    (K, n) and controls ``us`` of shape (K, m) and return the Jacobians
+    (K, n, n) and (K, n, m).  The returned discrete map takes and returns
+    stacked arrays: states (K, n), controls (K, m), next states (K, n) and
+    Jacobians (K, n, n) and (K, n, m).  One call advances all K points
+    together with the arithmetic of K separate calls, so its rows do not
+    depend on K.
+
+    The map value at one point (K = 1), as in every step of a rollout, runs
+    RK4 on Python floats: ``f`` gets the components as floats, and the
+    stage updates are the ones of the stacked pass in the same order.
+    IEEE +, -, * and / round the same on floats as in numpy's elementwise
+    loops, so for a field built from them (and from functions that round
+    alike on floats and arrays) this is bitwise the stacked pass's row,
+    without a numpy call per operation on 1-element arrays.  On floats a
+    division by zero raises ZeroDivisionError where numpy would return an
+    infinity; the HIV field divides only by its positive scales.  Larger
+    K, and every Jacobian pass, runs on stacked arrays, calling ``f`` on
+    the columns of the states and controls.  Either way ``f`` is called 4
+    times per substep.
 
     The Jacobians of the map are propagated through every RK4 stage by the
     chain rule, so they are analytic, not finite differences.  One pass
@@ -65,19 +83,39 @@ def rk4_discretize(f, jac_x, jac_u, dt: float, substeps: int = 1) -> DiscreteDyn
         raise ValueError("substeps must be >= 1")
     h = dt / substeps
 
+    def rates(x, u):
+        """``f`` at the K points (K, n), (K, m), as the K rates (K, n)."""
+        out = np.empty(x.shape)
+        for j, rate in enumerate(f(x.T, u.T)):
+            out[:, j] = rate
+        return out
+
     def integrate(x, u, points=None):
         for s in range(substeps):
-            k1 = f(x, u)
+            k1 = rates(x, u)
             x2 = x + 0.5 * h * k1
-            k2 = f(x2, u)
+            k2 = rates(x2, u)
             x3 = x + 0.5 * h * k2
-            k3 = f(x3, u)
+            k3 = rates(x3, u)
             x4 = x + h * k3
-            k4 = f(x4, u)
+            k4 = rates(x4, u)
             if points is not None:
                 points[s] = x, x2, x3, x4
             x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         return x
+
+    def integrate_point(x, u):
+        """``integrate`` at one point (1, n), (1, m), on Python floats."""
+        x, u = x[0].tolist(), u[0].tolist()
+        half, sixth = 0.5 * h, h / 6.0  # the scalars of ``0.5 * h * k1`` and so on
+        for _ in range(substeps):
+            k1 = f(x, u)
+            k2 = f([a + half * b for a, b in zip(x, k1)], u)
+            k3 = f([a + half * b for a, b in zip(x, k2)], u)
+            k4 = f([a + h * b for a, b in zip(x, k3)], u)
+            x = [a + sixth * (b1 + 2 * b2 + 2 * b3 + b4)
+                 for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+        return np.array([x], dtype=float)
 
     def jacobians(x, u):
         k, n = x.shape
@@ -127,7 +165,7 @@ def rk4_discretize(f, jac_x, jac_u, dt: float, substeps: int = 1) -> DiscreteDyn
         x, u, key = key_of(xs, us)
         if key in last:
             return last[key][2]
-        return integrate(x, u)
+        return integrate_point(x, u) if len(x) == 1 else integrate(x, u)
 
     return DiscreteDynamics(
         f=step,
@@ -202,23 +240,27 @@ class HivParameters:
 
 
 def hiv_vector_field(p: HivParameters):
-    """Continuous dynamics and Jacobians in scaled coordinates, stage-stacked.
+    """Continuous dynamics and Jacobians in scaled coordinates.
 
-    Each callable takes states (K, 3) and controls (K, 2) and returns the
-    rates (K, 3) or the Jacobians (K, 3, 3) and (K, 3, 2).
+    ``f`` follows the component-wise contract of ``rk4_discretize``: it
+    takes the state components (T, I, V) and the controls (u1, u2), each a
+    float or each a (K,) array, and returns the three rate components of
+    the same kind; the map calls it on floats at one point and on the
+    columns of stacked states otherwise.  The Jacobians are stage-stacked:
+    they take states (K, 3) and controls (K, 2) and return (K, 3, 3) and
+    (K, 3, 2).
     """
     sc = np.asarray(p.scales)
     ratio = sc[None, :] / sc[:, None]
+    sc_t, sc_i, sc_v = sc.tolist()
 
-    def f(xs, us):
-        t, i, v = (xs * sc).T
-        u1, u2 = us.T
-        rates = np.empty((len(xs), 3))
+    def f(x, u):
+        t, i, v = x[0] * sc_t, x[1] * sc_i, x[2] * sc_v
+        u1, u2 = u
         infection = (1.0 - u1) * p.k * v * t
-        rates[:, 0] = p.s - p.d * t - infection
-        rates[:, 1] = infection - p.delta * i
-        rates[:, 2] = (1.0 - u2) * p.N_v * p.delta * i - p.c * v
-        return rates / sc
+        return ((p.s - p.d * t - infection) / sc_t,
+                (infection - p.delta * i) / sc_i,
+                ((1.0 - u2) * p.N_v * p.delta * i - p.c * v) / sc_v)
 
     def jac_x(xs, us):
         t, i, v = (xs * sc).T

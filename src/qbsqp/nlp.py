@@ -404,7 +404,8 @@ def rollout(nlp: TrajectoryNlp, u_seq: np.ndarray) -> np.ndarray:
 
     The result satisfies the shooting constraints exactly by construction.
     Stage k + 1 needs stage k, so the dynamics are called once per stage
-    (K = 1).
+    (K = 1).  The RK4 map of ``models.rk4_discretize`` runs such calls on
+    Python floats, bitwise equal to its stacked rows.
     """
     ocp = nlp.ocp
     u_seq = np.asarray(u_seq, dtype=float).reshape(ocp.horizon, ocp.m)
@@ -460,11 +461,12 @@ def build_qp(
     stage k touch only z_k, so the barrier curvature J_k^T diag(w_k) J_k is
     added to stage k's diagonal block (the terminal rows to z_N's) and Q
     keeps the block-diagonal structure of the cost Hessian, which
-    ``QpData.layout`` records.  Positive definiteness is asserted by one
-    stacked Cholesky attempt over Q's diagonal blocks, doubling sigma (from
-    a 1e-8 floor) on failure; SingularityError is raised once MAX_DAMPINGS
-    doublings have failed too.  The accepted factors are handed on as
-    ``QpData.chol_Q``.
+    ``QpData.layout`` records; it is symmetrized block by block.  Positive
+    definiteness is asserted by one stacked Cholesky attempt over Q's
+    diagonal blocks, doubling sigma (from a 1e-8 floor) on failure; each
+    attempt adds sigma to the diagonal of a copy of Q.  SingularityError is
+    raised once MAX_DAMPINGS doublings have failed too.  The accepted
+    factors are handed on as ``QpData.chol_Q``.
     ``point`` holds the first-order quantities at z; they are evaluated here
     when omitted.
     """
@@ -482,13 +484,16 @@ def build_qp(
     if h.size:
         _add_barrier_curvature(nlp, q_mat, point.jac_h, cfg.mu * d2(h))
         g = g + point.jac_h.T @ (cfg.mu * d1(h))
-    q_mat = 0.5 * (q_mat + q_mat.T)
+    _symmetrize_blocks(nlp, q_mat)
 
     layout = (nlp.ocp.horizon, nlp.ocp.n + nlp.ocp.m)
     sigma = 0.0
     attempts = 0
     while True:
-        q_try = q_mat + sigma * np.eye(nlp.n_z) if sigma else q_mat
+        q_try = q_mat
+        if sigma:
+            q_try = q_mat.copy()
+            q_try.flat[::nlp.n_z + 1] += sigma
         try:
             chol_q = cho_factor(stacked_blocks(q_try, layout))
             break
@@ -505,6 +510,22 @@ def build_qp(
         diagnostics={"sigma": sigma, "damping_attempts": attempts,
                      "grad_f_norm": float(np.linalg.norm(grad_f))},
     )
+
+
+def _symmetrize_blocks(nlp: TrajectoryNlp, q_mat: np.ndarray) -> None:
+    """Set q_mat to 0.5 * (q_mat + q_mat^T) in place, block by block.
+
+    Every nonzero of Q lies in its N stage blocks and its terminal block,
+    and the entries outside them are 0.0 on both sides of the sum, so only
+    the blocks are symmetrized.
+    """
+    end = nlp.stage_offsets[-1]
+    cols = nlp._stage_columns()
+    stage = cols[:, :, None], cols[:, None, :]
+    blocks = q_mat[stage]
+    q_mat[stage] = 0.5 * (blocks + np.swapaxes(blocks, 1, 2))
+    tail = q_mat[end:, end:]
+    tail[...] = 0.5 * (tail + tail.T)
 
 
 def _add_barrier_curvature(nlp: TrajectoryNlp, q_mat: np.ndarray,

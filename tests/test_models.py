@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -36,9 +37,10 @@ def box1d_barrier_path_root(mu):
 
 
 def pendulum_field():
-    """Pendulum with control-scaled damping, stage-stacked."""
-    def f(xs, us):
-        return np.stack([xs[:, 1], -np.sin(xs[:, 0]) + us[:, 0] * xs[:, 1]], axis=1)
+    """Pendulum with control-scaled damping: the rates component-wise, the
+    Jacobians stage-stacked."""
+    def f(x, u):
+        return x[1], -np.sin(x[0]) + u[0] * x[1]
 
     def fx(xs, us):
         jac = np.zeros((len(xs), 2, 2))
@@ -58,9 +60,14 @@ def pendulum_field():
 def reference_rk4_point(field, x, u, dt, substeps):
     """RK4 with Jacobian propagation for one point, with 2-D matrix products.
 
-    The stacked pass must reproduce this loop bit for bit in every row.
+    The rates are taken on 1-element arrays.  The stacked pass must
+    reproduce this loop bit for bit in every row, and so must the map's
+    one-point path, which runs on Python floats.
     """
-    f, fx, fu = (lambda x, u, g=g: g(x[None], u[None])[0] for g in field)
+    def f(x, u):
+        return np.concatenate(field[0](x[:, None], u[:, None]))
+
+    fx, fu = (lambda x, u, g=g: g(x[None], u[None])[0] for g in field[1:])
     h = dt / substeps
     eye = np.eye(x.size)
     jx_acc, ju_acc = eye, np.zeros((x.size, u.size))
@@ -90,8 +97,9 @@ class TestRk4Discretize:
     def test_linear_system_matches_matrix_exponential(self):
         a = np.array([[0.0, 1.0], [-2.0, -0.3]])
         b = np.array([[0.0], [1.0]])
+        rows = np.hstack([a, b]).tolist()
         disc = rk4_discretize(
-            lambda xs, us: xs @ a.T + us @ b.T,
+            lambda x, u: [r[0] * x[0] + r[1] * x[1] + r[2] * u[0] for r in rows],
             lambda xs, us: np.broadcast_to(a, (len(xs), 2, 2)),
             lambda xs, us: np.broadcast_to(b, (len(xs), 2, 1)),
             dt=0.5, substeps=8,
@@ -122,14 +130,18 @@ class TestRk4Discretize:
         rng = np.random.default_rng(3)
         xs = (np.asarray(p.x0) / np.asarray(p.scales)) * rng.uniform(0.5, 1.5, (16, 3))
         us = rng.uniform(0.0, 1.0, (16, 2))
+        us[:3] = [0.0, 0.0], [1.0, 1.0], [0.0, 1.0]  # the bounds exactly
+        xs[3] = np.nan
         stacked = (disc.f(xs, us), disc.jac_x(xs, us), disc.jac_u(xs, us))
         for k in range(16):
             x, u = xs[k:k + 1], us[k:k + 1]
+            # the map value first: the one-point path on floats
             single = (disc.f(x, u)[0], disc.jac_x(x, u)[0], disc.jac_u(x, u)[0])
             reference = reference_rk4_point(field, xs[k], us[k], p.dt, p.substeps)
             for got, one, ref in zip(stacked, single, reference):
                 np.testing.assert_array_equal(got[k], one)
                 np.testing.assert_array_equal(got[k], ref)
+        assert np.isnan(stacked[0][3]).all()
 
     @pytest.mark.parametrize("substeps", [1, 3])
     @pytest.mark.parametrize("k", [1, 7])
@@ -165,6 +177,8 @@ class TestRk4Discretize:
         disc.jac_u(xs, us)
         disc.f(xs, us)
         assert calls == {"f": 4 * substeps, "jac_x": 1, "jac_u": 1}
+        disc.f(xs + 0.5, us)  # a new point: RK4 alone, on floats at k = 1
+        assert calls == {"f": 8 * substeps, "jac_x": 1, "jac_u": 1}
 
     def test_vector_field_calls_per_evaluation_independent_of_horizon(
             self, monkeypatch):
@@ -218,6 +232,19 @@ class TestRk4Discretize:
         np.testing.assert_array_equal(disc.f(x, u), expected)
 
 
+# sha256 of hiv_initial_guess(nlp, u_const).tobytes() on HIV with horizon N,
+# as computed by the stacked numpy map before its one-point path ran on
+# Python floats.
+INITIAL_GUESS_SHA256 = {
+    (160, 0.05): "beb83af988b13871b8a83f29356b3b3654a9587af5015380a38bf51831c52423",
+    (160, 0.0412): "51ec044c183375856676f4d87cebf982c88769946bb626f6b0434237b3bb3816",
+    (20, 0.05): "592e623608477c5473a30990805ff697bcbdf38c79178fe6bb683a2db6858c87",
+    (10, 0.0587): "d9b5f1e79bf4e699f244d264daaade9d7588102b68f78068a32d8f98bc2bd270",
+    (7, 0.9): "94939ecbd03813b5525a6ea2c09a4aeefe1e57f03bee33cfe5ade359affdce60",
+    (33, 0.0): "8ffa07062bc115f4f578b75688431a104fd99610e7660af27ae7371caccf1db4",
+}
+
+
 class TestHivModel:
     def test_dimensions_match_horizon_formula(self):
         nlp = transcribe(hiv_ocp())
@@ -251,6 +278,20 @@ class TestHivModel:
         assert nlp.inequalities(z0).max() < 0.0
         assert np.linalg.norm(nlp.equalities(z0)) == 0.0
 
+    @pytest.mark.parametrize(("horizon", "u_const"), list(INITIAL_GUESS_SHA256))
+    def test_initial_guess_bytes_are_pinned(self, horizon, u_const):
+        nlp = transcribe(hiv_ocp(HivParameters(N=horizon)))
+        z0 = hiv_initial_guess(nlp, u_const)
+        digest = hashlib.sha256(z0.tobytes()).hexdigest()
+        assert digest == INITIAL_GUESS_SHA256[horizon, u_const]
+
+    def test_rollout_gaps_are_exactly_zero_under_the_stacked_map(self):
+        # The rollout steps the map one stage at a time (on floats) and
+        # the residuals step all N stages in one stacked call.
+        nlp = transcribe(hiv_ocp(HivParameters(N=160)))
+        gaps = nlp.equalities(hiv_initial_guess(nlp, 0.05))
+        assert np.all(gaps == 0.0)
+
     def test_initial_conditioning_tractable(self):
         nlp = transcribe(hiv_ocp())
         z0 = hiv_initial_guess(nlp, 0.05)
@@ -261,8 +302,8 @@ class TestHivModel:
         p = HivParameters()
         f, _, _ = hiv_vector_field(p)
         # at the I = 0 face with V, T > 0 the I-derivative is nonnegative
-        rate = f(np.array([[0.5, 0.0, 0.1]]), np.array([[0.3, 0.3]]))
-        assert rate[0, 1] >= 0.0
+        rate = f((0.5, 0.0, 0.1), (0.3, 0.3))
+        assert rate[1] >= 0.0
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

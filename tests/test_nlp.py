@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qbsqp.nlp
 from qbsqp.models import (
     HivParameters,
     box1d_ocp,
@@ -356,16 +357,30 @@ class TestBuildQp:
         # g_u = 2*(u-2) + mu*phi'(-1)*1 = -4 + 1
         assert qp.g[1] == pytest.approx(-3.0, rel=1e-12)
 
-    def test_stagewise_barrier_curvature_equals_dense_product_bitwise(self):
-        nlp = transcribe(hiv_ocp(HivParameters(N=8)))
+    def test_stagewise_barrier_curvature_equals_dense_product_bitwise(
+            self, monkeypatch):
+        nlp = transcribe(hiv_ocp(HivParameters(N=20)))
         z = hiv_initial_guess(nlp, 0.05)
         cfg = BarrierConfig(mu=1e-2)
-        qp = build_qp(nlp, z, cfg)
-        assert qp.diagnostics["sigma"] == 0.0
         h, jac_h = nlp.inequalities(z), nlp.inequalities_jacobian(z)
         dense = (nlp.objective_hessian(z)
                  + (jac_h.T * (cfg.mu * log_barrier_d2(h))) @ jac_h)
-        np.testing.assert_array_equal(qp.Q, 0.5 * (dense + dense.T))
+        expected = 0.5 * (dense + dense.T)
+        qp = build_qp(nlp, z, cfg)
+        assert qp.diagnostics["sigma"] == 0.0
+        assert qp.Q.tobytes() == expected.tobytes()
+
+        factor, failures = qbsqp.nlp.cho_factor, iter([True])
+
+        def failing_once(a):
+            if next(failures, False):
+                raise np.linalg.LinAlgError("forced")
+            return factor(a)
+
+        monkeypatch.setattr(qbsqp.nlp, "cho_factor", failing_once)
+        qp = build_qp(nlp, z, cfg)  # one damping attempt
+        assert qp.diagnostics["sigma"] == 1e-8
+        assert qp.Q.tobytes() == (expected + 1e-8 * np.eye(nlp.n_z)).tobytes()
 
     def test_infeasible_point_rejected(self):
         nlp = transcribe(box1d_ocp())
