@@ -10,10 +10,10 @@ Schema (all sections optional unless a command requires them):
     solvers: [{...}, {...}]                         # compare (exactly two)
     sqp:     {mu0: ..., eps_opt: ..., ...}          # SqpConfig overrides
     sweep:
-      mu_min_grid: [...]     # >= 2 values
-      eps_grid: [...]        # >= 3 values including 0
+      mu_min_grid: [...]     # >= 2 distinct finite values > 0
+      eps_grid: [...]        # >= 3 distinct finite values >= 0, including 0
       seeds: [...]           # distinct
-      floor_iters: 40        # extra iterations at the clamped barrier floor
+      floor_iters: 40        # extra iterations (>= 0) at the clamped barrier floor
     qsvt:
       kappas: [...]
       eps_primes: [...]
@@ -120,6 +120,18 @@ def _typed_list(value: Any, kind: type, where: str) -> list:
     return [_typed(v, kind, f"{where}[{i}]") for i, v in enumerate(value)]
 
 
+def _checked_floats(section: dict, where: str, name: str, admissible,
+                    rule: str) -> list[float]:
+    """The float list `section[name]` (empty if absent) of the section named
+    `where`, each entry passing `admissible`, or a ConfigError naming the
+    entry and the `rule`."""
+    values = _typed_list(section.get(name, []), float, f"{where}.{name}")
+    for i, v in enumerate(values):
+        if not admissible(v):
+            raise ConfigError(f"{where}.{name}[{i}]: {rule}, got {v!r}")
+    return values
+
+
 def _check_solver_spec(spec: Any, where: str) -> dict:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"{where}: solver spec must be a mapping with a 'kind' field")
@@ -177,17 +189,24 @@ def validate_config(data: dict) -> ExperimentConfig:
 
     sweep = _mapping(data.get("sweep", {}), "sweep")
     if sweep:
-        grids = _typed_list(sweep.get("mu_min_grid", []), float, "sweep.mu_min_grid")
-        eps = _typed_list(sweep.get("eps_grid", []), float, "sweep.eps_grid")
+        grids = _checked_floats(sweep, "sweep", "mu_min_grid",
+                                lambda v: 0.0 < v < math.inf, "must be finite and > 0")
+        eps = _checked_floats(sweep, "sweep", "eps_grid",
+                              lambda v: 0.0 <= v < math.inf, "must be finite and >= 0")
         seeds = _typed_list(sweep.get("seeds", []), int, "sweep.seeds")
         if len(grids) < 2:
             raise ConfigError("sweep.mu_min_grid: needs at least two values")
         if len(eps) < 3 or 0.0 not in eps:
             raise ConfigError("sweep.eps_grid: needs at least three values including 0")
+        for name, values in (("mu_min_grid", grids), ("eps_grid", eps)):
+            if len(set(values)) != len(values):
+                raise ConfigError(f"sweep.{name}: values must be distinct")
         if len(seeds) < 1 or len(set(seeds)) != len(seeds):
             raise ConfigError("sweep.seeds: must be nonempty and distinct")
         if "floor_iters" in sweep:
-            _typed(sweep["floor_iters"], int, "sweep.floor_iters")
+            floor_iters = _typed(sweep["floor_iters"], int, "sweep.floor_iters")
+            if floor_iters < 0:
+                raise ConfigError(f"sweep.floor_iters: must be >= 0, got {floor_iters}")
         cfg.sweep = dict(sweep)
 
     qsvt = _mapping(data.get("qsvt", {}), "qsvt")
@@ -195,12 +214,8 @@ def validate_config(data: dict) -> ExperimentConfig:
         for name, admissible, rule in (
                 ("kappas", lambda v: 1.0 <= v < math.inf, "must be finite and >= 1"),
                 ("eps_primes", lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")):
-            values = _typed_list(qsvt.get(name, []), float, f"qsvt.{name}")
-            if not values:
+            if not _checked_floats(qsvt, "qsvt", name, admissible, rule):
                 raise ConfigError(f"qsvt.{name}: must be nonempty")
-            for i, v in enumerate(values):
-                if not admissible(v):
-                    raise ConfigError(f"qsvt.{name}[{i}]: {rule}, got {v!r}")
         if "matrix_size" in qsvt:
             _typed(qsvt["matrix_size"], int, "qsvt.matrix_size")
         cfg.qsvt = dict(qsvt)

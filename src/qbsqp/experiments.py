@@ -3,17 +3,22 @@ perturbation sweeps with stability-envelope fitting, and QSVT diagnostics.
 
 All outputs are CSV files plus a JSON manifest listing every artifact with
 its content hash; identical configuration and seed reproduce the bytes.
+
+A sweep solves its reference point in the calling process first, then its
+independent cells on a `fork`-started process pool (POSIX only) with one
+worker per usable CPU, at most one per cell; its outputs do not depend on
+the worker count (see `run_sweep`).
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
 from dataclasses import asdict, dataclass, field
-from operator import itemgetter
 from typing import Any
 
 import numpy as np
@@ -407,7 +412,54 @@ def fit_iss(cells: list[dict], mu_grid, eps_grid, seeds) -> IssFitReport:
     )
 
 
+# (setup, sqp overrides, floor_iters, z_ref) of the sweep a worker serves;
+# set only in pool workers, by `_init_sweep_worker`.
+_worker_context: tuple = ()
+
+
+def _init_sweep_worker(*context) -> None:
+    global _worker_context
+    _worker_context = context
+
+
+def _pool_cell(key: tuple[float, float, int]) -> dict:
+    """One sweep cell in a pool worker: the cell dict, or the failure entry
+    that names the cell and its exception's message."""
+    setup, sqp_overrides, floor_iters, z_ref = _worker_context
+    mu_min, eps, seed = key
+    try:
+        # Looked up at call time, so a replacement made before the pool
+        # starts reaches the workers.
+        return _sweep_cell(setup, sqp_overrides, mu_min, eps, seed,
+                           floor_iters, z_ref)
+    except Exception as exc:  # cell marked, fit proceeds on the rest
+        return {"mu_min": mu_min, "eps": eps, "seed": seed, "error": str(exc)}
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else every CPU of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_sweep(cfg: ExperimentConfig) -> tuple[int, dict]:
+    """Solve the reference point, then every (mu_min, eps, seed) cell, and
+    fit the stability envelope.
+
+    The reference solve runs first, in this process.  The cells then run on
+    a process pool of min(#cells, usable CPUs) workers, where usable CPUs
+    is the affinity set of this process if the platform has one, else
+    `os.cpu_count()`.  The pool is started with `fork` (POSIX only):
+    `setup` holds closures, so the workers inherit it, the overrides and
+    `z_ref` from this process instead of receiving them pickled, and only
+    the cell key and the cell's result cross the process boundary.  Cells
+    and failures are listed in ascending (mu_min, eps, seed), so every
+    output is the same whatever the worker count.  With BLAS threads left
+    unpinned, each worker may start its own.  A worker that dies raises
+    `BrokenProcessPool`; leaving the pool joins every worker either way.
+    """
     if not cfg.sweep:
         raise ValueError("sweep section missing from configuration")
     setup = build_problem(cfg)
@@ -420,21 +472,20 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[int, dict]:
 
     z_ref, reference = reference_solution(setup, cfg.sqp)
 
-    cells, failures = [], []
-    for mu in mu_grid:
-        for eps in eps_grid:
-            for seed in seeds:
-                try:
-                    cells.append(_sweep_cell(setup, cfg.sqp, mu, eps, seed,
-                                             floor_iters, z_ref))
-                except Exception as exc:  # cell marked, fit proceeds on the rest
-                    failures.append({"mu_min": mu, "eps": eps, "seed": seed,
-                                     "error": str(exc)})
+    # Imported here, so that the other commands do not pay for the modules.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     # The outputs list cells in ascending (mu_min, eps, seed), whatever the
     # order of the grids in the configuration.
-    cell_order = itemgetter("mu_min", "eps", "seed")
-    cells.sort(key=cell_order)
-    failures.sort(key=cell_order)
+    keys = sorted(itertools.product(mu_grid, eps_grid, seeds))
+    with ProcessPoolExecutor(min(len(keys), _usable_cpus()),
+                             mp_context=multiprocessing.get_context("fork"),
+                             initializer=_init_sweep_worker,
+                             initargs=(setup, cfg.sqp, floor_iters, z_ref)) as pool:
+        results = list(pool.map(_pool_cell, keys))
+    cells = [r for r in results if "error" not in r]
+    failures = [r for r in results if "error" in r]
 
     sweep_rows = [[c["mu_min"], c["eps"], c["seed"], c["n_iters"],
                    c["termination"], c["tail"], c["d0"], c["i_tail"]]
@@ -456,7 +507,8 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[int, dict]:
     outputs = [sweep_path, traces_path]
     # fit_iss takes rho from the clean run at the tightest barrier floor.
     ref_key = (min(mu_grid), 0.0, seeds[0])
-    ref_failure = next((f for f in failures if cell_order(f) == ref_key), None)
+    ref_failure = next((f for f in failures
+                        if (f["mu_min"], f["eps"], f["seed"]) == ref_key), None)
     fit = None
     if ref_failure is not None:
         summary["fit_skipped"] = (

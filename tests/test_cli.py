@@ -1,9 +1,11 @@
 """End-to-end checks of the command-line front end: exit codes, config
 errors that name the offending field, and reproducible manifests."""
 
+import concurrent.futures
 import csv
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -83,6 +85,27 @@ def test_commands_succeed_on_eqqp(tmp_path, command, config):
     ("sweep", {"problem": "toy:eqqp",
                "sweep": dict(BOX1D_SWEEP["sweep"], floor_iters="abc")},
      "sweep.floor_iters"),
+    ("sweep", {"problem": "toy:box1d",
+               "sweep": dict(BOX1D_SWEEP["sweep"], mu_min_grid=[1.0e-3, -1.0])},
+     "sweep.mu_min_grid[1]: must be finite and > 0"),
+    ("sweep", {"problem": "toy:box1d",
+               "sweep": dict(BOX1D_SWEEP["sweep"], mu_min_grid=[math.nan, 1.0e-3])},
+     "sweep.mu_min_grid[0]: must be finite and > 0"),
+    ("sweep", {"problem": "toy:box1d",
+               "sweep": dict(BOX1D_SWEEP["sweep"], mu_min_grid=[1.0e-3, 1.0e-3])},
+     "sweep.mu_min_grid: values must be distinct"),
+    ("sweep", {"problem": "toy:box1d",
+               "sweep": dict(BOX1D_SWEEP["sweep"], eps_grid=[0.0, 1.0e-4, -1.0e-3])},
+     "sweep.eps_grid[2]: must be finite and >= 0"),
+    ("sweep", {"problem": "toy:box1d",
+               "sweep": dict(BOX1D_SWEEP["sweep"], eps_grid=[0.0, 1.0e-4, math.inf])},
+     "sweep.eps_grid[2]: must be finite and >= 0"),
+    ("sweep", {"problem": "toy:box1d",
+               "sweep": dict(BOX1D_SWEEP["sweep"], eps_grid=[0.0, 1.0e-4, 1.0e-4])},
+     "sweep.eps_grid: values must be distinct"),
+    ("sweep", {"problem": "toy:box1d",
+               "sweep": dict(BOX1D_SWEEP["sweep"], floor_iters=-50)},
+     "sweep.floor_iters: must be >= 0"),
     ("solve", {"problem": {"name": "hiv", "params": {"N": 2.5}}},
      "N must be an integer"),
     ("solve", {"problem": {"name": "hiv", "params": {"N": 2, "substeps": 2.5}}},
@@ -260,6 +283,58 @@ def test_failed_reference_cell_exits_three_with_manifest(tmp_path, monkeypatch,
                                                              "traces.csv"]
 
 
+SWEEP_OUTPUTS = ("sweep.csv", "traces.csv", "iss_fit.json", "manifest.json")
+
+
+@pytest.mark.parametrize("config", [
+    BOX1D_SWEEP,
+    {"problem": {"name": "hiv", "params": {"N": 6}},
+     "sweep": {"mu_min_grid": [1.0e-4, 1.0e-6], "eps_grid": [0.0, 1.0e-4, 1.0e-3],
+               "seeds": [1], "floor_iters": 5}},
+], ids=["box1d", "hiv6"])
+def test_sweep_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch,
+                                                         config):
+    pool_sizes = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            pool_sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    outputs = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
+                            raising=False)
+        code, out_dir = run(tmp_path, "sweep", config, out=f"cpus{len(cpus)}")
+        assert code == 0
+        outputs.append([(out_dir / name).read_bytes() for name in SWEEP_OUTPUTS])
+    assert pool_sizes == [1, 2]
+    assert outputs[0] == outputs[1]
+    assert multiprocessing.active_children() == []
+
+
+def test_dead_sweep_worker_exits_two_and_leaves_no_process(tmp_path, monkeypatch,
+                                                           capsys):
+    real_cell = experiments._sweep_cell
+    test_process = os.getpid()
+
+    def dying_cell(setup, sqp_overrides, mu_min, eps, seed, floor_iters, z_ref):
+        if (mu_min, eps) == (1.0e-3, 1.0e-4):
+            if os.getpid() == test_process:
+                raise RuntimeError("the cell ran in the test process")
+            os._exit(3)
+        return real_cell(setup, sqp_overrides, mu_min, eps, seed, floor_iters, z_ref)
+
+    monkeypatch.setattr(experiments, "_sweep_cell", dying_cell)
+    code, _ = run(tmp_path, "sweep", BOX1D_SWEEP)
+    assert code == 2
+    assert "solver failure: BrokenProcessPool" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _reject_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
 
@@ -358,6 +433,16 @@ def test_cli_import_leaves_scipy_module_unloaded(module):
     assert run_python(code).returncode == 0
 
 
+def test_cli_import_leaves_pool_modules_unloaded():
+    # Only a sweep starts a process pool; the other commands do not pay the
+    # import of about 20 ms.
+    code = ("import sys, qbsqp.cli; "
+            "loaded = {'multiprocessing', 'concurrent.futures'} & set(sys.modules); "
+            "print(sorted(loaded)); sys.exit(bool(loaded))")
+    result = run_python(code)
+    assert result.returncode == 0, result.stdout + result.stderr
+
+
 @pytest.mark.parametrize("solver", [{"kind": "exact"},
                                     {"kind": "noisy", "eps": 1.0e-3},
                                     {"kind": "quantum"}])
@@ -401,7 +486,7 @@ def test_commands_run_without_scipy(tmp_path, command, config):
 
 
 def test_unknown_top_level_keys_are_ignored():
-    # Configurations written for the former thread pool still load.
+    # Configurations that still carry the removed `workers` setting load.
     cfg = validate_config({"problem": "toy:eqqp", "workers": 2})
     assert cfg.problem == "toy:eqqp"
 
