@@ -48,11 +48,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         data = load_config_file(args.config)
+        if args.seed is not None:
+            data["seed"] = args.seed  # validated like the file's field
         cfg = validate_config(data)
         if args.out is not None:
             cfg.output_dir = args.out
-        if args.seed is not None:
-            cfg.seed = args.seed
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -12,14 +12,14 @@ Schema (all sections optional unless a command requires them):
     sweep:
       mu_min_grid: [...]     # >= 2 distinct finite values > 0
       eps_grid: [...]        # >= 3 distinct finite values >= 0, including 0
-      seeds: [...]           # distinct
+      seeds: [...]           # distinct, >= 0
       floor_iters: 40        # extra iterations (>= 0) at the clamped barrier floor
     qsvt:
       kappas: [...]
       eps_primes: [...]
       matrix_size: 8
     output: {dir: path}
-    seed: 0
+    seed: 0                  # >= 0
 
 CLI flags override file fields.
 """
@@ -59,6 +59,7 @@ _SOLVER_LIMITS = (
      "must be finite and nonnegative"),
     (("eps_prime_Q", "eps_prime_S"), lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
     (("degree_cap",), lambda v: v >= 1, "must be at least 1"),
+    (("seed",), lambda v: v >= 0, "must be >= 0"),
     (("usability_cap", "p_succ_floor"), lambda v: not math.isnan(v), "must not be NaN"),
 )
 
@@ -120,12 +121,12 @@ def _typed_list(value: Any, kind: type, where: str) -> list:
     return [_typed(v, kind, f"{where}[{i}]") for i, v in enumerate(value)]
 
 
-def _checked_floats(section: dict, where: str, name: str, admissible,
-                    rule: str) -> list[float]:
-    """The float list `section[name]` (empty if absent) of the section named
-    `where`, each entry passing `admissible`, or a ConfigError naming the
-    entry and the `rule`."""
-    values = _typed_list(section.get(name, []), float, f"{where}.{name}")
+def _checked_list(section: dict, where: str, name: str, kind: type, admissible,
+                  rule: str) -> list:
+    """The list `section[name]` (empty if absent) of the section named
+    `where`, each entry a `kind` passing `admissible`, or a ConfigError
+    naming the entry and the `rule`."""
+    values = _typed_list(section.get(name, []), kind, f"{where}.{name}")
     for i, v in enumerate(values):
         if not admissible(v):
             raise ConfigError(f"{where}.{name}[{i}]: {rule}, got {v!r}")
@@ -189,11 +190,12 @@ def validate_config(data: dict) -> ExperimentConfig:
 
     sweep = _mapping(data.get("sweep", {}), "sweep")
     if sweep:
-        grids = _checked_floats(sweep, "sweep", "mu_min_grid",
-                                lambda v: 0.0 < v < math.inf, "must be finite and > 0")
-        eps = _checked_floats(sweep, "sweep", "eps_grid",
-                              lambda v: 0.0 <= v < math.inf, "must be finite and >= 0")
-        seeds = _typed_list(sweep.get("seeds", []), int, "sweep.seeds")
+        grids = _checked_list(sweep, "sweep", "mu_min_grid", float,
+                              lambda v: 0.0 < v < math.inf, "must be finite and > 0")
+        eps = _checked_list(sweep, "sweep", "eps_grid", float,
+                            lambda v: 0.0 <= v < math.inf, "must be finite and >= 0")
+        seeds = _checked_list(sweep, "sweep", "seeds", int, lambda v: v >= 0,
+                              "must be >= 0")
         if len(grids) < 2:
             raise ConfigError("sweep.mu_min_grid: needs at least two values")
         if len(eps) < 3 or 0.0 not in eps:
@@ -214,7 +216,7 @@ def validate_config(data: dict) -> ExperimentConfig:
         for name, admissible, rule in (
                 ("kappas", lambda v: 1.0 <= v < math.inf, "must be finite and >= 1"),
                 ("eps_primes", lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")):
-            if not _checked_floats(qsvt, "qsvt", name, admissible, rule):
+            if not _checked_list(qsvt, "qsvt", name, float, admissible, rule):
                 raise ConfigError(f"qsvt.{name}: must be nonempty")
         if "matrix_size" in qsvt:
             _typed(qsvt["matrix_size"], int, "qsvt.matrix_size")
@@ -223,6 +225,8 @@ def validate_config(data: dict) -> ExperimentConfig:
     out = _mapping(data.get("output", {}), "output")
     cfg.output_dir = str(out.get("dir", cfg.output_dir))
     cfg.seed = _typed(data.get("seed", cfg.seed), int, "seed")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed: must be >= 0, got {cfg.seed}")
     return cfg
 
 

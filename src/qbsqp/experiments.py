@@ -95,7 +95,6 @@ class ProblemSetup:
     nlp: TrajectoryNlp
     z0: np.ndarray
     sqp_defaults: dict[str, Any]
-    z_star: np.ndarray | None = None
 
 
 HIV_SQP_DEFAULTS = {
@@ -118,7 +117,7 @@ def build_problem(cfg: ExperimentConfig) -> ProblemSetup:
     toy_name = cfg.problem.split(":", 1)[1]
     toy = toy_problems()[toy_name]
     return ProblemSetup(name=toy_name, nlp=transcribe(toy.ocp), z0=toy.z0,
-                        sqp_defaults=dict(toy.sqp_overrides), z_star=toy.z_star)
+                        sqp_defaults=dict(toy.sqp_overrides))
 
 
 def build_sqp_config(setup: ProblemSetup, overrides: dict) -> SqpConfig:

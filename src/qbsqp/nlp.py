@@ -244,19 +244,16 @@ class TrajectoryNlp:
                                     (1, ocp.n))[0]
         return grad
 
-    def objective_hessian(self, z: np.ndarray) -> np.ndarray:
-        """Block-diagonal stage Hessian (Gauss-Newton form when supplied)."""
+    def objective_hessian(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The block-diagonal stage Hessian (Gauss-Newton form when supplied)
+        as its stage blocks (N, n + m, n + m) and terminal block (n, n),
+        copied: a model may return a read-only view, such as a broadcast."""
         ocp = self.ocp
         stages, x_end = self._stages(z)
         N, nm = stages.shape
-        end = self.stage_offsets[-1]
-        hess = np.zeros((self.n_z, self.n_z))
-        cols = self._stage_columns()
-        hess[cols[:, :, None], cols[:, None, :]] = _stage_call(
-            ocp, "stage_cost_hess", stages, (N, nm, nm))
-        hess[end:, end:] = _terminal_call(ocp, "terminal_cost_hess", x_end[None],
-                                          (1, ocp.n, ocp.n))[0]
-        return hess
+        return (_stage_call(ocp, "stage_cost_hess", stages, (N, nm, nm)).copy(),
+                _terminal_call(ocp, "terminal_cost_hess", x_end[None],
+                               (1, ocp.n, ocp.n))[0].copy())
 
     # -- equality constraints ----------------------------------------------
     def equalities(self, z: np.ndarray) -> np.ndarray:
@@ -459,14 +456,15 @@ def build_qp(
     Q is the stage-cost Hessian (Gauss-Newton when declared) plus barrier
     curvature plus sigma*I, with sigma = 0 at first.  The inequality rows of
     stage k touch only z_k, so the barrier curvature J_k^T diag(w_k) J_k is
-    added to stage k's diagonal block (the terminal rows to z_N's) and Q
-    keeps the block-diagonal structure of the cost Hessian, which
-    ``QpData.layout`` records; it is symmetrized block by block.  Positive
-    definiteness is asserted by one stacked Cholesky attempt over Q's
-    diagonal blocks, doubling sigma (from a 1e-8 floor) on failure; each
-    attempt adds sigma to the diagonal of a copy of Q.  SingularityError is
-    raised once MAX_DAMPINGS doublings have failed too.  The accepted
-    factors are handed on as ``QpData.chol_Q``.
+    added to stage k's diagonal block (the terminal rows to z_N's), and Q
+    keeps the block-diagonal structure of the cost Hessian: it is built,
+    symmetrized and handed on as its N stage blocks and its terminal block,
+    and no n_z x n_z array is formed.  Positive definiteness is asserted by
+    one stacked Cholesky attempt over the blocks (``stacked_blocks``),
+    doubling sigma (from a 1e-8 floor) on failure; each attempt adds sigma
+    to the diagonal of a copy of the stack.  SingularityError is raised
+    once MAX_DAMPINGS doublings have failed too.  The accepted factors are
+    handed on as ``QpData.chol_Q``.
     ``point`` holds the first-order quantities at z; they are evaluated here
     when omitted.
     """
@@ -478,24 +476,25 @@ def build_qp(
             f"strictly infeasible point: max H = {np.max(h):.3e} >= 0")
 
     _, d1, d2 = cfg.funcs
-    grad_f = point.grad_f
-    q_mat = nlp.objective_hessian(z)
-    g = grad_f.copy()
+    stages, tail = nlp.objective_hessian(z)
+    g = point.grad_f.copy()
     if h.size:
-        _add_barrier_curvature(nlp, q_mat, point.jac_h, cfg.mu * d2(h))
+        _add_barrier_curvature(nlp, stages, tail, point.jac_h, cfg.mu * d2(h))
         g = g + point.jac_h.T @ (cfg.mu * d1(h))
-    _symmetrize_blocks(nlp, q_mat)
+    stages = 0.5 * (stages + np.swapaxes(stages, 1, 2))
+    tail = 0.5 * (tail + tail.T)
 
-    layout = (nlp.ocp.horizon, nlp.ocp.n + nlp.ocp.m)
+    stack = stacked_blocks(stages, tail)
+    diag = np.arange(stack.shape[-1])
     sigma = 0.0
     attempts = 0
     while True:
-        q_try = q_mat
+        q_try = stack
         if sigma:
-            q_try = q_mat.copy()
-            q_try.flat[::nlp.n_z + 1] += sigma
+            q_try = stack.copy()
+            q_try[:, diag, diag] += sigma
         try:
-            chol_q = cho_factor(stacked_blocks(q_try, layout))
+            chol_q = cho_factor(q_try)
             break
         except np.linalg.LinAlgError:
             attempts += 1
@@ -505,32 +504,17 @@ def build_qp(
                     f"(last sigma = {sigma:.3e})")
             sigma = max(1e-8, 2.0 * sigma)
 
+    size, rest = stages.shape[1], len(tail)
     return QpData(
-        Q=q_try, A=point.jac_c, g=g, r=-point.c, layout=layout, chol_Q=chol_q,
-        diagnostics={"sigma": sigma, "damping_attempts": attempts,
-                     "grad_f_norm": float(np.linalg.norm(grad_f))},
+        Q_stages=q_try[:-1, :size, :size], Q_tail=q_try[-1, :rest, :rest],
+        A=point.jac_c, g=g, r=-point.c, chol_Q=chol_q,
+        diagnostics={"sigma": sigma, "damping_attempts": attempts},
     )
 
 
-def _symmetrize_blocks(nlp: TrajectoryNlp, q_mat: np.ndarray) -> None:
-    """Set q_mat to 0.5 * (q_mat + q_mat^T) in place, block by block.
-
-    Every nonzero of Q lies in its N stage blocks and its terminal block,
-    and the entries outside them are 0.0 on both sides of the sum, so only
-    the blocks are symmetrized.
-    """
-    end = nlp.stage_offsets[-1]
-    cols = nlp._stage_columns()
-    stage = cols[:, :, None], cols[:, None, :]
-    blocks = q_mat[stage]
-    q_mat[stage] = 0.5 * (blocks + np.swapaxes(blocks, 1, 2))
-    tail = q_mat[end:, end:]
-    tail[...] = 0.5 * (tail + tail.T)
-
-
-def _add_barrier_curvature(nlp: TrajectoryNlp, q_mat: np.ndarray,
+def _add_barrier_curvature(nlp: TrajectoryNlp, stages: np.ndarray, tail: np.ndarray,
                            jac_h: np.ndarray, weights: np.ndarray) -> None:
-    """Add jac_h^T diag(weights) jac_h to q_mat in place, block by block."""
+    """Add jac_h^T diag(weights) jac_h to Q's stage and terminal blocks in place."""
     ocp = nlp.ocp
     N, p, end = ocp.horizon, ocp.n_path, nlp.stage_offsets[-1]
     if p:
@@ -539,11 +523,10 @@ def _add_barrier_curvature(nlp: TrajectoryNlp, q_mat: np.ndarray,
         rows = np.arange(N * p).reshape(N, p)
         cols = nlp._stage_columns()
         jac = jac_h[rows[:, :, None], cols[:, None, :]]
-        curv = np.swapaxes(jac * weights[rows][:, :, None], 1, 2) @ jac
-        q_mat[cols[:, :, None], cols[:, None, :]] += curv
+        stages += np.swapaxes(jac * weights[rows][:, :, None], 1, 2) @ jac
     if ocp.n_terminal:
         jac = jac_h[N * p:, end:]
-        q_mat[end:, end:] += (jac.T * weights[N * p:]) @ jac
+        tail += (jac.T * weights[N * p:]) @ jac
 
 
 def validate_derivatives(

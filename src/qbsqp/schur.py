@@ -10,9 +10,9 @@ S lam = b, Q dz = -(g + A^T lam).  The solver interface is shared by the
 exact backend, the bounded-error-injection backend, and the simulated
 quantum backend (see qschur).
 
-Q is block diagonal with the layout ``QpData.layout`` records: a run of
-equal stage blocks, then one trailing block.  The exact step inverts Q
-by one stacked ``np.linalg.inv`` over the stage blocks and one over the
+Q is block diagonal, and ``QpData`` holds it as its blocks: a stack of
+equal stage blocks and one trailing block.  The exact step inverts Q by
+one stacked ``np.linalg.inv`` over the stage blocks and one over the
 trailing block; S stays the dense product A (Q^{-1} A^T).
 Positive definiteness of Q and of S is tested by one stacked Cholesky
 factorization each.  The routines come from numpy alone: ``cho_factor``
@@ -38,46 +38,57 @@ class SingularityError(RuntimeError):
 class QpData:
     """One iteration's quadratic subproblem data.
 
-    ``layout = (count, size)`` declares Q block diagonal: ``count`` stage
-    blocks of ``size`` rows each, then one trailing block of the remaining
-    rows.  A transcribed OCP has N stage blocks of size n + m and a terminal
-    block of size n.  The default (0, 0) makes all of Q one dense block.
+    Q is block diagonal and held as its blocks: the stage blocks
+    ``Q_stages`` (count, size, size), then the trailing block ``Q_tail``.
+    A transcribed OCP has N stage blocks of size n + m and a terminal block
+    of size n; a QP without stage structure has all of Q in ``Q_tail``.
+    ``dense_Q`` assembles Q for the consumers that need it whole.
 
-    ``chol_Q`` holds the lower Cholesky factors of ``stacked_blocks(Q,
-    layout)``.  ``build_qp`` fills it from its damping loop, and it
+    ``chol_Q`` holds lower Cholesky factors of Q's blocks, stacked as by
+    ``stacked_blocks``.  ``build_qp`` fills it from its damping loop, and it
     certifies Q positive definite so that ``exact_step`` does not factor Q
     a second time; when it is None, ``exact_step`` factors Q itself.
     """
 
-    Q: np.ndarray
+    Q_stages: np.ndarray
+    Q_tail: np.ndarray
     A: np.ndarray
     g: np.ndarray
     r: np.ndarray
-    layout: tuple[int, int] = (0, 0)
     chol_Q: np.ndarray | None = None
     diagnostics: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        n = self.Q.shape[0]
-        if self.Q.shape != (n, n):
-            raise ValueError("Q must be square")
+        stages, tail = self.Q_stages, self.Q_tail
+        if stages.ndim != 3 or stages.shape[1] != stages.shape[2]:
+            raise ValueError("Q_stages must be a stack of square blocks")
+        if tail.ndim != 2 or tail.shape[0] != tail.shape[1]:
+            raise ValueError("Q_tail must be square")
+        n = self.n_z
         if self.A.ndim != 2 or self.A.shape[1] != n:
             raise ValueError("A must have n_z columns")
         if self.g.shape != (n,):
             raise ValueError("g must have length n_z")
         if self.r.shape != (self.A.shape[0],):
             raise ValueError("r must have length m_eq")
-        count, size = self.layout
-        if count < 0 or size < 0 or count * size > n:
-            raise ValueError("layout must fit count stage blocks of size rows in Q")
 
     @property
     def n_z(self) -> int:
-        return self.Q.shape[0]
+        count, size = self.Q_stages.shape[:2]
+        return count * size + len(self.Q_tail)
 
     @property
     def m_eq(self) -> int:
         return self.A.shape[0]
+
+    def dense_Q(self) -> np.ndarray:
+        """Q as one n_z x n_z array, zero outside its blocks."""
+        count, size = self.Q_stages.shape[:2]
+        idx = np.arange(count * size).reshape(count, size)
+        q = np.zeros((self.n_z, self.n_z))
+        q[idx[:, :, None], idx[:, None, :]] = self.Q_stages
+        q[count * size:, count * size:] = self.Q_tail
+        return q
 
 
 @dataclass
@@ -97,21 +108,13 @@ class SchurStepSolver(Protocol):
     def step(self, qp: QpData) -> SchurSolution: ...
 
 
-def _split(mat: np.ndarray, layout: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """The stage blocks (count, size, size) and the trailing block of ``mat``."""
-    count, size = layout
-    idx = np.arange(count * size).reshape(count, size)
-    return mat[idx[:, :, None], idx[:, None, :]], mat[count * size:, count * size:]
+def stacked_blocks(stages: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """The stage blocks (count, size, size) and the trailing block as one
+    (count + 1)-stack, the trailing block last.
 
-
-def stacked_blocks(mat: np.ndarray, layout: tuple[int, int]) -> np.ndarray:
-    """The diagonal blocks of ``mat`` as one (count + 1)-stack.
-
-    The stage blocks come first and the trailing block last.  A block
-    smaller than the largest is bordered by an identity, so that one
+    A block smaller than the largest is bordered by an identity, so that one
     stacked call factors them all and a border adds only eigenvalues 1.
     """
-    stages, tail = _split(mat, layout)
     size, rest = stages.shape[1], len(tail)
     stack = np.tile(np.eye(max(size, rest)), (len(stages) + 1, 1, 1))
     stack[:-1, :size, :size] = stages
@@ -119,17 +122,16 @@ def stacked_blocks(mat: np.ndarray, layout: tuple[int, int]) -> np.ndarray:
     return stack
 
 
-def _chol(mat: np.ndarray, layout: tuple[int, int], label: str) -> np.ndarray:
-    """Stacked lower Cholesky factors of ``stacked_blocks(mat, layout)``.
+def _chol(stages: np.ndarray, tail: np.ndarray, label: str) -> np.ndarray:
+    """Stacked lower Cholesky factors of ``stacked_blocks(stages, tail)``.
 
     A block that is not positive definite raises SingularityError naming
     the block with the lowest eigenvalue (the trailing block is stage
     ``count``) and that block's eigenvalue range.
     """
     try:
-        return cho_factor(stacked_blocks(mat, layout))
+        return cho_factor(stacked_blocks(stages, tail))
     except np.linalg.LinAlgError as exc:
-        stages, tail = _split(mat, layout)
         eigs = [*eigvalsh(stages), eigvalsh(tail)]
         k = int(np.argmin([e[0] if e.size else np.inf for e in eigs]))
         where = f"{label} stage block {k}" if len(stages) else label
@@ -140,7 +142,7 @@ def _chol(mat: np.ndarray, layout: tuple[int, int], label: str) -> np.ndarray:
 
 
 def _apply_blocks(inverses: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
-    """Q^{-1} rhs from the inverses of Q's ``_split`` blocks.
+    """Q^{-1} rhs from the inverses of Q's stage blocks and trailing block.
 
     The inverses are applied by matmul: ``np.linalg.solve`` copies its
     right-hand side one column at a time, so on the m_eq columns of A^T it
@@ -166,9 +168,8 @@ def exact_step(qp: QpData) -> SchurSolution:
     Q block or an S that is not positive definite raises SingularityError.
     """
     if qp.chol_Q is None:
-        _chol(qp.Q, qp.layout, "Q")
-    stages, tail = _split(qp.Q, qp.layout)
-    inverses = np.linalg.inv(stages), np.linalg.inv(tail)
+        _chol(qp.Q_stages, qp.Q_tail, "Q")
+    inverses = np.linalg.inv(qp.Q_stages), np.linalg.inv(qp.Q_tail)
     diag: dict[str, Any] = {"solver": "exact"}
 
     if qp.m_eq == 0:
@@ -179,7 +180,7 @@ def exact_step(qp: QpData) -> SchurSolution:
         s_mat = qp.A @ qinv_at
         s_mat = 0.5 * (s_mat + s_mat.T)
         b = -qp.r - qp.A @ _apply_blocks(inverses, qp.g)
-        _chol(s_mat, (0, 0), "Schur complement S")
+        _chol(np.zeros((0, 0, 0)), s_mat, "Schur complement S")  # S is one block
         lam = np.linalg.solve(s_mat, b)
         dz = -_apply_blocks(inverses, qp.g + qp.A.T @ lam)
 

@@ -3,6 +3,7 @@ errors that name the offending field, and reproducible manifests."""
 
 import concurrent.futures
 import csv
+import hashlib
 import json
 import math
 import multiprocessing
@@ -162,10 +163,23 @@ def test_commands_succeed_on_eqqp(tmp_path, command, config):
      "scales must be 3 finite numbers"),
     ("solve", {"problem": {"name": "hiv", "params": {"N": 2, "scales": [1, 0, 1]}}},
      "scales must be positive"),
+    # negative seeds, in the file and on the command line
+    ("solve", {"problem": "toy:eqqp", "seed": -1}, "seed: must be >= 0"),
+    ("sweep", {"problem": "toy:box1d", "sweep": dict(BOX1D_SWEEP["sweep"], seeds=[-1])},
+     "sweep.seeds[0]: must be >= 0"),
+    ("solve", {"problem": "toy:eqqp", "solver": {"kind": "quantum", "seed": -1}},
+     "solver.seed: must be >= 0"),
+    ("solve", {"problem": "toy:eqqp", "solver": {"kind": "noisy", "seed": -1}},
+     "solver.seed: must be >= 0"),
+    ("compare", {"problem": "toy:eqqp",
+                 "solvers": [{"kind": "exact"}, {"kind": "noisy", "seed": -1}]},
+     "solvers[1].seed: must be >= 0"),
+    ("solve --seed -1", {"problem": "toy:eqqp"}, "seed: must be >= 0"),
 ])
 def test_config_errors_exit_one_and_name_the_field(tmp_path, capsys, command,
                                                    config, field):
-    code, _ = run(tmp_path, command, config)
+    command, *flags = command.split()
+    code, _ = run(tmp_path, command, config, extra=flags)
     assert code == 1
     assert field in capsys.readouterr().err
 
@@ -499,3 +513,55 @@ def test_same_config_and_seed_reproduce_manifest(tmp_path):
     assert first[0] == second[0] == 0
     assert ((first[1] / "manifest.json").read_bytes()
             == (second[1] / "manifest.json").read_bytes())
+
+
+# The benchmark's three workload configurations at their smoke sizes, from
+# the default start control 0.05, and the sha256 of every file each run
+# writes.  A change that moves any of them changes the program's results.
+PINNED_RUNS = {
+    "hiv12_exact": ("solve", {"problem": {"name": "hiv", "params": {"N": 12}},
+                              "solver": {"kind": "exact"}}),
+    "hiv6_sweep": ("sweep", {"problem": {"name": "hiv", "params": {"N": 6}},
+                             "sweep": {"mu_min_grid": [1.0e-4, 1.0e-6],
+                                       "eps_grid": [0.0, 1.0e-4, 1.0e-3],
+                                       "seeds": [1], "floor_iters": 5}}),
+    "hiv4_quantum": ("solve", {"problem": {"name": "hiv", "params": {"N": 4}},
+                               "solver": {"kind": "quantum", "eps_prime_Q": 1.0e-10,
+                                          "eps_prime_S": 1.0e-10,
+                                          "degree_cap": 400001}}),
+}
+OUTPUT_SHA256 = {
+    "hiv12_exact": {
+        "iterates.csv": "0666f4744cfa9109bb466a123b44565eb540683d9ff1837ed715666d837881b7",
+        "manifest.json": "a825bedebd60b4640ae332f5baed8944157c57b8c3596210d1dbafa888171bdb",
+        "trajectory.csv": "b70b993912a32dd15179fc078f7d4df7e28d90fbea7237f73fe441b8c14cdf76",
+    },
+    "hiv6_sweep": {
+        "iss_fit.json": "64a43a91b206f54c41aadb84a45edc3dc3d3aaf2e249e6954535211cfebfa32a",
+        "manifest.json": "c8958b5d60856a9ca944fb8a7637a9625a76b3ccaee7615b2aa3ea3ed05c45a4",
+        "sweep.csv": "2c6921d1e19885eab8cd680e14d4dff9ddd6b5549c13a022126f499fb611c8d9",
+        "traces.csv": "fa2e40f3392a080352f366f05c9f8f8cf8289e4c0f4572dcf1cca808acb0f84f",
+    },
+    "hiv4_quantum": {
+        "iterates.csv": "6d7188fe54983b0aab9b336dd88eca445cc733d3b3d7eaeba0dda86315018dc0",
+        "manifest.json": "60dfefeb6cf496e5138c3b3eb24c169acd2f3ca33cb561e9c0187f7151064517",
+        "trajectory.csv": "ad805413692f6c9400230ac402cce62a43be63e75844b1e41c68f621a9e68756",
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_RUNS))
+def test_output_bytes_are_pinned(tmp_path, name):
+    command, config = PINNED_RUNS[name]
+    code, out_dir = run(tmp_path, command, config)
+    assert code == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(out_dir.iterdir())}
+    assert digests == OUTPUT_SHA256[name]
+
+
+def test_seed_flag_overrides_the_file_field(tmp_path):
+    code, out_dir = run(tmp_path, "solve", {"problem": "toy:eqqp", "seed": 1},
+                        extra=["--seed", "3"])
+    assert code == 0
+    assert json.loads((out_dir / "manifest.json").read_text())["config"]["seed"] == 3

@@ -296,7 +296,7 @@ class TestHivModel:
         nlp = transcribe(hiv_ocp())
         z0 = hiv_initial_guess(nlp, 0.05)
         qp = build_qp(nlp, z0, BarrierConfig(mu=1e-2))
-        assert np.linalg.cond(qp.Q) < 1e6
+        assert np.linalg.cond(qp.dense_Q()) < 1e6
 
     def test_vector_field_positivity_structure(self):
         p = HivParameters()

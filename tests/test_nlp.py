@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 import qbsqp.nlp
 from qbsqp.models import (
@@ -340,9 +342,9 @@ class TestBuildQp:
         rng = np.random.default_rng(1)
         z = rng.standard_normal(3)
         qp = build_qp(nlp, z, BarrierConfig(mu=1.0))
-        np.testing.assert_allclose(qp.Q, np.eye(3), atol=1e-14)
+        np.testing.assert_allclose(qp.dense_Q(), np.eye(3), atol=1e-14)
         np.testing.assert_allclose(qp.g, z, atol=1e-14)
-        eigs = np.linalg.eigvalsh(qp.Q)
+        eigs = np.linalg.eigvalsh(qp.dense_Q())
         assert eigs.min() > 0.0
 
     def test_scalar_barrier_terms(self):
@@ -353,7 +355,7 @@ class TestBuildQp:
         qp = build_qp(nlp, z, BarrierConfig(mu=1.0))
         sigma = qp.diagnostics["sigma"]
         # stage cost hess on u is 2; barrier adds 1
-        assert qp.Q[1, 1] == pytest.approx(3.0 + sigma, rel=1e-12)
+        assert qp.dense_Q()[1, 1] == pytest.approx(3.0 + sigma, rel=1e-12)
         # g_u = 2*(u-2) + mu*phi'(-1)*1 = -4 + 1
         assert qp.g[1] == pytest.approx(-3.0, rel=1e-12)
 
@@ -363,12 +365,13 @@ class TestBuildQp:
         z = hiv_initial_guess(nlp, 0.05)
         cfg = BarrierConfig(mu=1e-2)
         h, jac_h = nlp.inequalities(z), nlp.inequalities_jacobian(z)
-        dense = (nlp.objective_hessian(z)
+        stages, tail = nlp.objective_hessian(z)
+        dense = (block_diag(*stages, tail)
                  + (jac_h.T * (cfg.mu * log_barrier_d2(h))) @ jac_h)
         expected = 0.5 * (dense + dense.T)
         qp = build_qp(nlp, z, cfg)
         assert qp.diagnostics["sigma"] == 0.0
-        assert qp.Q.tobytes() == expected.tobytes()
+        assert qp.dense_Q().tobytes() == expected.tobytes()
 
         factor, failures = qbsqp.nlp.cho_factor, iter([True])
 
@@ -380,7 +383,21 @@ class TestBuildQp:
         monkeypatch.setattr(qbsqp.nlp, "cho_factor", failing_once)
         qp = build_qp(nlp, z, cfg)  # one damping attempt
         assert qp.diagnostics["sigma"] == 1e-8
-        assert qp.Q.tobytes() == (expected + 1e-8 * np.eye(nlp.n_z)).tobytes()
+        assert qp.dense_Q().tobytes() == (expected + 1e-8 * np.eye(nlp.n_z)).tobytes()
+
+    def test_build_qp_allocates_no_dense_q(self):
+        # n_z = 3003 at N = 600: a dense Q alone takes 72 MB.
+        nlp = transcribe(hiv_ocp(HivParameters(N=600)))
+        z = hiv_initial_guess(nlp, 0.05)
+        point = nlp.evaluate(z)
+        tracemalloc.start()
+        try:
+            qp = build_qp(nlp, z, BarrierConfig(mu=1e-2), point=point)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert qp.n_z == nlp.n_z
+        assert peak <= nlp.n_z ** 2 * 8 / 16
 
     def test_infeasible_point_rejected(self):
         nlp = transcribe(box1d_ocp())
@@ -438,13 +455,14 @@ class TestBuildQp:
         qp = build_qp(small, z, cfg)
         h_fd = fd_hessian(lambda v: eval_barrier_objective(small, v, cfg), z)
         scale = max(1.0, np.max(np.abs(h_fd)))
-        assert np.max(np.abs(qp.Q - qp.diagnostics["sigma"] * np.eye(small.n_z) - h_fd)) / scale < 2e-4
+        q = qp.dense_Q() - qp.diagnostics["sigma"] * np.eye(small.n_z)
+        assert np.max(np.abs(q - h_fd)) / scale < 2e-4
 
     def test_damping_recovers_rank_deficient_hessian(self):
         nlp = transcribe(box1d_ocp())  # x-rows of the cost Hessian are zero
         qp = build_qp(nlp, np.zeros(3), BarrierConfig(mu=1.0))
         assert qp.diagnostics["sigma"] >= 1e-8
-        assert np.linalg.eigvalsh(qp.Q).min() > 0.0
+        assert np.linalg.eigvalsh(qp.dense_Q()).min() > 0.0
 
     def test_exhausted_damping_raises_singularity_error(self):
         # sigma stops at 1e-8 * 2^39 ~ 5.5e3, short of a -1e6 I stage Hessian.

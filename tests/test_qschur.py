@@ -12,12 +12,12 @@ from qbsqp.qschur import (
     quantum_schur_step,
     readout,
 )
-from qbsqp.schur import QpData, exact_step
+from qbsqp.schur import exact_step
+from test_schur import dense_qp
 
 
 def hand_qp():
-    return QpData(Q=np.eye(2), A=np.array([[1.0, 0.0]]),
-                  g=np.zeros(2), r=np.array([1.0]))
+    return dense_qp(np.eye(2), np.array([[1.0, 0.0]]), np.zeros(2), np.array([1.0]))
 
 
 def random_qp(rng, n_max=8, m_max=4, spd=(0.5, 3.0)):
@@ -26,19 +26,20 @@ def random_qp(rng, n_max=8, m_max=4, spd=(0.5, 3.0)):
     qb, _ = np.linalg.qr(rng.standard_normal((n, n)))
     eigs = rng.uniform(*spd, size=n)
     q = (qb * eigs) @ qb.T
-    return QpData(Q=0.5 * (q + q.T), A=rng.standard_normal((m, n)),
-                  g=rng.standard_normal(n), r=rng.standard_normal(m))
+    return dense_qp(0.5 * (q + q.T), rng.standard_normal((m, n)),
+                    rng.standard_normal(n), rng.standard_normal(m))
 
 
 def dense_nodes(qp):
     """The operand each pipeline node encodes, by dense algebra."""
-    q_inv = np.linalg.inv(qp.Q)
+    q = qp.dense_Q()
+    q_inv = np.linalg.inv(q)
     s_true = qp.A @ q_inv @ qp.A.T
     b_true = -qp.r - qp.A @ (q_inv @ qp.g)
     s_inv = np.linalg.inv(s_true)
     lam_true = s_inv @ b_true
     u1_true = qp.g + qp.A.T @ lam_true
-    return {"Q": qp.Q, "A": qp.A, "g": qp.g, "r": qp.r, "Qinv": q_inv,
+    return {"Q": q, "A": qp.A, "g": qp.g, "r": qp.r, "Qinv": q_inv,
             "S": s_true, "b": b_true, "Sinv": s_inv, "lambda": lam_true,
             "u1": u1_true, "dz": -q_inv @ u1_true}
 
@@ -105,7 +106,7 @@ class TestQuantumSchurStep:
             qp = random_qp(rng)
             d = quantum_schur_step(qp, QuantumConfig(degree_cap=100000)).diagnostics
             expected = closed_form_alpha_dz(
-                np.linalg.norm(qp.Q, 2), np.linalg.norm(qp.A, 2),
+                np.linalg.norm(qp.dense_Q(), 2), np.linalg.norm(qp.A, 2),
                 np.linalg.norm(qp.g), np.linalg.norm(qp.r),
                 d["kappa_Q_fit"] * d["gamma_Q"], d["beta_Q"],
                 d["kappa_S_fit"] * d["gamma_S"], d["beta_S"])
@@ -139,9 +140,10 @@ class TestQuantumSchurStep:
         rng = np.random.default_rng(4)
         for _ in range(10):
             qp = random_qp(rng)
-            s = qp.A @ np.linalg.solve(qp.Q, qp.A.T)
+            q = qp.dense_Q()
+            s = qp.A @ np.linalg.solve(q, qp.A.T)
             assert np.linalg.cond(s) <= (
-                np.linalg.cond(qp.A) ** 2 * np.linalg.cond(qp.Q) * (1 + 1e-6))
+                np.linalg.cond(qp.A) ** 2 * np.linalg.cond(q) * (1 + 1e-6))
 
     def test_determinism_same_seed(self):
         rng = np.random.default_rng(5)
@@ -157,7 +159,7 @@ class TestQuantumSchurStep:
             quantum_schur_step(hand_qp(), qcfg)
 
     def test_requires_equality_constraints(self):
-        qp = QpData(Q=np.eye(2), A=np.zeros((0, 2)), g=np.ones(2), r=np.zeros(0))
+        qp = dense_qp(np.eye(2), np.zeros((0, 2)), np.ones(2), np.zeros(0))
         with pytest.raises(ValueError):
             quantum_schur_step(qp, QuantumConfig())
 
