@@ -18,6 +18,7 @@ from .schur import (
     ExactSchurSolver,
     NoisySchurSolver,
     QpData,
+    RowBlocks,
     SchurSolution,
     SchurStepSolver,
     exact_step,
@@ -31,8 +32,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BarrierConfig", "BlockEncoding", "ExactSchurSolver", "HivParameters",
     "NoisySchurSolver", "OcpDefinition", "QpData", "QsvtInversionSpec",
-    "QuantumConfig", "QuantumSchurSolver", "SchurSolution", "SchurStepSolver",
-    "SolveReport", "SqpConfig", "TrajectoryNlp", "backtrack", "be_add",
+    "QuantumConfig", "QuantumSchurSolver", "RowBlocks", "SchurSolution",
+    "SchurStepSolver", "SolveReport", "SqpConfig", "TrajectoryNlp", "backtrack", "be_add",
     "be_mul", "be_neg", "be_transpose", "build_inversion_spec", "build_qp",
     "encode", "eval_barrier_objective", "exact_step", "fraction_to_boundary",
     "hiv_initial_guess", "hiv_ocp", "noisy_step", "quantum_schur_step",

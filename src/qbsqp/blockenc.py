@@ -88,16 +88,6 @@ class BlockEncoding:
         """alpha * block: the matrix this encoding stands for."""
         return self.alpha * self.block
 
-    def error_against(self, operand: np.ndarray) -> float:
-        """Definition-level error || operand - alpha * block ||."""
-        op, _ = _as_matrix(operand)
-        if op.shape != (self.logical_rows, self.logical_cols):
-            raise EncodingError(
-                f"operand shape {op.shape} does not match logical block "
-                f"({self.logical_rows}, {self.logical_cols})"
-            )
-        return operator_norm(op - self.represented())
-
 
 def _embed(block: np.ndarray, size: int) -> np.ndarray:
     r, c = block.shape

@@ -399,29 +399,7 @@ class ToyProblem:
     name: str
     ocp: OcpDefinition
     z0: np.ndarray
-    z_star: np.ndarray | None = None
-    lam_star: np.ndarray | None = None
     sqp_overrides: dict[str, Any] = field(default_factory=dict)
-
-
-def riccati_lqr(a, b, q, r, qf, horizon, x0):
-    """Finite-horizon discrete LQR oracle: optimal states and inputs."""
-    n, m = b.shape
-    p = qf.copy()
-    gains = []
-    for _ in range(horizon):
-        btp = b.T @ p
-        k = np.linalg.solve(r + btp @ b, btp @ a)
-        p = q + k.T @ r @ k + (a - b @ k).T @ p @ (a - b @ k)
-        gains.append(k)
-    gains = gains[::-1]
-    xs = np.empty((horizon + 1, n))
-    us = np.empty((horizon, m))
-    xs[0] = x0
-    for k_idx in range(horizon):
-        us[k_idx] = -gains[k_idx] @ xs[k_idx]
-        xs[k_idx + 1] = a @ xs[k_idx] + b @ us[k_idx]
-    return xs, us
 
 
 def double_integrator_ocp(horizon: int = 8, dt: float = 0.2):
@@ -494,26 +472,16 @@ def box1d_ocp():
     )
 
 
-def box1d_barrier_path(mu: float) -> float:
-    """Closed-form stationary control of the barrier subproblem.
-
-    Solves 2(u - 2) + mu/(1 - u) = 0 for u < 1.
-    """
-    return (3.0 - np.sqrt(1.0 + 2.0 * mu)) / 2.0
-
-
 def toy_problems() -> dict[str, ToyProblem]:
-    """Catalog of analytic test problems with known solutions."""
+    """Catalog of the analytic toy problems, each with its start point."""
     problems: dict[str, ToyProblem] = {}
 
-    di_ocp, (a, b, q, r, qf, x0) = double_integrator_ocp()
+    di_ocp, _ = double_integrator_ocp()
     nlp = transcribe(di_ocp)
-    xs, us = riccati_lqr(a, b, q, r, qf, di_ocp.horizon, x0)
     problems["double_integrator"] = ToyProblem(
         name="double_integrator",
         ocp=di_ocp,
         z0=rollout(nlp, np.zeros((di_ocp.horizon, 1))),
-        z_star=nlp.join(xs, us),
         sqp_overrides={"mu0": 1e-2},
     )
 
@@ -523,8 +491,6 @@ def toy_problems() -> dict[str, ToyProblem]:
         name="eqqp",
         ocp=eq_ocp,
         z0=rollout(eq_nlp, np.array([[0.7]])),
-        z_star=np.array([1.0, 0.0, 0.0]),
-        lam_star=np.array([-1.0, 0.0]),
     )
 
     box_ocp = box1d_ocp()
@@ -533,6 +499,5 @@ def toy_problems() -> dict[str, ToyProblem]:
         name="box1d",
         ocp=box_ocp,
         z0=rollout(box_nlp, np.array([[0.0]])),
-        z_star=np.array([0.0, 1.0, 1.0]),
     )
     return problems

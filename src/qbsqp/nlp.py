@@ -1,7 +1,7 @@
 """Multiple-shooting transcription and barrier-augmented QP assembly.
 
-A finite-horizon optimal control problem is transcribed into a dense NLP
-over the stacked decision vector
+A finite-horizon optimal control problem is transcribed into an NLP over
+the stacked decision vector
 
     z = [x_0, u_0, x_1, u_1, ..., x_{N-1}, u_{N-1}, x_N],
 
@@ -10,6 +10,9 @@ the shooting gaps x_{k+1} - f(x_k, u_k), and inequality constraints
 stacking the stage rows c(x_k, u_k) followed by the terminal rows
 c_N(x_N).  The barrier-augmented objective, its gradient, and the
 Gauss-Newton Hessian feed the quadratic subproblem of each SQP iteration.
+The SQP iteration evaluates both constraint Jacobians as their stage
+blocks; the dense Jacobians are assembled from the same blocks only for
+callers that ask for them whole.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Callable
 import numpy as np
 from numpy.linalg import cholesky as cho_factor  # perfbench traces this name
 
-from .schur import QpData, SingularityError, stacked_blocks
+from .schur import QpData, RowBlocks, SingularityError, stacked_blocks
 
 
 class ConfigurationError(ValueError):
@@ -169,23 +172,45 @@ def _check_shape(value, shape, who):
 
 @dataclass(frozen=True)
 class PointEval:
-    """Constraint values, Jacobians and objective gradient at one iterate.
+    """Constraint values, Jacobian blocks and objective gradient at one iterate.
 
     The SQP driver evaluates these once per accepted iterate and shares
     them between the QP assembly, the step rules, the trace and the
-    convergence test.
+    convergence test.  No dense Jacobian is held.  ``jac_c`` is the
+    equality Jacobian as its row blocks: the identities of the pin and the
+    gaps and the dynamics blocks -[F_k G_k] (see ``RowBlocks``).  The
+    inequality Jacobian is block diagonal: ``jac_h_stages`` holds stage k's
+    path rows on z_k and ``jac_h_tail`` the terminal rows on x_N, and
+    ``jac_h_dot`` and ``jac_h_tdot`` multiply by it and its transpose.
     """
 
-    c: np.ndarray       # equality residuals, (m_eq,)
-    jac_c: np.ndarray   # (m_eq, n_z)
-    h: np.ndarray       # inequality values, (n_ineq,)
-    jac_h: np.ndarray   # (n_ineq, n_z)
-    grad_f: np.ndarray  # objective gradient, (n_z,)
+    c: np.ndarray             # equality residuals, (m_eq,)
+    jac_c: RowBlocks          # (m_eq, n_z) as N + 1 row blocks
+    h: np.ndarray             # inequality values, (n_ineq,)
+    jac_h_stages: np.ndarray  # (N, n_path, n + m)
+    jac_h_tail: np.ndarray    # (n_terminal, n)
+    grad_f: np.ndarray        # objective gradient, (n_z,)
+
+    def jac_h_dot(self, dz: np.ndarray) -> np.ndarray:
+        """jac_h dz, (n_ineq,)."""
+        N, p, nm = self.jac_h_stages.shape
+        out = np.empty(len(self.h))
+        out[:N * p] = (self.jac_h_stages @ dz[:N * nm].reshape(N, nm, 1)).ravel()
+        out[N * p:] = self.jac_h_tail @ dz[N * nm:]
+        return out
+
+    def jac_h_tdot(self, w: np.ndarray) -> np.ndarray:
+        """jac_h^T w, (n_z,)."""
+        N, p, nm = self.jac_h_stages.shape
+        out = np.empty(len(self.grad_f))
+        out[:N * nm] = (self.jac_h_stages.mT @ w[:N * p].reshape(N, p, 1)).ravel()
+        out[N * nm:] = self.jac_h_tail.T @ w[N * p:]
+        return out
 
 
 @dataclass
 class TrajectoryNlp:
-    """Transcribed NLP: dense evaluators over the stacked decision vector."""
+    """Transcribed NLP: evaluators over the stacked decision vector."""
 
     ocp: OcpDefinition
     n_z: int
@@ -214,11 +239,6 @@ class TrajectoryNlp:
         """
         end = self.stage_offsets[-1]
         return z[..., :end].reshape(-1, self.ocp.n + self.ocp.m), z[..., end:]
-
-    def _stage_columns(self) -> np.ndarray:
-        """(N, n + m) column indices of z_k in z, row k for stage k."""
-        return (np.reshape(self.stage_offsets[:-1], (self.ocp.horizon, 1))
-                + np.arange(self.ocp.n + self.ocp.m))
 
     # -- objective ---------------------------------------------------------
     def objective(self, z: np.ndarray) -> float | np.ndarray:
@@ -268,22 +288,27 @@ class TrajectoryNlp:
         np.subtract(x_end, fx[-1], out=gaps[-1])
         return out
 
-    def equalities_jacobian(self, z: np.ndarray) -> np.ndarray:
+    def equality_blocks(self, z: np.ndarray) -> RowBlocks:
+        """The equality Jacobian as its N + 1 row blocks of n rows.
+
+        Row block k holds the pin (k = 0) or the gap x_k - f(x_{k-1},
+        u_{k-1}).  Its block on z_k is [I 0], on x_N the identity, and on
+        z_{k-1} the dynamics block -[F_{k-1} G_{k-1}].
+        """
         ocp = self.ocp
         n, m, N = ocp.n, ocp.m, ocp.horizon
         stages, _ = self._stages(z)
-        jac = np.zeros((self.m_eq, self.n_z))
-        jac[:n, :n] = np.eye(n)
-        jx = _stage_call(ocp, "dynamics_jac_x", stages, (N, n, n))
-        ju = _stage_call(ocp, "dynamics_jac_u", stages, (N, n, m))
-        # Gap row i of stage k is n + k n + i; it reads z_k and x_{k+1},
-        # whose columns are those of z_k shifted by one stage.
-        rows = n + np.arange(N * n).reshape(N, n)
-        cols = self._stage_columns()
-        jac[rows[:, :, None], cols[:, None, :n]] = -jx
-        jac[rows[:, :, None], cols[:, None, n:]] = -ju
-        jac[rows, cols[:, :n] + (n + m)] = 1.0
-        return jac
+        sub = np.empty((N, n, n + m))
+        np.negative(_stage_call(ocp, "dynamics_jac_x", stages, (N, n, n)),
+                    out=sub[:, :, :n])
+        np.negative(_stage_call(ocp, "dynamics_jac_u", stages, (N, n, m)),
+                    out=sub[:, :, n:])
+        return RowBlocks(stages=np.broadcast_to(np.eye(n, n + m), sub.shape),
+                         sub=sub, tail=np.eye(n))
+
+    def equalities_jacobian(self, z: np.ndarray) -> np.ndarray:
+        """The dense equality Jacobian (m_eq, n_z), from ``equality_blocks``."""
+        return self.equality_blocks(z).dense()
 
     # -- inequality constraints ---------------------------------------------
     def inequalities(self, z: np.ndarray) -> np.ndarray:
@@ -302,22 +327,26 @@ class TrajectoryNlp:
                                             (k, ocp.n_terminal))
         return out.reshape(z.shape[:-1] + (self.n_ineq,))
 
-    def inequalities_jacobian(self, z: np.ndarray) -> np.ndarray:
+    def inequality_blocks(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The inequality Jacobian's blocks: the path rows of stage k on z_k
+        (N, n_path, n + m) and the terminal rows on x_N (n_terminal, n)."""
         ocp = self.ocp
-        jac = np.zeros((self.n_ineq, self.n_z))
-        if self.n_ineq == 0:
-            return jac
+        n, nm, N, p, t = ocp.n, ocp.n + ocp.m, ocp.horizon, ocp.n_path, ocp.n_terminal
         stages, x_end = self._stages(z)
-        n, N, p, t = ocp.n, ocp.horizon, ocp.n_path, ocp.n_terminal
-        end = self.stage_offsets[-1]
-        if p:
-            rows = np.arange(N * p).reshape(N, p)
-            cols = self._stage_columns()
-            jac[rows[:, :, None], cols[:, None, :]] = _stage_call(
-                ocp, "path_jac", stages, (N, p, n + ocp.m))
-        if t:
-            jac[N * p:, end:] = _terminal_call(ocp, "terminal_jac", x_end[None],
-                                               (1, t, n))[0]
+        path = (_stage_call(ocp, "path_jac", stages, (N, p, nm)) if p
+                else np.zeros((N, 0, nm)))
+        terminal = (_terminal_call(ocp, "terminal_jac", x_end[None], (1, t, n))[0]
+                    if t else np.zeros((0, n)))
+        return path, terminal
+
+    def inequalities_jacobian(self, z: np.ndarray) -> np.ndarray:
+        """The dense inequality Jacobian (n_ineq, n_z), from ``inequality_blocks``."""
+        path, terminal = self.inequality_blocks(z)
+        N, p, nm = path.shape
+        jac = np.zeros((self.n_ineq, self.n_z))
+        at = np.arange(N)
+        jac[:N * p, :N * nm].reshape(N, p, N, nm)[at, :, at, :] = path
+        jac[N * p:, N * nm:] = terminal
         return jac
 
     def evaluate(self, z: np.ndarray) -> PointEval:
@@ -327,10 +356,11 @@ class TrajectoryNlp:
         map of ``models.rk4_discretize`` keeps the next states of its
         Jacobian pass, so ``equalities`` then integrates nothing.
         """
-        jac_c = self.equalities_jacobian(z)
+        jac_c = self.equality_blocks(z)
+        jac_h_stages, jac_h_tail = self.inequality_blocks(z)
         return PointEval(
-            c=self.equalities(z), jac_c=jac_c,
-            h=self.inequalities(z), jac_h=self.inequalities_jacobian(z),
+            c=self.equalities(z), jac_c=jac_c, h=self.inequalities(z),
+            jac_h_stages=jac_h_stages, jac_h_tail=jac_h_tail,
             grad_f=self.objective_gradient(z),
         )
 
@@ -458,11 +488,14 @@ def build_qp(
     stage k touch only z_k, so the barrier curvature J_k^T diag(w_k) J_k is
     added to stage k's diagonal block (the terminal rows to z_N's), and Q
     keeps the block-diagonal structure of the cost Hessian: it is built,
-    symmetrized and handed on as its N stage blocks and its terminal block,
-    and no n_z x n_z array is formed.  Positive definiteness is asserted by
-    one stacked Cholesky attempt over the blocks (``stacked_blocks``),
-    doubling sigma (from a 1e-8 floor) on failure; each attempt adds sigma
-    to the diagonal of a copy of the stack.  SingularityError is raised
+    symmetrized and handed on as its N stage blocks and its terminal block.
+    The barrier gradient jac_h^T (mu phi'(h)) is formed from the same
+    Jacobian blocks, and A is the equality Jacobian's row blocks as
+    evaluated: no n_z x n_z, m_eq x n_z or n_ineq x n_z array is formed.
+    Positive definiteness is asserted by one stacked Cholesky attempt over
+    the blocks (``stacked_blocks``), doubling sigma (from a 1e-8 floor) on
+    failure; each attempt adds sigma to the diagonal of a copy of the
+    stack.  SingularityError is raised
     once MAX_DAMPINGS doublings have failed too.  The accepted factors are
     handed on as ``QpData.chol_Q``.
     ``point`` holds the first-order quantities at z; they are evaluated here
@@ -479,8 +512,8 @@ def build_qp(
     stages, tail = nlp.objective_hessian(z)
     g = point.grad_f.copy()
     if h.size:
-        _add_barrier_curvature(nlp, stages, tail, point.jac_h, cfg.mu * d2(h))
-        g = g + point.jac_h.T @ (cfg.mu * d1(h))
+        _add_barrier_curvature(stages, tail, point, cfg.mu * d2(h))
+        g = g + point.jac_h_tdot(cfg.mu * d1(h))
     stages = 0.5 * (stages + np.swapaxes(stages, 1, 2))
     tail = 0.5 * (tail + tail.T)
 
@@ -512,21 +545,15 @@ def build_qp(
     )
 
 
-def _add_barrier_curvature(nlp: TrajectoryNlp, stages: np.ndarray, tail: np.ndarray,
-                           jac_h: np.ndarray, weights: np.ndarray) -> None:
+def _add_barrier_curvature(stages: np.ndarray, tail: np.ndarray, point: PointEval,
+                           weights: np.ndarray) -> None:
     """Add jac_h^T diag(weights) jac_h to Q's stage and terminal blocks in place."""
-    ocp = nlp.ocp
-    N, p, end = ocp.horizon, ocp.n_path, nlp.stage_offsets[-1]
+    jac, jac_tail = point.jac_h_stages, point.jac_h_tail
+    N, p = jac.shape[:2]
     if p:
-        # Row r of stage k, column j of z_k: (N, p) row and (N, n + m)
-        # column indices, broadcast to the stage blocks (N, p, n + m).
-        rows = np.arange(N * p).reshape(N, p)
-        cols = nlp._stage_columns()
-        jac = jac_h[rows[:, :, None], cols[:, None, :]]
-        stages += np.swapaxes(jac * weights[rows][:, :, None], 1, 2) @ jac
-    if ocp.n_terminal:
-        jac = jac_h[N * p:, end:]
-        tail += (jac.T * weights[N * p:]) @ jac
+        stages += np.swapaxes(jac * weights[:N * p].reshape(N, p, 1), 1, 2) @ jac
+    if len(jac_tail):
+        tail += (jac_tail.T * weights[N * p:]) @ jac_tail
 
 
 def validate_derivatives(

@@ -119,7 +119,7 @@ def _pipeline(qp: QpData, qcfg: QuantumConfig, rng: np.random.Generator):
     """
     size = 1 << max(0, math.ceil(math.log2(max(qp.n_z, qp.m_eq))))
     u_q = _encode_with_floor(qp.dense_Q(), qcfg.eps_Q, size, rng)
-    u_a = _encode_with_floor(qp.A, qcfg.eps_A, size, rng)
+    u_a = _encode_with_floor(qp.dense_A(), qcfg.eps_A, size, rng)
     u_g = _encode_with_floor(qp.g, qcfg.eps_g, size, rng)
     u_r = _encode_with_floor(qp.r, qcfg.eps_r, size, rng)
     u_at = be_transpose(u_a)

@@ -215,9 +215,9 @@ def _stationarity_norm(point: PointEval, mu: float, lam: np.ndarray) -> float:
     g = point.grad_f
     if point.h.size:
         d1 = BarrierConfig(mu=mu).funcs[1]
-        g = g + point.jac_h.T @ (mu * d1(point.h))
+        g = g + point.jac_h_tdot(mu * d1(point.h))
     if lam.size:
-        g = g + point.jac_c.T @ lam
+        g = g + point.jac_c.tdot(lam)
     return float(np.linalg.norm(g))
 
 
@@ -278,7 +278,7 @@ def solve(
             try:
                 if point.h.size:
                     alpha_max = fraction_to_boundary(
-                        z, sol.dz, point.h, point.jac_h @ sol.dz, cfg.boundary_theta)
+                        z, sol.dz, point.h, point.jac_h_dot(sol.dz), cfg.boundary_theta)
                 else:
                     alpha_max = 1.0
                 accepted = backtrack(nlp, z, sol.dz, qp.g, mu, alpha_max, cfg,

@@ -532,19 +532,19 @@ PINNED_RUNS = {
 }
 OUTPUT_SHA256 = {
     "hiv12_exact": {
-        "iterates.csv": "0666f4744cfa9109bb466a123b44565eb540683d9ff1837ed715666d837881b7",
-        "manifest.json": "a825bedebd60b4640ae332f5baed8944157c57b8c3596210d1dbafa888171bdb",
-        "trajectory.csv": "b70b993912a32dd15179fc078f7d4df7e28d90fbea7237f73fe441b8c14cdf76",
+        "iterates.csv": "6b031a798c454ca8528d4648037369fdb618f46d0f48a605723f759e13c8919a",
+        "manifest.json": "931aa331b74f3f0d7345e857e40b4011053a8f43b3fb89b87c0dd4ecb7b87f0f",
+        "trajectory.csv": "886d23779a4c646d77b55b64f31f05ee205aeaf0644e394cb66ebe2163ad5d7c",
     },
     "hiv6_sweep": {
-        "iss_fit.json": "64a43a91b206f54c41aadb84a45edc3dc3d3aaf2e249e6954535211cfebfa32a",
-        "manifest.json": "c8958b5d60856a9ca944fb8a7637a9625a76b3ccaee7615b2aa3ea3ed05c45a4",
-        "sweep.csv": "2c6921d1e19885eab8cd680e14d4dff9ddd6b5549c13a022126f499fb611c8d9",
-        "traces.csv": "fa2e40f3392a080352f366f05c9f8f8cf8289e4c0f4572dcf1cca808acb0f84f",
+        "iss_fit.json": "3b7f23d0fe6ae007b8ac344f496a138f04a935f6e76fe656dab75ac56bb240b7",
+        "manifest.json": "43b995395c09000d3a083ce8c9b10ca8d2ecee1478c655cc39cb5a25c0da9c23",
+        "sweep.csv": "9365757d44f9fe770b8deee96ec7770fd6e48f1f53a0bfe90a4b80ffe83ad187",
+        "traces.csv": "ceded7eaddf553ca5ec574a4e584387fda92f3c60ad799567d912fe7a93209c6",
     },
     "hiv4_quantum": {
-        "iterates.csv": "6d7188fe54983b0aab9b336dd88eca445cc733d3b3d7eaeba0dda86315018dc0",
-        "manifest.json": "60dfefeb6cf496e5138c3b3eb24c169acd2f3ca33cb561e9c0187f7151064517",
+        "iterates.csv": "ac34bc4ff5b17a3d325da828ecb67973dbc490ddeb7f019796012a74128966aa",
+        "manifest.json": "e99d18c929576ad183a5b7f3c46959b27cba48f360cd153496b1cff05e223a75",
         "trajectory.csv": "ad805413692f6c9400230ac402cce62a43be63e75844b1e41c68f621a9e68756",
     },
 }

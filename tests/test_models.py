@@ -9,11 +9,9 @@ from scipy.optimize import brentq
 import qbsqp.models
 from qbsqp.models import (
     HivParameters,
-    box1d_barrier_path,
     hiv_initial_guess,
     hiv_ocp,
     hiv_vector_field,
-    riccati_lqr,
     rk4_discretize,
     toy_problems,
 )
@@ -27,6 +25,7 @@ from qbsqp.nlp import (
 )
 from qbsqp.schur import ExactSchurSolver
 from qbsqp.sqp import SqpConfig, solve
+from oracles import EQQP_LAM_STAR, box1d_barrier_path, riccati_lqr, toy_optimum
 from test_schur import dense_kkt_solve
 
 
@@ -319,14 +318,15 @@ class TestToyProblems:
 
     def test_eqqp_hand_kkt(self):
         t = toy_problems()["eqqp"]
-        np.testing.assert_array_equal(t.z_star, [1.0, 0.0, 0.0])
-        np.testing.assert_array_equal(t.lam_star, [-1.0, 0.0])
+        z_star, lam_star = toy_optimum("eqqp"), EQQP_LAM_STAR
+        np.testing.assert_array_equal(z_star, [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(lam_star, [-1.0, 0.0])
         # cross-check by dense KKT solve on the transcribed QP
         nlp = transcribe(t.ocp)
         qp = build_qp(nlp, t.z0, BarrierConfig(mu=1.0))
         dz, lam = dense_kkt_solve(qp)
-        np.testing.assert_allclose(t.z0 + dz, t.z_star, atol=1e-12)
-        np.testing.assert_allclose(lam, t.lam_star, atol=1e-12)
+        np.testing.assert_allclose(t.z0 + dz, z_star, atol=1e-12)
+        np.testing.assert_allclose(lam, lam_star, atol=1e-12)
 
     def test_double_integrator_riccati_oracle(self):
         t = toy_problems()["double_integrator"]
@@ -334,7 +334,7 @@ class TestToyProblems:
         cfg = SqpConfig(mu0=1e-2)
         rep = solve(nlp, t.z0, cfg, ExactSchurSolver())
         assert rep.converged
-        assert np.linalg.norm(rep.z_star - t.z_star) < 1e-8
+        assert np.linalg.norm(rep.z_star - toy_optimum("double_integrator")) < 1e-8
 
     def test_horizon_one_single_riccati_step(self):
         from qbsqp.models import double_integrator_ocp

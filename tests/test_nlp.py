@@ -399,6 +399,47 @@ class TestBuildQp:
         assert qp.n_z == nlp.n_z
         assert peak <= nlp.n_z ** 2 * 8 / 16
 
+    def test_evaluate_and_build_qp_allocate_no_dense_jacobian(self):
+        # n_z = 3003, m_eq = 1803 and n_ineq = 4203 at N = 600: a dense
+        # jac_c takes 43 MB and a dense jac_h 101 MB.  The dynamics and
+        # their Jacobians are computed before tracing, so that the peak
+        # counts the transcription's arrays and not the RK4 pass's.
+        ocp = hiv_ocp(HivParameters(N=600))
+        z = hiv_initial_guess(transcribe(ocp), 0.05)
+        xs, us = transcribe(ocp).split(z)
+
+        def fixed(name):
+            value = getattr(ocp, name)(xs[:-1], us)
+            return lambda stage_xs, stage_us: value[:len(stage_xs)]
+
+        nlp = transcribe(OcpDefinition(**{**ocp.__dict__, **{
+            name: fixed(name)
+            for name in ("dynamics", "dynamics_jac_x", "dynamics_jac_u")}}))
+        tracemalloc.start()
+        try:
+            point = nlp.evaluate(z)
+            qp = build_qp(nlp, z, BarrierConfig(mu=1e-2), point=point)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert qp.m_eq == nlp.m_eq
+        assert peak <= nlp.n_z * nlp.m_eq * 8 / 16
+
+    def test_point_products_equal_the_dense_jacobians(self):
+        nlp = transcribe(hiv_ocp(HivParameters(N=20)))
+        z = hiv_initial_guess(nlp, 0.05)
+        point = nlp.evaluate(z)
+        jac_c, jac_h = nlp.equalities_jacobian(z), nlp.inequalities_jacobian(z)
+        np.testing.assert_array_equal(point.jac_c.dense(), jac_c)
+        rng = np.random.default_rng(0)
+        for jac, product, vector in (
+                (jac_c, point.jac_c.dot, rng.standard_normal(nlp.n_z)),
+                (jac_c.T, point.jac_c.tdot, rng.standard_normal(nlp.m_eq)),
+                (jac_h, point.jac_h_dot, rng.standard_normal(nlp.n_z)),
+                (jac_h.T, point.jac_h_tdot, rng.standard_normal(nlp.n_ineq))):
+            bound = 1e-15 * (np.abs(jac) @ np.abs(vector))
+            assert np.all(np.abs(product(vector) - jac @ vector) <= bound)
+
     def test_infeasible_point_rejected(self):
         nlp = transcribe(box1d_ocp())
         with pytest.raises(InfeasiblePointError):

@@ -13,6 +13,7 @@ from qbsqp.qschur import (
     readout,
 )
 from qbsqp.schur import exact_step
+from oracles import encoding_error
 from test_schur import dense_qp
 
 
@@ -32,14 +33,14 @@ def random_qp(rng, n_max=8, m_max=4, spd=(0.5, 3.0)):
 
 def dense_nodes(qp):
     """The operand each pipeline node encodes, by dense algebra."""
-    q = qp.dense_Q()
+    q, a = qp.dense_Q(), qp.dense_A()
     q_inv = np.linalg.inv(q)
-    s_true = qp.A @ q_inv @ qp.A.T
-    b_true = -qp.r - qp.A @ (q_inv @ qp.g)
+    s_true = a @ q_inv @ a.T
+    b_true = -qp.r - a @ (q_inv @ qp.g)
     s_inv = np.linalg.inv(s_true)
     lam_true = s_inv @ b_true
-    u1_true = qp.g + qp.A.T @ lam_true
-    return {"Q": q, "A": qp.A, "g": qp.g, "r": qp.r, "Qinv": q_inv,
+    u1_true = qp.g + a.T @ lam_true
+    return {"Q": q, "A": a, "g": qp.g, "r": qp.r, "Qinv": q_inv,
             "S": s_true, "b": b_true, "Sinv": s_inv, "lambda": lam_true,
             "u1": u1_true, "dz": -q_inv @ u1_true}
 
@@ -97,7 +98,7 @@ class TestQuantumSchurStep:
         truth = dense_nodes(qp)
         assert nodes.keys() == truth.keys()
         for name, enc in nodes.items():
-            err = enc.error_against(truth[name])
+            err = encoding_error(enc, truth[name])
             assert err <= enc.eps * (1 + 1e-9) + 1e-13, name
 
     def test_alpha_dz_matches_closed_form(self):
@@ -106,7 +107,7 @@ class TestQuantumSchurStep:
             qp = random_qp(rng)
             d = quantum_schur_step(qp, QuantumConfig(degree_cap=100000)).diagnostics
             expected = closed_form_alpha_dz(
-                np.linalg.norm(qp.dense_Q(), 2), np.linalg.norm(qp.A, 2),
+                np.linalg.norm(qp.dense_Q(), 2), np.linalg.norm(qp.dense_A(), 2),
                 np.linalg.norm(qp.g), np.linalg.norm(qp.r),
                 d["kappa_Q_fit"] * d["gamma_Q"], d["beta_Q"],
                 d["kappa_S_fit"] * d["gamma_S"], d["beta_S"])
@@ -140,10 +141,10 @@ class TestQuantumSchurStep:
         rng = np.random.default_rng(4)
         for _ in range(10):
             qp = random_qp(rng)
-            q = qp.dense_Q()
-            s = qp.A @ np.linalg.solve(q, qp.A.T)
+            q, a = qp.dense_Q(), qp.dense_A()
+            s = a @ np.linalg.solve(q, a.T)
             assert np.linalg.cond(s) <= (
-                np.linalg.cond(qp.A) ** 2 * np.linalg.cond(q) * (1 + 1e-6))
+                np.linalg.cond(a) ** 2 * np.linalg.cond(q) * (1 + 1e-6))
 
     def test_determinism_same_seed(self):
         rng = np.random.default_rng(5)

@@ -3,27 +3,40 @@ import re
 import numpy as np
 import pytest
 
+import qbsqp.schur
+from qbsqp.experiments import HIV_SQP_DEFAULTS
 from qbsqp.models import HivParameters, hiv_initial_guess, hiv_ocp, toy_problems
 from qbsqp.nlp import BarrierConfig, build_qp, transcribe
 from qbsqp.schur import (
     ExactSchurSolver,
     NoisySchurSolver,
     QpData,
+    RowBlocks,
     SingularityError,
+    certify_block_tridiagonal,
     exact_step,
     noisy_step,
+    schur_blocks,
 )
+from qbsqp.sqp import SqpConfig, solve
+
+
+def unstaged(a) -> RowBlocks:
+    """A dense A as one row block on the tail."""
+    empty = np.zeros((0, len(a), 0))
+    return RowBlocks(stages=empty, sub=empty, tail=a)
 
 
 def dense_qp(q, a, g, r) -> QpData:
-    """QpData of a dense Q: no stage blocks, all of Q the trailing block."""
-    return QpData(Q_stages=np.zeros((0, 0, 0)), Q_tail=q, A=a, g=g, r=r)
+    """QpData of a dense Q and A: no stage blocks, all of both on the tail."""
+    return QpData(Q_stages=np.zeros((0, 0, 0)), Q_tail=q, A=unstaged(a), g=g, r=r)
 
 
 def kkt_residual_norm(qp: QpData, dz: np.ndarray, lam: np.ndarray) -> float:
     """Oracle: ||Q dz + A^T lam + g|| + ||A dz - r||."""
-    stat = np.linalg.norm(qp.dense_Q() @ dz + qp.A.T @ lam + qp.g)
-    feas = np.linalg.norm(qp.A @ dz - qp.r) if qp.m_eq else 0.0
+    a = qp.dense_A()
+    stat = np.linalg.norm(qp.dense_Q() @ dz + a.T @ lam + qp.g)
+    feas = np.linalg.norm(a @ dz - qp.r) if qp.m_eq else 0.0
     return float(stat + feas)
 
 
@@ -32,11 +45,19 @@ def dense_kkt_solve(qp: QpData) -> tuple[np.ndarray, np.ndarray]:
     n, m = qp.n_z, qp.m_eq
     kkt = np.zeros((n + m, n + m))
     kkt[:n, :n] = qp.dense_Q()
-    kkt[:n, n:] = qp.A.T
-    kkt[n:, :n] = qp.A
+    kkt[:n, n:] = qp.dense_A().T
+    kkt[n:, :n] = qp.dense_A()
     rhs = np.concatenate([-qp.g, qp.r])
     sol = np.linalg.solve(kkt, rhs)
     return sol[:n], sol[n:]
+
+
+def row_blocks(count, rows, size, rest, rng=None) -> RowBlocks:
+    """Row blocks of ones, or of standard normal entries when rng is given."""
+    def fill(*shape):
+        return rng.standard_normal(shape) if rng is not None else np.ones(shape)
+    return RowBlocks(stages=fill(count, rows, size), sub=fill(count, rows, size),
+                     tail=fill(rows, rest))
 
 
 def random_qp(rng, n=12, m=4, spd_lo=0.5, spd_hi=5.0):
@@ -58,7 +79,7 @@ class TestExactStep:
         sol = exact_step(qp)
         np.testing.assert_allclose(sol.dz, [1.0, 0.0], atol=1e-14)
         np.testing.assert_allclose(sol.lam, [-1.0], atol=1e-14)
-        np.testing.assert_allclose(qp.A @ sol.dz, qp.r, atol=1e-14)
+        np.testing.assert_allclose(qp.dense_A() @ sol.dz, qp.r, atol=1e-14)
 
     def test_homogeneous_system_gives_zero(self):
         qp = dense_qp(np.eye(3), np.array([[1.0, 1.0, 0.0]]),
@@ -105,8 +126,8 @@ class TestExactStep:
             stages[bad] = np.diag([-2.0, 0.5])
         else:
             tail[0, 0] = -2.0
-        qp = QpData(Q_stages=stages, Q_tail=tail, A=np.ones((1, 7)), g=np.zeros(7),
-                    r=np.zeros(1))
+        qp = QpData(Q_stages=stages, Q_tail=tail, A=row_blocks(3, 1, 2, 1),
+                    g=np.zeros(7), r=np.zeros(4))
         low, high = (-2.0, 0.5) if bad < 3 else (-2.0, -2.0)
         message = (f"Q {name} is not positive definite "
                    f"(eig range [{low:.3e}, {high:.3e}])")
@@ -120,24 +141,42 @@ class TestExactStep:
     ])
     def test_q_blocks_must_be_square(self, stages, tail, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            QpData(Q_stages=stages, Q_tail=tail, A=np.ones((1, 5)), g=np.zeros(5),
-                   r=np.zeros(1))
+            QpData(Q_stages=stages, Q_tail=tail, A=row_blocks(2, 1, 2, 1),
+                   g=np.zeros(5), r=np.zeros(3))
 
     @pytest.mark.parametrize("a, g, r, message", [
-        (np.ones((1, 4)), np.zeros(5), np.zeros(1), "A must have n_z columns"),
-        (np.ones(5), np.zeros(5), np.zeros(1), "A must have n_z columns"),
-        (np.ones((1, 5)), np.zeros(6), np.zeros(1), "g must have length n_z"),
-        (np.ones((1, 5)), np.zeros(5), np.zeros(2), "r must have length m_eq"),
+        (row_blocks(2, 1, 2, 0), np.zeros(5), np.zeros(3), "A must have n_z columns"),
+        (row_blocks(2, 1, 3, 1), np.zeros(5), np.zeros(3), "A must have n_z columns"),
+        (row_blocks(2, 1, 2, 1), np.zeros(6), np.zeros(3), "g must have length n_z"),
+        (row_blocks(2, 1, 2, 1), np.zeros(5), np.zeros(2), "r must have length m_eq"),
+        (unstaged(np.ones((1, 5))), np.zeros(5), np.zeros(1),
+         "A.stages must have the count and size of Q_stages"),
+        (row_blocks(1, 1, 2, 3), np.zeros(5), np.zeros(2),
+         "A.stages must have the count and size of Q_stages"),
     ])
     def test_a_g_r_must_fit_the_q_blocks(self, a, g, r, message):
         # Two stage blocks of size 2 and a trailing block of size 1: n_z = 5.
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             QpData(Q_stages=np.ones((2, 2, 2)), Q_tail=np.eye(1), A=a, g=g, r=r)
 
+    @pytest.mark.parametrize("stages, sub, tail, message", [
+        (np.ones((2, 1)), np.ones((2, 1)), np.ones((1, 1)),
+         "stages must be a stack of blocks (count, rows, size)"),
+        (np.ones((2, 1, 2)), np.ones((1, 1, 2)), np.ones((1, 1)),
+         "sub must have the shape of stages"),
+        (np.ones((2, 1, 2)), np.ones((2, 1, 2)), np.ones((2, 1)),
+         "tail must have the rows of each row block"),
+        (np.ones((2, 1, 2)), np.ones((2, 1, 2)), np.ones(1),
+         "tail must have the rows of each row block"),
+    ])
+    def test_row_blocks_must_agree(self, stages, sub, tail, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RowBlocks(stages=stages, sub=sub, tail=tail)
+
     def test_dense_q_places_the_blocks_on_the_diagonal(self):
         stages = np.arange(8.0).reshape(2, 2, 2)
-        qp = QpData(Q_stages=stages, Q_tail=np.full((1, 1), 9.0), A=np.ones((1, 5)),
-                    g=np.zeros(5), r=np.zeros(1))
+        qp = QpData(Q_stages=stages, Q_tail=np.full((1, 1), 9.0),
+                    A=row_blocks(2, 1, 2, 1), g=np.zeros(5), r=np.zeros(3))
         expected = np.zeros((5, 5))
         expected[:2, :2], expected[2:4, 2:4], expected[4, 4] = stages[0], stages[1], 9.0
         np.testing.assert_array_equal(qp.dense_Q(), expected)
@@ -154,9 +193,10 @@ class TestExactStep:
         for _ in range(10):
             qp = random_qp(rng)
             q = qp.dense_Q()
-            s = qp.A @ np.linalg.solve(q, qp.A.T)
+            a = qp.dense_A()
+            s = a @ np.linalg.solve(q, a.T)
             kappa_s = np.linalg.cond(s)
-            bound = np.linalg.cond(qp.A) ** 2 * np.linalg.cond(q)
+            bound = np.linalg.cond(a) ** 2 * np.linalg.cond(q)
             assert kappa_s <= bound * (1 + 1e-6)
 
 
@@ -179,6 +219,163 @@ def test_block_step_matches_dense_kkt_oracle_on_ocp_qps(name, qp):
     dz_ref, lam_ref = dense_kkt_solve(qp)
     assert np.linalg.norm(sol.dz - dz_ref) <= 1e-10 * np.linalg.norm(dz_ref)
     assert np.linalg.norm(sol.lam - lam_ref) <= 1e-10 * np.linalg.norm(lam_ref)
+
+
+def staged_qp(rng, count=5, rows=2, size=4, rest=3) -> QpData:
+    """A staged QP whose Q blocks are random SPD and whose row blocks,
+    the diagonal ones included, are random."""
+    def spd(k, d):
+        b = rng.standard_normal((k, d, d))
+        return b @ b.mT + d * np.eye(d)
+    n_z, m_eq = count * size + rest, (count + 1) * rows
+    return QpData(Q_stages=spd(count, size), Q_tail=spd(1, rest)[0],
+                  A=row_blocks(count, rows, size, rest, rng),
+                  g=rng.standard_normal(n_z), r=rng.standard_normal(m_eq))
+
+
+def tridiagonal(diag, off):
+    """The symmetric block-tridiagonal matrix of its diagonal blocks and the
+    blocks above them."""
+    count, rows = diag.shape[:2]
+    s = np.zeros((count * rows, count * rows))
+    for k in range(count):
+        s[k * rows:(k + 1) * rows, k * rows:(k + 1) * rows] = diag[k]
+    for k in range(count - 1):
+        s[k * rows:(k + 1) * rows, (k + 1) * rows:(k + 2) * rows] = off[k]
+        s[(k + 1) * rows:(k + 2) * rows, k * rows:(k + 1) * rows] = off[k].T
+    return s
+
+
+def block_qps():
+    """HIV subproblems at three horizons, and a staged QP with random blocks."""
+    qps = {}
+    for horizon in (6, 20, 160):
+        nlp = transcribe(hiv_ocp(HivParameters(N=horizon)))
+        qps[f"hiv_N{horizon}"] = build_qp(nlp, hiv_initial_guess(nlp, 0.05),
+                                          BarrierConfig(mu=1e-2))
+    qps["random_staged"] = staged_qp(np.random.default_rng(11))
+    return qps
+
+
+class TestBlockSchurComplement:
+    @pytest.mark.parametrize("name, qp", list(block_qps().items()))
+    def test_schur_blocks_equal_the_dense_product(self, name, qp):
+        inverses = np.linalg.inv(qp.Q_stages), np.linalg.inv(qp.Q_tail)
+        s = tridiagonal(*schur_blocks(qp, inverses))
+        a = qp.dense_A()
+        expected = a @ np.linalg.inv(qp.dense_Q()) @ a.T
+        assert np.max(np.abs(s - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    def test_row_block_products_equal_the_dense_products(self):
+        rng = np.random.default_rng(12)
+        for count, rows, size, rest in ((4, 2, 3, 2), (0, 3, 0, 5), (1, 1, 2, 4)):
+            a = row_blocks(count, rows, size, rest, rng)
+            dense = a.dense()
+            assert dense.shape == a.shape
+            y, lam = rng.standard_normal(a.shape[1]), rng.standard_normal(a.shape[0])
+            np.testing.assert_allclose(a.dot(y), dense @ y, rtol=1e-13, atol=1e-13)
+            np.testing.assert_allclose(a.tdot(lam), dense.T @ lam, rtol=1e-13,
+                                       atol=1e-13)
+
+    def test_staged_step_matches_dense_kkt_oracle(self):
+        rng = np.random.default_rng(13)
+        for _ in range(10):
+            qp = staged_qp(rng)
+            sol = exact_step(qp)
+            dz_ref, lam_ref = dense_kkt_solve(qp)
+            assert np.linalg.norm(sol.dz - dz_ref) <= 1e-10 * np.linalg.norm(dz_ref)
+            assert np.linalg.norm(sol.lam - lam_ref) <= 1e-10 * np.linalg.norm(lam_ref)
+
+    def test_one_factorization_of_small_blocks_per_step(self, monkeypatch):
+        # HIV N = 40: S is 123 x 123, and its pivots are 3 x 3.
+        nlp = transcribe(hiv_ocp(HivParameters(N=40)))
+        shapes, steps = [], []
+        factor = qbsqp.schur.cho_factor
+
+        def spy(a):
+            shapes.append(a.shape)
+            return factor(a)
+
+        class CountingSolver(ExactSchurSolver):
+            def step(self, qp):
+                steps.append(qp.m_eq)
+                return super().step(qp)
+
+        monkeypatch.setattr(qbsqp.schur, "cho_factor", spy)
+        rep = solve(nlp, hiv_initial_guess(nlp, 0.05), SqpConfig(**HIV_SQP_DEFAULTS),
+                    CountingSolver())
+        assert rep.converged and len(steps) >= rep.n_iters > 0
+        assert len(shapes) == len(steps)
+        assert all(shape[-2:] == (nlp.ocp.n, nlp.ocp.n) for shape in shapes)
+
+
+def spd_tridiagonal(rng, count=7, rows=3):
+    """Diagonal blocks near 4 I and coupling blocks of norm below 1: SPD."""
+    sym = rng.standard_normal((count, rows, rows))
+    diag = 4.0 * np.eye(rows) + 0.1 * (sym + sym.mT)
+    off = 0.3 * rng.standard_normal((count - 1, rows, rows))
+    return diag, off
+
+
+def dense_verdict(diag, off) -> bool:
+    """Oracle: whether one dense Cholesky factorization of S succeeds."""
+    try:
+        np.linalg.cholesky(tridiagonal(diag, off))
+        return True
+    except np.linalg.LinAlgError:
+        return False
+
+
+class TestOddEvenReduction:
+    @pytest.mark.parametrize("count", [1, 2, 3, 7, 8, 161])
+    def test_spd_passes(self, count):
+        diag, off = spd_tridiagonal(np.random.default_rng(count), count=count)
+        assert dense_verdict(diag, off)
+        certify_block_tridiagonal(diag, off)
+
+    @pytest.mark.parametrize("count, stage", [(7, 0), (7, 3), (7, 6), (8, 5), (8, 7),
+                                              (1, 0)])
+    def test_indefinite_pivot_names_its_stage(self, count, stage):
+        diag, off = spd_tridiagonal(np.random.default_rng(stage), count=count)
+        diag[stage] = np.diag([-1.0, 4.0, 4.0])
+        assert not dense_verdict(diag, off)
+        with pytest.raises(SingularityError,
+                           match=rf"^Schur complement S .* stage {stage} "):
+            certify_block_tridiagonal(diag, off)
+
+    @pytest.mark.parametrize("stage", [2, 3, 6])
+    def test_singular_block_names_its_stage(self, stage):
+        # Row and column 0 of block `stage` are zero, and so are the couplings
+        # that reach them: S is singular, and so is that stage's pivot.
+        diag, off = spd_tridiagonal(np.random.default_rng(5))
+        diag[stage, 0, :] = diag[stage, :, 0] = 0.0
+        if stage > 0:
+            off[stage - 1][:, 0] = 0.0
+        if stage < len(diag) - 1:
+            off[stage][0, :] = 0.0
+        assert not dense_verdict(diag, off)
+        with pytest.raises(SingularityError,
+                           match=rf"^Schur complement S .* stage {stage} "):
+            certify_block_tridiagonal(diag, off)
+
+    def test_verdict_equals_dense_cholesky_on_shifted_matrices(self):
+        rng = np.random.default_rng(14)
+        verdicts = []
+        for _ in range(60):
+            diag, off = spd_tridiagonal(rng, count=int(rng.integers(1, 12)))
+            s = tridiagonal(diag, off)
+            lowest = np.linalg.eigvalsh(s)[0]
+            shift = lowest - rng.uniform(-1.0, 1.0)  # lowest eigenvalue moves into (-1, 1)
+            if abs(lowest - shift) < 1e-6:
+                continue
+            diag = diag - shift * np.eye(diag.shape[1])
+            expected = dense_verdict(diag, off)
+            try:
+                certify_block_tridiagonal(diag, off)
+                verdicts.append(expected)
+            except SingularityError:
+                verdicts.append(not expected)
+        assert all(verdicts) and len(verdicts) > 50
 
 
 class TestNoisyStep:
