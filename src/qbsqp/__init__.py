@@ -10,11 +10,11 @@ from .nlp import (
     eval_barrier_objective,
     rollout,
     transcribe,
-    validate_derivatives,
 )
 from .qschur import QuantumConfig, QuantumSchurSolver, quantum_schur_step, readout
 from .qsvt import QsvtInversionSpec, build_inversion_spec, qsvt_invert
 from .schur import (
+    BlockDiagonal,
     ExactSchurSolver,
     NoisySchurSolver,
     QpData,
@@ -30,13 +30,13 @@ from .sqp import SolveReport, SqpConfig, backtrack, fraction_to_boundary, solve,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BarrierConfig", "BlockEncoding", "ExactSchurSolver", "HivParameters",
-    "NoisySchurSolver", "OcpDefinition", "QpData", "QsvtInversionSpec",
-    "QuantumConfig", "QuantumSchurSolver", "RowBlocks", "SchurSolution",
-    "SchurStepSolver", "SolveReport", "SqpConfig", "TrajectoryNlp", "backtrack", "be_add",
-    "be_mul", "be_neg", "be_transpose", "build_inversion_spec", "build_qp",
-    "encode", "eval_barrier_objective", "exact_step", "fraction_to_boundary",
-    "hiv_initial_guess", "hiv_ocp", "noisy_step", "quantum_schur_step",
-    "qsvt_invert", "readout", "rollout", "solve", "toy_problems", "transcribe",
-    "update_barrier", "validate_derivatives",
+    "BarrierConfig", "BlockDiagonal", "BlockEncoding", "ExactSchurSolver",
+    "HivParameters", "NoisySchurSolver", "OcpDefinition", "QpData",
+    "QsvtInversionSpec", "QuantumConfig", "QuantumSchurSolver", "RowBlocks",
+    "SchurSolution", "SchurStepSolver", "SolveReport", "SqpConfig", "TrajectoryNlp",
+    "backtrack", "be_add", "be_mul", "be_neg", "be_transpose", "build_inversion_spec",
+    "build_qp", "encode", "eval_barrier_objective", "exact_step",
+    "fraction_to_boundary", "hiv_initial_guess", "hiv_ocp", "noisy_step",
+    "quantum_schur_step", "qsvt_invert", "readout", "rollout", "solve",
+    "toy_problems", "transcribe", "update_barrier",
 ]

@@ -5,7 +5,7 @@ Schema (all sections optional unless a command requires them):
     problem:
       name: hiv | toy:eqqp | toy:double_integrator | toy:box1d
       params: {...}          # HivParameters overrides (hiv only)
-      u_guess: 0.05          # constant-control rollout for the hiv start
+      u_guess: 0.05          # constant-control rollout for the hiv start, in (0, 1)
     solver:  {kind: exact | noisy | quantum, ...}   # solve
     solvers: [{...}, {...}]                         # compare (exactly two)
     sqp:     {mu0: ..., eps_opt: ..., ...}          # SqpConfig overrides
@@ -17,7 +17,7 @@ Schema (all sections optional unless a command requires them):
     qsvt:
       kappas: [...]
       eps_primes: [...]
-      matrix_size: 8
+      matrix_size: 8         # >= 1
     output: {dir: path}
     seed: 0                  # >= 0
 
@@ -171,6 +171,8 @@ def validate_config(data: dict) -> ExperimentConfig:
                 raise ConfigError(f"problem.params.{key}: unknown parameter")
         cfg.u_guess = _typed(problem.get("u_guess", cfg.u_guess), float,
                              "problem.u_guess")
+        if not 0.0 < cfg.u_guess < 1.0:
+            raise ConfigError(f"problem.u_guess: must lie in (0, 1), got {cfg.u_guess!r}")
 
     if "solver" in data:
         cfg.solver = _check_solver_spec(data["solver"], "solver")
@@ -219,7 +221,9 @@ def validate_config(data: dict) -> ExperimentConfig:
             if not _checked_list(qsvt, "qsvt", name, float, admissible, rule):
                 raise ConfigError(f"qsvt.{name}: must be nonempty")
         if "matrix_size" in qsvt:
-            _typed(qsvt["matrix_size"], int, "qsvt.matrix_size")
+            size = _typed(qsvt["matrix_size"], int, "qsvt.matrix_size")
+            if size < 1:
+                raise ConfigError(f"qsvt.matrix_size: must be at least 1, got {size}")
         cfg.qsvt = dict(qsvt)
 
     out = _mapping(data.get("output", {}), "output")

@@ -10,9 +10,10 @@ the shooting gaps x_{k+1} - f(x_k, u_k), and inequality constraints
 stacking the stage rows c(x_k, u_k) followed by the terminal rows
 c_N(x_N).  The barrier-augmented objective, its gradient, and the
 Gauss-Newton Hessian feed the quadratic subproblem of each SQP iteration.
-The SQP iteration evaluates both constraint Jacobians as their stage
-blocks; the dense Jacobians are assembled from the same blocks only for
-callers that ask for them whole.
+The iteration holds every matrix as its stage blocks: the cost Hessian
+and the inequality Jacobian as a ``BlockDiagonal``, the equality Jacobian
+as a ``RowBlocks`` (see schur).  The dense Jacobians are assembled from
+the same blocks only for callers that ask for them whole.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Callable
 import numpy as np
 from numpy.linalg import cholesky as cho_factor  # perfbench traces this name
 
-from .schur import QpData, RowBlocks, SingularityError, stacked_blocks
+from .schur import BlockDiagonal, QpData, RowBlocks, SingularityError
 
 
 class ConfigurationError(ValueError):
@@ -32,30 +33,6 @@ class ConfigurationError(ValueError):
 
 class InfeasiblePointError(ValueError):
     """Operation requires H(z) < 0 componentwise."""
-
-
-# ---------------------------------------------------------------------------
-# finite differences (the reference of validate_derivatives)
-
-FD_STEP = 1e-6
-
-
-def fd_jacobian(fun: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian with per-component steps 1e-6*(1+|x_i|)."""
-    x = np.asarray(x, dtype=float)
-    f0 = np.atleast_1d(np.asarray(fun(x), dtype=float))
-    jac = np.zeros((f0.size, x.size))
-    h = FD_STEP * (1.0 + np.abs(x))
-    for i in range(x.size):
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h[i]
-        xm[i] -= h[i]
-        jac[:, i] = (np.atleast_1d(fun(xp)) - np.atleast_1d(fun(xm))) / (2.0 * h[i])
-    return jac
-
-
-def fd_gradient(fun: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
-    return fd_jacobian(lambda v: np.array([fun(v)]), x)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +97,7 @@ class OcpDefinition:
     finite differences would enter the step with no bound to account for it.
     ``stage_cost_hess`` may be a Gauss-Newton form, as for least-squares
     costs.  ``path_jac`` and ``terminal_jac`` are required together with
-    their constraints.  ``validate_derivatives`` checks the first
-    derivatives against central differences.
+    their constraints.
     """
 
     n: int
@@ -178,34 +154,16 @@ class PointEval:
     them between the QP assembly, the step rules, the trace and the
     convergence test.  No dense Jacobian is held.  ``jac_c`` is the
     equality Jacobian as its row blocks: the identities of the pin and the
-    gaps and the dynamics blocks -[F_k G_k] (see ``RowBlocks``).  The
-    inequality Jacobian is block diagonal: ``jac_h_stages`` holds stage k's
-    path rows on z_k and ``jac_h_tail`` the terminal rows on x_N, and
-    ``jac_h_dot`` and ``jac_h_tdot`` multiply by it and its transpose.
+    gaps and the dynamics blocks -[F_k G_k] (see ``RowBlocks``).  ``jac_h``
+    is the block-diagonal inequality Jacobian: stage k's path rows on z_k,
+    then the terminal rows on x_N.
     """
 
-    c: np.ndarray             # equality residuals, (m_eq,)
-    jac_c: RowBlocks          # (m_eq, n_z) as N + 1 row blocks
-    h: np.ndarray             # inequality values, (n_ineq,)
-    jac_h_stages: np.ndarray  # (N, n_path, n + m)
-    jac_h_tail: np.ndarray    # (n_terminal, n)
-    grad_f: np.ndarray        # objective gradient, (n_z,)
-
-    def jac_h_dot(self, dz: np.ndarray) -> np.ndarray:
-        """jac_h dz, (n_ineq,)."""
-        N, p, nm = self.jac_h_stages.shape
-        out = np.empty(len(self.h))
-        out[:N * p] = (self.jac_h_stages @ dz[:N * nm].reshape(N, nm, 1)).ravel()
-        out[N * p:] = self.jac_h_tail @ dz[N * nm:]
-        return out
-
-    def jac_h_tdot(self, w: np.ndarray) -> np.ndarray:
-        """jac_h^T w, (n_z,)."""
-        N, p, nm = self.jac_h_stages.shape
-        out = np.empty(len(self.grad_f))
-        out[:N * nm] = (self.jac_h_stages.mT @ w[:N * p].reshape(N, p, 1)).ravel()
-        out[N * nm:] = self.jac_h_tail.T @ w[N * p:]
-        return out
+    c: np.ndarray         # equality residuals, (m_eq,)
+    jac_c: RowBlocks      # (m_eq, n_z) as N + 1 row blocks
+    h: np.ndarray         # inequality values, (n_ineq,)
+    jac_h: BlockDiagonal  # (n_ineq, n_z): (N, n_path, n + m) and (n_terminal, n)
+    grad_f: np.ndarray    # objective gradient, (n_z,)
 
 
 @dataclass
@@ -264,16 +222,17 @@ class TrajectoryNlp:
                                     (1, ocp.n))[0]
         return grad
 
-    def objective_hessian(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The block-diagonal stage Hessian (Gauss-Newton form when supplied)
-        as its stage blocks (N, n + m, n + m) and terminal block (n, n),
-        copied: a model may return a read-only view, such as a broadcast."""
+    def objective_hessian(self, z: np.ndarray) -> BlockDiagonal:
+        """The block-diagonal stage Hessian (Gauss-Newton form when supplied):
+        stage blocks (N, n + m, n + m) and terminal block (n, n), copied: a
+        model may return a read-only view, such as a broadcast."""
         ocp = self.ocp
         stages, x_end = self._stages(z)
         N, nm = stages.shape
-        return (_stage_call(ocp, "stage_cost_hess", stages, (N, nm, nm)).copy(),
-                _terminal_call(ocp, "terminal_cost_hess", x_end[None],
-                               (1, ocp.n, ocp.n))[0].copy())
+        return BlockDiagonal(
+            _stage_call(ocp, "stage_cost_hess", stages, (N, nm, nm)).copy(),
+            _terminal_call(ocp, "terminal_cost_hess", x_end[None],
+                           (1, ocp.n, ocp.n))[0].copy())
 
     # -- equality constraints ----------------------------------------------
     def equalities(self, z: np.ndarray) -> np.ndarray:
@@ -303,8 +262,8 @@ class TrajectoryNlp:
                     out=sub[:, :, :n])
         np.negative(_stage_call(ocp, "dynamics_jac_u", stages, (N, n, m)),
                     out=sub[:, :, n:])
-        return RowBlocks(stages=np.broadcast_to(np.eye(n, n + m), sub.shape),
-                         sub=sub, tail=np.eye(n))
+        return RowBlocks(BlockDiagonal(np.broadcast_to(np.eye(n, n + m), sub.shape),
+                                       np.eye(n)), sub)
 
     def equalities_jacobian(self, z: np.ndarray) -> np.ndarray:
         """The dense equality Jacobian (m_eq, n_z), from ``equality_blocks``."""
@@ -327,9 +286,10 @@ class TrajectoryNlp:
                                             (k, ocp.n_terminal))
         return out.reshape(z.shape[:-1] + (self.n_ineq,))
 
-    def inequality_blocks(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The inequality Jacobian's blocks: the path rows of stage k on z_k
-        (N, n_path, n + m) and the terminal rows on x_N (n_terminal, n)."""
+    def inequality_blocks(self, z: np.ndarray) -> BlockDiagonal:
+        """The block-diagonal inequality Jacobian: the path rows of stage k
+        on z_k (N, n_path, n + m), then the terminal rows on x_N
+        (n_terminal, n)."""
         ocp = self.ocp
         n, nm, N, p, t = ocp.n, ocp.n + ocp.m, ocp.horizon, ocp.n_path, ocp.n_terminal
         stages, x_end = self._stages(z)
@@ -337,17 +297,11 @@ class TrajectoryNlp:
                 else np.zeros((N, 0, nm)))
         terminal = (_terminal_call(ocp, "terminal_jac", x_end[None], (1, t, n))[0]
                     if t else np.zeros((0, n)))
-        return path, terminal
+        return BlockDiagonal(path, terminal)
 
     def inequalities_jacobian(self, z: np.ndarray) -> np.ndarray:
         """The dense inequality Jacobian (n_ineq, n_z), from ``inequality_blocks``."""
-        path, terminal = self.inequality_blocks(z)
-        N, p, nm = path.shape
-        jac = np.zeros((self.n_ineq, self.n_z))
-        at = np.arange(N)
-        jac[:N * p, :N * nm].reshape(N, p, N, nm)[at, :, at, :] = path
-        jac[N * p:, N * nm:] = terminal
-        return jac
+        return self.inequality_blocks(z).dense()
 
     def evaluate(self, z: np.ndarray) -> PointEval:
         """Every first-order quantity the SQP iteration needs at z.
@@ -357,11 +311,9 @@ class TrajectoryNlp:
         Jacobian pass, so ``equalities`` then integrates nothing.
         """
         jac_c = self.equality_blocks(z)
-        jac_h_stages, jac_h_tail = self.inequality_blocks(z)
         return PointEval(
             c=self.equalities(z), jac_c=jac_c, h=self.inequalities(z),
-            jac_h_stages=jac_h_stages, jac_h_tail=jac_h_tail,
-            grad_f=self.objective_gradient(z),
+            jac_h=self.inequality_blocks(z), grad_f=self.objective_gradient(z),
         )
 
 
@@ -487,37 +439,35 @@ def build_qp(
     curvature plus sigma*I, with sigma = 0 at first.  The inequality rows of
     stage k touch only z_k, so the barrier curvature J_k^T diag(w_k) J_k is
     added to stage k's diagonal block (the terminal rows to z_N's), and Q
-    keeps the block-diagonal structure of the cost Hessian: it is built,
-    symmetrized and handed on as its N stage blocks and its terminal block.
-    The barrier gradient jac_h^T (mu phi'(h)) is formed from the same
-    Jacobian blocks, and A is the equality Jacobian's row blocks as
-    evaluated: no n_z x n_z, m_eq x n_z or n_ineq x n_z array is formed.
-    Positive definiteness is asserted by one stacked Cholesky attempt over
-    the blocks (``stacked_blocks``), doubling sigma (from a 1e-8 floor) on
-    failure; each attempt adds sigma to the diagonal of a copy of the
-    stack.  SingularityError is raised
-    once MAX_DAMPINGS doublings have failed too.  The accepted factors are
-    handed on as ``QpData.chol_Q``.
-    ``point`` holds the first-order quantities at z; they are evaluated here
-    when omitted.
+    keeps the block-diagonal structure of the cost Hessian: it is built and
+    handed on as a ``BlockDiagonal``, and symmetrized once as its
+    identity-bordered stack, whose border entries stay 0 and 1.  The barrier
+    gradient jac_h^T (mu phi'(h)) is formed from the same Jacobian blocks,
+    and A is the equality Jacobian's row blocks as evaluated: no n_z x n_z,
+    m_eq x n_z or n_ineq x n_z array is formed.  Positive definiteness is
+    asserted by one stacked Cholesky attempt over that stack, doubling sigma
+    (from a 1e-8 floor) on failure; each attempt adds sigma to the diagonal
+    of a copy of the stack.  SingularityError is raised once MAX_DAMPINGS
+    doublings have failed too.  The accepted factors are handed on as
+    ``QpData.chol_Q``.  ``point`` holds the first-order quantities at z;
+    they are evaluated here when omitted.  A point with an H_j(z) that is
+    not below 0, or NaN, raises InfeasiblePointError.
     """
     if point is None:
         point = nlp.evaluate(z)
     h = point.h
-    if h.size and np.max(h) >= 0.0:
+    if not np.all(h < 0.0):
         raise InfeasiblePointError(
-            f"strictly infeasible point: max H = {np.max(h):.3e} >= 0")
+            f"strictly infeasible point: max H = {np.max(h):.3e}, not < 0")
 
     _, d1, d2 = cfg.funcs
-    stages, tail = nlp.objective_hessian(z)
+    hess = nlp.objective_hessian(z)
     g = point.grad_f.copy()
     if h.size:
-        _add_barrier_curvature(stages, tail, point, cfg.mu * d2(h))
-        g = g + point.jac_h_tdot(cfg.mu * d1(h))
-    stages = 0.5 * (stages + np.swapaxes(stages, 1, 2))
-    tail = 0.5 * (tail + tail.T)
-
-    stack = stacked_blocks(stages, tail)
+        _add_barrier_curvature(hess, point.jac_h, cfg.mu * d2(h))
+        g = g + point.jac_h.tdot(cfg.mu * d1(h))
+    stack = hess.stacked()
+    stack = 0.5 * (stack + stack.mT)
     diag = np.arange(stack.shape[-1])
     sigma = 0.0
     attempts = 0
@@ -537,75 +487,21 @@ def build_qp(
                     f"(last sigma = {sigma:.3e})")
             sigma = max(1e-8, 2.0 * sigma)
 
-    size, rest = stages.shape[1], len(tail)
+    size, rest = hess.stages.shape[1], len(hess.tail)
     return QpData(
-        Q_stages=q_try[:-1, :size, :size], Q_tail=q_try[-1, :rest, :rest],
+        Q=BlockDiagonal(q_try[:-1, :size, :size], q_try[-1, :rest, :rest]),
         A=point.jac_c, g=g, r=-point.c, chol_Q=chol_q,
         diagnostics={"sigma": sigma, "damping_attempts": attempts},
     )
 
 
-def _add_barrier_curvature(stages: np.ndarray, tail: np.ndarray, point: PointEval,
+def _add_barrier_curvature(q: BlockDiagonal, jac: BlockDiagonal,
                            weights: np.ndarray) -> None:
-    """Add jac_h^T diag(weights) jac_h to Q's stage and terminal blocks in place."""
-    jac, jac_tail = point.jac_h_stages, point.jac_h_tail
-    N, p = jac.shape[:2]
+    """Add jac^T diag(weights) jac to Q's stage and terminal blocks in place."""
+    stages, tail = q.stages, q.tail  # q is frozen: add through local names
+    N, p = jac.stages.shape[:2]
     if p:
-        stages += np.swapaxes(jac * weights[:N * p].reshape(N, p, 1), 1, 2) @ jac
-    if len(jac_tail):
-        tail += (jac_tail.T * weights[N * p:]) @ jac_tail
-
-
-def validate_derivatives(
-    ocp: OcpDefinition,
-    *,
-    seed: int = 0,
-    n_points: int = 5,
-    tol: float = 1e-5,
-) -> dict[str, float]:
-    """Opt-in check of the analytic first derivatives against central FD.
-
-    Checks the dynamics Jacobians, the cost gradients and the Jacobians of
-    the declared constraints; the Hessians are not checked, since a
-    Gauss-Newton form is allowed.  Returns the worst relative error per
-    callable and raises ConfigurationError when any exceeds tol.
-    """
-    rng = np.random.default_rng(seed)
-    scale = 1.0 + np.abs(np.asarray(ocp.x_init, dtype=float))
-    worst: dict[str, float] = {}
-
-    def record(name, analytic, numeric):
-        denom = max(1.0, float(np.max(np.abs(numeric))))
-        err = float(np.max(np.abs(analytic - numeric))) / denom
-        worst[name] = max(worst.get(name, 0.0), err)
-
-    def one_row(stacked):
-        """A stacked callable of rows (K, d) as a map of one row (d,)."""
-        return lambda v: stacked(v[None])[0]
-
-    def at_point(fun):
-        """A stacked stage callable as a map of one stage block (n + m,)."""
-        return one_row(_on_stages(fun, ocp.n))
-
-    for _ in range(n_points):
-        x = np.asarray(ocp.x_init, dtype=float) + 0.1 * scale * rng.standard_normal(ocp.n)
-        u = 0.1 * rng.standard_normal(ocp.m)
-        xu, one = np.concatenate([x, u]), (x[None], u[None])
-        dyn_fd = fd_jacobian(at_point(ocp.dynamics), xu)
-        record("dynamics_jac_x", ocp.dynamics_jac_x(*one)[0], dyn_fd[:, :ocp.n])
-        record("dynamics_jac_u", ocp.dynamics_jac_u(*one)[0], dyn_fd[:, ocp.n:])
-        record("stage_cost_grad", ocp.stage_cost_grad(*one)[0],
-               fd_gradient(at_point(ocp.stage_cost), xu))
-        record("terminal_cost_grad", ocp.terminal_cost_grad(x[None])[0],
-               fd_gradient(one_row(ocp.terminal_cost), x))
-        if ocp.path_constraints is not None:
-            record("path_jac", ocp.path_jac(*one)[0],
-                   fd_jacobian(at_point(ocp.path_constraints), xu))
-        if ocp.terminal_constraints is not None:
-            record("terminal_jac", ocp.terminal_jac(x[None])[0],
-                   fd_jacobian(one_row(ocp.terminal_constraints), x))
-
-    bad = {k: v for k, v in worst.items() if v > tol}
-    if bad:
-        raise ConfigurationError(f"derivative checks failed: {bad}")
-    return worst
+        weighted = jac.stages * weights[:N * p].reshape(N, p, 1)
+        stages += np.swapaxes(weighted, 1, 2) @ jac.stages
+    if len(jac.tail):
+        tail += (jac.tail.T * weights[N * p:]) @ jac.tail

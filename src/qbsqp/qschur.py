@@ -118,8 +118,8 @@ def _pipeline(qp: QpData, qcfg: QuantumConfig, rng: np.random.Generator):
     Sinv, lambda, u1, dz) and, for Q and S, the inversion's (spec, gamma).
     """
     size = 1 << max(0, math.ceil(math.log2(max(qp.n_z, qp.m_eq))))
-    u_q = _encode_with_floor(qp.dense_Q(), qcfg.eps_Q, size, rng)
-    u_a = _encode_with_floor(qp.dense_A(), qcfg.eps_A, size, rng)
+    u_q = _encode_with_floor(qp.Q.dense(), qcfg.eps_Q, size, rng)
+    u_a = _encode_with_floor(qp.A.dense(), qcfg.eps_A, size, rng)
     u_g = _encode_with_floor(qp.g, qcfg.eps_g, size, rng)
     u_r = _encode_with_floor(qp.r, qcfg.eps_r, size, rng)
     u_at = be_transpose(u_a)

@@ -10,17 +10,15 @@ S lam = b, Q dz = -(g + A^T lam).  The solver interface is shared by the
 exact backend, the bounded-error-injection backend, and the simulated
 quantum backend (see qschur).
 
-``QpData`` holds Q and A as their blocks.  Q is block diagonal: a stack of
-equal stage blocks and one trailing block, the tail, which counts as the
-last stage.  A is block bidiagonal and held as its row blocks
-(``RowBlocks``): row block k touches stage k - 1 and stage k.  S is then
-block tridiagonal.  The exact step inverts Q's blocks by stacked
-``np.linalg.inv`` and forms S's diagonal and off-diagonal blocks from
-Q^{-1}'s and A's blocks.  It certifies S positive definite by an odd-even
-block reduction whose pivots are tested by one stacked Cholesky
-factorization; no factored block is larger than a row block.  S is then
-scattered into one dense array and solved by ``np.linalg.solve``: that
-LU solve is the one O(m_eq^3) piece left.
+Q is a ``BlockDiagonal``: equal stage blocks and a trailing block, the
+tail, which counts as the last stage.  A is a ``RowBlocks``: row block k
+touches stage k - 1 and stage k, so S is block tridiagonal.  The exact step
+inverts Q by its blocks and forms S's diagonal and off-diagonal blocks from
+Q^{-1}'s and A's.  It certifies S positive definite by an odd-even block
+reduction whose pivots are tested by one stacked Cholesky factorization;
+no factored block is larger than a row block.  S is then scattered into
+one dense array and solved by ``np.linalg.solve``: that LU solve is the one
+O(m_eq^3) piece left.
 
 The routines come from numpy alone: ``cho_factor`` and ``eigvalsh`` are
 module attributes so that perfbench's tracer can wrap them by name.
@@ -41,71 +39,121 @@ class SingularityError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class RowBlocks:
-    """A block-bidiagonal matrix held as its row blocks.
-
-    The columns fall into ``count`` stages of ``size`` columns and a tail of
-    ``rest`` columns, the tail counting as stage ``count``; the rows fall
-    into ``count + 1`` row blocks of ``rows`` rows.  Row block k touches
-    stage k - 1 and stage k:
-
-        stages (count, rows, size)  row block k on stage k, k < count
-        sub    (count, rows, size)  row block k + 1 on stage k
-        tail   (rows, rest)         row block count on the tail
-
-    A transcribed OCP's equality Jacobian has the pin and gap rows of
-    stage k on z_k as ``stages[k]``, [I 0], the dynamics blocks
-    -[F_k G_k] as ``sub[k]`` and the last gap's identity on x_N as
-    ``tail``.  A matrix without stages is one row block on the tail, with
-    ``stages`` and ``sub`` of shape (0, rows, 0).
+class BlockDiagonal:
+    """A block-diagonal matrix held as its blocks: ``stages`` (count, rows,
+    size), then one trailing block ``tail``, which counts as stage
+    ``count``.  Blocks may be rectangular or have no rows; a matrix without
+    stages has ``stages`` of shape (0, 0, 0).  A transcribed OCP's Q and
+    cost Hessian have N stage blocks on the z_k and one on x_N, and so has
+    its inequality Jacobian: the path rows, then the terminal rows.
     """
 
     stages: np.ndarray
-    sub: np.ndarray
     tail: np.ndarray
 
     def __post_init__(self):
         if self.stages.ndim != 3:
             raise ValueError("stages must be a stack of blocks (count, rows, size)")
-        if self.sub.shape != self.stages.shape:
-            raise ValueError("sub must have the shape of stages")
-        if self.tail.ndim != 2 or len(self.tail) != self.stages.shape[1]:
-            raise ValueError("tail must have the rows of each row block")
+        if self.tail.ndim != 2:
+            raise ValueError("tail must have the rows and columns of one block")
 
     @property
     def shape(self) -> tuple[int, int]:
         count, rows, size = self.stages.shape
-        return (count + 1) * rows, count * size + self.tail.shape[1]
+        return count * rows + len(self.tail), count * size + self.tail.shape[1]
+
+    @property
+    def T(self) -> BlockDiagonal:
+        return BlockDiagonal(self.stages.mT, self.tail.T)
 
     def dot(self, y: np.ndarray) -> np.ndarray:
         """The product with a vector y of the column count."""
         count, rows, size = self.stages.shape
         ys = y[:count * size].reshape(count, size, 1)
-        out = np.empty((count + 1, rows))
-        out[:-1] = (self.stages @ ys)[..., 0]
-        out[-1] = self.tail @ y[count * size:]
-        out[1:] = (self.sub @ ys)[..., 0] + out[1:]  # stage k - 1 first
-        return out.ravel()
-
-    def tdot(self, lam: np.ndarray) -> np.ndarray:
-        """The transpose's product with a vector lam of the row count."""
-        count, rows, size = self.stages.shape
-        lams = lam.reshape(count + 1, rows, 1)
-        out = np.empty(self.shape[1])
-        out[:count * size] = (self.stages.mT @ lams[:-1]
-                              + self.sub.mT @ lams[1:]).ravel()
-        out[count * size:] = self.tail.T @ lams[-1, :, 0]
+        out = np.empty(self.shape[0])
+        out[:count * rows] = (self.stages @ ys).ravel()
+        out[count * rows:] = self.tail @ y[count * size:]
         return out
+
+    def tdot(self, w: np.ndarray) -> np.ndarray:
+        """The transpose's product with a vector w of the row count."""
+        return self.T.dot(w)
 
     def dense(self) -> np.ndarray:
         """The matrix as one array, zero outside its blocks."""
         count, rows, size = self.stages.shape
         out = np.zeros(self.shape)
-        stacked = out[:, :count * size].reshape(count + 1, rows, count, size)
-        at = np.arange(count)
-        stacked[at, :, at, :] = self.stages
-        stacked[at + 1, :, at, :] = self.sub
+        blocks = out[:count * rows, :count * size].reshape(count, rows, count, size)
+        blocks[np.arange(count), :, np.arange(count), :] = self.stages
         out[count * rows:, count * size:] = self.tail
+        return out
+
+    def inv(self) -> BlockDiagonal:
+        """The inverse, block by block; the blocks must be square."""
+        return BlockDiagonal(np.linalg.inv(self.stages), np.linalg.inv(self.tail))
+
+    def stacked(self) -> np.ndarray:
+        """The square blocks as one (count + 1)-stack, the tail last.
+
+        A block smaller than the largest is bordered by an identity, so that
+        one stacked call factors them all and a border adds only
+        eigenvalues 1.
+        """
+        size, rest = self.stages.shape[1], len(self.tail)
+        stack = np.tile(np.eye(max(size, rest)), (len(self.stages) + 1, 1, 1))
+        stack[:-1, :size, :size] = self.stages
+        stack[-1, :rest, :rest] = self.tail
+        return stack
+
+
+@dataclass(frozen=True)
+class RowBlocks:
+    """A block-bidiagonal matrix held as its row blocks.
+
+    The columns fall into the stages of ``diag``, the tail counting as
+    stage ``count``, and the rows into ``count + 1`` row blocks of ``rows``
+    rows.  Row block k touches stage k - 1 and stage k: ``diag`` holds its
+    block on stage k, and ``sub`` (count, rows, size) row block k + 1's on
+    stage k.  A transcribed OCP's equality Jacobian has [I 0] on each z_k,
+    the dynamics blocks -[F_k G_k] below them and the last gap's identity
+    on x_N as the tail.  A matrix without stages is one row block on the
+    tail, with ``diag.stages`` and ``sub`` of shape (0, rows, 0).
+    """
+
+    diag: BlockDiagonal
+    sub: np.ndarray
+
+    def __post_init__(self):
+        stages, tail = self.diag.stages, self.diag.tail
+        if self.sub.shape != stages.shape:
+            raise ValueError("sub must have the shape of stages")
+        if len(tail) != stages.shape[1]:
+            raise ValueError("tail must have the rows of each row block")
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.diag.shape
+
+    def dot(self, y: np.ndarray) -> np.ndarray:
+        """The product with a vector y of the column count."""
+        count, rows, size = self.sub.shape
+        out = self.diag.dot(y)
+        out[rows:] += (self.sub @ y[:count * size].reshape(count, size, 1)).ravel()
+        return out
+
+    def tdot(self, lam: np.ndarray) -> np.ndarray:
+        """The transpose's product with a vector lam of the row count."""
+        count, rows, size = self.sub.shape
+        out = self.diag.tdot(lam)
+        out[:count * size] += (self.sub.mT @ lam[rows:].reshape(count, rows, 1)).ravel()
+        return out
+
+    def dense(self) -> np.ndarray:
+        """The matrix as one array, zero outside its blocks."""
+        count, rows, size = self.sub.shape
+        out = self.diag.dense()
+        blocks = out[rows:, :count * size].reshape(count, rows, count, size)
+        blocks[np.arange(count), :, np.arange(count), :] = self.sub
         return out
 
 
@@ -113,24 +161,18 @@ class RowBlocks:
 class QpData:
     """One iteration's quadratic subproblem data.
 
-    Q is block diagonal and held as its blocks: the stage blocks
-    ``Q_stages`` (count, size, size), then the trailing block ``Q_tail``.
-    A is held as its row blocks on the same stages (``RowBlocks``), so S
-    is block tridiagonal.  A transcribed OCP has N stage blocks of size
-    n + m, a terminal block of size n and N + 1 row blocks of n rows; a QP
-    without stage structure has all of Q in ``Q_tail`` and all of A in
-    ``A.tail``.  ``dense_Q`` and ``dense_A`` assemble Q and A for the
-    consumers that need them whole: the quantum pipeline's encodings and
-    the test oracles.
+    Q is a ``BlockDiagonal`` of square blocks and A a ``RowBlocks`` on the
+    same stages.  A QP without stage structure has all of Q and A in their
+    tails.  ``Q.dense()`` and ``A.dense()`` assemble them for the quantum
+    pipeline's encodings and the test oracles.
 
-    ``chol_Q`` holds lower Cholesky factors of Q's blocks, stacked as by
-    ``stacked_blocks``.  ``build_qp`` fills it from its damping loop, and it
-    certifies Q positive definite so that ``exact_step`` does not factor Q
-    a second time; when it is None, ``exact_step`` factors Q itself.
+    ``chol_Q`` holds lower Cholesky factors of ``Q.stacked()``.  ``build_qp``
+    fills it from its damping loop, and it certifies Q positive definite so
+    that ``exact_step`` does not factor Q a second time; when it is None,
+    ``exact_step`` factors Q itself.
     """
 
-    Q_stages: np.ndarray
-    Q_tail: np.ndarray
+    Q: BlockDiagonal
     A: RowBlocks
     g: np.ndarray
     r: np.ndarray
@@ -138,16 +180,14 @@ class QpData:
     diagnostics: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        stages, tail = self.Q_stages, self.Q_tail
-        if stages.ndim != 3 or stages.shape[1] != stages.shape[2]:
-            raise ValueError("Q_stages must be a stack of square blocks")
-        if tail.ndim != 2 or tail.shape[0] != tail.shape[1]:
-            raise ValueError("Q_tail must be square")
+        stages, tail = self.Q.stages, self.Q.tail
+        if stages.shape[1] != stages.shape[2] or tail.shape[0] != tail.shape[1]:
+            raise ValueError("Q must have square blocks")
         if self.A.shape[1] != self.n_z:
             raise ValueError("A must have n_z columns")
-        count, _, size = self.A.stages.shape
+        count, _, size = self.A.sub.shape
         if (count, size) != stages.shape[:2]:
-            raise ValueError("A.stages must have the count and size of Q_stages")
+            raise ValueError("A must have the stage count and size of Q")
         if self.g.shape != (self.n_z,):
             raise ValueError("g must have length n_z")
         if self.r.shape != (self.m_eq,):
@@ -155,25 +195,11 @@ class QpData:
 
     @property
     def n_z(self) -> int:
-        count, size = self.Q_stages.shape[:2]
-        return count * size + len(self.Q_tail)
+        return self.Q.shape[0]
 
     @property
     def m_eq(self) -> int:
         return self.A.shape[0]
-
-    def dense_Q(self) -> np.ndarray:
-        """Q as one n_z x n_z array, zero outside its blocks."""
-        count, size = self.Q_stages.shape[:2]
-        idx = np.arange(count * size).reshape(count, size)
-        q = np.zeros((self.n_z, self.n_z))
-        q[idx[:, :, None], idx[:, None, :]] = self.Q_stages
-        q[count * size:, count * size:] = self.Q_tail
-        return q
-
-    def dense_A(self) -> np.ndarray:
-        """A as one m_eq x n_z array, zero outside its blocks."""
-        return self.A.dense()
 
 
 @dataclass
@@ -193,33 +219,19 @@ class SchurStepSolver(Protocol):
     def step(self, qp: QpData) -> SchurSolution: ...
 
 
-def stacked_blocks(stages: np.ndarray, tail: np.ndarray) -> np.ndarray:
-    """The stage blocks (count, size, size) and the trailing block as one
-    (count + 1)-stack, the trailing block last.
-
-    A block smaller than the largest is bordered by an identity, so that one
-    stacked call factors them all and a border adds only eigenvalues 1.
-    """
-    size, rest = stages.shape[1], len(tail)
-    stack = np.tile(np.eye(max(size, rest)), (len(stages) + 1, 1, 1))
-    stack[:-1, :size, :size] = stages
-    stack[-1, :rest, :rest] = tail
-    return stack
-
-
-def _chol(stages: np.ndarray, tail: np.ndarray, label: str) -> np.ndarray:
-    """Stacked lower Cholesky factors of ``stacked_blocks(stages, tail)``.
+def _chol(q: BlockDiagonal, label: str) -> np.ndarray:
+    """Stacked lower Cholesky factors of ``q.stacked()``.
 
     A block that is not positive definite raises SingularityError naming
     the block with the lowest eigenvalue (the trailing block is stage
     ``count``) and that block's eigenvalue range.
     """
     try:
-        return cho_factor(stacked_blocks(stages, tail))
+        return cho_factor(q.stacked())
     except np.linalg.LinAlgError as exc:
-        eigs = [*eigvalsh(stages), eigvalsh(tail)]
+        eigs = [*eigvalsh(q.stages), eigvalsh(q.tail)]
         k = _lowest(eigs)
-        where = f"{label} stage block {k}" if len(stages) else label
+        where = f"{label} stage block {k}" if len(q.stages) else label
         raise SingularityError(
             f"{where} is not positive definite "
             f"(eig range [{eigs[k][0]:.3e}, {eigs[k][-1]:.3e}])"
@@ -275,18 +287,7 @@ def certify_block_tridiagonal(diag: np.ndarray, off: np.ndarray) -> None:
         ) from exc
 
 
-def _apply_blocks(inverses: tuple[np.ndarray, np.ndarray], v: np.ndarray) -> np.ndarray:
-    """Q^{-1} v from the inverses of Q's stage blocks and trailing block."""
-    stages, tail = inverses
-    count, size = stages.shape[:2]
-    out = np.empty(len(v))
-    out[:count * size] = (stages @ v[:count * size].reshape(count, size, 1)).ravel()
-    out[count * size:] = tail @ v[count * size:]
-    return out
-
-
-def schur_blocks(qp: QpData, inverses: tuple[np.ndarray, np.ndarray]
-                 ) -> tuple[np.ndarray, np.ndarray]:
+def schur_blocks(a: RowBlocks, q_inv: BlockDiagonal) -> tuple[np.ndarray, np.ndarray]:
     """S = A Q^{-1} A^T as its diagonal blocks (count + 1, rows, rows) and
     the blocks S_{k,k+1} above them (count, rows, rows).
 
@@ -295,15 +296,15 @@ def schur_blocks(qp: QpData, inverses: tuple[np.ndarray, np.ndarray]
     sums its columns.  Both off-diagonal triangles are formed and averaged,
     as S is symmetrized.
     """
-    (inv_stages, inv_tail), a = inverses, qp.A
-    count, rows = a.stages.shape[:2]
-    x_own = inv_stages @ a.stages.mT    # Q_k^{-1} (row block k on stage k)^T
-    x_next = inv_stages @ a.sub.mT      # Q_k^{-1} (row block k + 1 on stage k)^T
+    own, tail = a.diag.stages, a.diag.tail
+    count, rows = own.shape[:2]
+    x_own = q_inv.stages @ own.mT     # Q_k^{-1} (row block k on stage k)^T
+    x_next = q_inv.stages @ a.sub.mT  # Q_k^{-1} (row block k + 1 on stage k)^T
     diag = np.empty((count + 1, rows, rows))
-    diag[:-1] = a.stages @ x_own
-    diag[-1] = a.tail @ (inv_tail @ a.tail.T)
+    diag[:-1] = own @ x_own
+    diag[-1] = tail @ (q_inv.tail @ tail.T)
     diag[1:] = a.sub @ x_next + diag[1:]
-    off = 0.5 * (a.stages @ x_next + (a.sub @ x_own).mT)
+    off = 0.5 * (own @ x_next + (a.sub @ x_own).mT)
     return 0.5 * (diag + diag.mT), off
 
 
@@ -316,27 +317,20 @@ def exact_step(qp: QpData) -> SchurSolution:
     definite raises SingularityError.  S is then solved densely by LU.
     """
     if qp.chol_Q is None:
-        _chol(qp.Q_stages, qp.Q_tail, "Q")
-    inverses = np.linalg.inv(qp.Q_stages), np.linalg.inv(qp.Q_tail)
-    diag: dict[str, Any] = {"solver": "exact"}
-
-    if qp.m_eq == 0:
-        dz = _apply_blocks(inverses, -qp.g)
-        lam = np.zeros(0)
-    else:
-        s_diag, s_off = schur_blocks(qp, inverses)
-        certify_block_tridiagonal(s_diag, s_off)
-        count, rows = s_diag.shape[:2]
-        s_mat = np.zeros((qp.m_eq, qp.m_eq))
-        stacked, at = s_mat.reshape(count, rows, count, rows), np.arange(count)
-        stacked[at, :, at, :] = s_diag
-        stacked[at[:-1], :, at[1:], :] = s_off
-        stacked[at[1:], :, at[:-1], :] = s_off.mT
-        b = -qp.r - qp.A.dot(_apply_blocks(inverses, qp.g))
-        lam = np.linalg.solve(s_mat, b)
-        dz = -_apply_blocks(inverses, qp.g + qp.A.tdot(lam))
-
-    return SchurSolution(dz=dz, lam=lam, diagnostics=diag)
+        _chol(qp.Q, "Q")
+    q_inv = qp.Q.inv()
+    s_diag, s_off = schur_blocks(qp.A, q_inv)
+    certify_block_tridiagonal(s_diag, s_off)
+    count, rows = s_diag.shape[:2]
+    s_mat = np.zeros((qp.m_eq, qp.m_eq))
+    stacked, at = s_mat.reshape(count, rows, count, rows), np.arange(count)
+    stacked[at, :, at, :] = s_diag
+    stacked[at[:-1], :, at[1:], :] = s_off
+    stacked[at[1:], :, at[:-1], :] = s_off.mT
+    b = -qp.r - qp.A.dot(q_inv.dot(qp.g))
+    lam = np.linalg.solve(s_mat, b)
+    dz = -q_inv.dot(qp.g + qp.A.tdot(lam))
+    return SchurSolution(dz=dz, lam=lam, diagnostics={"solver": "exact"})
 
 
 class ExactSchurSolver:

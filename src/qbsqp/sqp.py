@@ -215,7 +215,7 @@ def _stationarity_norm(point: PointEval, mu: float, lam: np.ndarray) -> float:
     g = point.grad_f
     if point.h.size:
         d1 = BarrierConfig(mu=mu).funcs[1]
-        g = g + point.jac_h_tdot(mu * d1(point.h))
+        g = g + point.jac_h.tdot(mu * d1(point.h))
     if lam.size:
         g = g + point.jac_c.tdot(lam)
     return float(np.linalg.norm(g))
@@ -238,7 +238,7 @@ def solve(
     """
     z = np.asarray(z0, dtype=float).copy()
     point = nlp.evaluate(z)
-    if point.h.size and np.max(point.h) >= 0.0:
+    if not np.all(point.h < 0.0):  # a NaN start fails too
         raise InfeasiblePointError(
             f"initial point violates strict feasibility: max H = {np.max(point.h):.3e}")
 
@@ -278,7 +278,7 @@ def solve(
             try:
                 if point.h.size:
                     alpha_max = fraction_to_boundary(
-                        z, sol.dz, point.h, point.jac_h_dot(sol.dz), cfg.boundary_theta)
+                        z, sol.dz, point.h, point.jac_h.dot(sol.dz), cfg.boundary_theta)
                 else:
                     alpha_max = 1.0
                 accepted = backtrack(nlp, z, sol.dz, qp.g, mu, alpha_max, cfg,

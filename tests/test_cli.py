@@ -175,6 +175,12 @@ def test_commands_succeed_on_eqqp(tmp_path, command, config):
                  "solvers": [{"kind": "exact"}, {"kind": "noisy", "seed": -1}]},
      "solvers[1].seed: must be >= 0"),
     ("solve --seed -1", {"problem": "toy:eqqp"}, "seed: must be >= 0"),
+    # starts outside the open control box, and empty QSVT check matrices
+    *[("solve", {"problem": {"name": "hiv", "params": {"N": 2}, "u_guess": u}},
+       "problem.u_guess: must lie in (0, 1)") for u in (math.nan, math.inf, 0.0, 1.5)],
+    *[("qsvt-check", {"problem": "toy:eqqp",
+                      "qsvt": {"kappas": [2.0], "eps_primes": [1.0e-2], "matrix_size": k}},
+       "qsvt.matrix_size: must be at least 1") for k in (0, -3)],
 ])
 def test_config_errors_exit_one_and_name_the_field(tmp_path, capsys, command,
                                                    config, field):

@@ -15,17 +15,17 @@ from qbsqp.models import (
     rk4_discretize,
     toy_problems,
 )
-from qbsqp.nlp import (
-    BarrierConfig,
-    build_qp,
-    fd_jacobian,
-    rollout,
-    transcribe,
-    validate_derivatives,
-)
+from qbsqp.nlp import BarrierConfig, build_qp, rollout, transcribe
 from qbsqp.schur import ExactSchurSolver
 from qbsqp.sqp import SqpConfig, solve
-from oracles import EQQP_LAM_STAR, box1d_barrier_path, riccati_lqr, toy_optimum
+from oracles import (
+    EQQP_LAM_STAR,
+    box1d_barrier_path,
+    fd_jacobian,
+    riccati_lqr,
+    toy_optimum,
+    validate_derivatives,
+)
 from test_schur import dense_kkt_solve
 
 
@@ -295,7 +295,7 @@ class TestHivModel:
         nlp = transcribe(hiv_ocp())
         z0 = hiv_initial_guess(nlp, 0.05)
         qp = build_qp(nlp, z0, BarrierConfig(mu=1e-2))
-        assert np.linalg.cond(qp.dense_Q()) < 1e6
+        assert np.linalg.cond(qp.Q.dense()) < 1e6
 
     def test_vector_field_positivity_structure(self):
         p = HivParameters()

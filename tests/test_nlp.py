@@ -25,15 +25,13 @@ from qbsqp.nlp import (
     OcpDefinition,
     build_qp,
     eval_barrier_objective,
-    fd_gradient,
-    fd_jacobian,
     log_barrier,
     log_barrier_d2,
     rollout,
     transcribe,
-    validate_derivatives,
 )
 from qbsqp.schur import SingularityError
+from oracles import fd_gradient, fd_jacobian, validate_derivatives
 
 
 def fd_hessian(fun, x):
@@ -342,9 +340,9 @@ class TestBuildQp:
         rng = np.random.default_rng(1)
         z = rng.standard_normal(3)
         qp = build_qp(nlp, z, BarrierConfig(mu=1.0))
-        np.testing.assert_allclose(qp.dense_Q(), np.eye(3), atol=1e-14)
+        np.testing.assert_allclose(qp.Q.dense(), np.eye(3), atol=1e-14)
         np.testing.assert_allclose(qp.g, z, atol=1e-14)
-        eigs = np.linalg.eigvalsh(qp.dense_Q())
+        eigs = np.linalg.eigvalsh(qp.Q.dense())
         assert eigs.min() > 0.0
 
     def test_scalar_barrier_terms(self):
@@ -355,7 +353,7 @@ class TestBuildQp:
         qp = build_qp(nlp, z, BarrierConfig(mu=1.0))
         sigma = qp.diagnostics["sigma"]
         # stage cost hess on u is 2; barrier adds 1
-        assert qp.dense_Q()[1, 1] == pytest.approx(3.0 + sigma, rel=1e-12)
+        assert qp.Q.dense()[1, 1] == pytest.approx(3.0 + sigma, rel=1e-12)
         # g_u = 2*(u-2) + mu*phi'(-1)*1 = -4 + 1
         assert qp.g[1] == pytest.approx(-3.0, rel=1e-12)
 
@@ -365,13 +363,13 @@ class TestBuildQp:
         z = hiv_initial_guess(nlp, 0.05)
         cfg = BarrierConfig(mu=1e-2)
         h, jac_h = nlp.inequalities(z), nlp.inequalities_jacobian(z)
-        stages, tail = nlp.objective_hessian(z)
-        dense = (block_diag(*stages, tail)
+        hess = nlp.objective_hessian(z)
+        dense = (block_diag(*hess.stages, hess.tail)
                  + (jac_h.T * (cfg.mu * log_barrier_d2(h))) @ jac_h)
         expected = 0.5 * (dense + dense.T)
         qp = build_qp(nlp, z, cfg)
         assert qp.diagnostics["sigma"] == 0.0
-        assert qp.dense_Q().tobytes() == expected.tobytes()
+        assert qp.Q.dense().tobytes() == expected.tobytes()
 
         factor, failures = qbsqp.nlp.cho_factor, iter([True])
 
@@ -383,7 +381,7 @@ class TestBuildQp:
         monkeypatch.setattr(qbsqp.nlp, "cho_factor", failing_once)
         qp = build_qp(nlp, z, cfg)  # one damping attempt
         assert qp.diagnostics["sigma"] == 1e-8
-        assert qp.dense_Q().tobytes() == (expected + 1e-8 * np.eye(nlp.n_z)).tobytes()
+        assert qp.Q.dense().tobytes() == (expected + 1e-8 * np.eye(nlp.n_z)).tobytes()
 
     def test_build_qp_allocates_no_dense_q(self):
         # n_z = 3003 at N = 600: a dense Q alone takes 72 MB.
@@ -435,8 +433,8 @@ class TestBuildQp:
         for jac, product, vector in (
                 (jac_c, point.jac_c.dot, rng.standard_normal(nlp.n_z)),
                 (jac_c.T, point.jac_c.tdot, rng.standard_normal(nlp.m_eq)),
-                (jac_h, point.jac_h_dot, rng.standard_normal(nlp.n_z)),
-                (jac_h.T, point.jac_h_tdot, rng.standard_normal(nlp.n_ineq))):
+                (jac_h, point.jac_h.dot, rng.standard_normal(nlp.n_z)),
+                (jac_h.T, point.jac_h.tdot, rng.standard_normal(nlp.n_ineq))):
             bound = 1e-15 * (np.abs(jac) @ np.abs(vector))
             assert np.all(np.abs(product(vector) - jac @ vector) <= bound)
 
@@ -496,14 +494,14 @@ class TestBuildQp:
         qp = build_qp(small, z, cfg)
         h_fd = fd_hessian(lambda v: eval_barrier_objective(small, v, cfg), z)
         scale = max(1.0, np.max(np.abs(h_fd)))
-        q = qp.dense_Q() - qp.diagnostics["sigma"] * np.eye(small.n_z)
+        q = qp.Q.dense() - qp.diagnostics["sigma"] * np.eye(small.n_z)
         assert np.max(np.abs(q - h_fd)) / scale < 2e-4
 
     def test_damping_recovers_rank_deficient_hessian(self):
         nlp = transcribe(box1d_ocp())  # x-rows of the cost Hessian are zero
         qp = build_qp(nlp, np.zeros(3), BarrierConfig(mu=1.0))
         assert qp.diagnostics["sigma"] >= 1e-8
-        assert np.linalg.eigvalsh(qp.dense_Q()).min() > 0.0
+        assert np.linalg.eigvalsh(qp.Q.dense()).min() > 0.0
 
     def test_exhausted_damping_raises_singularity_error(self):
         # sigma stops at 1e-8 * 2^39 ~ 5.5e3, short of a -1e6 I stage Hessian.

@@ -33,7 +33,7 @@ def random_qp(rng, n_max=8, m_max=4, spd=(0.5, 3.0)):
 
 def dense_nodes(qp):
     """The operand each pipeline node encodes, by dense algebra."""
-    q, a = qp.dense_Q(), qp.dense_A()
+    q, a = qp.Q.dense(), qp.A.dense()
     q_inv = np.linalg.inv(q)
     s_true = a @ q_inv @ a.T
     b_true = -qp.r - a @ (q_inv @ qp.g)
@@ -107,7 +107,7 @@ class TestQuantumSchurStep:
             qp = random_qp(rng)
             d = quantum_schur_step(qp, QuantumConfig(degree_cap=100000)).diagnostics
             expected = closed_form_alpha_dz(
-                np.linalg.norm(qp.dense_Q(), 2), np.linalg.norm(qp.dense_A(), 2),
+                np.linalg.norm(qp.Q.dense(), 2), np.linalg.norm(qp.A.dense(), 2),
                 np.linalg.norm(qp.g), np.linalg.norm(qp.r),
                 d["kappa_Q_fit"] * d["gamma_Q"], d["beta_Q"],
                 d["kappa_S_fit"] * d["gamma_S"], d["beta_S"])
@@ -141,7 +141,7 @@ class TestQuantumSchurStep:
         rng = np.random.default_rng(4)
         for _ in range(10):
             qp = random_qp(rng)
-            q, a = qp.dense_Q(), qp.dense_A()
+            q, a = qp.Q.dense(), qp.A.dense()
             s = a @ np.linalg.solve(q, a.T)
             assert np.linalg.cond(s) <= (
                 np.linalg.cond(a) ** 2 * np.linalg.cond(q) * (1 + 1e-6))

@@ -2,12 +2,14 @@ import re
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 import qbsqp.schur
 from qbsqp.experiments import HIV_SQP_DEFAULTS
 from qbsqp.models import HivParameters, hiv_initial_guess, hiv_ocp, toy_problems
 from qbsqp.nlp import BarrierConfig, build_qp, transcribe
 from qbsqp.schur import (
+    BlockDiagonal,
     ExactSchurSolver,
     NoisySchurSolver,
     QpData,
@@ -24,18 +26,18 @@ from qbsqp.sqp import SqpConfig, solve
 def unstaged(a) -> RowBlocks:
     """A dense A as one row block on the tail."""
     empty = np.zeros((0, len(a), 0))
-    return RowBlocks(stages=empty, sub=empty, tail=a)
+    return RowBlocks(BlockDiagonal(empty, a), empty)
 
 
 def dense_qp(q, a, g, r) -> QpData:
     """QpData of a dense Q and A: no stage blocks, all of both on the tail."""
-    return QpData(Q_stages=np.zeros((0, 0, 0)), Q_tail=q, A=unstaged(a), g=g, r=r)
+    return QpData(Q=BlockDiagonal(np.zeros((0, 0, 0)), q), A=unstaged(a), g=g, r=r)
 
 
 def kkt_residual_norm(qp: QpData, dz: np.ndarray, lam: np.ndarray) -> float:
     """Oracle: ||Q dz + A^T lam + g|| + ||A dz - r||."""
-    a = qp.dense_A()
-    stat = np.linalg.norm(qp.dense_Q() @ dz + a.T @ lam + qp.g)
+    a = qp.A.dense()
+    stat = np.linalg.norm(qp.Q.dense() @ dz + a.T @ lam + qp.g)
     feas = np.linalg.norm(a @ dz - qp.r) if qp.m_eq else 0.0
     return float(stat + feas)
 
@@ -44,9 +46,9 @@ def dense_kkt_solve(qp: QpData) -> tuple[np.ndarray, np.ndarray]:
     """Oracle: factorize the full KKT matrix directly (no Schur elimination)."""
     n, m = qp.n_z, qp.m_eq
     kkt = np.zeros((n + m, n + m))
-    kkt[:n, :n] = qp.dense_Q()
-    kkt[:n, n:] = qp.dense_A().T
-    kkt[n:, :n] = qp.dense_A()
+    kkt[:n, :n] = qp.Q.dense()
+    kkt[:n, n:] = qp.A.dense().T
+    kkt[n:, :n] = qp.A.dense()
     rhs = np.concatenate([-qp.g, qp.r])
     sol = np.linalg.solve(kkt, rhs)
     return sol[:n], sol[n:]
@@ -56,8 +58,8 @@ def row_blocks(count, rows, size, rest, rng=None) -> RowBlocks:
     """Row blocks of ones, or of standard normal entries when rng is given."""
     def fill(*shape):
         return rng.standard_normal(shape) if rng is not None else np.ones(shape)
-    return RowBlocks(stages=fill(count, rows, size), sub=fill(count, rows, size),
-                     tail=fill(rows, rest))
+    stages, sub, tail = fill(count, rows, size), fill(count, rows, size), fill(rows, rest)
+    return RowBlocks(BlockDiagonal(stages, tail), sub)
 
 
 def random_qp(rng, n=12, m=4, spd_lo=0.5, spd_hi=5.0):
@@ -79,7 +81,7 @@ class TestExactStep:
         sol = exact_step(qp)
         np.testing.assert_allclose(sol.dz, [1.0, 0.0], atol=1e-14)
         np.testing.assert_allclose(sol.lam, [-1.0], atol=1e-14)
-        np.testing.assert_allclose(qp.dense_A() @ sol.dz, qp.r, atol=1e-14)
+        np.testing.assert_allclose(qp.A.dense() @ sol.dz, qp.r, atol=1e-14)
 
     def test_homogeneous_system_gives_zero(self):
         qp = dense_qp(np.eye(3), np.array([[1.0, 1.0, 0.0]]),
@@ -126,7 +128,7 @@ class TestExactStep:
             stages[bad] = np.diag([-2.0, 0.5])
         else:
             tail[0, 0] = -2.0
-        qp = QpData(Q_stages=stages, Q_tail=tail, A=row_blocks(3, 1, 2, 1),
+        qp = QpData(Q=BlockDiagonal(stages, tail), A=row_blocks(3, 1, 2, 1),
                     g=np.zeros(7), r=np.zeros(4))
         low, high = (-2.0, 0.5) if bad < 3 else (-2.0, -2.0)
         message = (f"Q {name} is not positive definite "
@@ -135,13 +137,13 @@ class TestExactStep:
             exact_step(qp)
 
     @pytest.mark.parametrize("stages, tail, message", [
-        (np.ones((2, 2, 3)), np.eye(1), "Q_stages must be a stack of square blocks"),
-        (np.ones((2, 2)), np.eye(1), "Q_stages must be a stack of square blocks"),
-        (np.ones((2, 2, 2)), np.ones((1, 2)), "Q_tail must be square"),
+        (np.ones((2, 2, 3)), np.eye(1), "Q must have square blocks"),
+        (np.ones((2, 2)), np.eye(1), "stages must be a stack of blocks (count, rows, size)"),
+        (np.ones((2, 2, 2)), np.ones((1, 2)), "Q must have square blocks"),
     ])
     def test_q_blocks_must_be_square(self, stages, tail, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            QpData(Q_stages=stages, Q_tail=tail, A=row_blocks(2, 1, 2, 1),
+            QpData(Q=BlockDiagonal(stages, tail), A=row_blocks(2, 1, 2, 1),
                    g=np.zeros(5), r=np.zeros(3))
 
     @pytest.mark.parametrize("a, g, r, message", [
@@ -150,14 +152,14 @@ class TestExactStep:
         (row_blocks(2, 1, 2, 1), np.zeros(6), np.zeros(3), "g must have length n_z"),
         (row_blocks(2, 1, 2, 1), np.zeros(5), np.zeros(2), "r must have length m_eq"),
         (unstaged(np.ones((1, 5))), np.zeros(5), np.zeros(1),
-         "A.stages must have the count and size of Q_stages"),
+         "A must have the stage count and size of Q"),
         (row_blocks(1, 1, 2, 3), np.zeros(5), np.zeros(2),
-         "A.stages must have the count and size of Q_stages"),
+         "A must have the stage count and size of Q"),
     ])
     def test_a_g_r_must_fit_the_q_blocks(self, a, g, r, message):
         # Two stage blocks of size 2 and a trailing block of size 1: n_z = 5.
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            QpData(Q_stages=np.ones((2, 2, 2)), Q_tail=np.eye(1), A=a, g=g, r=r)
+            QpData(Q=BlockDiagonal(np.ones((2, 2, 2)), np.eye(1)), A=a, g=g, r=r)
 
     @pytest.mark.parametrize("stages, sub, tail, message", [
         (np.ones((2, 1)), np.ones((2, 1)), np.ones((1, 1)),
@@ -167,19 +169,19 @@ class TestExactStep:
         (np.ones((2, 1, 2)), np.ones((2, 1, 2)), np.ones((2, 1)),
          "tail must have the rows of each row block"),
         (np.ones((2, 1, 2)), np.ones((2, 1, 2)), np.ones(1),
-         "tail must have the rows of each row block"),
+         "tail must have the rows and columns of one block"),
     ])
     def test_row_blocks_must_agree(self, stages, sub, tail, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            RowBlocks(stages=stages, sub=sub, tail=tail)
+            RowBlocks(BlockDiagonal(stages, tail), sub)
 
     def test_dense_q_places_the_blocks_on_the_diagonal(self):
         stages = np.arange(8.0).reshape(2, 2, 2)
-        qp = QpData(Q_stages=stages, Q_tail=np.full((1, 1), 9.0),
+        qp = QpData(Q=BlockDiagonal(stages, np.full((1, 1), 9.0)),
                     A=row_blocks(2, 1, 2, 1), g=np.zeros(5), r=np.zeros(3))
         expected = np.zeros((5, 5))
         expected[:2, :2], expected[2:4, 2:4], expected[4, 4] = stages[0], stages[1], 9.0
-        np.testing.assert_array_equal(qp.dense_Q(), expected)
+        np.testing.assert_array_equal(qp.Q.dense(), expected)
 
     def test_singular_schur_complement_raises(self):
         # Repeated constraint rows make S = A Q^-1 A^T singular.
@@ -192,8 +194,8 @@ class TestExactStep:
         rng = np.random.default_rng(3)
         for _ in range(10):
             qp = random_qp(rng)
-            q = qp.dense_Q()
-            a = qp.dense_A()
+            q = qp.Q.dense()
+            a = qp.A.dense()
             s = a @ np.linalg.solve(q, a.T)
             kappa_s = np.linalg.cond(s)
             bound = np.linalg.cond(a) ** 2 * np.linalg.cond(q)
@@ -214,7 +216,7 @@ def ocp_qps():
 
 @pytest.mark.parametrize("name, qp", list(ocp_qps().items()))
 def test_block_step_matches_dense_kkt_oracle_on_ocp_qps(name, qp):
-    assert len(qp.Q_stages) >= 1 and len(qp.Q_tail) >= 1  # stage and terminal blocks
+    assert len(qp.Q.stages) >= 1 and len(qp.Q.tail) >= 1  # stage and terminal blocks
     sol = exact_step(qp)
     dz_ref, lam_ref = dense_kkt_solve(qp)
     assert np.linalg.norm(sol.dz - dz_ref) <= 1e-10 * np.linalg.norm(dz_ref)
@@ -228,7 +230,7 @@ def staged_qp(rng, count=5, rows=2, size=4, rest=3) -> QpData:
         b = rng.standard_normal((k, d, d))
         return b @ b.mT + d * np.eye(d)
     n_z, m_eq = count * size + rest, (count + 1) * rows
-    return QpData(Q_stages=spd(count, size), Q_tail=spd(1, rest)[0],
+    return QpData(Q=BlockDiagonal(spd(count, size), spd(1, rest)[0]),
                   A=row_blocks(count, rows, size, rest, rng),
                   g=rng.standard_normal(n_z), r=rng.standard_normal(m_eq))
 
@@ -260,15 +262,15 @@ def block_qps():
 class TestBlockSchurComplement:
     @pytest.mark.parametrize("name, qp", list(block_qps().items()))
     def test_schur_blocks_equal_the_dense_product(self, name, qp):
-        inverses = np.linalg.inv(qp.Q_stages), np.linalg.inv(qp.Q_tail)
-        s = tridiagonal(*schur_blocks(qp, inverses))
-        a = qp.dense_A()
-        expected = a @ np.linalg.inv(qp.dense_Q()) @ a.T
+        s = tridiagonal(*schur_blocks(qp.A, qp.Q.inv()))
+        a = qp.A.dense()
+        expected = a @ np.linalg.inv(qp.Q.dense()) @ a.T
         assert np.max(np.abs(s - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     def test_row_block_products_equal_the_dense_products(self):
         rng = np.random.default_rng(12)
-        for count, rows, size, rest in ((4, 2, 3, 2), (0, 3, 0, 5), (1, 1, 2, 4)):
+        for count, rows, size, rest in ((4, 2, 3, 2), (0, 3, 0, 5), (1, 1, 2, 4),
+                                        (2, 0, 3, 2)):
             a = row_blocks(count, rows, size, rest, rng)
             dense = a.dense()
             assert dense.shape == a.shape
@@ -276,6 +278,37 @@ class TestBlockSchurComplement:
             np.testing.assert_allclose(a.dot(y), dense @ y, rtol=1e-13, atol=1e-13)
             np.testing.assert_allclose(a.tdot(lam), dense.T @ lam, rtol=1e-13,
                                        atol=1e-13)
+
+    @pytest.mark.parametrize("stages, tail", [
+        ((4, 2, 3), (3, 5)),  # rectangular blocks
+        ((0, 0, 0), (4, 4)),  # no stages
+        ((5, 0, 4), (2, 3)),  # zero-row stage blocks, as with n_path = 0
+        ((5, 0, 4), (0, 3)),  # no rows at all
+        ((3, 2, 2), (4, 4)),  # a tail larger than the stage blocks
+        ((3, 4, 4), (3, 3)),  # a tail smaller than the stage blocks
+    ], ids=["rectangular", "no_stages", "zero_row_stages", "no_rows",
+            "larger_tail", "smaller_tail"])
+    def test_block_diagonal_products_equal_the_dense_products(self, stages, tail):
+        rng = np.random.default_rng(14)
+        q = BlockDiagonal(rng.standard_normal(stages), rng.standard_normal(tail))
+        dense = block_diag(*q.stages, q.tail)
+        np.testing.assert_array_equal(q.dense(), dense)
+        assert q.shape == dense.shape and q.T.shape == dense.T.shape
+        y, w = rng.standard_normal(q.shape[1]), rng.standard_normal(q.shape[0])
+        for product, oracle, v in ((q.dot, dense, y), (q.tdot, dense.T, w)):
+            bound = 1e-14 * (np.abs(oracle) @ np.abs(v))
+            assert np.all(np.abs(product(v) - oracle @ v) <= bound)
+        if stages[1] != stages[2] or tail[0] != tail[1]:
+            return
+        # Square blocks: shifted to be well conditioned, then inverted and
+        # stacked with identity borders.
+        q = BlockDiagonal(q.stages + 4.0 * np.eye(stages[1]), q.tail + 4.0 * np.eye(tail[0]))
+        expected = np.linalg.inv(block_diag(*q.stages, q.tail))
+        assert (np.max(np.abs(q.inv().dense() - expected))
+                <= 1e-14 * np.max(np.abs(expected)))
+        width = max(stages[1], tail[0])
+        bordered = [block_diag(b, np.eye(width - len(b))) for b in (*q.stages, q.tail)]
+        np.testing.assert_array_equal(q.stacked(), np.array(bordered))
 
     def test_staged_step_matches_dense_kkt_oracle(self):
         rng = np.random.default_rng(13)

@@ -294,6 +294,16 @@ class TestSolve:
         with pytest.raises(InfeasiblePointError):
             solve(nlp, np.array([0.0, 1.5, 1.5]), SqpConfig(), ExactSchurSolver())
 
+    def test_nan_start_raises(self):
+        # A NaN control rollout makes every H_j NaN, which no comparison
+        # with 0 rejects unless it asks for H_j < 0.
+        nlp = transcribe(hiv_ocp(HivParameters(N=4)))
+        z0 = hiv_initial_guess(nlp, np.nan)
+        with pytest.raises(InfeasiblePointError, match="initial point .* max H = nan"):
+            solve(nlp, z0, SqpConfig(**HIV_SQP_DEFAULTS), ExactSchurSolver())
+        with pytest.raises(InfeasiblePointError, match="strictly infeasible .* max H = nan"):
+            qbsqp.nlp.build_qp(nlp, z0, BarrierConfig(mu=1e-2))
+
     def test_strict_feasibility_and_armijo_ledger(self):
         toys = toy_problems()
         nlp = transcribe(toys["box1d"].ocp)
