@@ -5,15 +5,16 @@ larger operator), together with an ancilla count and an error bound:
 
     || A - alpha * block || <= eps.
 
-Only the padded top-left block is stored; the unitary completion is never
-needed by any downstream operation, so ancilla counts are tracked as plain
-integers.  All operands are padded to a power-of-two square so that
-products and sums of encodings act on a common register.
+Only the logical block is stored; the unitary completion is never needed
+by any downstream operation, so ancilla counts are tracked as plain
+integers.  The composition rules (Gilyen, Su, Low & Wiebe,
+arXiv:1806.01838, Lemma 30) act on the logical blocks alone; the
+power-of-two register an encoding occupies is derived from its block's
+shape and is used for counting only.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,17 +24,13 @@ class EncodingError(ValueError):
     pass
 
 
-def _next_pow2_dim(n: int) -> int:
-    return 1 << max(0, math.ceil(math.log2(max(1, n))))
-
-
-def _as_matrix(operand: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Return a 2-D view of the operand and whether it was a vector."""
+def _as_matrix(operand: np.ndarray) -> np.ndarray:
+    """A 2-D view of the operand; a vector becomes one column."""
     arr = np.asarray(operand, dtype=float)
     if arr.ndim == 1:
-        return arr.reshape(-1, 1), True
+        return arr.reshape(-1, 1)
     if arr.ndim == 2:
-        return arr, False
+        return arr
     raise EncodingError(f"operand must be a vector or matrix, got ndim={arr.ndim}")
 
 
@@ -47,17 +44,13 @@ def operator_norm(operand: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class BlockEncoding:
-    """An (alpha, ancillas, eps) block encoding of a padded operand.
+    """An (alpha, ancillas, eps) block encoding of a matrix or vector.
 
-    ``embedded`` is the full 2^s x 2^s array whose top-left
-    ``logical_rows x logical_cols`` block approximates operand / alpha;
-    every entry outside that block is exactly zero.  Vectors are stored
-    in the first column (logical_cols == 1).
+    ``block`` is the logical block, which approximates operand / alpha; a
+    vector is held as one column.
     """
 
-    embedded: np.ndarray
-    logical_rows: int
-    logical_cols: int
+    block: np.ndarray
     alpha: float
     ancillas: int
     eps: float
@@ -69,31 +62,17 @@ class BlockEncoding:
             raise EncodingError("encoding error bound must be nonnegative")
         if self.ancillas < 0:
             raise EncodingError("ancilla count must be nonnegative")
-        n = self.embedded.shape[0]
-        if self.embedded.shape != (n, n) or n & (n - 1):
-            raise EncodingError("embedded operator must be square with power-of-two size")
-        if self.logical_rows > n or self.logical_cols > n:
-            raise EncodingError("logical block exceeds embedded size")
+        if self.block.ndim != 2:
+            raise EncodingError("block must be a matrix")
 
     @property
     def size(self) -> int:
-        return self.embedded.shape[0]
-
-    @property
-    def block(self) -> np.ndarray:
-        """The logical (unpadded) block."""
-        return self.embedded[: self.logical_rows, : self.logical_cols]
+        """Side of the power-of-two register that holds the block."""
+        return 1 << (max(self.block.shape) - 1).bit_length()
 
     def represented(self) -> np.ndarray:
         """alpha * block: the matrix this encoding stands for."""
         return self.alpha * self.block
-
-
-def _embed(block: np.ndarray, size: int) -> np.ndarray:
-    r, c = block.shape
-    out = np.zeros((size, size))
-    out[:r, :c] = block
-    return out
 
 
 def encode(
@@ -102,17 +81,17 @@ def encode(
     *,
     alpha: float | None = None,
     ancillas: int = 1,
-    size: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> BlockEncoding:
-    """Encode a matrix or vector, padding to the next power-of-two square.
+    """Encode a matrix or vector (as one column).
 
-    alpha defaults to the operand's spectral norm (tight).  A positive
+    alpha defaults to the operand's spectral norm (tight), or to 1 for a
+    zero operand, whose zero block is exact at any alpha.  A positive
     ``target_eps`` injects representation noise of norm <= target_eps into
-    the logical block, constructed so that the stored block keeps norm <= 1
-    and the recorded eps remains a hard bound.
+    the block, constructed so that the stored block keeps norm <= 1 and
+    the recorded eps remains a hard bound.
     """
-    op, _ = _as_matrix(operand)
+    op = _as_matrix(operand)
     if not np.all(np.isfinite(op)):
         raise EncodingError("operand must be finite")
     if target_eps < 0.0:
@@ -120,17 +99,11 @@ def encode(
 
     nrm = operator_norm(op)
     if alpha is None:
-        alpha = nrm
+        alpha = nrm if nrm > 0.0 else 1.0
     if alpha <= 0.0:
-        raise EncodingError("cannot normalize: operand is zero and alpha not overridden")
+        raise EncodingError(f"alpha={alpha} must be positive")
     if nrm > alpha * (1.0 + 1e-12):
         raise EncodingError(f"alpha={alpha} is below the operand norm {nrm}")
-
-    dim = _next_pow2_dim(max(op.shape))
-    if size is not None:
-        if size < dim or size & (size - 1):
-            raise EncodingError(f"size={size} must be a power of two >= {dim}")
-        dim = size
 
     block = op.copy()
     if target_eps > 0.0:
@@ -147,14 +120,8 @@ def encode(
         if over > 1.0:
             block = block / over
 
-    return BlockEncoding(
-        embedded=_embed(block / alpha, dim),
-        logical_rows=op.shape[0],
-        logical_cols=op.shape[1],
-        alpha=float(alpha),
-        ancillas=ancillas,
-        eps=float(target_eps),
-    )
+    return BlockEncoding(block=block / alpha, alpha=float(alpha),
+                         ancillas=ancillas, eps=float(target_eps))
 
 
 def be_mul(u: BlockEncoding, v: BlockEncoding) -> BlockEncoding:
@@ -163,17 +130,11 @@ def be_mul(u: BlockEncoding, v: BlockEncoding) -> BlockEncoding:
     Composes as (alpha_u * alpha_v, a_u + a_v, alpha_u*eps_v + alpha_v*eps_u)
     (Gilyen, Su, Low & Wiebe, arXiv:1806.01838, Lemma 30).
     """
-    if u.size != v.size:
-        raise EncodingError(f"embedded sizes differ: {u.size} vs {v.size}")
-    if u.logical_cols != v.logical_rows:
+    if u.block.shape[1] != v.block.shape[0]:
         raise EncodingError(
-            f"logical dimensions incompatible: ({u.logical_rows},{u.logical_cols}) @ "
-            f"({v.logical_rows},{v.logical_cols})"
-        )
+            f"logical dimensions incompatible: {u.block.shape} @ {v.block.shape}")
     return BlockEncoding(
-        embedded=u.embedded @ v.embedded,
-        logical_rows=u.logical_rows,
-        logical_cols=v.logical_cols,
+        block=u.block @ v.block,
         alpha=u.alpha * v.alpha,
         ancillas=u.ancillas + v.ancillas,
         eps=u.alpha * v.eps + v.alpha * u.eps,
@@ -186,15 +147,11 @@ def be_add(u: BlockEncoding, v: BlockEncoding) -> BlockEncoding:
     Composes as (alpha_u + alpha_v, max(a_u, a_v) + 1, eps_u + eps_v);
     the stored block is the alpha-weighted average of the operand blocks.
     """
-    if u.size != v.size:
-        raise EncodingError(f"embedded sizes differ: {u.size} vs {v.size}")
-    if (u.logical_rows, u.logical_cols) != (v.logical_rows, v.logical_cols):
+    if u.block.shape != v.block.shape:
         raise EncodingError("logical dimensions must match for addition")
     alpha = u.alpha + v.alpha
     return BlockEncoding(
-        embedded=(u.alpha * u.embedded + v.alpha * v.embedded) / alpha,
-        logical_rows=u.logical_rows,
-        logical_cols=u.logical_cols,
+        block=(u.alpha * u.block + v.alpha * v.block) / alpha,
         alpha=alpha,
         ancillas=max(u.ancillas, v.ancillas) + 1,
         eps=u.eps + v.eps,
@@ -203,26 +160,14 @@ def be_add(u: BlockEncoding, v: BlockEncoding) -> BlockEncoding:
 
 def be_neg(u: BlockEncoding) -> BlockEncoding:
     """Sign flip absorbed into the encoding; alpha, ancillas, eps unchanged."""
-    return BlockEncoding(
-        embedded=-u.embedded,
-        logical_rows=u.logical_rows,
-        logical_cols=u.logical_cols,
-        alpha=u.alpha,
-        ancillas=u.ancillas,
-        eps=u.eps,
-    )
+    return BlockEncoding(block=-u.block, alpha=u.alpha, ancillas=u.ancillas,
+                         eps=u.eps)
 
 
 def be_transpose(u: BlockEncoding) -> BlockEncoding:
     """Transpose encoding; alpha, ancillas, eps unchanged."""
-    return BlockEncoding(
-        embedded=u.embedded.T.copy(),
-        logical_rows=u.logical_cols,
-        logical_cols=u.logical_rows,
-        alpha=u.alpha,
-        ancillas=u.ancillas,
-        eps=u.eps,
-    )
+    return BlockEncoding(block=u.block.T, alpha=u.alpha, ancillas=u.ancillas,
+                         eps=u.eps)
 
 
 def be_rescale(u: BlockEncoding, gamma: float) -> BlockEncoding:
@@ -234,12 +179,5 @@ def be_rescale(u: BlockEncoding, gamma: float) -> BlockEncoding:
     """
     if gamma <= 0.0:
         raise EncodingError("rescale factor must be positive")
-    return BlockEncoding(
-        embedded=gamma * u.embedded,
-        logical_rows=u.logical_rows,
-        logical_cols=u.logical_cols,
-        alpha=u.alpha / gamma,
-        ancillas=u.ancillas,
-        eps=u.eps,
-    )
-
+    return BlockEncoding(block=gamma * u.block, alpha=u.alpha / gamma,
+                         ancillas=u.ancillas, eps=u.eps)

@@ -44,8 +44,13 @@ class ConfigError(ValueError):
 
 _PROBLEMS = ("hiv", "toy:eqqp", "toy:double_integrator", "toy:box1d")
 _SOLVER_KINDS = ("exact", "noisy", "quantum")
-_HIV_PARAMS = {f.name for f in dc_fields(HivParameters)}
-_SQP_OPTIONS = {f.name for f in dc_fields(SqpConfig)}
+# The HIV parameters; those of float type are typed at validation, the
+# others are checked by HivParameters itself.
+_HIV_PARAMS = {f.name: type(f.default) for f in dc_fields(HivParameters)}
+# The type of each sqp option; mu_clamp, the one that defaults to None,
+# takes a float or null.
+_SQP_OPTIONS = {f.name: float if f.default is None else type(f.default)
+                for f in dc_fields(SqpConfig)}
 # Keys each solver kind accepts besides "kind", with the type of each.
 _SOLVER_OPTIONS = {
     "exact": {},
@@ -166,9 +171,12 @@ def validate_config(data: dict) -> ExperimentConfig:
         cfg.problem = name
         cfg.problem_params = dict(_mapping(problem.get("params", {}),
                                            "problem.params"))
-        for key in cfg.problem_params:
+        for key, value in cfg.problem_params.items():
             if key not in _HIV_PARAMS:
                 raise ConfigError(f"problem.params.{key}: unknown parameter")
+            if _HIV_PARAMS[key] is float:
+                cfg.problem_params[key] = _typed(value, float,
+                                                 f"problem.params.{key}")
         cfg.u_guess = _typed(problem.get("u_guess", cfg.u_guess), float,
                              "problem.u_guess")
         if not 0.0 < cfg.u_guess < 1.0:
@@ -187,8 +195,12 @@ def validate_config(data: dict) -> ExperimentConfig:
     for key, value in cfg.sqp.items():
         if key not in _SQP_OPTIONS:
             raise ConfigError(f"sqp.{key}: unknown option")
+        if value is None and key == "mu_clamp":
+            continue
+        value = _typed(value, _SQP_OPTIONS[key], f"sqp.{key}")
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"sqp.{key}: must be finite, got {value!r}")
+        cfg.sqp[key] = value
 
     sweep = _mapping(data.get("sweep", {}), "sweep")
     if sweep:

@@ -41,7 +41,6 @@ from .blockenc import (
     be_rescale,
     be_transpose,
     encode,
-    operator_norm,
 )
 from .qsvt import SpectrumViolationError, build_inversion_spec, qsvt_invert
 from .schur import QpData, SchurSolution
@@ -86,12 +85,6 @@ def _bucket_kappa(kappa: float) -> float:
     return float(2 ** max(0, math.ceil(math.log2(max(1.0, kappa)))))
 
 
-def _encode_with_floor(op, eps_target, size, rng):
-    alpha = operator_norm(op)
-    return encode(op, eps_target, alpha=(alpha if alpha > 0.0 else 1.0),
-                  size=size, rng=rng)
-
-
 def _invert_encoding(u, eps_prime, qcfg):
     """Pre-scale to unit top singular value, pick the spectral interval, invert.
 
@@ -117,11 +110,10 @@ def _pipeline(qp: QpData, qcfg: QuantumConfig, rng: np.random.Generator):
     Returns the encoding at every node by name (Q, A, g, r, Qinv, S, b,
     Sinv, lambda, u1, dz) and, for Q and S, the inversion's (spec, gamma).
     """
-    size = 1 << max(0, math.ceil(math.log2(max(qp.n_z, qp.m_eq))))
-    u_q = _encode_with_floor(qp.Q.dense(), qcfg.eps_Q, size, rng)
-    u_a = _encode_with_floor(qp.A.dense(), qcfg.eps_A, size, rng)
-    u_g = _encode_with_floor(qp.g, qcfg.eps_g, size, rng)
-    u_r = _encode_with_floor(qp.r, qcfg.eps_r, size, rng)
+    u_q = encode(qp.Q.dense(), qcfg.eps_Q, rng=rng)
+    u_a = encode(qp.A.dense(), qcfg.eps_A, rng=rng)
+    u_g = encode(qp.g, qcfg.eps_g, rng=rng)
+    u_r = encode(qp.r, qcfg.eps_r, rng=rng)
     u_at = be_transpose(u_a)
 
     u_qinv, spec_q, gamma_q = _invert_encoding(u_q, qcfg.eps_prime_Q, qcfg)
@@ -147,11 +139,11 @@ def readout(
 ) -> tuple[np.ndarray, float]:
     """Recover the classical vector from the final encoding, exactly.
 
-    Returns alpha_dz times the encoded column, unpadded, and the success
+    Returns alpha_dz times the encoded column and the success
     probability p_succ = ||column||^2, or raises QuantumStepError when
     p_succ is below the floor.
     """
-    column = u_dz.embedded[: u_dz.logical_rows, 0]
+    column = u_dz.block[:, 0]
     p_succ = float(np.linalg.norm(column) ** 2)
     if p_succ < p_succ_floor:
         raise QuantumStepError(
@@ -191,7 +183,7 @@ def quantum_schur_step(
         )
 
     dz, p_succ = readout(u_dz, p_succ_floor=qcfg.p_succ_floor)
-    lam = u_lam.alpha * u_lam.embedded[: qp.m_eq, 0]
+    lam = u_lam.alpha * u_lam.block[:, 0]
 
     diagnostics: dict[str, Any] = {
         "solver": "quantum",

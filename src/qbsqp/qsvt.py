@@ -155,28 +155,23 @@ SIGMA_TOL = 1e-9
 def qsvt_invert(u: BlockEncoding, spec: QsvtInversionSpec) -> BlockEncoding:
     """Invert a block-encoded operator by transforming its singular values.
 
-    The embedded block is decomposed, p is applied to each singular value,
-    and the factors are recomposed with the transpose structure of the
-    inverse.  Only the logical singular values (>= 1/(2 kappa)) are
-    evaluated; padding singular values map to exactly 0 and stay inert.
+    The block is decomposed, p is applied to each singular value, and the
+    factors are recomposed with the transpose structure of the inverse.
+    Every singular value must lie in [1/kappa, 1], up to the encoding's
+    relative error and rounding.
     """
-    if u.logical_rows != u.logical_cols:
+    n = u.block.shape[0]
+    if u.block.shape != (n, n):
         raise EncodingError("inversion requires a square logical block")
-    n_logical = u.logical_rows
 
-    w, sigma, vt = np.linalg.svd(u.embedded)
+    w, sigma, vt = np.linalg.svd(u.block)
 
     slack = SIGMA_TOL + u.eps / u.alpha
     lo, hi = 1.0 / spec.kappa, 1.0
-    logical = sigma[:n_logical]
-    if np.any(logical < lo - slack) or np.any(logical > hi + slack):
-        bad = logical[(logical < lo - slack) | (logical > hi + slack)]
+    outside = (sigma < lo - slack) | (sigma > hi + slack)
+    if np.any(outside):
         raise SpectrumViolationError(
-            f"singular value(s) {bad} outside [{lo}, {hi}] (slack {slack:.3g})"
-        )
-    if np.any(sigma[n_logical:] > slack + 1e-12):
-        raise SpectrumViolationError(
-            "padding singular values are not negligible; operand may be rank-deficient"
+            f"singular value(s) {sigma[outside]} outside [{lo}, {hi}] (slack {slack:.3g})"
         )
 
     if spec.kappa * u.eps / u.alpha > 0.5:
@@ -185,20 +180,10 @@ def qsvt_invert(u: BlockEncoding, spec: QsvtInversionSpec) -> BlockEncoding:
             f"(kappa*eps/alpha = {spec.kappa * u.eps / u.alpha:.3g} > 0.5)"
         )
 
-    pvals = np.zeros_like(sigma)
-    inside = sigma >= lo / 2.0
-    pvals[inside] = spec(sigma[inside])
-
-    out = (vt.T * pvals) @ w.T
-    out[n_logical:, :] = 0.0
-    out[:, n_logical:] = 0.0
-
     alpha_out = spec.kappa * spec.beta / u.alpha
     eps_out = inversion_error_factor(spec.kappa, u.alpha) * u.eps + alpha_out * spec.achieved_err
     return BlockEncoding(
-        embedded=out,
-        logical_rows=n_logical,
-        logical_cols=n_logical,
+        block=(vt.T * spec(sigma)) @ w.T,
         alpha=alpha_out,
         ancillas=u.ancillas + 1,
         eps=eps_out,

@@ -43,8 +43,9 @@ class SqpConfig:
 
     def __post_init__(self):
         # Each check is written so that NaN fails it.
-        if not (0.0 < self.mu0 < np.inf and 0.0 < self.mu_min < np.inf):
-            raise ValueError("mu0 and mu_min must be positive and finite")
+        for label in ("mu0", "mu_min", "eps_opt", "eps_feas"):
+            if not 0.0 < getattr(self, label) < np.inf:
+                raise ValueError(f"{label} must be positive and finite")
         if self.mu_clamp is not None and not np.isfinite(self.mu_clamp):
             raise ValueError("mu_clamp must be finite")
         for label, val in (("armijo_c", self.armijo_c),
@@ -53,8 +54,6 @@ class SqpConfig:
                            ("beta", self.beta)):
             if not 0.0 < val < 1.0:
                 raise ValueError(f"{label} must lie strictly inside (0, 1)")
-        if not (0.0 < self.eps_opt < np.inf and 0.0 < self.eps_feas < np.inf):
-            raise ValueError("tolerances must be positive and finite")
         for label in ("max_outer_iters", "max_backtracks"):
             cap = getattr(self, label)
             if isinstance(cap, bool) or not isinstance(cap, int):

@@ -127,5 +127,5 @@ def encoding_error(u: BlockEncoding, operand: np.ndarray) -> float:
     """Definition-level error || operand - alpha * block || of an encoding."""
     op = np.asarray(operand, dtype=float)
     op = op.reshape(len(op), -1)
-    assert op.shape == (u.logical_rows, u.logical_cols), op.shape
+    assert op.shape == u.block.shape, op.shape
     return operator_norm(op - u.represented())

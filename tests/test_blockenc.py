@@ -17,27 +17,19 @@ from qbsqp.blockenc import (
 from oracles import encoding_error
 
 
-def padding_is_zero(u: BlockEncoding) -> bool:
-    """Every entry outside the logical block is exactly zero."""
-    mask = np.ones_like(u.embedded, dtype=bool)
-    mask[: u.logical_rows, : u.logical_cols] = False
-    return bool(np.all(u.embedded[mask] == 0.0))
-
-
 def test_encode_identity_2x2():
     u = encode(np.eye(2))
     assert u.size == 2  # s = 1
     assert u.alpha == 1.0
     assert u.eps == 0.0
-    np.testing.assert_array_equal(u.embedded, np.eye(2))
+    np.testing.assert_array_equal(u.block, np.eye(2))
 
 
 def test_encode_pads_3x3_to_4x4():
     a = np.arange(9.0).reshape(3, 3) + 1.0
     u = encode(a)
     assert u.size == 4
-    assert (u.logical_rows, u.logical_cols) == (3, 3)
-    assert padding_is_zero(u)
+    assert u.block.shape == (3, 3)
     np.testing.assert_allclose(u.represented(), a, rtol=1e-15)
 
 
@@ -45,10 +37,9 @@ def test_encode_vector_goes_to_first_column():
     v = np.array([3.0, 4.0, 0.0])
     u = encode(v)
     assert u.size == 4
-    assert u.logical_cols == 1
+    assert u.block.shape == (3, 1)
     assert u.alpha == 5.0
-    np.testing.assert_allclose(u.alpha * u.embedded[:3, 0], v)
-    assert np.all(u.embedded[:, 1:] == 0.0)
+    np.testing.assert_allclose(u.alpha * u.block[:, 0], v)
 
 
 def test_encode_noise_respects_budget_and_block_norm():
@@ -56,15 +47,18 @@ def test_encode_noise_respects_budget_and_block_norm():
     a = rng.standard_normal((4, 4))
     u = encode(a, target_eps=1e-8, rng=rng)
     assert encoding_error(u, a) <= 1e-8
-    assert operator_norm(u.embedded) <= 1.0 + 1e-12
+    assert operator_norm(u.block) <= 1.0 + 1e-12
     assert u.eps == 1e-8
 
 
-def test_encode_zero_requires_alpha_override():
+def test_encode_zero_operand_is_exact_at_alpha_one():
+    # The residual r of an exactly feasible start is zero.
+    u = encode(np.zeros(3))
+    assert u.alpha == 1.0
+    assert u.eps == 0.0
+    np.testing.assert_array_equal(u.block, np.zeros((3, 1)))
     with pytest.raises(EncodingError):
-        encode(np.zeros((2, 2)))
-    u = encode(np.zeros((2, 2)), alpha=1.0)
-    assert np.all(u.embedded == 0.0)
+        encode(np.zeros((2, 2)), alpha=0.0)
 
 
 def test_mul_identity_law():
@@ -73,15 +67,15 @@ def test_mul_identity_law():
     u = encode(a, target_eps=1e-3, rng=rng)
     v = encode(np.eye(4))
     w = be_mul(u, v)
-    np.testing.assert_array_equal(w.embedded, u.embedded)
+    np.testing.assert_array_equal(w.block, u.block)
     assert w.alpha == u.alpha
     assert w.eps == u.eps
 
 
 def test_mul_composition_arithmetic():
     # alpha_u=2, alpha_v=3, eps_u=1e-3, eps_v=1e-4 -> alpha=6, eps=3.2e-3
-    u = BlockEncoding(np.eye(2) * 0.5, 2, 2, alpha=2.0, ancillas=1, eps=1e-3)
-    v = BlockEncoding(np.eye(2) * 0.5, 2, 2, alpha=3.0, ancillas=2, eps=1e-4)
+    u = BlockEncoding(np.eye(2) * 0.5, alpha=2.0, ancillas=1, eps=1e-3)
+    v = BlockEncoding(np.eye(2) * 0.5, alpha=3.0, ancillas=2, eps=1e-4)
     w = be_mul(u, v)
     assert w.alpha == 6.0
     assert np.isclose(w.eps, 3.2e-3)
@@ -89,14 +83,14 @@ def test_mul_composition_arithmetic():
 
 
 def test_add_composition_arithmetic():
-    u = BlockEncoding(np.eye(2), 2, 2, alpha=1.0, ancillas=2, eps=1e-4)
-    v = BlockEncoding(np.eye(2), 2, 2, alpha=1.0, ancillas=3, eps=2e-4)
+    u = BlockEncoding(np.eye(2), alpha=1.0, ancillas=2, eps=1e-4)
+    v = BlockEncoding(np.eye(2), alpha=1.0, ancillas=3, eps=2e-4)
     w = be_add(u, v)
     assert w.alpha == 2.0
     assert np.isclose(w.eps, 3e-4)
     assert w.ancillas == 4
     # U = V: the encoding represents A + A = 2A with the block unchanged.
-    np.testing.assert_array_equal(w.embedded, u.embedded)
+    np.testing.assert_array_equal(w.block, u.block)
     np.testing.assert_allclose(w.represented(), 2.0 * u.represented())
 
 
@@ -147,4 +141,3 @@ def test_composition_laws_hold_against_dense_oracle(seed):
 
     tot = be_add(u, v)
     assert encoding_error(tot, a + b) <= tot.eps * (1.0 + 1e-9) + 1e-13
-    assert padding_is_zero(prod) and padding_is_zero(tot)

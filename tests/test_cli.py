@@ -118,7 +118,7 @@ def test_commands_succeed_on_eqqp(tmp_path, command, config):
                "solver": {"kind": "quantum", "degree_cap": 2.5}},
      "solver.degree_cap"),
     # well-typed values that cannot run
-    ("solve", {"problem": {"name": "hiv", "params": {"N": 2, "s": "abc"}}},
+    ("solve", {"problem": {"name": "hiv", "params": {"N": 2, "s": math.nan}}},
      "s must be a finite number"),
     ("solve", {"problem": "toy:eqqp", "solver": {"kind": "noisy", "eps": math.nan}},
      "solver.eps: must be finite"),
@@ -181,6 +181,17 @@ def test_commands_succeed_on_eqqp(tmp_path, command, config):
     *[("qsvt-check", {"problem": "toy:eqqp",
                       "qsvt": {"kappas": [2.0], "eps_primes": [1.0e-2], "matrix_size": k}},
        "qsvt.matrix_size: must be at least 1") for k in (0, -3)],
+    # sqp options and HIV parameters are typed by their field
+    ("solve", {"problem": {"name": "hiv", "params": {"N": 2, "s": "abc"}}},
+     "problem.params.s: expected float"),
+    ("solve", {"problem": "toy:box1d", "sqp": {"mu_clamp": "abc"}},
+     "sqp.mu_clamp: expected float"),
+    ("solve", {"problem": "toy:box1d", "sqp": {"armijo_c": [1]}},
+     "sqp.armijo_c: expected float"),
+    ("solve", {"problem": "toy:box1d", "sqp": {"barrier_update": 5}},
+     "sqp.barrier_update: expected str"),
+    ("solve", {"problem": "toy:box1d", "sqp": {"eps_opt": 0.0}},
+     "eps_opt must be positive and finite"),
 ])
 def test_config_errors_exit_one_and_name_the_field(tmp_path, capsys, command,
                                                    config, field):
@@ -188,6 +199,22 @@ def test_config_errors_exit_one_and_name_the_field(tmp_path, capsys, command,
     code, _ = run(tmp_path, command, config, extra=flags)
     assert code == 1
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, section, expected", [
+    ("problem: toy:eqqp\nsqp: {eps_opt: 1e-9, mu0: 1e-2}\n", "sqp",
+     {"eps_opt": 1e-9, "mu0": 1e-2}),
+    ("problem: {name: hiv, params: {N: 2, k: 8e-8}}\n", "problem_params",
+     {"N": 2, "k": 8e-8}),
+])
+def test_exponents_without_a_dot_are_numbers(tmp_path, text, section, expected):
+    # YAML reads 1e-9 (no dot) as a string; each field is typed as it is
+    # declared, so these values run as the numbers they spell.
+    path = tmp_path / "config.yaml"
+    path.write_text(text)
+    assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["config"][section] == expected
 
 
 def test_missing_config_file_exits_one(tmp_path, capsys):
@@ -549,9 +576,9 @@ OUTPUT_SHA256 = {
         "traces.csv": "ceded7eaddf553ca5ec574a4e584387fda92f3c60ad799567d912fe7a93209c6",
     },
     "hiv4_quantum": {
-        "iterates.csv": "ac34bc4ff5b17a3d325da828ecb67973dbc490ddeb7f019796012a74128966aa",
-        "manifest.json": "e99d18c929576ad183a5b7f3c46959b27cba48f360cd153496b1cff05e223a75",
-        "trajectory.csv": "ad805413692f6c9400230ac402cce62a43be63e75844b1e41c68f621a9e68756",
+        "iterates.csv": "009be4a8891be50d4d5c5b4ed49fad735dad00eed75ee568ea387783d12735ba",
+        "manifest.json": "2f1b70d1c4f7164366d9dd01202bace6b9dc5ccfd4c32c7d7b8753e009b4b6fc",
+        "trajectory.csv": "c625f9165017c07c69ee387820ef29b1896e1589d0a6ec371054b55618375e03",
     },
 }
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from qbsqp.blockenc import BlockEncoding
+from qbsqp.models import HivParameters, hiv_initial_guess, hiv_ocp
+from qbsqp.nlp import BarrierConfig, build_qp, transcribe
 from qbsqp.qschur import (
     QuantumConfig,
     QuantumSchurSolver,
@@ -90,16 +92,27 @@ class TestQuantumSchurStep:
             assert err <= sol.diagnostics["eps_dz"]
 
     def test_conformance_at_every_node(self):
+        # A random QP, and HIV at N = 4 from its rollout start, where
+        # n_z = 23 and m_eq = 15 are not powers of two and r is zero.
         rng = np.random.default_rng(1)
-        qp = random_qp(rng)
+        nlp = transcribe(hiv_ocp(HivParameters(N=4)))
+        hiv_qp = build_qp(nlp, hiv_initial_guess(nlp), BarrierConfig(mu=1e-2))
+        assert (hiv_qp.n_z, hiv_qp.m_eq) == (23, 15)
         qcfg = QuantumConfig(eps_Q=1e-8, eps_g=1e-8, eps_prime_Q=1e-10,
-                             eps_prime_S=1e-10, degree_cap=100000)
-        nodes, _ = _pipeline(qp, qcfg, np.random.default_rng(qcfg.seed))
-        truth = dense_nodes(qp)
-        assert nodes.keys() == truth.keys()
-        for name, enc in nodes.items():
-            err = encoding_error(enc, truth[name])
-            assert err <= enc.eps * (1 + 1e-9) + 1e-13, name
+                             eps_prime_S=1e-10, degree_cap=400001)
+        for qp in (random_qp(rng), hiv_qp):
+            nodes, _ = _pipeline(qp, qcfg, np.random.default_rng(qcfg.seed))
+            truth = dense_nodes(qp)
+            assert nodes.keys() == truth.keys()
+            for name, enc in nodes.items():
+                err = encoding_error(enc, truth[name])
+                assert err <= enc.eps * (1 + 1e-9) + 1e-13, name
+                # size is the next power of two of the block's larger side.
+                side = max(enc.block.shape)
+                assert enc.size & (enc.size - 1) == 0, name
+                assert enc.size // 2 < side <= enc.size, name
+        # The register of 32 that every HIV node once shared.
+        assert nodes["Q"].size == nodes["A"].size == 32
 
     def test_alpha_dz_matches_closed_form(self):
         rng = np.random.default_rng(8)
@@ -174,11 +187,8 @@ class TestQuantumSchurStep:
 
 
 class TestReadout:
-    def _fake_encoding(self, col, size=4):
-        emb = np.zeros((size, size))
-        emb[: len(col), 0] = col
-        return BlockEncoding(embedded=emb, logical_rows=len(col), logical_cols=1,
-                             alpha=2.0, ancillas=1, eps=0.0)
+    def _fake_encoding(self, col):
+        return BlockEncoding(block=col.reshape(-1, 1), alpha=2.0, ancillas=1, eps=0.0)
 
     def test_square_law(self):
         # ||column|| = 1/2 -> p_succ = 0.25, dz = alpha * column

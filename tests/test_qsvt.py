@@ -239,16 +239,6 @@ class TestQsvtInvert:
         err = np.linalg.norm(v.represented() - np.linalg.inv(a), 2)
         assert err <= 1e-6
 
-    def test_padding_stays_zero_and_inert(self):
-        rng = np.random.default_rng(4)
-        a = random_spd_with_spectrum(3, 0.5, 1.0, rng)
-        u = encode(a)  # padded to 4x4
-        spec = build_inversion_spec(2.0, 1e-8)
-        v = qsvt_invert(u, spec)
-        assert np.all(v.embedded[3, :] == 0.0)
-        assert np.all(v.embedded[:, 3] == 0.0)
-        np.testing.assert_allclose(v.represented(), np.linalg.inv(a), atol=1e-6)
-
     def test_spectrum_violation_names_offender(self):
         u = encode(np.diag([1.0, 0.1]))
         spec = build_inversion_spec(2.0, 1e-6)  # 0.1 < 1/2
