@@ -11,6 +11,12 @@ integers.  The composition rules (Gilyen, Su, Low & Wiebe,
 arXiv:1806.01838, Lemma 30) act on the logical blocks alone; the
 power-of-two register an encoding occupies is derived from its block's
 shape and is used for counting only.
+
+A block-diagonal operand, such as the KKT matrix Q, is encoded as a
+stage-select encoding: its logical block is a ``schur.BlockDiagonal``,
+which selects one stage block per stage, so its normalization is the
+largest block norm, max_k ||Q_k|| = ||Q||.  Scaling and inversion act on
+such a block stage by stage.
 """
 
 from __future__ import annotations
@@ -18,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .schur import BlockDiagonal
 
 
 class EncodingError(ValueError):
@@ -34,8 +42,12 @@ def _as_matrix(operand: np.ndarray) -> np.ndarray:
     raise EncodingError(f"operand must be a vector or matrix, got ndim={arr.ndim}")
 
 
-def operator_norm(operand: np.ndarray) -> float:
-    """Spectral norm for matrices, Euclidean norm for vectors."""
+def operator_norm(operand: np.ndarray | BlockDiagonal) -> float:
+    """Spectral norm for matrices, the largest block norm for a
+    ``BlockDiagonal``, Euclidean norm for vectors."""
+    if isinstance(operand, BlockDiagonal):
+        return float(max([operator_norm(operand.tail),
+                          *np.linalg.norm(operand.stages, 2, axis=(1, 2))]))
     arr = np.asarray(operand, dtype=float)
     if arr.ndim <= 1 or 1 in arr.shape:
         return float(np.linalg.norm(arr.ravel()))
@@ -47,10 +59,11 @@ class BlockEncoding:
     """An (alpha, ancillas, eps) block encoding of a matrix or vector.
 
     ``block`` is the logical block, which approximates operand / alpha; a
-    vector is held as one column.
+    vector is held as one column, and a block-diagonal operand as a
+    ``BlockDiagonal``.
     """
 
-    block: np.ndarray
+    block: np.ndarray | BlockDiagonal
     alpha: float
     ancillas: int
     eps: float
@@ -62,7 +75,7 @@ class BlockEncoding:
             raise EncodingError("encoding error bound must be nonnegative")
         if self.ancillas < 0:
             raise EncodingError("ancilla count must be nonnegative")
-        if self.block.ndim != 2:
+        if len(self.block.shape) != 2:
             raise EncodingError("block must be a matrix")
 
     @property
@@ -76,23 +89,29 @@ class BlockEncoding:
 
 
 def encode(
-    operand: np.ndarray,
+    operand: np.ndarray | BlockDiagonal,
     target_eps: float = 0.0,
     *,
     alpha: float | None = None,
     ancillas: int = 1,
     rng: np.random.Generator | None = None,
 ) -> BlockEncoding:
-    """Encode a matrix or vector (as one column).
+    """Encode a matrix or vector (as one column), or a ``BlockDiagonal``
+    as its stage-select encoding.
 
-    alpha defaults to the operand's spectral norm (tight), or to 1 for a
-    zero operand, whose zero block is exact at any alpha.  A positive
+    alpha defaults to the operand's spectral norm (tight), which for a
+    ``BlockDiagonal`` is its largest block norm, or to 1 for a zero
+    operand, whose zero block is exact at any alpha.  A positive
     ``target_eps`` injects representation noise of norm <= target_eps into
     the block, constructed so that the stored block keeps norm <= 1 and
-    the recorded eps remains a hard bound.
+    the recorded eps remains a hard bound.  A ``BlockDiagonal``'s noise is
+    drawn block by block, so it stays inside the blocks, and its norm is
+    its largest block norm.
     """
-    op = _as_matrix(operand)
-    if not np.all(np.isfinite(op)):
+    blocked = isinstance(operand, BlockDiagonal)
+    op = operand if blocked else _as_matrix(operand)
+    arrays = (op.stages, op.tail) if blocked else (op,)
+    if not all(np.all(np.isfinite(arr)) for arr in arrays):
         raise EncodingError("operand must be finite")
     if target_eps < 0.0:
         raise EncodingError("target_eps must be nonnegative")
@@ -105,11 +124,12 @@ def encode(
     if nrm > alpha * (1.0 + 1e-12):
         raise EncodingError(f"alpha={alpha} is below the operand norm {nrm}")
 
-    block = op.copy()
+    block = op
     if target_eps > 0.0:
         if rng is None:
             rng = np.random.default_rng(0)
-        noise = rng.standard_normal(op.shape)
+        draws = [rng.standard_normal(arr.shape) for arr in arrays]
+        noise = BlockDiagonal(*draws) if blocked else draws[0]
         nn = operator_norm(noise)
         if nn > 0.0:
             # Half budget for the draw, half for the norm-cap rescale below,

@@ -538,6 +538,14 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[int, dict]:
 # QSVT diagnostics
 
 def run_qsvt_check(cfg: ExperimentConfig) -> tuple[int, dict]:
+    """Invert one matrix per (kappa, eps') and write qsvt.csv.
+
+    Each row holds the spec's degree, proven polynomial error
+    ``achieved_err`` and scale ``beta``, the inverse encoding's declared
+    error ``declared_err``, and ``matrix_err``, the spectral distance of
+    the represented inverse from the exact one.  An infeasible spec's row
+    holds its message in ``matrix_err``.
+    """
     if not cfg.qsvt:
         raise ValueError("qsvt section missing from configuration")
     os.makedirs(cfg.output_dir, exist_ok=True)
@@ -546,6 +554,8 @@ def run_qsvt_check(cfg: ExperimentConfig) -> tuple[int, dict]:
     size = int(cfg.qsvt.get("matrix_size", 8))
     rng = np.random.default_rng(cfg.seed)
 
+    columns = ["kappa", "eps_prime", "degree", "achieved_err", "beta",
+               "declared_err", "matrix_err"]
     rows = []
     records = []
     for kappa in kappas:
@@ -553,7 +563,7 @@ def run_qsvt_check(cfg: ExperimentConfig) -> tuple[int, dict]:
             try:
                 spec = build_inversion_spec(kappa, eps_prime)
             except InfeasibleAccuracyError as exc:
-                rows.append([kappa, eps_prime, "", "", "", f"infeasible: {exc}"])
+                rows.append([kappa, eps_prime, "", "", "", "", f"infeasible: {exc}"])
                 continue
             basis, _ = np.linalg.qr(rng.standard_normal((size, size)))
             eigs = np.linspace(1.0 / kappa, 1.0, size)
@@ -563,14 +573,10 @@ def run_qsvt_check(cfg: ExperimentConfig) -> tuple[int, dict]:
             matrix_err = float(np.linalg.norm(
                 inv.represented() - np.linalg.inv(mat), 2))
             rows.append([kappa, eps_prime, spec.degree, spec.achieved_err,
-                         spec.beta, matrix_err])
-            records.append({"kappa": kappa, "eps_prime": eps_prime,
-                            "degree": spec.degree,
-                            "grid_err": spec.achieved_err,
-                            "beta": spec.beta, "matrix_err": matrix_err})
+                         spec.beta, inv.eps, matrix_err])
+            records.append(dict(zip(columns, rows[-1])))
     path = os.path.join(cfg.output_dir, "qsvt.csv")
-    write_csv(path, ["kappa", "eps_prime", "degree", "grid_err", "beta",
-                     "matrix_err"], rows)
+    write_csv(path, columns, rows)
     summary = {"rows": len(rows)}
     write_manifest(cfg.output_dir, "qsvt-check", cfg, summary, [path])
     return 0, {"records": records, "summary": summary}

@@ -6,6 +6,13 @@ the Schur complement S = A Q^{-1} A^T and right-hand side
 b = -r - A Q^{-1} g by encoding products and LCU sums, invert S, recover
 lam and dz, and read out dz exactly as alpha_dz times the encoded column.
 
+Q is held as its stage-select encoding, a ``BlockDiagonal`` of its stage
+blocks with alpha = max_k ||Q_k|| = ||Q||; its inverse is handed on as
+one dense block.  Each inversion decomposes its operand once, Q by its
+stage blocks, and takes from that one decomposition the pre-scale gain,
+the condition number the polynomial is fitted to and the transformed
+singular values.
+
 Every composition (``be_mul``, ``be_add``, ``qsvt_invert``) carries its
 operands' normalization and error bound by its own rule, so the alpha and
 eps of the final encoding are the step's declared normalization alpha_dz
@@ -19,16 +26,16 @@ Each step's diagnostics hold plain scalars:
     p_succ                success probability ||dz||^2 / alpha_dz^2
     expected_repetitions  1 / p_succ
     degree_X, beta_X      degree and scale of the inversion polynomial
-    kappa_X_fit, gamma_X  condition parameter of the polynomial and the
-                          pre-scale gain of the inverted block
+    kappa_X_fit, gamma_X  condition number the polynomial is fitted to,
+                          max(2, sigma_max/sigma_min * KAPPA_SAFETY) of the
+                          operand, and the pre-scale gain 1/sigma_max
 
 with X = Q and S.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -42,8 +49,8 @@ from .blockenc import (
     be_transpose,
     encode,
 )
-from .qsvt import SpectrumViolationError, build_inversion_spec, qsvt_invert
-from .schur import QpData, SchurSolution
+from .qsvt import SpectrumViolationError, build_inversion_spec, decompose, qsvt_invert
+from .schur import BlockDiagonal, QpData, SchurSolution
 
 
 class QuantumStepError(RuntimeError):
@@ -80,27 +87,41 @@ class QuantumConfig:
 KAPPA_SAFETY = 1.0 + 1e-9
 
 
-def _bucket_kappa(kappa: float) -> float:
-    """Round kappa up to a power of two, so nearby iterates share one spec."""
-    return float(2 ** max(0, math.ceil(math.log2(max(1.0, kappa)))))
-
-
 def _invert_encoding(u, eps_prime, qcfg):
-    """Pre-scale to unit top singular value, pick the spectral interval, invert.
+    """Invert an encoding from one decomposition of its block.
+
+    The decomposition gives sigma_max and sigma_min.  The block is
+    pre-scaled by gamma = 1/sigma_max to unit top singular value, and the
+    polynomial is fitted to kappa_fit = max(2, sigma_max/sigma_min *
+    KAPPA_SAFETY).  The floor of 2 keeps theta_0 = 2 atanh(1/kappa) at most
+    ln 3, so the degree that first reaches the target eps'/8 overshoots it
+    by at most a factor 3 in T_0; nearer kappa = 1 one degree step
+    overshoots by more, and the proven error 1/T_0 can fall below double
+    rounding.  The same decomposition, scaled by gamma, is the one
+    transformed.  A singular block raises SpectrumViolationError, naming
+    its stage when the block is block diagonal.
 
     Returns the inverse encoding, the spec used and the pre-scale gain.
     """
-    sigma = np.linalg.svd(u.block, compute_uv=False)
-    s_max, s_min = float(sigma[0]), float(sigma[-1])
+    parts = decompose(u.block)
+    # The smallest singular value of each block, in stage order, tail last.
+    lows = np.concatenate([np.min(s, axis=-1, initial=np.inf).reshape(-1)
+                           for _, s, _ in parts])
+    s_max = max(float(np.max(s, initial=0.0)) for _, s, _ in parts)
+    s_min = float(lows.min())
     if s_min <= 0.0 or not np.isfinite(s_min):
-        raise SpectrumViolationError(f"operand block is singular (sigma_min={s_min})")
+        where = "operand block"
+        if isinstance(u.block, BlockDiagonal) and len(u.block.stages):
+            where = f"operand stage block {int(lows.argmin())}"
+        raise SpectrumViolationError(f"{where} is singular (sigma_min={s_min})")
 
     gamma = 1.0 / s_max
-    kappa_fit = _bucket_kappa(s_max / s_min * KAPPA_SAFETY)
+    kappa_fit = max(2.0, s_max / s_min * KAPPA_SAFETY)
 
     spec = build_inversion_spec(kappa_fit, eps_prime, degree_cap=qcfg.degree_cap)
 
-    u_inv = qsvt_invert(be_rescale(u, gamma), spec)
+    scaled = [(w, gamma * s, vt) for w, s, vt in parts]
+    u_inv = qsvt_invert(be_rescale(u, gamma), spec, scaled)
     return u_inv, spec, gamma
 
 
@@ -109,14 +130,17 @@ def _pipeline(qp: QpData, qcfg: QuantumConfig, rng: np.random.Generator):
 
     Returns the encoding at every node by name (Q, A, g, r, Qinv, S, b,
     Sinv, lambda, u1, dz) and, for Q and S, the inversion's (spec, gamma).
+    Q is encoded and inverted by its stage blocks; its inverse is then
+    assembled once into the dense block that the products use.
     """
-    u_q = encode(qp.Q.dense(), qcfg.eps_Q, rng=rng)
+    u_q = encode(qp.Q, qcfg.eps_Q, rng=rng)
     u_a = encode(qp.A.dense(), qcfg.eps_A, rng=rng)
     u_g = encode(qp.g, qcfg.eps_g, rng=rng)
     u_r = encode(qp.r, qcfg.eps_r, rng=rng)
     u_at = be_transpose(u_a)
 
     u_qinv, spec_q, gamma_q = _invert_encoding(u_q, qcfg.eps_prime_Q, qcfg)
+    u_qinv = replace(u_qinv, block=u_qinv.block.dense())
 
     u_s = be_mul(be_mul(u_a, u_qinv), u_at)
     u_b = be_add(be_neg(u_r), be_neg(be_mul(u_a, be_mul(u_qinv, u_g))))

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockenc import BlockEncoding, EncodingError
+from .schur import BlockDiagonal
 
 
 class InfeasibleAccuracyError(RuntimeError):
@@ -152,20 +153,36 @@ def inversion_error_factor(kappa: float, alpha: float) -> float:
 SIGMA_TOL = 1e-9
 
 
-def qsvt_invert(u: BlockEncoding, spec: QsvtInversionSpec) -> BlockEncoding:
+def decompose(block: np.ndarray | BlockDiagonal) -> list:
+    """The singular value decomposition of a logical block, as one
+    (w, sigma, vt) per array the block is held as.
+
+    A dense block gives one; a ``BlockDiagonal`` gives one stacked
+    decomposition of its stages and one of its tail, so no array larger
+    than a block is decomposed.  Each sigma is in descending order.
+    """
+    if isinstance(block, BlockDiagonal):
+        return [np.linalg.svd(block.stages), np.linalg.svd(block.tail)]
+    return [np.linalg.svd(block)]
+
+
+def qsvt_invert(u: BlockEncoding, spec: QsvtInversionSpec,
+                decomposition: list | None = None) -> BlockEncoding:
     """Invert a block-encoded operator by transforming its singular values.
 
-    The block is decomposed, p is applied to each singular value, and the
-    factors are recomposed with the transpose structure of the inverse.
-    Every singular value must lie in [1/kappa, 1], up to the encoding's
-    relative error and rounding.
+    ``decomposition`` is ``decompose(u.block)``, taken here when not
+    given.  p is applied to each singular value, and the factors are
+    recomposed with the transpose structure of the inverse.  A ``BlockDiagonal`` block
+    is inverted stage by stage into a ``BlockDiagonal``.  Every singular
+    value must lie in [1/kappa, 1], up to the encoding's relative error and
+    rounding.
     """
-    n = u.block.shape[0]
-    if u.block.shape != (n, n):
-        raise EncodingError("inversion requires a square logical block")
+    if decomposition is None:
+        decomposition = decompose(u.block)
+    if any(w.shape != vt.shape for w, _, vt in decomposition):
+        raise EncodingError("inversion requires square logical blocks")
 
-    w, sigma, vt = np.linalg.svd(u.block)
-
+    sigma = np.concatenate([s.ravel() for _, s, _ in decomposition])
     slack = SIGMA_TOL + u.eps / u.alpha
     lo, hi = 1.0 / spec.kappa, 1.0
     outside = (sigma < lo - slack) | (sigma > hi + slack)
@@ -180,10 +197,11 @@ def qsvt_invert(u: BlockEncoding, spec: QsvtInversionSpec) -> BlockEncoding:
             f"(kappa*eps/alpha = {spec.kappa * u.eps / u.alpha:.3g} > 0.5)"
         )
 
+    inverse = [(vt.mT * spec(s)[..., None, :]) @ w.mT for w, s, vt in decomposition]
     alpha_out = spec.kappa * spec.beta / u.alpha
     eps_out = inversion_error_factor(spec.kappa, u.alpha) * u.eps + alpha_out * spec.achieved_err
     return BlockEncoding(
-        block=(vt.T * spec(sigma)) @ w.T,
+        block=BlockDiagonal(*inverse) if isinstance(u.block, BlockDiagonal) else inverse[0],
         alpha=alpha_out,
         ancillas=u.ancillas + 1,
         eps=eps_out,

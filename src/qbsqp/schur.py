@@ -51,11 +51,26 @@ class BlockDiagonal:
     stages: np.ndarray
     tail: np.ndarray
 
+    # numpy scalars defer to the operators below instead of treating the
+    # matrix as an object array.
+    __array_ufunc__ = None
+
     def __post_init__(self):
         if self.stages.ndim != 3:
             raise ValueError("stages must be a stack of blocks (count, rows, size)")
         if self.tail.ndim != 2:
             raise ValueError("tail must have the rows and columns of one block")
+
+    def __add__(self, other: BlockDiagonal) -> BlockDiagonal:
+        return BlockDiagonal(self.stages + other.stages, self.tail + other.tail)
+
+    def __mul__(self, c: float) -> BlockDiagonal:
+        return BlockDiagonal(c * self.stages, c * self.tail)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, c: float) -> BlockDiagonal:
+        return BlockDiagonal(self.stages / c, self.tail / c)
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -5,6 +5,7 @@ import numpy as np
 from qbsqp.blockenc import BlockEncoding, operator_norm
 from qbsqp.models import double_integrator_ocp
 from qbsqp.nlp import ConfigurationError, OcpDefinition, transcribe
+from qbsqp.schur import BlockDiagonal
 
 FD_STEP = 1e-6
 
@@ -124,8 +125,12 @@ EQQP_LAM_STAR = np.array([-1.0, 0.0])
 
 
 def encoding_error(u: BlockEncoding, operand: np.ndarray) -> float:
-    """Definition-level error || operand - alpha * block || of an encoding."""
+    """Definition-level error || operand - alpha * block || of an encoding,
+    with a ``BlockDiagonal`` block assembled densely."""
     op = np.asarray(operand, dtype=float)
     op = op.reshape(len(op), -1)
     assert op.shape == u.block.shape, op.shape
-    return operator_norm(op - u.represented())
+    represented = u.represented()
+    if isinstance(represented, BlockDiagonal):
+        represented = represented.dense()
+    return operator_norm(op - represented)

@@ -14,6 +14,7 @@ from qbsqp.blockenc import (
     encode,
     operator_norm,
 )
+from qbsqp.schur import BlockDiagonal
 from oracles import encoding_error
 
 
@@ -49,6 +50,22 @@ def test_encode_noise_respects_budget_and_block_norm():
     assert encoding_error(u, a) <= 1e-8
     assert operator_norm(u.block) <= 1.0 + 1e-12
     assert u.eps == 1e-8
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1.0])
+def test_encode_block_diagonal_keeps_its_noise_inside_the_blocks(eps):
+    # At eps = 1 the noisy block exceeds alpha and is scaled back.
+    rng = np.random.default_rng(4)
+    op = BlockDiagonal(rng.standard_normal((5, 3, 3)), rng.standard_normal((2, 2)))
+    u = encode(op, target_eps=eps, rng=rng)
+    assert isinstance(u.block, BlockDiagonal)
+    assert u.alpha == max(np.linalg.norm(b, 2) for b in (*op.stages, op.tail))
+    outside = BlockDiagonal(np.ones((5, 3, 3)), np.ones((2, 2))).dense() == 0.0
+    assert np.all(u.represented().dense()[outside] == 0.0)
+    assert encoding_error(u, op.dense()) <= eps
+    assert 0.0 < encoding_error(u, op.dense())
+    assert operator_norm(u.block) <= 1.0 + 1e-12
+    assert u.eps == eps
 
 
 def test_encode_zero_operand_is_exact_at_alpha_one():

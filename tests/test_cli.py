@@ -20,6 +20,7 @@ from qbsqp import cli, experiments
 from qbsqp.config import validate_config
 from qbsqp.models import eqqp_ocp
 from qbsqp.nlp import OcpDefinition, transcribe
+from qbsqp.qsvt import build_inversion_spec
 
 BOX1D_SWEEP = {
     "problem": "toy:box1d",
@@ -231,7 +232,7 @@ def test_quantum_default_on_double_integrator_exits_two(tmp_path, capsys):
 
 
 def test_quantum_grid_beyond_degree_cap_exits_two(tmp_path, capsys):
-    # Damping leaves kappa_Q near 1e8 (bucketed to 2^27); the predicted
+    # Damping leaves kappa_Q near 1e8, the condition number fitted; the predicted
     # degree of about 3e9 is refused before any allocation.
     code, _ = run(tmp_path, "solve", {
         "problem": "toy:box1d",
@@ -258,6 +259,23 @@ def test_overflowing_inversion_grid_writes_a_row_and_exits_zero(tmp_path):
     assert overflow.startswith("infeasible: T_0 = cosh(") and "overflows" in overflow
     assert "cap" not in overflow
     assert capped.startswith("infeasible: predicted degree") and "degree cap" in capped
+
+
+def test_qsvt_check_writes_the_proven_and_declared_errors(tmp_path):
+    code, out_dir = run(tmp_path, "qsvt-check", {
+        "problem": "toy:eqqp",
+        "qsvt": {"kappas": [2.0, 16.0], "eps_primes": [1.0e-6], "matrix_size": 4}})
+    assert code == 0
+    with open(out_dir / "qsvt.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["kappa", "eps_prime", "degree", "achieved_err", "beta",
+                             "declared_err", "matrix_err"]
+    for row in rows:
+        spec = build_inversion_spec(float(row["kappa"]), 1.0e-6)
+        assert float(row["achieved_err"]) == spec.achieved_err
+        # The matrix has norm 1, so the inverse's alpha is kappa * beta.
+        assert math.isclose(float(row["declared_err"]),
+                            spec.kappa * spec.beta * spec.achieved_err, rel_tol=1e-12)
 
 
 def test_exhausted_damping_exits_two(tmp_path, monkeypatch, capsys):
@@ -576,9 +594,9 @@ OUTPUT_SHA256 = {
         "traces.csv": "ceded7eaddf553ca5ec574a4e584387fda92f3c60ad799567d912fe7a93209c6",
     },
     "hiv4_quantum": {
-        "iterates.csv": "009be4a8891be50d4d5c5b4ed49fad735dad00eed75ee568ea387783d12735ba",
-        "manifest.json": "2f1b70d1c4f7164366d9dd01202bace6b9dc5ccfd4c32c7d7b8753e009b4b6fc",
-        "trajectory.csv": "c625f9165017c07c69ee387820ef29b1896e1589d0a6ec371054b55618375e03",
+        "iterates.csv": "904c34bdc6df90a80224557a5996103359e7687abba9694b8a0756c23c241694",
+        "manifest.json": "4031733c188ca2401100fb0ca2074744c16da41fa689c3ad6b5a09183c873b84",
+        "trajectory.csv": "4fd6867f50a5c35d06cd2aa696ba8300a15a1724a274f2d992ffeac7f9652f97",
     },
 }
 

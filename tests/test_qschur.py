@@ -1,12 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import qbsqp.qschur
 from qbsqp.blockenc import BlockEncoding
+from qbsqp.experiments import HIV_SQP_DEFAULTS
 from qbsqp.models import HivParameters, hiv_initial_guess, hiv_ocp
 from qbsqp.nlp import BarrierConfig, build_qp, transcribe
 from qbsqp.qschur import (
+    KAPPA_SAFETY,
     QuantumConfig,
     QuantumSchurSolver,
     QuantumStepError,
@@ -14,9 +18,11 @@ from qbsqp.qschur import (
     quantum_schur_step,
     readout,
 )
-from qbsqp.schur import exact_step
+from qbsqp.qsvt import SpectrumViolationError, qsvt_invert
+from qbsqp.schur import BlockDiagonal, exact_step
+from qbsqp.sqp import SqpConfig, solve
 from oracles import encoding_error
-from test_schur import dense_qp
+from test_schur import dense_qp, staged_qp
 
 
 def hand_qp():
@@ -184,6 +190,86 @@ class TestQuantumSchurStep:
         s2 = QuantumSchurSolver(QuantumConfig(eps_Q=1e-7, seed=3, degree_cap=100000))
         for _ in range(3):
             np.testing.assert_array_equal(s1.step(qp).dz, s2.step(qp).dz)
+
+    def test_singular_q_stage_block_is_named(self):
+        qp = staged_qp(np.random.default_rng(3))
+        stages = qp.Q.stages.copy()
+        stages[2] = np.diag([1.0, 2.0, 0.0, 1.0])
+        qp = dataclasses.replace(qp, Q=BlockDiagonal(stages, qp.Q.tail))
+        with pytest.raises(SpectrumViolationError, match="stage block 2 is singular"):
+            quantum_schur_step(qp, QuantumConfig())
+
+    def test_one_step_decomposes_blocks_and_s_once(self, monkeypatch):
+        # HIV N = 10: Q is decomposed by its stage blocks, and neither an
+        # SVD nor a spectral norm touches an n_z x n_z array.
+        nlp = transcribe(hiv_ocp(HivParameters(N=10)))
+        qp = build_qp(nlp, hiv_initial_guess(nlp, 0.05), BarrierConfig(mu=1e-2))
+        real_svd, real_norm = np.linalg.svd, np.linalg.norm
+        svds, spectral_norms = [], []
+
+        def svd(a, *args, **kwargs):
+            svds.append(np.shape(a))
+            return real_svd(a, *args, **kwargs)
+
+        def norm(x, ord=None, *args, **kwargs):
+            if ord == 2:
+                spectral_norms.append(np.shape(x))
+            return real_norm(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        monkeypatch.setattr(np.linalg, "norm", norm)
+        quantum_schur_step(qp, QuantumConfig(eps_prime_Q=1e-12, eps_prime_S=1e-12,
+                                             degree_cap=400001))
+        stages, tail = qp.Q.stages.shape, qp.Q.tail.shape
+        assert (qp.n_z, qp.m_eq) == (53, 33)
+        assert sorted(svds) == sorted([stages, tail, (qp.m_eq, qp.m_eq)])
+        assert sorted(spectral_norms) == sorted([stages, tail, (qp.m_eq, qp.n_z)])
+
+
+class ExactTwinSolver:
+    """The quantum backend, with each QP also solved by ``exact_step``."""
+
+    name = "quantum"
+
+    def __init__(self, qcfg: QuantumConfig):
+        self.quantum = QuantumSchurSolver(qcfg)
+        self.eps_dz = float("nan")
+        self.steps = []
+
+    def step(self, qp):
+        sol = self.quantum.step(qp)
+        self.eps_dz = self.quantum.eps_dz
+        self.steps.append((sol, exact_step(qp).dz))
+        return sol
+
+
+@pytest.mark.parametrize("n, eps_prime", [(4, 1e-10), (10, 1e-12), (40, 1e-12)])
+def test_hiv_steps_keep_their_declared_bound(monkeypatch, n, eps_prime):
+    # Every step is within eps_dz of the exact step, eps_dz is below the
+    # step it bounds, and each inversion is fitted to the condition number
+    # of its operand, as a dense SVD measures it.
+    conds = []
+
+    def recorded(u, spec, decomposition=None):
+        block = u.block.dense() if isinstance(u.block, BlockDiagonal) else u.block
+        sigma = np.linalg.svd(block, compute_uv=False)
+        conds.append(sigma[0] / sigma[-1])
+        return qsvt_invert(u, spec, decomposition)
+
+    monkeypatch.setattr(qbsqp.qschur, "qsvt_invert", recorded)
+    nlp = transcribe(hiv_ocp(HivParameters(N=n)))
+    qcfg = QuantumConfig(eps_prime_Q=eps_prime, eps_prime_S=eps_prime, degree_cap=400001)
+    solver = ExactTwinSolver(qcfg)
+    rep = solve(nlp, hiv_initial_guess(nlp, 0.05), SqpConfig(**HIV_SQP_DEFAULTS), solver)
+    assert rep.converged
+    assert len(conds) == 2 * len(solver.steps) == 2 * rep.n_iters
+    for k, (sol, dz_exact) in enumerate(solver.steps):
+        d = sol.diagnostics
+        assert np.linalg.norm(sol.dz - dz_exact) <= d["eps_dz"], k
+        assert d["eps_dz"] / np.linalg.norm(sol.dz) < 1.0, k
+        for name, cond in zip("QS", conds[2 * k:2 * k + 2]):
+            assert math.isclose(d[f"kappa_{name}_fit"], max(2.0, cond * KAPPA_SAFETY),
+                                rel_tol=1e-10), (k, name)
 
 
 class TestReadout:

@@ -13,6 +13,7 @@ from qbsqp.qsvt import (
     build_inversion_spec,
     qsvt_invert,
 )
+from qbsqp.schur import BlockDiagonal
 
 
 def random_spd_with_spectrum(n, lo, hi, rng):
@@ -238,6 +239,20 @@ class TestQsvtInvert:
         v = qsvt_invert(u, spec)
         err = np.linalg.norm(v.represented() - np.linalg.inv(a), 2)
         assert err <= 1e-6
+
+    def test_block_diagonal_matches_its_dense_twin(self):
+        rng = np.random.default_rng(12)
+        op = BlockDiagonal(
+            np.stack([random_spd_with_spectrum(4, 0.3, 1.0, rng) for _ in range(6)]),
+            random_spd_with_spectrum(3, 0.3, 1.0, rng))
+        spec = build_inversion_spec(4.0, 1e-10)
+        blocked = qsvt_invert(encode(op), spec)
+        dense = qsvt_invert(encode(op.dense()), spec)
+        assert isinstance(blocked.block, BlockDiagonal)
+        np.testing.assert_allclose(blocked.block.dense(), dense.block, rtol=0.0, atol=1e-12)
+        assert math.isclose(blocked.alpha, dense.alpha, rel_tol=1e-12)
+        assert math.isclose(blocked.eps, dense.eps, rel_tol=1e-12)
+        assert blocked.ancillas == dense.ancillas
 
     def test_spectrum_violation_names_offender(self):
         u = encode(np.diag([1.0, 0.1]))
