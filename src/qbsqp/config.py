@@ -6,7 +6,7 @@ Schema (all sections optional unless a command requires them):
       name: hiv | toy:eqqp | toy:double_integrator | toy:box1d
       params: {...}          # HivParameters overrides (hiv only)
       u_guess: 0.05          # constant-control rollout for the hiv start, in (0, 1)
-    solver:  {kind: exact | noisy | quantum, ...}   # solve
+    solver:  {kind: exact | noisy | quantum, ...}   # solve; qsvt-check's degree_cap
     solvers: [{...}, {...}]                         # compare (exactly two)
     sqp:     {mu0: ..., eps_opt: ..., ...}          # SqpConfig overrides
     sweep:
@@ -20,6 +20,15 @@ Schema (all sections optional unless a command requires them):
       matrix_size: 8         # >= 1
     output: {dir: path}
     seed: 0                  # >= 0
+
+Validation is the one place where values are typed: each field as it is
+declared, so a float may be spelt "1e-3", which YAML reads as a string.
+The `sweep` and `qsvt` sections, when present, are held with their
+defaults filled in, so a manifest records the values that ran.  An
+unknown key inside a section is an error that names it; unknown top-level
+keys are ignored.  `qsvt-check` builds its inversions under the
+`solver.degree_cap` of a quantum solver section, else under
+`QuantumConfig`'s default.
 
 CLI flags override file fields.
 """
@@ -138,13 +147,21 @@ def _checked_list(section: dict, where: str, name: str, kind: type, admissible,
     return values
 
 
+def _check_keys(section: dict, where: str, known) -> None:
+    for key in section:
+        if key not in known:
+            raise ConfigError(f"{where}.{key}: unknown option")
+
+
 def _check_solver_spec(spec: Any, where: str) -> dict:
+    """The spec with each option typed, or a ConfigError naming the option."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"{where}: solver spec must be a mapping with a 'kind' field")
     kind = spec["kind"]
     if kind not in _SOLVER_KINDS:
         raise ConfigError(f"{where}.kind: unknown solver kind {kind!r}, "
                           f"expected one of {_SOLVER_KINDS}")
+    typed = {"kind": kind}
     for key, value in spec.items():
         if key == "kind":
             continue
@@ -154,7 +171,8 @@ def _check_solver_spec(spec: Any, where: str) -> dict:
         for keys, admissible, rule in _SOLVER_LIMITS:
             if key in keys and not admissible(value):
                 raise ConfigError(f"{where}.{key}: {rule}, got {value!r}")
-    return dict(spec)
+        typed[key] = value
+    return typed
 
 
 def validate_config(data: dict) -> ExperimentConfig:
@@ -192,9 +210,8 @@ def validate_config(data: dict) -> ExperimentConfig:
                        for i, s in enumerate(specs)]
 
     cfg.sqp = dict(_mapping(data.get("sqp", {}), "sqp"))
+    _check_keys(cfg.sqp, "sqp", _SQP_OPTIONS)
     for key, value in cfg.sqp.items():
-        if key not in _SQP_OPTIONS:
-            raise ConfigError(f"sqp.{key}: unknown option")
         if value is None and key == "mu_clamp":
             continue
         value = _typed(value, _SQP_OPTIONS[key], f"sqp.{key}")
@@ -204,6 +221,7 @@ def validate_config(data: dict) -> ExperimentConfig:
 
     sweep = _mapping(data.get("sweep", {}), "sweep")
     if sweep:
+        _check_keys(sweep, "sweep", ("mu_min_grid", "eps_grid", "seeds", "floor_iters"))
         grids = _checked_list(sweep, "sweep", "mu_min_grid", float,
                               lambda v: 0.0 < v < math.inf, "must be finite and > 0")
         eps = _checked_list(sweep, "sweep", "eps_grid", float,
@@ -219,24 +237,25 @@ def validate_config(data: dict) -> ExperimentConfig:
                 raise ConfigError(f"sweep.{name}: values must be distinct")
         if len(seeds) < 1 or len(set(seeds)) != len(seeds):
             raise ConfigError("sweep.seeds: must be nonempty and distinct")
-        if "floor_iters" in sweep:
-            floor_iters = _typed(sweep["floor_iters"], int, "sweep.floor_iters")
-            if floor_iters < 0:
-                raise ConfigError(f"sweep.floor_iters: must be >= 0, got {floor_iters}")
-        cfg.sweep = dict(sweep)
+        floor_iters = _typed(sweep.get("floor_iters", 40), int, "sweep.floor_iters")
+        if floor_iters < 0:
+            raise ConfigError(f"sweep.floor_iters: must be >= 0, got {floor_iters}")
+        cfg.sweep = {"mu_min_grid": grids, "eps_grid": eps, "seeds": seeds,
+                     "floor_iters": floor_iters}
 
     qsvt = _mapping(data.get("qsvt", {}), "qsvt")
     if qsvt:
+        _check_keys(qsvt, "qsvt", ("kappas", "eps_primes", "matrix_size"))
         for name, admissible, rule in (
                 ("kappas", lambda v: 1.0 <= v < math.inf, "must be finite and >= 1"),
                 ("eps_primes", lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")):
-            if not _checked_list(qsvt, "qsvt", name, float, admissible, rule):
+            cfg.qsvt[name] = _checked_list(qsvt, "qsvt", name, float, admissible, rule)
+            if not cfg.qsvt[name]:
                 raise ConfigError(f"qsvt.{name}: must be nonempty")
-        if "matrix_size" in qsvt:
-            size = _typed(qsvt["matrix_size"], int, "qsvt.matrix_size")
-            if size < 1:
-                raise ConfigError(f"qsvt.matrix_size: must be at least 1, got {size}")
-        cfg.qsvt = dict(qsvt)
+        size = _typed(qsvt.get("matrix_size", 8), int, "qsvt.matrix_size")
+        if size < 1:
+            raise ConfigError(f"qsvt.matrix_size: must be at least 1, got {size}")
+        cfg.qsvt["matrix_size"] = size
 
     out = _mapping(data.get("output", {}), "output")
     cfg.output_dir = str(out.get("dir", cfg.output_dir))
@@ -247,24 +266,12 @@ def validate_config(data: dict) -> ExperimentConfig:
 
 
 def build_solver(spec: dict, seed: int):
-    """Instantiate a Schur-step backend from a validated solver spec."""
-    kind = spec["kind"]
-    if kind == "exact":
-        return ExactSchurSolver()
-    if kind == "noisy":
-        return NoisySchurSolver(
-            eps=float(spec.get("eps", 0.0)),
-            seed=int(spec.get("seed", seed)),
-        )
-    types = _SOLVER_OPTIONS["quantum"]
-    opts = {k: types[k](v) for k, v in spec.items() if k != "kind"}
+    """Instantiate a Schur-step backend from a validated solver spec; a
+    backend without a seed of its own takes the run's."""
+    opts = {key: value for key, value in spec.items() if key != "kind"}
     opts.setdefault("seed", seed)
-    return QuantumSchurSolver(QuantumConfig(**opts))
-
-
-def solver_label(spec: dict) -> str:
+    if spec["kind"] == "exact":
+        return ExactSchurSolver()
     if spec["kind"] == "noisy":
-        return f"noisy:{float(spec.get('eps', 0.0)):g}"
-    if spec["kind"] == "quantum":
-        return f"quantum:eps'={float(spec.get('eps_prime_S', 1e-10)):g}"
-    return "exact"
+        return NoisySchurSolver(**opts)
+    return QuantumSchurSolver(QuantumConfig(**opts))

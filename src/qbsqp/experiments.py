@@ -18,17 +18,17 @@ import itertools
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
-from typing import Any
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .config import ExperimentConfig, build_solver, solver_label
+from .config import ExperimentConfig, build_solver
 from .models import HivParameters, hiv_initial_guess, hiv_ocp, toy_problems
 from .nlp import TrajectoryNlp, transcribe
+from .qschur import QuantumConfig
 from .qsvt import InfeasibleAccuracyError, build_inversion_spec, qsvt_invert
 from .blockenc import encode
-from .schur import ExactSchurSolver
+from .schur import ExactSchurSolver, NoisySchurSolver
 from .sqp import SolveReport, SqpConfig, solve
 
 
@@ -62,19 +62,11 @@ def _sha256(path: str) -> str:
 
 def write_manifest(out_dir: str, command: str, cfg: ExperimentConfig,
                    summary: dict, outputs: list[str]) -> str:
+    config = asdict(cfg)
+    del config["output_dir"]
     manifest = {
         "command": command,
-        "config": {
-            "problem": cfg.problem,
-            "problem_params": cfg.problem_params,
-            "u_guess": cfg.u_guess,
-            "solver": cfg.solver,
-            "solvers": cfg.solvers,
-            "sqp": cfg.sqp,
-            "sweep": cfg.sweep,
-            "qsvt": cfg.qsvt,
-            "seed": cfg.seed,
-        },
+        "config": config,
         "summary": summary,
         "outputs": [{"name": os.path.basename(p), "sha256": _sha256(p)}
                     for p in sorted(outputs)],
@@ -94,7 +86,7 @@ class ProblemSetup:
     name: str
     nlp: TrajectoryNlp
     z0: np.ndarray
-    sqp_defaults: dict[str, Any]
+    sqp: SqpConfig  # the problem's defaults under the configured overrides
 
 
 HIV_SQP_DEFAULTS = {
@@ -113,17 +105,11 @@ def build_problem(cfg: ExperimentConfig) -> ProblemSetup:
         nlp = transcribe(hiv_ocp(params))
         z0 = hiv_initial_guess(nlp, cfg.u_guess)
         return ProblemSetup(name="hiv", nlp=nlp, z0=z0,
-                            sqp_defaults=dict(HIV_SQP_DEFAULTS))
+                            sqp=SqpConfig(**(HIV_SQP_DEFAULTS | cfg.sqp)))
     toy_name = cfg.problem.split(":", 1)[1]
     toy = toy_problems()[toy_name]
     return ProblemSetup(name=toy_name, nlp=transcribe(toy.ocp), z0=toy.z0,
-                        sqp_defaults=dict(toy.sqp_overrides))
-
-
-def build_sqp_config(setup: ProblemSetup, overrides: dict) -> SqpConfig:
-    merged = dict(setup.sqp_defaults)
-    merged.update(overrides)
-    return SqpConfig(**merged)
+                        sqp=SqpConfig(**(toy.sqp_overrides | cfg.sqp)))
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +150,10 @@ def _trajectory_rows(nlp: TrajectoryNlp, z: np.ndarray) -> tuple[list[str], list
 
 def run_solve(cfg: ExperimentConfig) -> tuple[int, dict]:
     setup = build_problem(cfg)
-    sqp_cfg = build_sqp_config(setup, cfg.sqp)
     solver = build_solver(cfg.solver, cfg.seed)
     os.makedirs(cfg.output_dir, exist_ok=True)
 
-    report = solve(setup.nlp, setup.z0, sqp_cfg, solver)
+    report = solve(setup.nlp, setup.z0, setup.sqp, solver)
 
     it_path = os.path.join(cfg.output_dir, "iterates.csv")
     write_csv(it_path, _ITERATE_HEADER, _iterate_rows(report))
@@ -178,7 +163,7 @@ def run_solve(cfg: ExperimentConfig) -> tuple[int, dict]:
 
     summary = {
         "problem": setup.name,
-        "solver": solver_label(cfg.solver),
+        "solver": solver.name,
         "termination": report.termination,
         "n_iters": report.n_iters,
         "mu_final": report.mu_final,
@@ -196,13 +181,10 @@ def run_compare(cfg: ExperimentConfig) -> tuple[int, dict]:
     if len(cfg.solvers) != 2:
         raise ValueError("compare requires cfg.solvers with exactly two specs")
     setup = build_problem(cfg)
-    sqp_cfg = build_sqp_config(setup, cfg.sqp)
+    solvers = [build_solver(spec, cfg.seed) for spec in cfg.solvers]
     os.makedirs(cfg.output_dir, exist_ok=True)
 
-    reports = []
-    for spec in cfg.solvers:
-        solver = build_solver(spec, cfg.seed)
-        reports.append(solve(setup.nlp, setup.z0, sqp_cfg, solver))
+    reports = [solve(setup.nlp, setup.z0, setup.sqp, solver) for solver in solvers]
     rep_a, rep_b = reports
 
     rows = []
@@ -242,8 +224,8 @@ def run_compare(cfg: ExperimentConfig) -> tuple[int, dict]:
     final_delta = float(np.linalg.norm(rep_a.z_star - rep_b.z_star))
     summary = {
         "problem": setup.name,
-        "solver_a": solver_label(cfg.solvers[0]),
-        "solver_b": solver_label(cfg.solvers[1]),
+        "solver_a": solvers[0].name,
+        "solver_b": solvers[1].name,
         "termination_a": rep_a.termination,
         "termination_b": rep_b.termination,
         "final_delta": final_delta,
@@ -279,25 +261,24 @@ class IssFitReport:
     cells: list[dict[str, float]] = field(default_factory=list)
 
 
-def reference_solution(setup: ProblemSetup,
-                       sqp_overrides: dict) -> tuple[np.ndarray, dict]:
+def reference_solution(setup: ProblemSetup) -> tuple[np.ndarray, dict]:
     """Exact-backend ground truth at barrier floor 1e-10, and how it ended.
 
-    A geometric descent reaches the floor; a constant-mu polish then runs
-    until the stationarity residual converges or the line search fails.
-    The second value maps "descent" and "polish" to that phase's
-    termination, message, iteration count and final KKT stationarity, so a
-    sweep records how well polished its reference point is.
+    Both phases run under ``setup.sqp`` with the barrier schedule,
+    tolerances and iteration cap replaced.  A geometric descent reaches
+    the floor; a constant-mu polish then runs until the stationarity
+    residual converges or the line search fails.  The second value maps
+    "descent" and "polish" to that phase's termination, message, iteration
+    count and final KKT stationarity, so a sweep records how well polished
+    its reference point is.
     """
-    base = dict(setup.sqp_defaults)
-    base.update(sqp_overrides)
-    base.update(mu_min=1e-11, mu_clamp=1e-10, barrier_update="geometric",
-                eps_opt=1e-11, eps_feas=1e-11,
-                max_outer_iters=300)
-    rep = solve(setup.nlp, setup.z0, SqpConfig(**base), ExactSchurSolver())
-    polish = dict(base)
-    polish.update(mu0=1e-10, barrier_update="constant", max_outer_iters=80)
-    rep2 = solve(setup.nlp, rep.z_star, SqpConfig(**polish), ExactSchurSolver())
+    descent = replace(setup.sqp, mu_min=1e-11, mu_clamp=1e-10,
+                      barrier_update="geometric", eps_opt=1e-11, eps_feas=1e-11,
+                      max_outer_iters=300)
+    rep = solve(setup.nlp, setup.z0, descent, ExactSchurSolver())
+    polish = replace(descent, mu0=1e-10, barrier_update="constant",
+                     max_outer_iters=80)
+    rep2 = solve(setup.nlp, rep.z_star, polish, ExactSchurSolver())
     return rep2.z_star, {"descent": _phase_summary(rep),
                          "polish": _phase_summary(rep2)}
 
@@ -310,22 +291,17 @@ def _phase_summary(report: SolveReport) -> dict:
             "kkt_stat_norm": None if math.isnan(stat) else stat}
 
 
-def _sweep_cell(setup, sqp_overrides, mu_min, eps, seed, floor_iters, z_ref):
-    base = dict(setup.sqp_defaults)
-    base.update(sqp_overrides)
-    mu0 = base.get("mu0", 1.0)
-    descent_iters = max(1, math.ceil(math.log(mu0 / mu_min) / math.log(2.0)))
-    base.update(
-        mu_min=mu_min * 0.5,
-        mu_clamp=mu_min,
-        barrier_update="geometric",
-        beta=base.get("beta", 0.5),
-        eps_opt=1e-14,
-        eps_feas=1e-14,
-        max_outer_iters=descent_iters + floor_iters,
-    )
-    solver = build_solver({"kind": "noisy", "eps": eps, "seed": seed}, seed)
-    report = solve(setup.nlp, setup.z0, SqpConfig(**base), solver)
+def _sweep_cell(setup: ProblemSetup, mu_min: float, eps: float, seed: int,
+                floor_iters: int, z_ref: np.ndarray) -> dict:
+    """One (mu_min, eps, seed) cell: a noisy solve from ``setup.z0`` under
+    ``setup.sqp`` with a geometric barrier clamped at ``mu_min``, run for
+    the halvings from mu0 to mu_min plus ``floor_iters`` at the floor, and
+    its distances to ``z_ref``."""
+    descent_iters = max(1, math.ceil(math.log(setup.sqp.mu0 / mu_min) / math.log(2.0)))
+    sqp_cfg = replace(setup.sqp, mu_min=mu_min * 0.5, mu_clamp=mu_min,
+                      barrier_update="geometric", eps_opt=1e-14, eps_feas=1e-14,
+                      max_outer_iters=descent_iters + floor_iters)
+    report = solve(setup.nlp, setup.z0, sqp_cfg, NoisySchurSolver(eps, seed))
     dists = [float(np.linalg.norm(rec.z - z_ref)) for rec in report.records]
     # The last max(5, 20%) distances, never the start distance of a run
     # with iterations.
@@ -411,7 +387,7 @@ def fit_iss(cells: list[dict], mu_grid, eps_grid, seeds) -> IssFitReport:
     )
 
 
-# (setup, sqp overrides, floor_iters, z_ref) of the sweep a worker serves;
+# (setup, floor_iters, z_ref) of the sweep a worker serves;
 # set only in pool workers, by `_init_sweep_worker`.
 _worker_context: tuple = ()
 
@@ -424,13 +400,12 @@ def _init_sweep_worker(*context) -> None:
 def _pool_cell(key: tuple[float, float, int]) -> dict:
     """One sweep cell in a pool worker: the cell dict, or the failure entry
     that names the cell and its exception's message."""
-    setup, sqp_overrides, floor_iters, z_ref = _worker_context
+    setup, floor_iters, z_ref = _worker_context
     mu_min, eps, seed = key
     try:
         # Looked up at call time, so a replacement made before the pool
         # starts reaches the workers.
-        return _sweep_cell(setup, sqp_overrides, mu_min, eps, seed,
-                           floor_iters, z_ref)
+        return _sweep_cell(setup, mu_min, eps, seed, floor_iters, z_ref)
     except Exception as exc:  # cell marked, fit proceeds on the rest
         return {"mu_min": mu_min, "eps": eps, "seed": seed, "error": str(exc)}
 
@@ -447,11 +422,14 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[int, dict]:
     """Solve the reference point, then every (mu_min, eps, seed) cell, and
     fit the stability envelope.
 
-    The reference solve runs first, in this process.  The cells then run on
-    a process pool of min(#cells, usable CPUs) workers, where usable CPUs
-    is the affinity set of this process if the platform has one, else
+    The grids, seeds and `floor_iters` are read from `cfg.sweep` as
+    validated; every solve runs under `setup.sqp` with its barrier schedule
+    replaced (see `reference_solution` and `_sweep_cell`).  The reference
+    solve runs first, in this process.  The cells then run on a process
+    pool of min(#cells, usable CPUs) workers, where usable CPUs is the
+    affinity set of this process if the platform has one, else
     `os.cpu_count()`.  The pool is started with `fork` (POSIX only):
-    `setup` holds closures, so the workers inherit it, the overrides and
+    `setup` holds closures, so the workers inherit it, `floor_iters` and
     `z_ref` from this process instead of receiving them pickled, and only
     the cell key and the cell's result cross the process boundary.  Cells
     and failures are listed in ascending (mu_min, eps, seed), so every
@@ -464,12 +442,10 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[int, dict]:
     setup = build_problem(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
 
-    mu_grid = [float(v) for v in cfg.sweep["mu_min_grid"]]
-    eps_grid = [float(v) for v in cfg.sweep["eps_grid"]]
-    seeds = [int(s) for s in cfg.sweep["seeds"]]
-    floor_iters = int(cfg.sweep.get("floor_iters", 40))
+    mu_grid, eps_grid, seeds = (cfg.sweep["mu_min_grid"], cfg.sweep["eps_grid"],
+                                cfg.sweep["seeds"])
 
-    z_ref, reference = reference_solution(setup, cfg.sqp)
+    z_ref, reference = reference_solution(setup)
 
     # Imported here, so that the other commands do not pay for the modules.
     import multiprocessing
@@ -481,7 +457,7 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[int, dict]:
     with ProcessPoolExecutor(min(len(keys), _usable_cpus()),
                              mp_context=multiprocessing.get_context("fork"),
                              initializer=_init_sweep_worker,
-                             initargs=(setup, cfg.sqp, floor_iters, z_ref)) as pool:
+                             initargs=(setup, cfg.sweep["floor_iters"], z_ref)) as pool:
         results = list(pool.map(_pool_cell, keys))
     cells = [r for r in results if "error" not in r]
     failures = [r for r in results if "error" in r]
@@ -543,25 +519,26 @@ def run_qsvt_check(cfg: ExperimentConfig) -> tuple[int, dict]:
     Each row holds the spec's degree, proven polynomial error
     ``achieved_err`` and scale ``beta``, the inverse encoding's declared
     error ``declared_err``, and ``matrix_err``, the spectral distance of
-    the represented inverse from the exact one.  An infeasible spec's row
-    holds its message in ``matrix_err``.
+    the represented inverse from the exact one.  Each spec is built under
+    the ``degree_cap`` of the configured solver, else under
+    ``QuantumConfig``'s default.  An infeasible spec's row holds its
+    message in ``matrix_err``.
     """
     if not cfg.qsvt:
         raise ValueError("qsvt section missing from configuration")
     os.makedirs(cfg.output_dir, exist_ok=True)
-    kappas = [float(k) for k in cfg.qsvt["kappas"]]
-    eps_primes = [float(e) for e in cfg.qsvt["eps_primes"]]
-    size = int(cfg.qsvt.get("matrix_size", 8))
+    size = cfg.qsvt["matrix_size"]
+    degree_cap = cfg.solver.get("degree_cap", QuantumConfig.degree_cap)
     rng = np.random.default_rng(cfg.seed)
 
     columns = ["kappa", "eps_prime", "degree", "achieved_err", "beta",
                "declared_err", "matrix_err"]
     rows = []
     records = []
-    for kappa in kappas:
-        for eps_prime in eps_primes:
+    for kappa in cfg.qsvt["kappas"]:
+        for eps_prime in cfg.qsvt["eps_primes"]:
             try:
-                spec = build_inversion_spec(kappa, eps_prime)
+                spec = build_inversion_spec(kappa, eps_prime, degree_cap=degree_cap)
             except InfeasibleAccuracyError as exc:
                 rows.append([kappa, eps_prime, "", "", "", "", f"infeasible: {exc}"])
                 continue

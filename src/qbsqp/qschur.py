@@ -235,13 +235,10 @@ class QuantumSchurSolver:
 
     def __init__(self, qcfg: QuantumConfig | None = None):
         self.qcfg = qcfg or QuantumConfig()
-        self.name = "quantum"
-        self.eps_dz = float("nan")  # per-step value; see diagnostics["eps_dz"]
+        self.name = f"quantum:eps'={self.qcfg.eps_prime_S:g}"
         self._calls = 0
 
     def step(self, qp: QpData) -> SchurSolution:
         rng = np.random.default_rng((self.qcfg.seed, self._calls))
         self._calls += 1
-        sol = quantum_schur_step(qp, self.qcfg, rng=rng)
-        self.eps_dz = sol.diagnostics["eps_dz"]
-        return sol
+        return quantum_schur_step(qp, self.qcfg, rng=rng)

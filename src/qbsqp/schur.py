@@ -228,8 +228,7 @@ class SchurSolution:
 class SchurStepSolver(Protocol):
     """Contract used by the SQP driver (Step 2 of the outer loop)."""
 
-    name: str
-    eps_dz: float  # declared accuracy; inf means exact
+    name: str  # the label a run's manifest records
 
     def step(self, qp: QpData) -> SchurSolution: ...
 
@@ -350,7 +349,6 @@ def exact_step(qp: QpData) -> SchurSolution:
 
 class ExactSchurSolver:
     name = "exact"
-    eps_dz = float("inf")
 
     def step(self, qp: QpData) -> SchurSolution:
         return exact_step(qp)
@@ -366,17 +364,13 @@ def noisy_step(qp: QpData, eps: float, rng: np.random.Generator) -> SchurSolutio
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
     sol = exact_step(qp)
-    if eps == 0.0:
-        sol.diagnostics.update(solver="noisy", eps_dz=0.0, noise_norm=0.0)
-        return sol
-
     direction = rng.standard_normal(qp.n_z)
     nrm = np.linalg.norm(direction)
     while nrm == 0.0:  # pragma: no cover - probability zero
         direction = rng.standard_normal(qp.n_z)
         nrm = np.linalg.norm(direction)
     radius = rng.uniform(0.0, 1.0)
-    radius = eps * (1.0 - radius)  # in (0, eps]
+    radius = eps * (1.0 - radius)  # in (0, eps], or 0 at eps = 0
     dz = sol.dz + (radius / nrm) * direction
 
     return SchurSolution(
@@ -389,11 +383,11 @@ def noisy_step(qp: QpData, eps: float, rng: np.random.Generator) -> SchurSolutio
 class NoisySchurSolver:
     """Bounded-error backend used for the perturbation sweeps."""
 
-    def __init__(self, eps: float, seed: int = 0):
-        self.eps_dz = float(eps)
+    def __init__(self, eps: float = 0.0, seed: int = 0):
         self.name = f"noisy:{eps:g}"
+        self._eps = eps
         self._rng = np.random.default_rng(seed)
 
     def step(self, qp: QpData) -> SchurSolution:
-        return noisy_step(qp, self.eps_dz, self._rng)
+        return noisy_step(qp, self._eps, self._rng)
 

@@ -192,7 +192,13 @@ def test_commands_succeed_on_eqqp(tmp_path, command, config):
     ("solve", {"problem": "toy:box1d", "sqp": {"barrier_update": 5}},
      "sqp.barrier_update: expected str"),
     ("solve", {"problem": "toy:box1d", "sqp": {"eps_opt": 0.0}},
-     "eps_opt must be positive and finite"),
+     "eps_opt must be positive and finite"),    # misspelt keys inside a section
+    ("sweep", {"problem": "toy:box1d",
+               "sweep": dict(BOX1D_SWEEP["sweep"], floor_iter=3)},
+     "sweep.floor_iter: unknown option"),
+    ("qsvt-check", {"problem": "toy:eqqp",
+                    "qsvt": {"kappas": [2.0], "eps_primes": [1.0e-2], "matrix_sise": 4}},
+     "qsvt.matrix_sise: unknown option"),
 ])
 def test_config_errors_exit_one_and_name_the_field(tmp_path, capsys, command,
                                                    config, field):
@@ -207,6 +213,15 @@ def test_config_errors_exit_one_and_name_the_field(tmp_path, capsys, command,
      {"eps_opt": 1e-9, "mu0": 1e-2}),
     ("problem: {name: hiv, params: {N: 2, k: 8e-8}}\n", "problem_params",
      {"N": 2, "k": 8e-8}),
+    ("problem: toy:eqqp\nsolver: {kind: noisy, eps: 1e-3}\n", "solver",
+     {"kind": "noisy", "eps": 1e-3}),
+    # sections are recorded with their defaults filled in
+    ("problem: toy:eqqp\nsweep: {mu_min_grid: ['1e-3', 1e-4], eps_grid: [0, 1e-4, 1e-3],"
+     " seeds: [1]}\n", "sweep",
+     {"mu_min_grid": [1e-3, 1e-4], "eps_grid": [0.0, 1e-4, 1e-3], "seeds": [1],
+      "floor_iters": 40}),
+    ("problem: toy:eqqp\nqsvt: {kappas: [2], eps_primes: [1e-2]}\n", "qsvt",
+     {"kappas": [2.0], "eps_primes": [1e-2], "matrix_size": 8}),
 ])
 def test_exponents_without_a_dot_are_numbers(tmp_path, text, section, expected):
     # YAML reads 1e-9 (no dot) as a string; each field is typed as it is
@@ -215,7 +230,9 @@ def test_exponents_without_a_dot_are_numbers(tmp_path, text, section, expected):
     path.write_text(text)
     assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert manifest["config"][section] == expected
+    # Compared as JSON, so that an int recorded for a float also shows.
+    assert (json.dumps(manifest["config"][section], sort_keys=True)
+            == json.dumps(expected, sort_keys=True))
 
 
 def test_missing_config_file_exits_one(tmp_path, capsys):
@@ -278,6 +295,31 @@ def test_qsvt_check_writes_the_proven_and_declared_errors(tmp_path):
                             spec.kappa * spec.beta * spec.achieved_err, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("solver, cap", [
+    ({"kind": "quantum", "eps_prime_Q": 1.0e-12, "eps_prime_S": 1.0e-12,
+      "degree_cap": 400001}, None),
+    (None, 4001),
+])
+def test_qsvt_check_takes_the_degree_cap_of_the_solver(tmp_path, solver, cap):
+    # hiv_quantum inverts S at kappa near 900 and eps' = 1e-12 under its
+    # solver's degree cap; qsvt-check reproduces that inversion under the
+    # same cap, and falls back to the default cap without a solver section.
+    config = {"problem": "toy:eqqp",
+              "qsvt": {"kappas": [1024.0], "eps_primes": [1.0e-12], "matrix_size": 4}}
+    if solver is not None:
+        config["solver"] = solver
+    code, out_dir = run(tmp_path, "qsvt-check", config)
+    assert code == 0
+    with open(out_dir / "qsvt.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    if cap is None:
+        assert int(row["degree"]) > 4001
+        assert math.isfinite(float(row["matrix_err"]))
+    else:
+        assert row["matrix_err"].startswith("infeasible: predicted degree")
+        assert f"degree cap {cap}" in row["matrix_err"]
+
+
 def test_exhausted_damping_exits_two(tmp_path, monkeypatch, capsys):
     # A stage Hessian of -1e6 I outlasts every damping doubling of build_qp.
     concave = OcpDefinition(**{
@@ -302,10 +344,10 @@ def test_partial_sweep_exits_three_and_sorts_failures(tmp_path, monkeypatch):
     real_cell = experiments._sweep_cell
     failing = [(1.0e-3, 1.0e-4), (1.0e-3, 1.0e-3)]
 
-    def flaky_cell(setup, sqp_overrides, mu_min, eps, seed, floor_iters, z_ref):
+    def flaky_cell(setup, mu_min, eps, seed, floor_iters, z_ref):
         if (mu_min, eps) in failing:
             raise RuntimeError(f"cell mu_min={mu_min:g} eps={eps:g} failed")
-        return real_cell(setup, sqp_overrides, mu_min, eps, seed, floor_iters, z_ref)
+        return real_cell(setup, mu_min, eps, seed, floor_iters, z_ref)
 
     monkeypatch.setattr(experiments, "_sweep_cell", flaky_cell)
     # Both grids descend, so the cells run, and fail, out of ascending order.
@@ -327,11 +369,10 @@ def test_failed_reference_cell_exits_three_with_manifest(tmp_path, monkeypatch,
                                                          capsys):
     real_cell = experiments._sweep_cell
 
-    def failing_reference(setup, sqp_overrides, mu_min, eps, seed, floor_iters,
-                          z_ref):
+    def failing_reference(setup, mu_min, eps, seed, floor_iters, z_ref):
         if (mu_min, eps, seed) == (1.0e-4, 0.0, 1):
             raise RuntimeError("reference cell broke")
-        return real_cell(setup, sqp_overrides, mu_min, eps, seed, floor_iters, z_ref)
+        return real_cell(setup, mu_min, eps, seed, floor_iters, z_ref)
 
     monkeypatch.setattr(experiments, "_sweep_cell", failing_reference)
     code, out_dir = run(tmp_path, "sweep", BOX1D_SWEEP)
@@ -384,12 +425,12 @@ def test_dead_sweep_worker_exits_two_and_leaves_no_process(tmp_path, monkeypatch
     real_cell = experiments._sweep_cell
     test_process = os.getpid()
 
-    def dying_cell(setup, sqp_overrides, mu_min, eps, seed, floor_iters, z_ref):
+    def dying_cell(setup, mu_min, eps, seed, floor_iters, z_ref):
         if (mu_min, eps) == (1.0e-3, 1.0e-4):
             if os.getpid() == test_process:
                 raise RuntimeError("the cell ran in the test process")
             os._exit(3)
-        return real_cell(setup, sqp_overrides, mu_min, eps, seed, floor_iters, z_ref)
+        return real_cell(setup, mu_min, eps, seed, floor_iters, z_ref)
 
     monkeypatch.setattr(experiments, "_sweep_cell", dying_cell)
     code, _ = run(tmp_path, "sweep", BOX1D_SWEEP)

@@ -233,12 +233,10 @@ class ExactTwinSolver:
 
     def __init__(self, qcfg: QuantumConfig):
         self.quantum = QuantumSchurSolver(qcfg)
-        self.eps_dz = float("nan")
         self.steps = []
 
     def step(self, qp):
         sol = self.quantum.step(qp)
-        self.eps_dz = self.quantum.eps_dz
         self.steps.append((sol, exact_step(qp).dz))
         return sol
 

@@ -8,6 +8,7 @@ import qbsqp.schur
 from qbsqp.experiments import HIV_SQP_DEFAULTS
 from qbsqp.models import HivParameters, hiv_initial_guess, hiv_ocp, toy_problems
 from qbsqp.nlp import BarrierConfig, build_qp, transcribe
+from qbsqp.qschur import QuantumConfig, QuantumSchurSolver
 from qbsqp.schur import (
     BlockDiagonal,
     ExactSchurSolver,
@@ -418,6 +419,9 @@ class TestNoisyStep:
         sol_noisy = noisy_step(qp, 0.0, np.random.default_rng(0))
         sol_exact = exact_step(qp)
         np.testing.assert_array_equal(sol_noisy.dz, sol_exact.dz)
+        np.testing.assert_array_equal(sol_noisy.lam, sol_exact.lam)
+        assert sol_noisy.diagnostics == {"solver": "noisy", "eps_dz": 0.0,
+                                         "noise_norm": 0.0}
 
     def test_hard_norm_bound(self):
         rng = np.random.default_rng(5)
@@ -441,10 +445,12 @@ class TestNoisyStep:
         solver = NoisySchurSolver(eps=5e-4, seed=1)
         for _ in range(5):
             sol = solver.step(qp)
-            assert np.linalg.norm(sol.dz - exact) <= solver.eps_dz
+            assert np.linalg.norm(sol.dz - exact) <= 5e-4
+            assert sol.diagnostics["eps_dz"] == 5e-4
 
 
-def test_exact_solver_declares_infinite_accuracy():
-    solver = ExactSchurSolver()
-    assert solver.eps_dz == float("inf")
-    assert solver.name == "exact"
+def test_backends_are_named_by_their_manifest_label():
+    assert ExactSchurSolver().name == "exact"
+    assert NoisySchurSolver(1e-3, seed=2).name == "noisy:0.001"
+    assert QuantumSchurSolver(QuantumConfig(eps_prime_S=1e-12)).name == "quantum:eps'=1e-12"
+    assert QuantumSchurSolver().name == "quantum:eps'=1e-10"
