@@ -295,9 +295,10 @@ def _sweep_cell(setup: ProblemSetup, mu_min: float, eps: float, seed: int,
                 floor_iters: int, z_ref: np.ndarray) -> dict:
     """One (mu_min, eps, seed) cell: a noisy solve from ``setup.z0`` under
     ``setup.sqp`` with a geometric barrier clamped at ``mu_min``, run for
-    the halvings from mu0 to mu_min plus ``floor_iters`` at the floor, and
-    its distances to ``z_ref``."""
-    descent_iters = max(1, math.ceil(math.log(setup.sqp.mu0 / mu_min) / math.log(2.0)))
+    the factor-``beta`` steps from mu0 to mu_min plus ``floor_iters`` at
+    the floor, and its distances to ``z_ref``."""
+    descent_iters = max(1, math.ceil(math.log(setup.sqp.mu0 / mu_min)
+                                     / -math.log(setup.sqp.beta)))
     sqp_cfg = replace(setup.sqp, mu_min=mu_min * 0.5, mu_clamp=mu_min,
                       barrier_update="geometric", eps_opt=1e-14, eps_feas=1e-14,
                       max_outer_iters=descent_iters + floor_iters)

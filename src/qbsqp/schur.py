@@ -12,13 +12,14 @@ quantum backend (see qschur).
 
 Q is a ``BlockDiagonal``: equal stage blocks and a trailing block, the
 tail, which counts as the last stage.  A is a ``RowBlocks``: row block k
-touches stage k - 1 and stage k, so S is block tridiagonal.  The exact step
-inverts Q by its blocks and forms S's diagonal and off-diagonal blocks from
-Q^{-1}'s and A's.  It certifies S positive definite by an odd-even block
-reduction whose pivots are tested by one stacked Cholesky factorization;
-no factored block is larger than a row block.  S is then scattered into
-one dense array and solved by ``np.linalg.solve``: that LU solve is the one
-O(m_eq^3) piece left.
+touches stage k - 1 and stage k, so S is a ``BlockTridiagonal``.  The exact
+step inverts Q by its blocks and forms S's diagonal and off-diagonal blocks
+from Q^{-1}'s and A's.  S is factored by odd-even block cyclic reduction,
+whose pivots are certified positive definite by one stacked Cholesky
+factorization; no factored block is larger than a row block, and the
+factorization and its solve cost O(N) block operations.  An S of at most
+``DENSE_SOLVE_BLOCKS`` blocks is solved by one dense LU instead (see
+``TridiagonalFactor.solve``).
 
 The routines come from numpy alone: ``cho_factor`` and ``eigvalsh`` are
 module attributes so that perfbench's tracer can wrap them by name.
@@ -257,53 +258,158 @@ def _lowest(eigs) -> int:
     return int(np.argmin([e[0] if e.size else np.inf for e in eigs]))
 
 
-def certify_block_tridiagonal(diag: np.ndarray, off: np.ndarray) -> None:
-    """Raise SingularityError unless the symmetric block-tridiagonal S is
-    positive definite.
+# Block count up to which ``TridiagonalFactor.solve`` solves S by one dense
+# LU instead of the reduction's substitutions, for two reasons.  Speed: the
+# LU of the assembled S is faster below a crossover measured between 21
+# and 29 blocks of 3 x 3 (BENCH_block_tridiagonal.json), where the
+# substitutions' per-level numpy calls dominate.  Unchanged outputs: the
+# sweep's reference solve stops where a non-descent test fires, so its
+# point follows the step's last digits (ROADMAP item 1); with the
+# substitutions at every size, the hiv_sweep noise-free tails move by 2e-4
+# relative.  Remove the threshold once that reference solve converges.
+DENSE_SOLVE_BLOCKS = 32
 
-    ``diag`` (M, r, r) holds S's diagonal blocks, block k at stage k, and
-    ``off`` (M - 1, r, r) the blocks S_{k,k+1} above them.  An odd-even
-    block reduction runs in levels: each level takes its even-numbered
-    diagonal blocks as pivots and leaves the Schur complement on the
-    odd-numbered ones, again block tridiagonal with half the blocks; the
-    last level's one block is a pivot too.  S is congruent to the block
-    diagonal of its M pivots, so it is positive definite if and only if
-    every pivot is (Sylvester's law of inertia).  The pivots are tested by
-    one stacked Cholesky factorization.  A singular or indefinite pivot
-    raises SingularityError naming the stage of the pivot with the lowest
-    eigenvalue and that pivot's eigenvalue range.
+
+@dataclass(frozen=True)
+class BlockTridiagonal:
+    """A symmetric block-tridiagonal matrix held as its diagonal blocks
+    ``diag`` (M, r, r), block k at stage k, and the blocks S_{k,k+1} above
+    them, ``off`` (M - 1, r, r).  M is at least 1, and the blocks may have
+    no rows.
     """
-    stage = np.arange(len(diag))
-    pivots, stages = [], []
-    try:
-        while True:
-            pivots.append(diag[0::2])
-            stages.append(stage[0::2])
-            if len(diag) == 1:
-                break
-            inv = np.linalg.inv(diag[0::2])
-            odd = len(diag) // 2
-            left, right = off[0::2], off[1::2]  # S_{j-1,j} and S_{j,j+1}, j odd
-            from_left = left.mT @ inv[:odd]
-            from_right = right @ inv[1:len(right) + 1]
-            diag = diag[1::2] - from_left @ left
-            diag[:len(right)] -= from_right @ right.mT
-            off = -(from_right[:odd - 1] @ off[2::2])
-            stage = stage[1::2]
-        cho_factor(np.concatenate(pivots))
-    except np.linalg.LinAlgError as exc:
-        eigs = eigvalsh(np.concatenate(pivots))
-        k = _lowest(eigs)
-        raise SingularityError(
-            f"Schur complement S is not positive definite: its pivot at stage "
-            f"{np.concatenate(stages)[k]} has eig range "
-            f"[{eigs[k][0]:.3e}, {eigs[k][-1]:.3e}]"
-        ) from exc
+
+    diag: np.ndarray
+    off: np.ndarray
+
+    def __post_init__(self):
+        if self.diag.ndim != 3 or self.diag.shape[1] != self.diag.shape[2] \
+                or not len(self.diag):
+            raise ValueError("diag must be a stack of square blocks (count, rows, rows)")
+        count, rows = self.diag.shape[:2]
+        if self.off.shape != (count - 1, rows, rows):
+            raise ValueError("off must hold count - 1 blocks of the size of diag's")
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        count, rows = self.diag.shape[:2]
+        return count * rows, count * rows
+
+    def dot(self, y: np.ndarray) -> np.ndarray:
+        """The product with a vector y of the row count."""
+        count, rows = self.diag.shape[:2]
+        ys = y.reshape(count, rows, 1)
+        out = self.diag @ ys
+        out[:-1] += self.off @ ys[1:]
+        out[1:] += self.off.mT @ ys[:-1]
+        return out.ravel()
+
+    def dense(self) -> np.ndarray:
+        """The matrix as one array, zero outside its blocks."""
+        count, rows = self.diag.shape[:2]
+        out = np.zeros(self.shape)
+        blocks, at = out.reshape(count, rows, count, rows), np.arange(count)
+        blocks[at, :, at, :] = self.diag
+        blocks[at[:-1], :, at[1:], :] = self.off
+        blocks[at[1:], :, at[:-1], :] = self.off.mT
+        return out
+
+    def factor(self) -> TridiagonalFactor:
+        """Factor the matrix by odd-even block cyclic reduction, certifying
+        it positive definite.
+
+        The reduction runs in levels: each level takes its even-numbered
+        diagonal blocks as pivots and leaves the Schur complement on the
+        odd-numbered ones, again block tridiagonal with half the blocks;
+        the last level's one block is a pivot too.  S is congruent to the
+        block diagonal of its M pivots, so it is positive definite if and
+        only if every pivot is (Sylvester's law of inertia).  The pivots are
+        tested by one stacked Cholesky factorization.  A singular or
+        indefinite pivot raises SingularityError naming the stage of the
+        pivot with the lowest eigenvalue and that pivot's eigenvalue range.
+        Each level keeps its pivots' inverses and the products S_{j,j-1}
+        D_{j-1}^{-1} and S_{j,j+1} D_{j+1}^{-1} of each odd block j with
+        its neighbours' inverses, which the substitutions reuse.
+        """
+        diag, off = self.diag, self.off
+        stage = np.arange(len(diag))
+        pivots, stages, levels = [], [], []
+        try:
+            while True:
+                pivots.append(diag[0::2])
+                stages.append(stage[0::2])
+                inv = np.linalg.inv(diag[0::2])
+                odd = len(diag) // 2
+                left, right = off[0::2], off[1::2]  # S_{j-1,j} and S_{j,j+1}, j odd
+                from_left = left.mT @ inv[:odd]
+                from_right = right @ inv[1:len(right) + 1]
+                levels.append((inv, from_left, from_right))
+                if not odd:
+                    break
+                diag = diag[1::2] - from_left @ left
+                diag[:len(right)] -= from_right @ right.mT
+                off = -(from_right[:odd - 1] @ off[2::2])
+                stage = stage[1::2]
+            cho_factor(np.concatenate(pivots))
+        except np.linalg.LinAlgError as exc:
+            eigs = eigvalsh(np.concatenate(pivots))
+            k = _lowest(eigs)
+            raise SingularityError(
+                f"Schur complement S is not positive definite: its pivot at stage "
+                f"{np.concatenate(stages)[k]} has eig range "
+                f"[{eigs[k][0]:.3e}, {eigs[k][-1]:.3e}]"
+            ) from exc
+        return TridiagonalFactor(self, tuple(levels))
 
 
-def schur_blocks(a: RowBlocks, q_inv: BlockDiagonal) -> tuple[np.ndarray, np.ndarray]:
-    """S = A Q^{-1} A^T as its diagonal blocks (count + 1, rows, rows) and
-    the blocks S_{k,k+1} above them (count, rows, rows).
+@dataclass(frozen=True)
+class TridiagonalFactor:
+    """A ``BlockTridiagonal`` factored by ``BlockTridiagonal.factor``.
+
+    ``levels`` holds, for each level of the reduction, its pivots' inverses
+    and the neighbour products of its odd blocks; the last level has one
+    pivot and no odd blocks.
+    """
+
+    matrix: BlockTridiagonal
+    levels: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """The solution x of S x = b: by one dense LU at most
+        ``DENSE_SOLVE_BLOCKS`` blocks, by ``substitute`` above."""
+        if len(self.matrix.diag) <= DENSE_SOLVE_BLOCKS:
+            return np.linalg.solve(self.matrix.dense(), b)
+        return self.substitute(b)
+
+    def substitute(self, b: np.ndarray) -> np.ndarray:
+        """The solution x of S x = b by the reduction's substitutions.
+
+        b is reduced level by level onto the odd blocks, the last level's
+        pivot is solved, and the even blocks of each level are then
+        recovered from their odd neighbours, last level first.
+        """
+        count, rows = self.matrix.diag.shape[:2]
+        rhs = [b.reshape(count, rows, 1)]
+        for _, from_left, from_right in self.levels[:-1]:
+            even = rhs[-1][0::2]
+            reduced = rhs[-1][1::2] - from_left @ even[:len(from_left)]
+            reduced[:len(from_right)] -= from_right @ even[1:len(from_right) + 1]
+            rhs.append(reduced)
+        x = self.levels[-1][0] @ rhs[-1]
+        for (inv, from_left, from_right), level_b in zip(self.levels[-2::-1], rhs[-2::-1]):
+            # D_i^{-1} S_{i,i+1} = (S_{i+1,i} D_i^{-1})^T, as D_i is symmetric.
+            even = inv @ level_b[0::2]
+            even[:len(x)] -= from_left.mT @ x
+            even[1:len(from_right) + 1] -= from_right.mT @ x[:len(from_right)]
+            full = np.empty_like(level_b)
+            full[0::2], full[1::2] = even, x
+            x = full
+        return x.ravel()
+
+
+def schur_blocks(a: RowBlocks, q_inv: BlockDiagonal) -> BlockTridiagonal:
+    """S = A Q^{-1} A^T as a ``BlockTridiagonal``: its diagonal blocks
+    (count + 1, rows, rows) and the blocks S_{k,k+1} above them (count,
+    rows, rows).
 
     X = Q^{-1} A^T is formed block by block.  Each diagonal block is summed
     in stage order, the stage k - 1 term first, as the dense product A X
@@ -319,30 +425,23 @@ def schur_blocks(a: RowBlocks, q_inv: BlockDiagonal) -> tuple[np.ndarray, np.nda
     diag[-1] = tail @ (q_inv.tail @ tail.T)
     diag[1:] = a.sub @ x_next + diag[1:]
     off = 0.5 * (own @ x_next + (a.sub @ x_own).mT)
-    return 0.5 * (diag + diag.mT), off
+    return BlockTridiagonal(0.5 * (diag + diag.mT), off)
 
 
 def exact_step(qp: QpData) -> SchurSolution:
-    """Block elimination with Q inverted and S assembled block by block.
+    """Block elimination with Q inverted and S factored block by block.
 
     Q's positive definiteness is certified by ``qp.chol_Q`` when present and
-    tested here otherwise; S's is certified by the odd-even reduction of
-    ``certify_block_tridiagonal``.  A Q block or an S that is not positive
-    definite raises SingularityError.  S is then solved densely by LU.
+    tested here otherwise; S's by ``BlockTridiagonal.factor``.  A Q block or
+    an S that is not positive definite raises SingularityError.  S lam = b
+    is solved by the factor: in O(N) block operations above
+    ``DENSE_SOLVE_BLOCKS`` blocks, by one dense LU at or below.
     """
     if qp.chol_Q is None:
         _chol(qp.Q, "Q")
     q_inv = qp.Q.inv()
-    s_diag, s_off = schur_blocks(qp.A, q_inv)
-    certify_block_tridiagonal(s_diag, s_off)
-    count, rows = s_diag.shape[:2]
-    s_mat = np.zeros((qp.m_eq, qp.m_eq))
-    stacked, at = s_mat.reshape(count, rows, count, rows), np.arange(count)
-    stacked[at, :, at, :] = s_diag
-    stacked[at[:-1], :, at[1:], :] = s_off
-    stacked[at[1:], :, at[:-1], :] = s_off.mT
     b = -qp.r - qp.A.dot(q_inv.dot(qp.g))
-    lam = np.linalg.solve(s_mat, b)
+    lam = schur_blocks(qp.A, q_inv).factor().solve(b)
     dz = -q_inv.dot(qp.g + qp.A.tdot(lam))
     return SchurSolution(dz=dz, lam=lam, diagnostics={"solver": "exact"})
 

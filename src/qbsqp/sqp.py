@@ -122,8 +122,9 @@ def fraction_to_boundary(
     return float(min(1.0, theta * np.min(ratios)))
 
 
-# Trials per evaluator call after the first.  At least the default
-# max_backtracks, so that a default search makes at most two calls.
+# The largest number of trials per evaluator call.  At least the default
+# max_backtracks, so that a default search along a nondescent step makes at
+# most two calls.
 TRIAL_BLOCK = 64
 
 
@@ -154,9 +155,12 @@ def backtrack(
     barrier descent against feasibility restoration.
 
     The first trial, alpha_max, is evaluated alone, so a search that
-    accepts it builds no other.  The later trials are evaluated TRIAL_BLOCK
-    at a time in one stacked call, and the first that passes is accepted:
-    the result is that of trying them one by one.
+    accepts it builds no other.  The later trials are evaluated in blocks,
+    each in one stacked call, and the first that passes is accepted: the
+    result is that of trying them one by one.  Along a descent step the
+    blocks grow 4, 16, then TRIAL_BLOCK, as such a search mostly stops
+    within a few trials.  Along a nondescent step Armijo holds only through
+    rounding, at a tiny alpha, so the second block is TRIAL_BLOCK.
     """
     slope = float(g @ dz)
     f_z, b_z = terms
@@ -168,9 +172,9 @@ def backtrack(
 
     bcfg = BarrierConfig(mu=mu)
     alpha = alpha_max
-    k = 0
+    k, block = 0, 1
     while k < cfg.max_backtracks:
-        alphas = np.empty(min(TRIAL_BLOCK if k else 1, cfg.max_backtracks - k))
+        alphas = np.empty(min(block, cfg.max_backtracks - k))
         for j in range(len(alphas)):
             alphas[j] = alpha
             alpha *= cfg.backtrack_tau
@@ -182,6 +186,7 @@ def backtrack(
             return (float(alphas[j]), float(f_trial[j]), k + int(j), f0,
                     (float(f[j]), float(b[j])))
         k += len(alphas)
+        block = min(4 * block, TRIAL_BLOCK) if slope < 0.0 else TRIAL_BLOCK
     return None
 
 

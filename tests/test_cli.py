@@ -484,6 +484,26 @@ def test_sweep_manifest_records_reference_phases(tmp_path):
     assert reference["descent"]["n_iters"] > 0
 
 
+def test_sweep_cells_reach_their_floor_under_a_slow_barrier(tmp_path):
+    # With beta = 0.9 the barrier takes about 3.3 times as many steps to
+    # each mu_min as halvings do; every cell's last iterate is still at its
+    # floor.
+    config = {"problem": {"name": "hiv", "params": {"N": 6}}, "sqp": {"beta": 0.9},
+              "sweep": {"mu_min_grid": [1.0e-4, 1.0e-6],
+                        "eps_grid": [0.0, 1.0e-4, 1.0e-3], "seeds": [1],
+                        "floor_iters": 5}}
+    code, out_dir = run(tmp_path, "sweep", config)
+    assert code == 0
+    with open(out_dir / "traces.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    last = {}
+    for row in rows:
+        last[row["mu_min"], row["eps_dz"]] = row
+    assert len(last) == 6
+    for (mu_min, _), row in last.items():
+        assert float(row["mu"]) == float(mu_min)
+
+
 @pytest.mark.parametrize("argv, code", [
     (["solve", "--config", "x.yaml", "--bogus"], 1),
     (["sweep", "--config", "x.yaml", "--workers", "2"], 1),

@@ -10,13 +10,14 @@ from qbsqp.models import HivParameters, hiv_initial_guess, hiv_ocp, toy_problems
 from qbsqp.nlp import BarrierConfig, build_qp, transcribe
 from qbsqp.qschur import QuantumConfig, QuantumSchurSolver
 from qbsqp.schur import (
+    DENSE_SOLVE_BLOCKS,
     BlockDiagonal,
+    BlockTridiagonal,
     ExactSchurSolver,
     NoisySchurSolver,
     QpData,
     RowBlocks,
     SingularityError,
-    certify_block_tridiagonal,
     exact_step,
     noisy_step,
     schur_blocks,
@@ -263,7 +264,7 @@ def block_qps():
 class TestBlockSchurComplement:
     @pytest.mark.parametrize("name, qp", list(block_qps().items()))
     def test_schur_blocks_equal_the_dense_product(self, name, qp):
-        s = tridiagonal(*schur_blocks(qp.A, qp.Q.inv()))
+        s = schur_blocks(qp.A, qp.Q.inv()).dense()
         a = qp.A.dense()
         expected = a @ np.linalg.inv(qp.Q.dense()) @ a.T
         assert np.max(np.abs(s - expected)) <= 1e-14 * np.max(np.abs(expected))
@@ -365,7 +366,7 @@ class TestOddEvenReduction:
     def test_spd_passes(self, count):
         diag, off = spd_tridiagonal(np.random.default_rng(count), count=count)
         assert dense_verdict(diag, off)
-        certify_block_tridiagonal(diag, off)
+        BlockTridiagonal(diag, off).factor()
 
     @pytest.mark.parametrize("count, stage", [(7, 0), (7, 3), (7, 6), (8, 5), (8, 7),
                                               (1, 0)])
@@ -375,7 +376,7 @@ class TestOddEvenReduction:
         assert not dense_verdict(diag, off)
         with pytest.raises(SingularityError,
                            match=rf"^Schur complement S .* stage {stage} "):
-            certify_block_tridiagonal(diag, off)
+            BlockTridiagonal(diag, off).factor()
 
     @pytest.mark.parametrize("stage", [2, 3, 6])
     def test_singular_block_names_its_stage(self, stage):
@@ -390,7 +391,7 @@ class TestOddEvenReduction:
         assert not dense_verdict(diag, off)
         with pytest.raises(SingularityError,
                            match=rf"^Schur complement S .* stage {stage} "):
-            certify_block_tridiagonal(diag, off)
+            BlockTridiagonal(diag, off).factor()
 
     def test_verdict_equals_dense_cholesky_on_shifted_matrices(self):
         rng = np.random.default_rng(14)
@@ -405,11 +406,65 @@ class TestOddEvenReduction:
             diag = diag - shift * np.eye(diag.shape[1])
             expected = dense_verdict(diag, off)
             try:
-                certify_block_tridiagonal(diag, off)
+                BlockTridiagonal(diag, off).factor()
                 verdicts.append(expected)
             except SingularityError:
                 verdicts.append(not expected)
         assert all(verdicts) and len(verdicts) > 50
+
+
+class TestBlockTridiagonal:
+    @pytest.mark.parametrize("count, rows", [(1, 3), (2, 3), (7, 2), (8, 1), (3, 0)])
+    def test_dense_and_dot_equal_the_oracle(self, count, rows):
+        rng = np.random.default_rng(count)
+        diag, off = spd_tridiagonal(rng, count=count, rows=rows)
+        s = BlockTridiagonal(diag, off)
+        dense = tridiagonal(diag, off)
+        np.testing.assert_array_equal(s.dense(), dense)
+        assert s.shape == dense.shape
+        y = rng.standard_normal(s.shape[1])
+        np.testing.assert_allclose(s.dot(y), dense @ y, rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("diag, off, message", [
+        (np.ones((2, 2, 3)), np.ones((1, 2, 2)),
+         "diag must be a stack of square blocks (count, rows, rows)"),
+        (np.ones((0, 2, 2)), np.ones((0, 2, 2)),
+         "diag must be a stack of square blocks (count, rows, rows)"),
+        (np.ones((2, 2)), np.ones((1, 2)),
+         "diag must be a stack of square blocks (count, rows, rows)"),
+        (np.ones((2, 2, 2)), np.ones((2, 2, 2)),
+         "off must hold count - 1 blocks of the size of diag's"),
+    ])
+    def test_blocks_must_agree(self, diag, off, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BlockTridiagonal(diag, off)
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 7, 8, 32, 33, 64, 65, 161])
+    def test_solve_agrees_with_the_dense_lu(self, count):
+        rng = np.random.default_rng(count)
+        s = BlockTridiagonal(*spd_tridiagonal(rng, count=count))
+        b = rng.standard_normal(s.shape[0])
+        expected = np.linalg.solve(s.dense(), b)
+        factor = s.factor()
+        for x in (factor.solve(b), factor.substitute(b)):
+            assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+        if count <= DENSE_SOLVE_BLOCKS:
+            np.testing.assert_array_equal(factor.solve(b), expected)
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 40])
+    def test_no_rows(self, count):
+        s = BlockTridiagonal(np.zeros((count, 0, 0)), np.zeros((count - 1, 0, 0)))
+        factor, b = s.factor(), np.zeros(0)
+        assert factor.solve(b).shape == factor.substitute(b).shape == (0,)
+
+    def test_hiv_step_above_the_threshold_matches_dense_kkt_oracle(self):
+        nlp = transcribe(hiv_ocp(HivParameters(N=200)))
+        qp = build_qp(nlp, hiv_initial_guess(nlp, 0.05), BarrierConfig(mu=1e-2))
+        assert len(qp.A.sub) + 1 > DENSE_SOLVE_BLOCKS
+        sol = exact_step(qp)
+        dz_ref, lam_ref = dense_kkt_solve(qp)
+        assert np.linalg.norm(sol.dz - dz_ref) <= 1e-10 * np.linalg.norm(dz_ref)
+        assert np.linalg.norm(sol.lam - lam_ref) <= 1e-10 * np.linalg.norm(lam_ref)
 
 
 class TestNoisyStep:

@@ -165,6 +165,31 @@ class TestBacktrack:
         assert result[2] == 2
         assert peak <= 8 * TRIAL_BLOCK * nlp.n_z + 64 * 1024
 
+    def test_trial_blocks_follow_the_slope(self, monkeypatch):
+        # Along a descent step the blocks grow 1, 4, ...: a search that stops
+        # at k = 2 builds the first trial and one block of 4.  Along an
+        # ascent step the second block holds every remaining trial.
+        rows = []
+
+        def counting(nlp, z, cfg, **kwargs):
+            rows.append(len(z))
+            return eval_barrier_objective(nlp, z, cfg, **kwargs)
+
+        monkeypatch.setattr(qbsqp.sqp, "eval_barrier_objective", counting)
+        nlp = transcribe(boundary_ocp())
+        cfg = SqpConfig(armijo_c=0.1, backtrack_tau=0.5)
+        g = np.array([0.0, -0.9, 0.0])
+        result = backtrack(nlp, np.zeros(3), np.array([0.0, 2.0, 0.0]), g, 0.1, 1.0,
+                           cfg, terms_at(nlp, np.zeros(3)))
+        assert result[2] == 2
+        assert rows == [1, 4]
+        rows.clear()
+        nlp = transcribe(pure_state_cost_ocp())
+        z = np.array([1.0, 0.0, 0.0])
+        backtrack(nlp, z, np.array([1.0, 0.0, 0.0]), np.array([2.0, 0.0, 0.0]), 1.0,
+                  1.0, SqpConfig(), terms_at(nlp, z), allow_nondescent=True)
+        assert rows == [1, SqpConfig().max_backtracks - 1]
+
     def test_zero_step_accepted_immediately(self):
         nlp = transcribe(pure_state_cost_ocp())
         cfg = SqpConfig()
