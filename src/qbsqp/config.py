@@ -25,10 +25,10 @@ Validation is the one place where values are typed: each field as it is
 declared, so a float may be spelt "1e-3", which YAML reads as a string.
 The `sweep` and `qsvt` sections, when present, are held with their
 defaults filled in, so a manifest records the values that ran.  An
-unknown key inside a section is an error that names it; unknown top-level
-keys are ignored.  `qsvt-check` builds its inversions under the
-`solver.degree_cap` of a quantum solver section, else under
-`QuantumConfig`'s default.
+unknown key, in a section or at the top level, is an error that names
+it; only the removed top-level `workers` is still accepted, and ignored.
+`qsvt-check` builds its inversions under the `solver.degree_cap` of a
+quantum solver section, else under `QuantumConfig`'s default.
 
 CLI flags override file fields.
 """
@@ -51,6 +51,7 @@ class ConfigError(ValueError):
     """Configuration file or field error; message names the offender."""
 
 
+_SECTIONS = ("problem", "solver", "solvers", "sqp", "sweep", "qsvt", "output", "seed")
 _PROBLEMS = ("hiv", "toy:eqqp", "toy:double_integrator", "toy:box1d")
 _SOLVER_KINDS = ("exact", "noisy", "quantum")
 # The HIV parameters; those of float type are typed at validation, the
@@ -177,6 +178,12 @@ def _check_solver_spec(spec: Any, where: str) -> dict:
 
 def validate_config(data: dict) -> ExperimentConfig:
     cfg = ExperimentConfig()
+    for key in data:
+        # `workers` is accepted and ignored: the sweep's pool size comes
+        # from the CPU set, and the benchmark's hiv_sweep configuration
+        # still carries the key.
+        if key not in _SECTIONS and key != "workers":
+            raise ConfigError(f"{key}: unknown top-level key, expected one of {_SECTIONS}")
 
     problem = data.get("problem", {})
     if isinstance(problem, str):

@@ -33,15 +33,16 @@ def rk4_discretize(f, jac_x, jac_u, dt: float, substeps: int = 1) -> DiscreteDyn
     """Discretize continuous dynamics with substepped RK4, stage-stacked.
 
     ``f`` is written component-wise: ``f(x, u)`` takes the n state
-    components ``x`` and the m control components ``u``, each a float or
-    each a (K,) array of K points, and returns the n rate components of
-    the same kind.  ``jac_x`` and ``jac_u`` take states ``xs`` of shape
-    (K, n) and controls ``us`` of shape (K, m) and return the Jacobians
-    (K, n, n) and (K, n, m).  The returned discrete map takes and returns
-    stacked arrays: states (K, n), controls (K, m), next states (K, n) and
-    Jacobians (K, n, n) and (K, n, m).  One call advances all K points
-    together with the arithmetic of K separate calls, so its rows do not
-    depend on K.
+    components ``x`` and the m control components ``u`` and returns the n
+    rate components of the same kind.  ``x`` and ``u`` are either lists of
+    floats (one point) or state-major arrays of K points, states (n, K) and
+    controls (m, K), whose rows are the components.  ``jac_x`` and
+    ``jac_u`` take states ``xs`` of shape (K, n) and controls ``us`` of
+    shape (K, m) and return the Jacobians (K, n, n) and (K, n, m).  The
+    returned discrete map takes and returns stacked arrays: states (K, n),
+    controls (K, m), next states (K, n) and Jacobians (K, n, n) and
+    (K, n, m).  One call advances all K points together with the
+    arithmetic of K separate calls, so its rows do not depend on K.
 
     The map value at one point (K = 1), as in every step of a rollout, runs
     RK4 on Python floats: ``f`` gets the components as floats, and the
@@ -52,9 +53,20 @@ def rk4_discretize(f, jac_x, jac_u, dt: float, substeps: int = 1) -> DiscreteDyn
     without a numpy call per operation on 1-element arrays.  On floats a
     division by zero raises ZeroDivisionError where numpy would return an
     infinity; the HIV field divides only by its positive scales.  Larger
-    K, and every Jacobian pass, runs on stacked arrays, calling ``f`` on
-    the columns of the states and controls.  Either way ``f`` is called 4
-    times per substep.
+    K, and every Jacobian pass, runs the stages state-major: ``f`` gets the
+    (n, K) array of each stage's states, and one ``np.array`` stacks the
+    rates it returns into the next (n, K) array.  Either way ``f`` is
+    called 4 times per substep.
+
+    A field may rely on this: within one evaluation of the map, all
+    4·substeps calls of ``f`` receive the same controls object (the list
+    of floats, or the view ``us.T`` taken once), and every evaluation
+    passes a new one, even when the caller's controls array is the same
+    one, mutated in place.  So a field may keep values that depend on the
+    controls alone for as long as it is called with the same object, and
+    must keep nothing else between calls.  Such kept values are not
+    guarded against concurrent calls; the package runs sweep cells in
+    processes, not threads.
 
     The Jacobians of the map are propagated through every RK4 stage by the
     chain rule, so they are analytic, not finite differences.  One pass
@@ -82,27 +94,25 @@ def rk4_discretize(f, jac_x, jac_u, dt: float, substeps: int = 1) -> DiscreteDyn
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
     h = dt / substeps
+    # The stacked pass's scalars as 0-d arrays: numpy multiplies one into an
+    # array faster than a Python float, with the same rounding.
+    half_h, full_h, sixth_h, two = (np.array(v) for v in (0.5 * h, h, h / 6.0, 2.0))
 
-    def rates(x, u):
-        """``f`` at the K points (K, n), (K, m), as the K rates (K, n)."""
-        out = np.empty(x.shape)
-        for j, rate in enumerate(f(x.T, u.T)):
-            out[:, j] = rate
-        return out
-
-    def integrate(x, u, points=None):
+    def integrate(x, u, stages=None):
+        """RK4 at the state-major points (n, K), (m, K), as states (K, n);
+        ``stages`` takes the 4 stage points (n, K) of every substep."""
         for s in range(substeps):
-            k1 = rates(x, u)
-            x2 = x + 0.5 * h * k1
-            k2 = rates(x2, u)
-            x3 = x + 0.5 * h * k2
-            k3 = rates(x3, u)
-            x4 = x + h * k3
-            k4 = rates(x4, u)
-            if points is not None:
-                points[s] = x, x2, x3, x4
-            x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        return x
+            k1 = np.array(f(x, u))
+            x2 = x + half_h * k1
+            k2 = np.array(f(x2, u))
+            x3 = x + half_h * k2
+            k3 = np.array(f(x3, u))
+            x4 = x + full_h * k3
+            k4 = np.array(f(x4, u))
+            if stages is not None:
+                stages[s] = x, x2, x3, x4
+            x = x + sixth_h * (k1 + two * k2 + two * k3 + k4)
+        return np.ascontiguousarray(x.T)
 
     def integrate_point(x, u):
         """``integrate`` at one point (1, n), (1, m), on Python floats."""
@@ -121,11 +131,12 @@ def rk4_discretize(f, jac_x, jac_u, dt: float, substeps: int = 1) -> DiscreteDyn
         k, n = x.shape
         m = u.shape[1]
         points = np.empty((substeps, 4, k, n))
-        x_next = integrate(x, u, points)
+        x_next = integrate(x.T, u.T, points.swapaxes(2, 3))
         flat = points.reshape(-1, n)
         u_all = np.tile(u, (4 * substeps, 1))
         fx = jac_x(flat, u_all).reshape(substeps, 4, k, n, n)
         fu = jac_u(flat, u_all).reshape(substeps, 4, k, n, m)
+        del points, flat, u_all  # the chain rule needs fx and fu only: a lower peak
         eye = np.eye(n)
         a1, b1 = fx[:, 0], fu[:, 0]
         a2 = fx[:, 1] @ (eye + 0.5 * h * a1)
@@ -165,7 +176,7 @@ def rk4_discretize(f, jac_x, jac_u, dt: float, substeps: int = 1) -> DiscreteDyn
         x, u, key = key_of(xs, us)
         if key in last:
             return last[key][2]
-        return integrate_point(x, u) if len(x) == 1 else integrate(x, u)
+        return integrate_point(x, u) if len(x) == 1 else integrate(x.T, u.T)
 
     return DiscreteDynamics(
         f=step,
@@ -245,22 +256,36 @@ def hiv_vector_field(p: HivParameters):
     ``f`` follows the component-wise contract of ``rk4_discretize``: it
     takes the state components (T, I, V) and the controls (u1, u2), each a
     float or each a (K,) array, and returns the three rate components of
-    the same kind; the map calls it on floats at one point and on the
-    columns of stacked states otherwise.  The Jacobians are stage-stacked:
-    they take states (K, 3) and controls (K, 2) and return (K, 3, 3) and
-    (K, 3, 2).
+    the same kind; the map calls it on floats at one point and on
+    state-major (3, K) and (2, K) arrays otherwise.  ``f`` keeps the
+    control-only factors (1 - u1)·k and (1 - u2)·N_v·δ of the last
+    controls object it was called with, and a reference to that object, so
+    that its identity cannot be reused: the 4·substeps calls of one map
+    evaluation, which share one controls object, compute them once.  Its
+    scalar parameters are Python floats on floats and 0-d arrays on arrays,
+    which numpy multiplies into an array faster than a Python float.  Every
+    rate keeps the operation sequence of the plain formula, so neither
+    changes a bit of it.  The Jacobians are stage-stacked: they take states
+    (K, 3) and controls (K, 2) and return (K, 3, 3) and (K, 3, 2).
     """
     sc = np.asarray(p.scales)
     ratio = sc[None, :] / sc[:, None]
-    sc_t, sc_i, sc_v = sc.tolist()
+    on_floats = (p.s, p.d, p.delta, p.c, *sc.tolist())
+    on_arrays = tuple(np.array(value) for value in on_floats)
+    kept_u = infect = produce = scalars = None
 
     def f(x, u):
+        nonlocal kept_u, infect, produce, scalars
+        if u is not kept_u:
+            u1, u2 = u
+            kept_u, infect, produce = u, (1.0 - u1) * p.k, (1.0 - u2) * p.N_v * p.delta
+            scalars = on_arrays if isinstance(u, np.ndarray) else on_floats
+        s, d, delta, c, sc_t, sc_i, sc_v = scalars
         t, i, v = x[0] * sc_t, x[1] * sc_i, x[2] * sc_v
-        u1, u2 = u
-        infection = (1.0 - u1) * p.k * v * t
-        return ((p.s - p.d * t - infection) / sc_t,
-                (infection - p.delta * i) / sc_i,
-                ((1.0 - u2) * p.N_v * p.delta * i - p.c * v) / sc_v)
+        infection = infect * v * t
+        return ((s - d * t - infection) / sc_t,
+                (infection - delta * i) / sc_i,
+                (produce * i - c * v) / sc_v)
 
     def jac_x(xs, us):
         t, i, v = (xs * sc).T

@@ -17,7 +17,7 @@ import yaml
 
 import qbsqp
 from qbsqp import cli, experiments
-from qbsqp.config import validate_config
+from qbsqp.config import ConfigError, validate_config
 from qbsqp.models import eqqp_ocp
 from qbsqp.nlp import OcpDefinition, transcribe
 from qbsqp.qsvt import build_inversion_spec
@@ -199,6 +199,9 @@ def test_commands_succeed_on_eqqp(tmp_path, command, config):
     ("qsvt-check", {"problem": "toy:eqqp",
                     "qsvt": {"kappas": [2.0], "eps_primes": [1.0e-2], "matrix_sise": 4}},
      "qsvt.matrix_sise: unknown option"),
+    # a misspelt section
+    ("solve", {"problem": "toy:eqqp", "sqpp": {"mu0": 1.0}},
+     "sqpp: unknown top-level key"),
 ])
 def test_config_errors_exit_one_and_name_the_field(tmp_path, capsys, command,
                                                    config, field):
@@ -612,9 +615,13 @@ def test_commands_run_without_scipy(tmp_path, command, config):
 
 
 def test_unknown_top_level_keys_are_ignored():
-    # Configurations that still carry the removed `workers` setting load.
+    # Only the removed `workers` setting is ignored: configurations that
+    # still carry it load.  Any other unknown key, such as a misspelt
+    # section, is rejected by name.
     cfg = validate_config({"problem": "toy:eqqp", "workers": 2})
     assert cfg.problem == "toy:eqqp"
+    with pytest.raises(ConfigError, match="sqpp: unknown top-level key"):
+        validate_config({"problem": "toy:eqqp", "sqpp": {"mu0": 1.0}})
 
 
 def test_same_config_and_seed_reproduce_manifest(tmp_path):

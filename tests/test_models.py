@@ -220,6 +220,65 @@ class TestRk4Discretize:
         np.testing.assert_array_equal(disc.f(xs.copy(), us.copy()), fresh.f(xs, us))
         np.testing.assert_array_equal(disc.f(xs[:3], us[:3]), fresh.f(xs[:3], us[:3]))
 
+    @pytest.mark.parametrize("substeps", [1, 10])
+    @pytest.mark.parametrize("k", [1, 20])
+    def test_each_evaluation_passes_the_field_one_controls_object(self, substeps, k):
+        evaluations = []
+        f, fx, fu = hiv_vector_field(HivParameters())
+
+        def recorded(x, u):
+            evaluations[-1].append(u)
+            return f(x, u)
+
+        disc = rk4_discretize(recorded, fx, fu, dt=1.0, substeps=substeps)
+        xs = np.tile([1.0, 0.1, 1.0], (k, 1))
+        us = np.full((k, 2), 0.5)
+        # the Jacobian pass (stacked), then the map value at a new point
+        # (on floats at k = 1, stacked otherwise), twice with the same array
+        for call in (lambda: disc.jac_x(xs, us), lambda: disc.f(xs + 0.5, us),
+                     lambda: disc.f(xs + 0.25, us)):
+            evaluations.append([])
+            call()
+        for controls in evaluations:
+            assert len(controls) == 4 * substeps
+            assert all(u is controls[0] for u in controls)
+        assert isinstance(evaluations[0][0], np.ndarray)
+        assert isinstance(evaluations[1][0], list if k == 1 else np.ndarray)
+        firsts = [controls[0] for controls in evaluations]
+        assert all(a is not b for i, a in enumerate(firsts) for b in firsts[i + 1:])
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_field_on_alternating_controls_equals_a_fresh_field(self, stacked):
+        p = HivParameters()
+        f = hiv_vector_field(p)[0]
+        rng = np.random.default_rng(6)
+        x = rng.uniform(0.5, 1.5, (3, 5))
+        u1, u2 = rng.uniform(0.0, 1.0, (2, 2, 5))
+        if not stacked:
+            x, u1, u2 = x[:, 0].tolist(), u1[:, 0].tolist(), u2[:, 0].tolist()
+        for u in (u1, u2, u1, u1, u2):
+            fresh = hiv_vector_field(p)[0]
+            for got, want in zip(f(x, u), fresh(x, u)):
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("k", [1, 20])
+    def test_controls_mutated_in_place_give_the_fresh_map_value(self, k):
+        p = HivParameters()
+        disc = rk4_discretize(*hiv_vector_field(p), p.dt, p.substeps)
+        rng = np.random.default_rng(8)
+        xs = (np.asarray(p.x0) / np.asarray(p.scales)) * rng.uniform(0.5, 1.5, (k, 3))
+        us = rng.uniform(0.0, 1.0, (k, 2))
+        disc.jac_u(xs, us)
+        disc.f(xs + 0.125, us)
+        for shift in (0.25, 0.5):
+            us *= 0.5  # the same array, new values
+            point = xs + shift  # and a new point: no kept pass applies
+            fresh = rk4_discretize(*hiv_vector_field(p), p.dt, p.substeps)
+            np.testing.assert_array_equal(disc.f(point, us), fresh.f(point, us))
+            fresh = rk4_discretize(*hiv_vector_field(p), p.dt, p.substeps)
+            np.testing.assert_array_equal(disc.jac_x(point, us), fresh.jac_x(point, us))
+            np.testing.assert_array_equal(disc.f(point, us), fresh.f(point, us))
+
     def test_kept_map_value_cannot_be_mutated_by_a_caller(self):
         disc = rk4_discretize(*pendulum_field(), dt=0.3, substeps=4)
         x, u = np.array([[0.4, -0.2], [0.1, 0.3]]), np.array([[0.1], [-0.2]])
