@@ -59,10 +59,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         code, result = _COMMANDS[args.command](cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:  # a ConfigError too
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # solver failures: singularity, budget, spectrum

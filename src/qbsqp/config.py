@@ -265,6 +265,7 @@ def validate_config(data: dict) -> ExperimentConfig:
         cfg.qsvt["matrix_size"] = size
 
     out = _mapping(data.get("output", {}), "output")
+    _check_keys(out, "output", ("dir",))
     cfg.output_dir = str(out.get("dir", cfg.output_dir))
     cfg.seed = _typed(data.get("seed", cfg.seed), int, "seed")
     if cfg.seed < 0:

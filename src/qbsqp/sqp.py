@@ -5,7 +5,8 @@ barrier-augmented QP, delegates the KKT solve to the configured backend,
 caps the step with the fraction-to-the-boundary rule, backtracks until
 strict feasibility and the Armijo condition hold, and then updates the
 barrier parameter.  No inner loop is run per barrier value: one QP per
-outer iteration.
+outer iteration.  ``solve`` decides whether a step is searched at all
+(its descent gate and one retry); ``backtrack`` searches it.
 """
 
 from __future__ import annotations
@@ -18,10 +19,6 @@ import numpy as np
 from .nlp import BarrierConfig, InfeasiblePointError, PointEval, TrajectoryNlp, \
     build_qp, eval_barrier_objective
 from .schur import SchurSolution, SchurStepSolver
-
-
-class NonDescentError(RuntimeError):
-    """The supplied step is not a descent direction for the barrier objective."""
 
 
 @dataclass
@@ -103,17 +100,12 @@ class SolveReport:
         return self.termination == "converged"
 
 
-def fraction_to_boundary(
-    z: np.ndarray,
-    dz: np.ndarray,
-    h_vals: np.ndarray,
-    h_dirderivs: np.ndarray,
-    theta: float,
-) -> float:
+def fraction_to_boundary(h_vals: np.ndarray, h_dirderivs: np.ndarray,
+                         theta: float) -> float:
     """Step cap keeping H strictly negative, scaled by theta.
 
     Returns min(1, theta * min over {j : dH_j > 0} of (-H_j)/dH_j); with no
-    increasing constraint the cap is 1.
+    increasing constraint (or no constraint at all) the cap is 1.
     """
     rising = h_dirderivs > 0.0
     if not np.any(rising):
@@ -132,27 +124,23 @@ def backtrack(
     nlp: TrajectoryNlp,
     z: np.ndarray,
     dz: np.ndarray,
-    g: np.ndarray,
+    slope: float,
     mu: float,
     alpha_max: float,
     cfg: SqpConfig,
     terms: tuple[float, float],
-    *,
-    allow_nondescent: bool = False,
 ) -> tuple[float, float, int, float, tuple[float, float]] | None:
     """Largest alpha in {alpha_max * tau^k} passing feasibility and Armijo.
 
-    ``terms`` holds the objective F and the barrier sum B at z, which do not
-    depend on mu (see ``eval_barrier_objective``); the barrier objective at
-    z is F + mu * B.  Returns (alpha, barrier objective at the accepted
-    point, k, barrier objective at z, (F, B) at the accepted point) or None
-    when max_backtracks trials are exhausted.  A zero step is accepted
-    immediately (both conditions hold with equality).  Raises
-    NonDescentError for a nonzero step with g^T dz >= 0: that signals
-    solver-quality failure upstream.  ``allow_nondescent`` skips that
-    gate and runs the acceptance loop as printed; the driver enables it
-    while the iterate is equality-infeasible, where the step trades
-    barrier descent against feasibility restoration.
+    ``slope`` is g^T dz, the barrier objective's directional derivative
+    along dz.  ``terms`` holds the objective F and the barrier sum B at z,
+    which do not depend on mu (see ``eval_barrier_objective``); the barrier
+    objective at z is F + mu * B.  Returns (alpha, barrier objective at the
+    accepted point, k, barrier objective at z, (F, B) at the accepted point)
+    or None when max_backtracks trials are exhausted.  A zero step is
+    accepted immediately (both conditions hold with equality).  Whether a
+    step is worth searching is the caller's decision (see ``solve``): any
+    step is searched as given.
 
     The first trial, alpha_max, is evaluated alone, so a search that
     accepts it builds no other.  The later trials are evaluated in blocks,
@@ -162,13 +150,10 @@ def backtrack(
     within a few trials.  Along a nondescent step Armijo holds only through
     rounding, at a tiny alpha, so the second block is TRIAL_BLOCK.
     """
-    slope = float(g @ dz)
     f_z, b_z = terms
     f0 = f_z + mu * b_z
     if np.linalg.norm(dz) == 0.0:
         return alpha_max, f0, 0, f0, terms
-    if slope >= 0.0 and not allow_nondescent:
-        raise NonDescentError(f"g^T dz = {slope:.3e} >= 0")
 
     bcfg = BarrierConfig(mu=mu)
     alpha = alpha_max
@@ -234,7 +219,14 @@ def solve(
     """Run the barrier loop from a strictly feasible start.
 
     The trace records every iterate; termination is one of converged,
-    mu_floor, iter_cap, or line_search_failure.  Hard backend failures
+    mu_floor, iter_cap, or line_search_failure.  The driver decides whether
+    a step is searched.  At an equality-infeasible iterate every step is,
+    since it also restores feasibility and g^T dz may legitimately be
+    nonnegative.  At a feasible iterate a nonzero step with g^T dz >= 0
+    signals a solver-quality failure: the backend is asked once more, at
+    the same mu (a probabilistic backend draws fresh randomness), and a
+    second such step ends the solve.  A step that is searched goes to
+    ``backtrack``, which only backtracks.  Hard backend failures
     (singular systems, exhausted error budgets) propagate as exceptions.
     Constraint values, Jacobians and the objective gradient are evaluated
     once per accepted iterate (see ``TrajectoryNlp.evaluate``); the
@@ -270,48 +262,30 @@ def solve(
 
         qp = build_qp(nlp, z, BarrierConfig(mu=mu), point=point)
 
-        sol = solver.step(qp)
-        retried = False
-        accepted = None
-        # While the iterate is equality-infeasible the step also restores
-        # feasibility and g^T dz may legitimately be nonnegative; run the
-        # acceptance loop as printed.  At feasible iterates a non-descent
-        # direction signals solver-quality failure instead.
         restoring = prev_eq > cfg.eps_feas  # prev_eq is ||c(z)|| at this z
-        while True:
-            try:
-                if point.h.size:
-                    alpha_max = fraction_to_boundary(
-                        z, sol.dz, point.h, point.jac_h.dot(sol.dz), cfg.boundary_theta)
-                else:
-                    alpha_max = 1.0
-                accepted = backtrack(nlp, z, sol.dz, qp.g, mu, alpha_max, cfg,
-                                     terms, allow_nondescent=restoring)
-                break
-            except NonDescentError as exc:
-                # Recoverable once for probabilistic backends: re-invoke with
-                # fresh randomness, mu untouched.  A second failure aborts.
-                if retried:
-                    stat_here = _stationarity_norm(point, mu, sol.lam)
-                    if _converged(records[-1], stat_here, cfg):
-                        termination = "converged"
-                        message = "stationary at non-descent abort"
-                    else:
-                        termination = "line_search_failure"
-                        message = f"non-descent direction twice: {exc}"
-                    break
-                retried = True
-                sol = solver.step(qp)
-
-        if termination is not None:
+        for _ in range(2):
+            sol = solver.step(qp)
+            slope = float(qp.g @ sol.dz)
+            if restoring or not slope >= 0.0 or np.linalg.norm(sol.dz) == 0.0:
+                break  # searched; a NaN slope too, which then exhausts
+        else:
+            if _converged(records[-1], _stationarity_norm(point, mu, sol.lam), cfg):
+                termination = "converged"
+                message = "stationary at non-descent abort"
+            else:
+                termination = "line_search_failure"
+                message = f"non-descent direction twice: g^T dz = {slope:.3e} >= 0"
             break
+
+        alpha_max = fraction_to_boundary(point.h, point.jac_h.dot(sol.dz),
+                                         cfg.boundary_theta)
+        accepted = backtrack(nlp, z, sol.dz, slope, mu, alpha_max, cfg, terms)
         if accepted is None:
             termination = "line_search_failure"
             message = f"backtracking exhausted {cfg.max_backtracks} trials"
             break
 
         alpha, f_new, n_bt, f_old, terms = accepted
-        slope = float(qp.g @ sol.dz)
         del qp  # frees Q and its factor before the next evaluation and assembly
         z = z + alpha * sol.dz
         point = nlp.evaluate(z)

@@ -2,18 +2,24 @@
 errors that name the offending field, and reproducible manifests."""
 
 import concurrent.futures
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qbsqp
 from qbsqp import cli, experiments
@@ -202,6 +208,9 @@ def test_commands_succeed_on_eqqp(tmp_path, command, config):
     # a misspelt section
     ("solve", {"problem": "toy:eqqp", "sqpp": {"mu0": 1.0}},
      "sqpp: unknown top-level key"),
+    # a misspelt key of the output section
+    ("solve", {"problem": "toy:eqqp", "output": {"dri": "out_e"}},
+     "output.dri: unknown option"),
 ])
 def test_config_errors_exit_one_and_name_the_field(tmp_path, capsys, command,
                                                    config, field):
@@ -209,6 +218,138 @@ def test_config_errors_exit_one_and_name_the_field(tmp_path, capsys, command,
     code, _ = run(tmp_path, command, config, extra=flags)
     assert code == 1
     assert field in capsys.readouterr().err
+
+
+# -- generated configurations -------------------------------------------------
+# A configuration is drawn well typed and in range, at tier-1 sizes: N <= 4,
+# substeps <= 2, matrix_size <= 4, floor_iters <= 3, degree_cap <= 4001 and
+# max_outer_iters <= 30.  Half of them then get one fault: a field made ill
+# typed or out of range, a misspelt key, or a misspelt section.
+
+_NAN = float("nan")
+# Ill-typed and out-of-range values of each field that the fault may spoil.
+_BAD_VALUES = {
+    "problem": (5, "toy:nope"), "name": ("toy:nope", 3),
+    "N": (0, -2, 2.5, "abc"), "substeps": (0, -1, 1.5), "s": (_NAN, -1.0, "abc"),
+    "u_guess": (0.0, 1.5, _NAN, "abc"),
+    "kind": ("nope", None), "eps": (-1.0, _NAN, "abc"), "seed": (-1, 1.5, "abc"),
+    "eps_prime_Q": (0.0, 1.5, "abc"), "eps_prime_S": (0.0, _NAN),
+    "degree_cap": (0, 2.5), "solvers": ([{"kind": "exact"}], "exact"),
+    "max_outer_iters": (0, -3, 2.5, "abc"), "mu0": (0.0, -1.0, _NAN, "abc"),
+    "eps_opt": (0.0, "abc"), "barrier_update": ("bogus", 5), "armijo_c": (0.0, 1.5),
+    "mu_min_grid": ([1e-3], [1e-3, 1e-3], [1e-3, -1.0], 5),
+    "eps_grid": ([1e-4, 1e-3, 1e-2], [0.0, _NAN, 1.0]), "seeds": ([], [-1], ["a"]),
+    "floor_iters": (-1, 1.5, "abc"),
+    "kappas": ([0.5], [_NAN], ["abc"], []), "eps_primes": ([0.0], [2.0]),
+    "matrix_size": (0, -3, 2.5), "output": ("x",), "dir": (None,),
+}
+
+
+def _some(fields):
+    """A mapping of `fields` (name -> strategy): the first always, each of
+    the others or not."""
+    first, *rest = fields
+    return st.fixed_dictionaries({first: fields[first]},
+                                 optional={k: fields[k] for k in rest})
+
+
+_PROBLEM = st.one_of(
+    st.sampled_from(["toy:eqqp", "toy:box1d", "toy:double_integrator"]),
+    st.fixed_dictionaries(
+        {"name": st.just("hiv"),
+         "params": _some({"N": st.integers(1, 4), "substeps": st.integers(1, 2),
+                          "s": st.floats(5.0, 20.0)})},
+        optional={"u_guess": st.floats(0.03, 0.07)}))
+_SOLVER = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("exact")}),
+    _some({"kind": st.just("noisy"), "eps": st.sampled_from([0.0, 1e-4, 1e-3]),
+           "seed": st.integers(0, 5)}),
+    _some({"kind": st.just("quantum"),
+           "eps_prime_Q": st.sampled_from([1e-2, 1e-4, 1e-6]),
+           "eps_prime_S": st.sampled_from([1e-2, 1e-4, 1e-6]),
+           "degree_cap": st.integers(1, 4001)}))
+_SQP = _some({"max_outer_iters": st.integers(1, 30),
+              "mu0": st.sampled_from([1e-2, 0.1, 1.0]),
+              "eps_opt": st.sampled_from([1e-4, 1e-6]),
+              "barrier_update": st.sampled_from(["geometric", "constant", "adaptive"]),
+              "armijo_c": st.sampled_from([1e-4, 0.1])})
+_SWEEP = st.fixed_dictionaries({
+    "mu_min_grid": st.just([1e-3, 1e-4]), "eps_grid": st.just([0.0, 1e-4, 1e-3]),
+    "seeds": st.lists(st.integers(0, 3), min_size=1, max_size=1),
+    "floor_iters": st.integers(0, 3)})
+_QSVT = st.fixed_dictionaries(
+    {"kappas": st.lists(st.sampled_from([1.0, 2.0, 16.0]), min_size=1, max_size=2,
+                        unique=True),
+     "eps_primes": st.lists(st.sampled_from([1e-2, 1e-4]), min_size=1, max_size=2,
+                            unique=True)},
+    optional={"matrix_size": st.integers(1, 4)})
+
+
+def _mappings(value):
+    """Every mapping in a nested configuration, outermost first."""
+    if isinstance(value, dict):
+        return [value, *(m for v in value.values() for m in _mappings(v))]
+    if isinstance(value, list):
+        return [m for v in value for m in _mappings(v)]
+    return []
+
+
+@st.composite
+def _cli_configs(draw):
+    """(command, config): the section a command needs is present four
+    times in five, every other section one time in five."""
+    command = draw(st.sampled_from(["solve", "compare", "sweep", "qsvt-check"]))
+    needs = {"compare": "solvers", "sweep": "sweep", "qsvt-check": "qsvt"}.get(command)
+    # sqp.max_outer_iters bounds every solve but the sweep's reference.
+    config = {"problem": draw(_PROBLEM), "sqp": draw(_SQP)}
+    for name, strategy in (("solver", _SOLVER),
+                           ("solvers", st.lists(_SOLVER, min_size=2, max_size=2)),
+                           ("sweep", _SWEEP), ("qsvt", _QSVT),
+                           ("output", st.fixed_dictionaries({"dir": st.just("x")})),
+                           ("seed", st.integers(0, 3))):
+        if draw(st.integers(0, 4)) < (4 if name == needs else 1):
+            config[name] = draw(strategy)
+    fault = draw(st.sampled_from(["none", "none", "none", "value", "key", "section"]))
+    mappings = _mappings(config)
+    slots = [(m, k) for m in mappings for k in m if k in _BAD_VALUES]
+    if fault == "value":
+        mapping, key = draw(st.sampled_from(slots))
+        mapping[key] = draw(st.sampled_from(_BAD_VALUES[key]))
+    elif fault == "key":
+        mapping = draw(st.sampled_from(mappings))
+        key = draw(st.sampled_from(sorted(mapping)))
+        mapping[key + "x"] = mapping.pop(key)
+    elif fault == "section":
+        config["sqpp"] = {}
+    return command, config
+
+
+def _keys(value):
+    """Every mapping key in a nested configuration."""
+    return {k for m in _mappings(value) for k in m}
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(_cli_configs())
+def test_generated_configs_exit_with_a_documented_code(case):
+    # Whatever the configuration, cli.main returns a documented exit code
+    # and raises nothing; a config error (exit 1) names a section or field
+    # of the configuration.
+    command, config = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.yaml")
+        with open(path, "w") as fh:
+            yaml.safe_dump(config, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main([command, "--config", path, "--out", os.path.join(tmp, "out")])
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        message = err.getvalue()
+        assert "error:" in message
+        names = _keys(config) | {"problem", "solver", "solvers", "sqp", "sweep",
+                                 "qsvt", "output", "seed"}
+        assert any(re.search(rf"\b{re.escape(str(n))}\b", message) for n in names), message
 
 
 @pytest.mark.parametrize("text, section, expected", [

@@ -26,10 +26,9 @@ from qbsqp.nlp import (
     transcribe,
 )
 from qbsqp.qschur import QuantumConfig, QuantumSchurSolver
-from qbsqp.schur import ExactSchurSolver, NoisySchurSolver
+from qbsqp.schur import ExactSchurSolver, NoisySchurSolver, SchurSolution
 from qbsqp.sqp import (
     TRIAL_BLOCK,
-    NonDescentError,
     SqpConfig,
     backtrack,
     fraction_to_boundary,
@@ -41,20 +40,17 @@ from oracles import toy_optimum
 
 class TestFractionToBoundary:
     def test_no_rising_constraint_returns_one(self):
-        a = fraction_to_boundary(np.zeros(2), np.zeros(2),
-                                 np.array([-1.0, -3.0]), np.array([-1.0, 0.0]), 0.995)
+        a = fraction_to_boundary(np.array([-1.0, -3.0]), np.array([-1.0, 0.0]), 0.995)
         assert a == 1.0
 
     def test_formula_value(self):
         # H = -1, dH = 2, theta = 0.995 -> min(1, 0.995 * 1/2) = 0.4975
-        a = fraction_to_boundary(np.zeros(1), np.zeros(1),
-                                 np.array([-1.0]), np.array([2.0]), 0.995)
+        a = fraction_to_boundary(np.array([-1.0]), np.array([2.0]), 0.995)
         assert a == pytest.approx(0.4975, abs=1e-15)
 
     def test_capped_at_one(self):
         # H = -10, dH = 1, theta = 0.9 -> min(1, 9) = 1
-        a = fraction_to_boundary(np.zeros(1), np.zeros(1),
-                                 np.array([-10.0]), np.array([1.0]), 0.9)
+        a = fraction_to_boundary(np.array([-10.0]), np.array([1.0]), 0.9)
         assert a == 1.0
 
 
@@ -80,11 +76,10 @@ def terms_at(nlp, z):
     return tuple(eval_barrier_objective(nlp, z, BarrierConfig(mu=1.0), terms=True)[1:])
 
 
-def scalar_backtrack(nlp, z, dz, g, mu, alpha_max, cfg):
+def scalar_backtrack(nlp, z, dz, slope, mu, alpha_max, cfg):
     """Reference line search: F-bar at z evaluated afresh, then one
     evaluator call per trial.  Returns (alpha, F-bar, k, F-bar at z) or
     None."""
-    slope = float(g @ dz)
     bcfg = BarrierConfig(mu=mu)
     f0 = eval_barrier_objective(nlp, z, bcfg)
     if np.linalg.norm(dz) == 0.0:
@@ -126,8 +121,7 @@ class TestBacktrack:
         cfg = SqpConfig(armijo_c=0.1)
         z = np.array([1.0, 0.0, 0.0])
         dz = np.array([-1.0, 0.0, 0.0])
-        g = np.array([2.0, 0.0, 0.0])
-        alpha, f_new, k, _, terms = backtrack(nlp, z, dz, g, 1.0, 1.0, cfg,
+        alpha, f_new, k, _, terms = backtrack(nlp, z, dz, -2.0, 1.0, 1.0, cfg,
                                               terms_at(nlp, z))
         assert alpha == 1.0 and k == 0
         assert f_new == pytest.approx(0.0)
@@ -141,8 +135,8 @@ class TestBacktrack:
         z = np.zeros(3)
         dz = np.array([0.0, 2.0, 0.0])
         mu = 0.1
-        g = np.array([0.0, -1.0 + mu, 0.0])  # cost slope plus barrier slope
-        alpha, _, k, _, _ = backtrack(nlp, z, dz, g, mu, 1.0, cfg, terms_at(nlp, z))
+        slope = 2.0 * (-1.0 + mu)  # cost slope plus barrier slope, times du
+        alpha, _, k, _, _ = backtrack(nlp, z, dz, slope, mu, 1.0, cfg, terms_at(nlp, z))
         assert alpha == pytest.approx(0.25)
         assert k == 2
 
@@ -154,11 +148,10 @@ class TestBacktrack:
         cfg = SqpConfig(armijo_c=0.1, backtrack_tau=0.5, max_backtracks=10**7)
         z = np.zeros(3)
         dz = np.array([0.0, 2.0, 0.0])
-        g = np.array([0.0, -0.9, 0.0])
         terms = terms_at(nlp, z)
         tracemalloc.start()
         try:
-            result = backtrack(nlp, z, dz, g, 0.1, 1.0, cfg, terms)
+            result = backtrack(nlp, z, dz, -1.8, 0.1, 1.0, cfg, terms)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -178,16 +171,15 @@ class TestBacktrack:
         monkeypatch.setattr(qbsqp.sqp, "eval_barrier_objective", counting)
         nlp = transcribe(boundary_ocp())
         cfg = SqpConfig(armijo_c=0.1, backtrack_tau=0.5)
-        g = np.array([0.0, -0.9, 0.0])
-        result = backtrack(nlp, np.zeros(3), np.array([0.0, 2.0, 0.0]), g, 0.1, 1.0,
-                           cfg, terms_at(nlp, np.zeros(3)))
+        result = backtrack(nlp, np.zeros(3), np.array([0.0, 2.0, 0.0]), -1.8, 0.1,
+                           1.0, cfg, terms_at(nlp, np.zeros(3)))
         assert result[2] == 2
         assert rows == [1, 4]
         rows.clear()
         nlp = transcribe(pure_state_cost_ocp())
         z = np.array([1.0, 0.0, 0.0])
-        backtrack(nlp, z, np.array([1.0, 0.0, 0.0]), np.array([2.0, 0.0, 0.0]), 1.0,
-                  1.0, SqpConfig(), terms_at(nlp, z), allow_nondescent=True)
+        backtrack(nlp, z, np.array([1.0, 0.0, 0.0]), 2.0, 1.0, 1.0, SqpConfig(),
+                  terms_at(nlp, z))
         assert rows == [1, SqpConfig().max_backtracks - 1]
 
     def test_zero_step_accepted_immediately(self):
@@ -195,21 +187,16 @@ class TestBacktrack:
         cfg = SqpConfig()
         terms = terms_at(nlp, np.ones(3))
         alpha, _, k, _, kept = backtrack(nlp, np.ones(3), np.zeros(3),
-                                         np.ones(3), 1.0, 0.7, cfg, terms)
+                                         0.0, 1.0, 0.7, cfg, terms)
         assert alpha == 0.7 and k == 0 and kept == terms
 
-    def test_nondescent_raises_unless_allowed(self):
+    def test_ascent_step_backs_off_to_a_null_step(self):
+        # backtrack searches whatever step it is given: along an ascent
+        # direction it backs off to (at most) a numerically null step.
         nlp = transcribe(pure_state_cost_ocp())
-        cfg = SqpConfig()
         z = np.array([1.0, 0.0, 0.0])
         dz = np.array([1.0, 0.0, 0.0])
-        g = np.array([2.0, 0.0, 0.0])
-        terms = terms_at(nlp, z)
-        with pytest.raises(NonDescentError):
-            backtrack(nlp, z, dz, g, 1.0, 1.0, cfg, terms)
-        # with the gate open, an ascent direction backs off to (at most)
-        # a numerically null step rather than raising
-        res = backtrack(nlp, z, dz, g, 1.0, 1.0, cfg, terms, allow_nondescent=True)
+        res = backtrack(nlp, z, dz, 2.0, 1.0, 1.0, SqpConfig(), terms_at(nlp, z))
         assert res is None or res[0] <= 1e-12
 
     def test_exhaustion_returns_none(self):
@@ -219,8 +206,7 @@ class TestBacktrack:
         # with a demanding c.
         z = np.array([1.0, 0.0, 0.0])
         dz = np.array([-400.0, 0.0, 0.0])
-        g = np.array([2.0, 0.0, 0.0])
-        assert backtrack(nlp, z, dz, g, 1.0, 1.0, cfg, terms_at(nlp, z)) is None
+        assert backtrack(nlp, z, dz, -800.0, 1.0, 1.0, cfg, terms_at(nlp, z)) is None
 
     def test_every_search_of_a_null_step_solve_matches_scalar_loop(self, monkeypatch):
         # HIV N=8 at a clamped barrier floor: from i = 8 on, every step is a
@@ -230,10 +216,10 @@ class TestBacktrack:
         nlp = transcribe(hiv_ocp(HivParameters(N=8)))
         searches = []
 
-        def checked(nlp, z, dz, g, mu, alpha_max, cfg, terms, **kwargs):
-            result = backtrack(nlp, z, dz, g, mu, alpha_max, cfg, terms, **kwargs)
+        def checked(nlp, z, dz, slope, mu, alpha_max, cfg, terms):
+            result = backtrack(nlp, z, dz, slope, mu, alpha_max, cfg, terms)
             assert result is not None
-            assert result[:4] == scalar_backtrack(nlp, z, dz, g, mu, alpha_max, cfg)
+            assert result[:4] == scalar_backtrack(nlp, z, dz, slope, mu, alpha_max, cfg)
             alpha, _, k, _, kept = result
             assert kept == terms_at(nlp, z + alpha * dz)
             searches.append(k)
@@ -424,6 +410,79 @@ class TestSolve:
         # it fails, one block of the rest
         searches = sum(1 if rec.backtracks == 0 else 2 for rec in rep.records[1:])
         assert calls["barrier"] <= searches + 1
+
+
+class ScriptedSolver:
+    """Backend that returns fixed steps in order and counts its calls."""
+
+    name = "scripted"
+
+    def __init__(self, *steps):
+        self.steps = list(steps)
+        self.calls = 0
+
+    def step(self, qp):
+        dz, lam = self.steps[self.calls]
+        self.calls += 1
+        return SchurSolution(dz=np.array(dz, dtype=float),
+                             lam=np.array(lam, dtype=float))
+
+
+class TestDescentGate:
+    # F(z) = x0^2 from the rollout z0 = (1, 0, 0): feasible, g = (2, 0, 0).
+    # The driver searches a descent step, a zero step, a NaN step and any
+    # step at an equality-infeasible iterate; a nondescent step at a
+    # feasible iterate is re-requested once, then ends the solve.
+    ASCENT = ((1.0, 0.0, 0.0), (0.0, 0.0))
+    DESCENT = ((-1.0, 0.0, 0.0), (0.0, 0.0))
+
+    @staticmethod
+    def run(solver, x0=1.0):
+        nlp = transcribe(pure_state_cost_ocp())
+        z0 = rollout(nlp, np.zeros((1, 1)))
+        z0[0] = x0
+        return solve(nlp, z0, SqpConfig(max_outer_iters=1), solver)
+
+    def test_nondescent_then_descent_retries_once_and_continues(self):
+        solver = ScriptedSolver(self.ASCENT, self.DESCENT)
+        rep = self.run(solver)
+        assert solver.calls == 2
+        assert rep.termination == "iter_cap" and rep.n_iters == 1
+        assert rep.records[1].alpha == 1.0 and rep.records[1].slope == -2.0
+
+    def test_nondescent_twice_fails_the_line_search(self):
+        solver = ScriptedSolver(self.ASCENT, self.ASCENT)
+        rep = self.run(solver)
+        assert solver.calls == 2 and rep.n_iters == 0
+        assert rep.termination == "line_search_failure"
+        assert rep.message == "non-descent direction twice: g^T dz = 2.000e+00 >= 0"
+
+    def test_nondescent_twice_at_a_stationary_point_converges(self):
+        stationary = (self.ASCENT[0], (-2.0, 0.0))  # grad F + jac_c^T lam = 0
+        solver = ScriptedSolver(stationary, stationary)
+        rep = self.run(solver)
+        assert solver.calls == 2 and rep.n_iters == 0
+        assert rep.termination == "converged"
+        assert rep.message == "stationary at non-descent abort"
+
+    def test_nondescent_step_at_a_restoring_iterate_is_searched(self):
+        solver = ScriptedSolver(self.ASCENT)
+        rep = self.run(solver, x0=0.5)  # ||c|| = 0.5
+        assert solver.calls == 1
+        assert rep.n_iters == 1 and rep.records[1].slope == 1.0
+
+    def test_nan_step_is_searched_without_retry(self):
+        solver = ScriptedSolver(((np.nan, 0.0, 0.0), (0.0, 0.0)))
+        rep = self.run(solver)
+        assert solver.calls == 1 and rep.n_iters == 0
+        assert rep.termination == "line_search_failure"
+        assert rep.message == "backtracking exhausted 60 trials"
+
+    def test_zero_step_is_taken_whole(self):
+        solver = ScriptedSolver(((0.0, 0.0, 0.0), (0.0, 0.0)))
+        rep = self.run(solver)
+        assert solver.calls == 1 and rep.n_iters == 1
+        assert rep.records[1].alpha == 1.0 and rep.records[1].backtracks == 0
 
 
 def test_hiv_quantum_solve_converges_like_exact():
