@@ -5,7 +5,7 @@ Schema (all sections optional unless a command requires them):
     problem:
       name: hiv | toy:eqqp | toy:double_integrator | toy:box1d
       params: {...}          # HivParameters overrides (hiv only)
-      u_guess: 0.05          # constant-control rollout for the hiv start, in (0, 1)
+      u_guess: 0.05          # constant-control rollout start, in (0, 1) (hiv only)
     solver:  {kind: exact | noisy | quantum, ...}   # solve; qsvt-check's degree_cap
     solvers: [{...}, {...}]                         # compare (exactly two)
     sqp:     {mu0: ..., eps_opt: ..., ...}          # SqpConfig overrides
@@ -194,6 +194,10 @@ def validate_config(data: dict) -> ExperimentConfig:
             raise ConfigError(f"problem.name: unknown problem {name!r}, "
                               f"expected one of {_PROBLEMS}")
         cfg.problem = name
+        for key in ("params", "u_guess"):
+            if key in problem and name != "hiv":
+                raise ConfigError(f"problem.{key}: only the hiv problem takes it, "
+                                  f"not {name}")
         cfg.problem_params = dict(_mapping(problem.get("params", {}),
                                            "problem.params"))
         for key, value in cfg.problem_params.items():

@@ -119,7 +119,11 @@ _ITERATE_HEADER = [
     "i", "mu", "alpha", "dz_norm", "eq_norm", "grad_f_norm", "f_bar",
     "kkt_stat_norm", "h_max", "backtracks", "slope", "infeas_ratio",
     "eps_dz", "p_succ", "expected_repetitions", "degree_Q", "degree_S",
+    "beta_Q", "beta_S", "kappa_Q_fit", "kappa_S_fit",
 ]
+# The columns from eps_dz on are the step's diagnostics, empty where the
+# backend does not report them.
+_DIAGNOSTIC_COLUMNS = _ITERATE_HEADER[_ITERATE_HEADER.index("eps_dz"):]
 
 
 def _iterate_rows(report: SolveReport) -> list[list]:
@@ -130,9 +134,7 @@ def _iterate_rows(report: SolveReport) -> list[list]:
             rec.i, rec.mu, rec.alpha, rec.dz_norm, rec.eq_norm,
             rec.grad_f_norm, rec.f_bar, rec.kkt_stat_norm, rec.h_max,
             rec.backtracks, rec.slope, rec.infeas_ratio,
-            diag.get("eps_dz", ""), diag.get("p_succ", ""),
-            diag.get("expected_repetitions", ""),
-            diag.get("degree_Q", ""), diag.get("degree_S", ""),
+            *(diag.get(name, "") for name in _DIAGNOSTIC_COLUMNS),
         ])
     return rows
 

@@ -25,7 +25,9 @@ Each step's diagnostics hold plain scalars:
     alpha_dz, eps_dz      normalization and error bound of the dz encoding
     p_succ                success probability ||dz||^2 / alpha_dz^2
     expected_repetitions  1 / p_succ
-    degree_X, beta_X      degree and scale of the inversion polynomial
+    degree_X              degree of the inversion polynomial
+    beta_X                its scale, the proven sup of |p| over 1 - 1e-9
+                          (2.54 at eps' = 1e-12), a factor of alpha_Xinv
     kappa_X_fit, gamma_X  condition number the polynomial is fitted to,
                           max(2, sigma_max/sigma_min * KAPPA_SAFETY) of the
                           operand, and the pre-scale gain 1/sigma_max

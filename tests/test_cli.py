@@ -211,6 +211,13 @@ def test_commands_succeed_on_eqqp(tmp_path, command, config):
     # a misspelt key of the output section
     ("solve", {"problem": "toy:eqqp", "output": {"dri": "out_e"}},
      "output.dri: unknown option"),
+    # only the hiv problem reads params and u_guess
+    ("solve", {"problem": {"name": "toy:eqqp", "params": {"N": 2}}},
+     "problem.params: only the hiv problem takes it"),
+    ("solve", {"problem": {"name": "toy:box1d", "u_guess": 0.05}},
+     "problem.u_guess: only the hiv problem takes it"),
+    ("solve", {"problem": {"name": "hiv", "params": {"N": 2}, "u_guess": "abc"}},
+     "problem.u_guess: expected float"),
 ])
 def test_config_errors_exit_one_and_name_the_field(tmp_path, capsys, command,
                                                    config, field):
@@ -792,8 +799,8 @@ PINNED_RUNS = {
 }
 OUTPUT_SHA256 = {
     "hiv12_exact": {
-        "iterates.csv": "6b031a798c454ca8528d4648037369fdb618f46d0f48a605723f759e13c8919a",
-        "manifest.json": "931aa331b74f3f0d7345e857e40b4011053a8f43b3fb89b87c0dd4ecb7b87f0f",
+        "iterates.csv": "da627ffbfb0bb59eaea21ae53e56fabbaee6b7219a59f0759fdbcc2721af9ad2",
+        "manifest.json": "5a9f2c38ab3dcbd6623dcd885d05b12c1c7134b734c3383ea90e0ed078d897f3",
         "trajectory.csv": "886d23779a4c646d77b55b64f31f05ee205aeaf0644e394cb66ebe2163ad5d7c",
     },
     "hiv6_sweep": {
@@ -803,9 +810,9 @@ OUTPUT_SHA256 = {
         "traces.csv": "ceded7eaddf553ca5ec574a4e584387fda92f3c60ad799567d912fe7a93209c6",
     },
     "hiv4_quantum": {
-        "iterates.csv": "904c34bdc6df90a80224557a5996103359e7687abba9694b8a0756c23c241694",
-        "manifest.json": "4031733c188ca2401100fb0ca2074744c16da41fa689c3ad6b5a09183c873b84",
-        "trajectory.csv": "4fd6867f50a5c35d06cd2aa696ba8300a15a1724a274f2d992ffeac7f9652f97",
+        "iterates.csv": "3ac47825409d0ed5fd5d3443d00c060d6bb758986ebaeb7f754480aed00ae038",
+        "manifest.json": "bd04f7b1e426b8bf9c24f8845e9b9772cb25db08ca9ca4880d32630d49d94201",
+        "trajectory.csv": "8e2a784d69a84b40805df233b9b37bfdf4ac8078083a4c647d3835867fc759d7",
     },
 }
 

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbsqp.blockenc import encode
 from qbsqp.qsvt import (
@@ -31,15 +33,28 @@ def chebyshev_recurrence(d, lvals):
     return t
 
 
-def closed_form_longdouble(spec, x):
+def chebyshev_ladder(d, lvals):
+    """T_d by the doubling recurrences T_2n = 2 T_n^2 - 1 and
+    T_2n+1 = 2 T_n T_n+1 - l, in O(log d) steps, for degrees too large for
+    the three-term recurrence."""
+    t, t_next = np.ones_like(lvals), lvals
+    for bit in bin(d)[2:]:
+        if bit == "1":
+            t, t_next = 2 * t * t_next - lvals, 2 * t_next * t_next - 1
+        else:
+            t, t_next = 2 * t * t - 1, 2 * t * t_next - lvals
+    return t
+
+
+def closed_form_longdouble(spec, x, chebyshev=chebyshev_recurrence):
     """p(x)/beta of the spec from its definition, in extended precision: the
     test oracle.  Assumes x != 0."""
     x = np.asarray(x, dtype=np.longdouble)
     a = 1 / np.longdouble(spec.kappa)
     lvals = (1 + a * a - 2 * x * x) / (1 - a * a)
     l0 = np.array([(1 + a * a) / (1 - a * a)])
-    t0 = chebyshev_recurrence(spec.d, l0)[0]
-    return (1 - chebyshev_recurrence(spec.d, lvals) / t0) / (spec.kappa * spec.beta * x)
+    t0 = chebyshev(spec.d, l0)[0]
+    return (1 - chebyshev(spec.d, lvals) / t0) / (spec.kappa * spec.beta * x)
 
 
 def achieser_floor(kappa, degree):
@@ -101,13 +116,6 @@ class TestInversionSpec:
         assert (spec.d, spec.degree) == (d, 2 * d - 1)
         assert spec.t0 >= 8.0 / epsp
         assert spec.achieved_err == 1.0 / (spec.t0 * spec.beta) <= epsp / 8.0
-
-    def test_hiv_quantum_specs_keep_beta_four(self):
-        # sup |p| <= 3.90 from the analytic bound at eps' = 1e-12
-        for kappa in (64.0, 1024.0):
-            spec = build_inversion_spec(kappa, 1e-12, degree_cap=400001)
-            assert spec.beta == 4.0
-            assert 0.97 <= spec.sup_abs <= 1.0
 
     def test_degree_grows_roughly_linearly_in_kappa(self):
         degrees = [build_inversion_spec(k, 1e-8).degree for k in (10, 20)]
@@ -204,7 +212,34 @@ class TestClosedFormOracle:
         assert float_err <= spec.achieved_err + 4 * DOUBLE_EPS
 
         xb = np.linspace(1e-6, 1.0, 8001)
-        assert np.max(np.abs(closed_form_longdouble(spec, xb))) <= spec.sup_abs <= 1.0
+        assert np.max(np.abs(closed_form_longdouble(spec, xb))) <= 1.0 - 1e-9
+
+    @needs_longdouble
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(kappa=st.floats(1.01, 1e5), eps_prime=st.floats(1e-15, 0.9))
+    def test_beta_bounds_the_polynomial_below_one_over_kappa(self, kappa, eps_prime):
+        # The proven sup on [0, 1/kappa] is the one beta must cover; the
+        # grid is linear, and geometric toward 0.
+        spec = build_inversion_spec(kappa, eps_prime, degree_cap=1 << 32)
+        a = 1.0 / kappa
+        x = np.unique(np.concatenate([np.linspace(a / 4000, a, 4000),
+                                      np.geomspace(1e-9 * a, a, 1000)]))
+        p = closed_form_longdouble(spec, x, chebyshev_ladder) * spec.beta
+        assert np.max(p) <= spec.beta * (1.0 - 1e-9)
+
+    @needs_longdouble
+    @pytest.mark.parametrize("kappa", [16.0, 64.0, 1024.0])
+    @pytest.mark.parametrize("epsp", [1e-6, 1e-12])
+    def test_beta_is_within_two_percent_of_the_sampled_sup(self, kappa, epsp):
+        spec = build_inversion_spec(kappa, epsp, degree_cap=400001)
+        x = np.linspace(1.0 / (2000 * kappa), 1.0 / kappa, 2000)
+        sup = float(np.max(closed_form_longdouble(spec, x))) * spec.beta
+        # the doubling ladder of the bound test finds the same sup
+        ladder_sup = float(np.max(closed_form_longdouble(spec, x, chebyshev_ladder)))
+        assert math.isclose(ladder_sup * spec.beta, sup, rel_tol=1e-12)
+        assert spec.beta <= 1.02 * sup
+        if epsp == 1e-12:
+            assert spec.beta < 2.6
 
     def test_huge_kappa_evaluates_without_nan(self):
         # the toy:box1d interval, where 1 + 1/kappa^2 rounds to 1
@@ -212,7 +247,7 @@ class TestClosedFormOracle:
         spec = build_inversion_spec(kappa, 1e-8, degree_cap=1 << 32)
         x = np.array([0.5 / kappa, 1.0 / kappa, 1e-4, 0.5, 1.0 - SIGMA_TOL, 1.0])
         p = spec(x)
-        assert np.all(np.isfinite(p)) and np.all(np.abs(p) <= spec.sup_abs)
+        assert np.all(np.isfinite(p)) and np.all(np.abs(p) <= 1.0 - 1e-9)
         inside = p[1:] - 1.0 / (kappa * spec.beta * x[1:])
         assert np.max(np.abs(inside)) <= 1e-8
 
