@@ -9,6 +9,8 @@ Schema (all sections optional unless a command requires them):
     solver:  {kind: exact | noisy | quantum, ...}   # solve; qsvt-check's degree_cap
     solvers: [{...}, {...}]                         # compare (exactly two)
     sqp:     {mu0: ..., eps_opt: ..., ...}          # SqpConfig overrides
+      # any of mu0, mu_min, barrier_update, beta, mu_clamp, eps_opt, eps_feas
+      # and max_outer_iters; the line search's constants are fixed in sqp.py
     sweep:
       mu_min_grid: [...]     # >= 2 distinct finite values > 0
       eps_grid: [...]        # >= 3 distinct finite values >= 0, including 0
@@ -75,7 +77,6 @@ _SOLVER_LIMITS = (
     (("eps_prime_Q", "eps_prime_S"), lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
     (("degree_cap",), lambda v: v >= 1, "must be at least 1"),
     (("seed",), lambda v: v >= 0, "must be >= 0"),
-    (("usability_cap", "p_succ_floor"), lambda v: not math.isnan(v), "must not be NaN"),
 )
 
 
@@ -189,6 +190,7 @@ def validate_config(data: dict) -> ExperimentConfig:
     if isinstance(problem, str):
         problem = {"name": problem}
     if _mapping(problem, "problem"):
+        _check_keys(problem, "problem", ("name", "params", "u_guess"))
         name = problem.get("name", cfg.problem)
         if name not in _PROBLEMS:
             raise ConfigError(f"problem.name: unknown problem {name!r}, "

@@ -17,7 +17,9 @@ Every composition (``be_mul``, ``be_add``, ``qsvt_invert``) carries its
 operands' normalization and error bound by its own rule, so the alpha and
 eps of the final encoding are the step's declared normalization alpha_dz
 and error bound eps_dz; no second account of either is kept.  The readout
-adds no error to eps_dz.
+adds no error to eps_dz.  A step is refused only for a singular operand or
+an inversion degree above ``degree_cap``; its eps_dz and p_succ are
+reported in the diagnostics, not tested against a threshold.
 
 Each step's diagnostics hold plain scalars:
 
@@ -55,10 +57,6 @@ from .qsvt import SpectrumViolationError, build_inversion_spec, decompose, qsvt_
 from .schur import BlockDiagonal, QpData, SchurSolution
 
 
-class QuantumStepError(RuntimeError):
-    """The step cannot be delivered at usable accuracy or success probability."""
-
-
 @dataclass
 class QuantumConfig:
     """Options of the simulated quantum backend, settable under ``solver:``.
@@ -67,9 +65,7 @@ class QuantumConfig:
     the input encodings (0 encodes exactly); ``eps_prime_Q`` and
     ``eps_prime_S`` are the accuracy targets of the two inversions.
     ``seed`` seeds the encoding noise.  ``degree_cap`` refuses an
-    inversion polynomial of higher degree, ``usability_cap`` a step whose
-    eps_dz exceeds it, and ``p_succ_floor`` a step whose success
-    probability is below it; each refusal raises before the step is used.
+    inversion polynomial of higher degree, before any work.
     """
 
     eps_Q: float = 0.0
@@ -80,8 +76,6 @@ class QuantumConfig:
     eps_prime_S: float = 1e-10
     seed: int = 0
     degree_cap: int = 4001
-    usability_cap: float = float("inf")
-    p_succ_floor: float = 0.0
 
 
 # Margin on the measured condition number, so that rounding in the SVD
@@ -158,29 +152,14 @@ def _pipeline(qp: QpData, qcfg: QuantumConfig, rng: np.random.Generator):
     return nodes, {"Q": (spec_q, gamma_q), "S": (spec_s, gamma_s)}
 
 
-def readout(
-    u_dz: BlockEncoding,
-    *,
-    p_succ_floor: float = 0.0,
-) -> tuple[np.ndarray, float]:
+def readout(u_dz: BlockEncoding) -> tuple[np.ndarray, float]:
     """Recover the classical vector from the final encoding, exactly.
 
     Returns alpha_dz times the encoded column and the success
-    probability p_succ = ||column||^2, or raises QuantumStepError when
-    p_succ is below the floor.
+    probability p_succ = ||column||^2.
     """
     column = u_dz.block[:, 0]
-    p_succ = float(np.linalg.norm(column) ** 2)
-    if p_succ < p_succ_floor:
-        raise QuantumStepError(
-            f"success probability {p_succ:.3e} below floor {p_succ_floor:.3e}; "
-            f"expected repetitions {_repetitions(p_succ):.3e}"
-        )
-    return u_dz.alpha * column, p_succ
-
-
-def _repetitions(p_succ: float) -> float:
-    return 1.0 / p_succ if p_succ > 0.0 else float("inf")
+    return u_dz.alpha * column, float(np.linalg.norm(column) ** 2)
 
 
 def quantum_schur_step(
@@ -202,13 +181,7 @@ def quantum_schur_step(
 
     nodes, inversions = _pipeline(qp, qcfg, rng)
     u_dz, u_lam = nodes["dz"], nodes["lambda"]
-    if u_dz.eps > qcfg.usability_cap:
-        raise QuantumStepError(
-            f"error budget {u_dz.eps:.3e} exceeds usability cap "
-            f"{qcfg.usability_cap:.3e}"
-        )
-
-    dz, p_succ = readout(u_dz, p_succ_floor=qcfg.p_succ_floor)
+    dz, p_succ = readout(u_dz)
     lam = u_lam.alpha * u_lam.block[:, 0]
 
     diagnostics: dict[str, Any] = {
@@ -216,7 +189,7 @@ def quantum_schur_step(
         "alpha_dz": float(u_dz.alpha),
         "eps_dz": float(u_dz.eps),
         "p_succ": p_succ,
-        "expected_repetitions": _repetitions(p_succ),
+        "expected_repetitions": 1.0 / p_succ if p_succ > 0.0 else float("inf"),
     }
     for name, (spec, gamma) in inversions.items():
         diagnostics[f"degree_{name}"] = spec.degree

@@ -77,7 +77,6 @@ class QsvtInversionSpec:
     """Odd polynomial p/beta approximating 1/(kappa*beta*x) on [1/kappa, 1]."""
 
     kappa: float
-    eps_prime: float
     beta: float          # proven sup |p| on [-1, 1], over 1 - 1e-9
     degree: int          # 2d - 1
     d: int               # degree of T_d
@@ -128,8 +127,8 @@ def build_inversion_spec(kappa: float, eps_prime: float, *,
     if kappa == 1.0:
         # Degenerate interval: p(x) = x matches 1/(kappa*x) exactly at x = 1.
         return QsvtInversionSpec(
-            kappa=1.0, eps_prime=eps_prime, beta=1.0, degree=1, d=1,
-            t0=math.inf, achieved_err=0.0, engine="exact")
+            kappa=1.0, beta=1.0, degree=1, d=1, t0=math.inf, achieved_err=0.0,
+            engine="exact")
 
     # The target is eps'/8: the largest power-of-two fraction of eps' at
     # which no declared error exceeds that of the fitted polynomials this
@@ -159,9 +158,8 @@ def build_inversion_spec(kappa: float, eps_prime: float, *,
     beta = max(1.0 + 1.0 / t0, bound) / (1.0 - 1e-9)
 
     return QsvtInversionSpec(
-        kappa=float(kappa), eps_prime=float(eps_prime), beta=float(beta),
-        degree=2 * d - 1, d=d, t0=t0, achieved_err=1.0 / (t0 * beta),
-        engine="chebyshev")
+        kappa=float(kappa), beta=float(beta), degree=2 * d - 1, d=d, t0=t0,
+        achieved_err=1.0 / (t0 * beta), engine="chebyshev")
 
 
 def inversion_error_factor(kappa: float, alpha: float) -> float:

@@ -4,9 +4,11 @@ Each outer iteration linearizes at the current iterate, builds the
 barrier-augmented QP, delegates the KKT solve to the configured backend,
 caps the step with the fraction-to-the-boundary rule, backtracks until
 strict feasibility and the Armijo condition hold, and then updates the
-barrier parameter.  No inner loop is run per barrier value: one QP per
-outer iteration.  ``solve`` decides whether a step is searched at all
-(its descent gate and one retry); ``backtrack`` searches it.
+barrier parameter.  The line search's constants BOUNDARY_THETA, ARMIJO_C,
+BACKTRACK_TAU and MAX_BACKTRACKS are fixed, not options.  No inner loop is
+run per barrier value: one QP per outer iteration.  ``solve`` decides
+whether a step is searched at all (its descent gate and one retry);
+``backtrack`` searches it.
 """
 
 from __future__ import annotations
@@ -30,13 +32,9 @@ class SqpConfig:
     barrier_update: str = "geometric"  # geometric | constant | adaptive
     beta: float = 0.5
     mu_clamp: float | None = None  # floor applied inside the update rule
-    armijo_c: float = 1e-4
-    backtrack_tau: float = 0.5
-    boundary_theta: float = 0.995
     eps_opt: float = 1e-6
     eps_feas: float = 1e-8
     max_outer_iters: int = 200
-    max_backtracks: int = 60
 
     def __post_init__(self):
         # Each check is written so that NaN fails it.
@@ -45,19 +43,14 @@ class SqpConfig:
                 raise ValueError(f"{label} must be positive and finite")
         if self.mu_clamp is not None and not np.isfinite(self.mu_clamp):
             raise ValueError("mu_clamp must be finite")
-        for label, val in (("armijo_c", self.armijo_c),
-                           ("backtrack_tau", self.backtrack_tau),
-                           ("boundary_theta", self.boundary_theta),
-                           ("beta", self.beta)):
-            if not 0.0 < val < 1.0:
-                raise ValueError(f"{label} must lie strictly inside (0, 1)")
-        for label in ("max_outer_iters", "max_backtracks"):
-            cap = getattr(self, label)
-            if isinstance(cap, bool) or not isinstance(cap, int):
-                raise ValueError(f"iteration cap {label} must be an integer, "
-                                 f"got {cap!r}")
-            if cap <= 0:
-                raise ValueError(f"iteration caps must be positive: {label} = {cap}")
+        if not 0.0 < self.beta < 1.0:
+            raise ValueError("beta must lie strictly inside (0, 1)")
+        cap = self.max_outer_iters
+        if isinstance(cap, bool) or not isinstance(cap, int):
+            raise ValueError(f"iteration cap max_outer_iters must be an integer, "
+                             f"got {cap!r}")
+        if cap <= 0:
+            raise ValueError(f"iteration cap must be positive: max_outer_iters = {cap}")
         if self.barrier_update not in ("geometric", "constant", "adaptive"):
             raise ValueError(f"unknown barrier update {self.barrier_update!r}")
 
@@ -76,7 +69,6 @@ class IterateRecord:
     f_bar: float
     h_max: float
     slope: float = float("nan")        # g^T dz of the step into this iterate
-    armijo_rhs: float = float("nan")   # F_bar_prev + c*alpha*slope
     kkt_stat_norm: float = float("nan")
     backtracks: int = 0
     infeas_ratio: float = float("nan")
@@ -114,9 +106,14 @@ def fraction_to_boundary(h_vals: np.ndarray, h_dirderivs: np.ndarray,
     return float(min(1.0, theta * np.min(ratios)))
 
 
-# The largest number of trials per evaluator call.  At least the default
-# max_backtracks, so that a default search along a nondescent step makes at
-# most two calls.
+# The line search's constants: the fraction-to-the-boundary scale, the
+# Armijo constant, the step reduction per trial and the number of trials.
+BOUNDARY_THETA = 0.995
+ARMIJO_C = 1e-4
+BACKTRACK_TAU = 0.5
+MAX_BACKTRACKS = 60
+# The largest number of trials per evaluator call.  At least MAX_BACKTRACKS,
+# so that a search along a nondescent step makes at most two calls.
 TRIAL_BLOCK = 64
 
 
@@ -127,17 +124,17 @@ def backtrack(
     slope: float,
     mu: float,
     alpha_max: float,
-    cfg: SqpConfig,
     terms: tuple[float, float],
-) -> tuple[float, float, int, float, tuple[float, float]] | None:
-    """Largest alpha in {alpha_max * tau^k} passing feasibility and Armijo.
+) -> tuple[float, float, int, tuple[float, float]] | None:
+    """Largest alpha = alpha_max * BACKTRACK_TAU^k, k < MAX_BACKTRACKS,
+    passing feasibility and the Armijo test with constant ARMIJO_C.
 
     ``slope`` is g^T dz, the barrier objective's directional derivative
     along dz.  ``terms`` holds the objective F and the barrier sum B at z,
     which do not depend on mu (see ``eval_barrier_objective``); the barrier
     objective at z is F + mu * B.  Returns (alpha, barrier objective at the
-    accepted point, k, barrier objective at z, (F, B) at the accepted point)
-    or None when max_backtracks trials are exhausted.  A zero step is
+    accepted point, k, (F, B) at the accepted point) or None when
+    MAX_BACKTRACKS trials are exhausted.  A zero step is
     accepted immediately (both conditions hold with equality).  Whether a
     step is worth searching is the caller's decision (see ``solve``): any
     step is searched as given.
@@ -153,22 +150,22 @@ def backtrack(
     f_z, b_z = terms
     f0 = f_z + mu * b_z
     if np.linalg.norm(dz) == 0.0:
-        return alpha_max, f0, 0, f0, terms
+        return alpha_max, f0, 0, terms
 
     bcfg = BarrierConfig(mu=mu)
     alpha = alpha_max
     k, block = 0, 1
-    while k < cfg.max_backtracks:
-        alphas = np.empty(min(block, cfg.max_backtracks - k))
+    while k < MAX_BACKTRACKS:
+        alphas = np.empty(min(block, MAX_BACKTRACKS - k))
         for j in range(len(alphas)):
             alphas[j] = alpha
-            alpha *= cfg.backtrack_tau
+            alpha *= BACKTRACK_TAU
         f_trial, f, b = eval_barrier_objective(  # +inf where H >= 0
             nlp, z + alphas[:, None] * dz, bcfg, terms=True)
-        passed = np.flatnonzero(f_trial <= f0 + cfg.armijo_c * alphas * slope)
+        passed = np.flatnonzero(f_trial <= f0 + ARMIJO_C * alphas * slope)
         if passed.size:
             j = passed[0]
-            return (float(alphas[j]), float(f_trial[j]), k + int(j), f0,
+            return (float(alphas[j]), float(f_trial[j]), k + int(j),
                     (float(f[j]), float(b[j])))
         k += len(alphas)
         block = min(4 * block, TRIAL_BLOCK) if slope < 0.0 else TRIAL_BLOCK
@@ -278,14 +275,14 @@ def solve(
             break
 
         alpha_max = fraction_to_boundary(point.h, point.jac_h.dot(sol.dz),
-                                         cfg.boundary_theta)
-        accepted = backtrack(nlp, z, sol.dz, slope, mu, alpha_max, cfg, terms)
+                                         BOUNDARY_THETA)
+        accepted = backtrack(nlp, z, sol.dz, slope, mu, alpha_max, terms)
         if accepted is None:
             termination = "line_search_failure"
-            message = f"backtracking exhausted {cfg.max_backtracks} trials"
+            message = f"backtracking exhausted {MAX_BACKTRACKS} trials"
             break
 
-        alpha, f_new, n_bt, f_old, terms = accepted
+        alpha, f_new, n_bt, terms = accepted
         del qp  # frees Q and its factor before the next evaluation and assembly
         z = z + alpha * sol.dz
         point = nlp.evaluate(z)
@@ -300,7 +297,6 @@ def solve(
             dz_norm=float(np.linalg.norm(sol.dz)),
             f_bar=f_new,
             slope=slope,
-            armijo_rhs=f_old + cfg.armijo_c * alpha * slope,
             kkt_stat_norm=stat_norm,
             backtracks=n_bt,
             infeas_ratio=infeas_ratio,

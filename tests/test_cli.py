@@ -193,8 +193,8 @@ def test_commands_succeed_on_eqqp(tmp_path, command, config):
      "problem.params.s: expected float"),
     ("solve", {"problem": "toy:box1d", "sqp": {"mu_clamp": "abc"}},
      "sqp.mu_clamp: expected float"),
-    ("solve", {"problem": "toy:box1d", "sqp": {"armijo_c": [1]}},
-     "sqp.armijo_c: expected float"),
+    ("solve", {"problem": "toy:box1d", "sqp": {"eps_feas": [1]}},
+     "sqp.eps_feas: expected float"),
     ("solve", {"problem": "toy:box1d", "sqp": {"barrier_update": 5}},
      "sqp.barrier_update: expected str"),
     ("solve", {"problem": "toy:box1d", "sqp": {"eps_opt": 0.0}},
@@ -218,6 +218,9 @@ def test_commands_succeed_on_eqqp(tmp_path, command, config):
      "problem.u_guess: only the hiv problem takes it"),
     ("solve", {"problem": {"name": "hiv", "params": {"N": 2}, "u_guess": "abc"}},
      "problem.u_guess: expected float"),
+    # a misspelt key of the problem section
+    ("solve", {"problem": {"name": "hiv", "parms": {"N": 80}, "u_gess": 0.3}},
+     "problem.parms: unknown option"),
 ])
 def test_config_errors_exit_one_and_name_the_field(tmp_path, capsys, command,
                                                    config, field):
@@ -243,7 +246,7 @@ _BAD_VALUES = {
     "eps_prime_Q": (0.0, 1.5, "abc"), "eps_prime_S": (0.0, _NAN),
     "degree_cap": (0, 2.5), "solvers": ([{"kind": "exact"}], "exact"),
     "max_outer_iters": (0, -3, 2.5, "abc"), "mu0": (0.0, -1.0, _NAN, "abc"),
-    "eps_opt": (0.0, "abc"), "barrier_update": ("bogus", 5), "armijo_c": (0.0, 1.5),
+    "eps_opt": (0.0, "abc"), "barrier_update": ("bogus", 5),
     "mu_min_grid": ([1e-3], [1e-3, 1e-3], [1e-3, -1.0], 5),
     "eps_grid": ([1e-4, 1e-3, 1e-2], [0.0, _NAN, 1.0]), "seeds": ([], [-1], ["a"]),
     "floor_iters": (-1, 1.5, "abc"),
@@ -278,8 +281,7 @@ _SOLVER = st.one_of(
 _SQP = _some({"max_outer_iters": st.integers(1, 30),
               "mu0": st.sampled_from([1e-2, 0.1, 1.0]),
               "eps_opt": st.sampled_from([1e-4, 1e-6]),
-              "barrier_update": st.sampled_from(["geometric", "constant", "adaptive"]),
-              "armijo_c": st.sampled_from([1e-4, 0.1])})
+              "barrier_update": st.sampled_from(["geometric", "constant", "adaptive"])})
 _SWEEP = st.fixed_dictionaries({
     "mu_min_grid": st.just([1e-3, 1e-4]), "eps_grid": st.just([0.0, 1e-4, 1e-3]),
     "seeds": st.lists(st.integers(0, 3), min_size=1, max_size=1),
@@ -684,6 +686,12 @@ def test_usage_errors_exit_one_and_help_exits_zero(argv, code):
     ("sqp", None, "enforce_infeasibility_decrease", True),
     ("sqp", None, "infeasibility_sigma", 1.0e-4),
     ("sqp", None, "convergence_check", "kkt"),
+    ("sqp", None, "armijo_c", 1.0e-4),
+    ("sqp", None, "backtrack_tau", 0.5),
+    ("sqp", None, "boundary_theta", 0.995),
+    ("sqp", None, "max_backtracks", 60),
+    ("solver", "quantum", "usability_cap", 1.0),
+    ("solver", "quantum", "p_succ_floor", 0.0),
 ])
 def test_removed_options_are_config_errors(tmp_path, capsys, section, kind,
                                            option, value):

@@ -13,7 +13,6 @@ from qbsqp.qschur import (
     KAPPA_SAFETY,
     QuantumConfig,
     QuantumSchurSolver,
-    QuantumStepError,
     _pipeline,
     quantum_schur_step,
     readout,
@@ -173,11 +172,6 @@ class TestQuantumSchurStep:
         b = quantum_schur_step(qp, qcfg)
         np.testing.assert_array_equal(a.dz, b.dz)
 
-    def test_usability_cap_failure(self):
-        qcfg = QuantumConfig(eps_prime_Q=1e-6, eps_prime_S=1e-6, usability_cap=1e-12)
-        with pytest.raises(QuantumStepError, match="usability cap"):
-            quantum_schur_step(hand_qp(), qcfg)
-
     def test_requires_equality_constraints(self):
         qp = dense_qp(np.eye(2), np.zeros((0, 2)), np.ones(2), np.zeros(0))
         with pytest.raises(ValueError):
@@ -282,10 +276,5 @@ class TestReadout:
         np.testing.assert_allclose(dz, 2.0 * col)
 
     def test_full_amplitude_means_one_repetition(self):
-        _, p_succ = readout(self._fake_encoding(np.array([1.0, 0.0])),
-                            p_succ_floor=0.99)
+        _, p_succ = readout(self._fake_encoding(np.array([1.0, 0.0])))
         assert p_succ == 1.0
-
-    def test_floor_failure(self):
-        with pytest.raises(QuantumStepError, match="floor"):
-            readout(self._fake_encoding(np.array([1e-4, 0.0])), p_succ_floor=1e-4)

@@ -1,4 +1,3 @@
-import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -28,7 +27,9 @@ from qbsqp.nlp import (
 from qbsqp.qschur import QuantumConfig, QuantumSchurSolver
 from qbsqp.schur import ExactSchurSolver, NoisySchurSolver, SchurSolution
 from qbsqp.sqp import (
-    TRIAL_BLOCK,
+    ARMIJO_C,
+    BACKTRACK_TAU,
+    MAX_BACKTRACKS,
     SqpConfig,
     backtrack,
     fraction_to_boundary,
@@ -76,21 +77,33 @@ def terms_at(nlp, z):
     return tuple(eval_barrier_objective(nlp, z, BarrierConfig(mu=1.0), terms=True)[1:])
 
 
-def scalar_backtrack(nlp, z, dz, slope, mu, alpha_max, cfg):
+def scalar_backtrack(nlp, z, dz, slope, mu, alpha_max):
     """Reference line search: F-bar at z evaluated afresh, then one
-    evaluator call per trial.  Returns (alpha, F-bar, k, F-bar at z) or
-    None."""
+    evaluator call per trial.  Returns (alpha, F-bar, k) or None."""
     bcfg = BarrierConfig(mu=mu)
     f0 = eval_barrier_objective(nlp, z, bcfg)
     if np.linalg.norm(dz) == 0.0:
-        return alpha_max, f0, 0, f0
+        return alpha_max, f0, 0
     alpha = alpha_max
-    for k in range(cfg.max_backtracks):
+    for k in range(MAX_BACKTRACKS):
         f_trial = eval_barrier_objective(nlp, z + alpha * dz, bcfg)
-        if f_trial <= f0 + cfg.armijo_c * alpha * slope:
-            return alpha, f_trial, k, f0
-        alpha *= cfg.backtrack_tau
+        if f_trial <= f0 + ARMIJO_C * alpha * slope:
+            return alpha, f_trial, k
+        alpha *= BACKTRACK_TAU
     return None
+
+
+def evaluator_rows(monkeypatch):
+    """The number of trial points of each evaluator call the line search
+    makes from now on."""
+    rows = []
+
+    def counting(nlp, z, cfg, **kwargs):
+        rows.append(len(z))
+        return eval_barrier_objective(nlp, z, cfg, **kwargs)
+
+    monkeypatch.setattr(qbsqp.sqp, "eval_barrier_objective", counting)
+    return rows
 
 
 def boundary_ocp():
@@ -115,14 +128,12 @@ def boundary_ocp():
 
 class TestBacktrack:
     def test_scalar_quadratic_accepts_full_step(self):
-        # F(z) = z^2 at z = 1, dz = -1, g = 2, c = 0.1:
-        # F(0) = 0 <= 1 + 0.1*1*(-2) = 0.8 -> alpha = 1
+        # F(z) = z^2 at z = 1, dz = -1, g = 2, c = 1e-4:
+        # F(0) = 0 <= 1 + 1e-4*1*(-2) = 0.9998 -> alpha = 1
         nlp = transcribe(pure_state_cost_ocp())
-        cfg = SqpConfig(armijo_c=0.1)
         z = np.array([1.0, 0.0, 0.0])
         dz = np.array([-1.0, 0.0, 0.0])
-        alpha, f_new, k, _, terms = backtrack(nlp, z, dz, -2.0, 1.0, 1.0, cfg,
-                                              terms_at(nlp, z))
+        alpha, f_new, k, terms = backtrack(nlp, z, dz, -2.0, 1.0, 1.0, terms_at(nlp, z))
         assert alpha == 1.0 and k == 0
         assert f_new == pytest.approx(0.0)
         assert terms == terms_at(nlp, z + dz)
@@ -131,63 +142,34 @@ class TestBacktrack:
         # alpha = 1 and 0.5 give H >= 0; the first feasible candidate 0.25
         # is accepted.
         nlp = transcribe(boundary_ocp())
-        cfg = SqpConfig(armijo_c=0.1, backtrack_tau=0.5)
         z = np.zeros(3)
         dz = np.array([0.0, 2.0, 0.0])
         mu = 0.1
         slope = 2.0 * (-1.0 + mu)  # cost slope plus barrier slope, times du
-        alpha, _, k, _, _ = backtrack(nlp, z, dz, slope, mu, 1.0, cfg, terms_at(nlp, z))
+        alpha, _, k, _ = backtrack(nlp, z, dz, slope, mu, 1.0, terms_at(nlp, z))
         assert alpha == pytest.approx(0.25)
         assert k == 2
-
-    def test_huge_backtrack_cap_allocates_one_block(self):
-        # The trial ladder is built block by block, never max_backtracks
-        # long: a search that stops at k = 2 under a cap of 1e7 allocates
-        # about one block of trial points.
-        nlp = transcribe(boundary_ocp())
-        cfg = SqpConfig(armijo_c=0.1, backtrack_tau=0.5, max_backtracks=10**7)
-        z = np.zeros(3)
-        dz = np.array([0.0, 2.0, 0.0])
-        terms = terms_at(nlp, z)
-        tracemalloc.start()
-        try:
-            result = backtrack(nlp, z, dz, -1.8, 0.1, 1.0, cfg, terms)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert result[2] == 2
-        assert peak <= 8 * TRIAL_BLOCK * nlp.n_z + 64 * 1024
 
     def test_trial_blocks_follow_the_slope(self, monkeypatch):
         # Along a descent step the blocks grow 1, 4, ...: a search that stops
         # at k = 2 builds the first trial and one block of 4.  Along an
         # ascent step the second block holds every remaining trial.
-        rows = []
-
-        def counting(nlp, z, cfg, **kwargs):
-            rows.append(len(z))
-            return eval_barrier_objective(nlp, z, cfg, **kwargs)
-
-        monkeypatch.setattr(qbsqp.sqp, "eval_barrier_objective", counting)
+        rows = evaluator_rows(monkeypatch)
         nlp = transcribe(boundary_ocp())
-        cfg = SqpConfig(armijo_c=0.1, backtrack_tau=0.5)
         result = backtrack(nlp, np.zeros(3), np.array([0.0, 2.0, 0.0]), -1.8, 0.1,
-                           1.0, cfg, terms_at(nlp, np.zeros(3)))
+                           1.0, terms_at(nlp, np.zeros(3)))
         assert result[2] == 2
         assert rows == [1, 4]
         rows.clear()
         nlp = transcribe(pure_state_cost_ocp())
         z = np.array([1.0, 0.0, 0.0])
-        backtrack(nlp, z, np.array([1.0, 0.0, 0.0]), 2.0, 1.0, 1.0, SqpConfig(),
-                  terms_at(nlp, z))
-        assert rows == [1, SqpConfig().max_backtracks - 1]
+        backtrack(nlp, z, np.array([1.0, 0.0, 0.0]), 2.0, 1.0, 1.0, terms_at(nlp, z))
+        assert rows == [1, MAX_BACKTRACKS - 1]
 
     def test_zero_step_accepted_immediately(self):
         nlp = transcribe(pure_state_cost_ocp())
-        cfg = SqpConfig()
         terms = terms_at(nlp, np.ones(3))
-        alpha, _, k, _, kept = backtrack(nlp, np.ones(3), np.zeros(3),
-                                         0.0, 1.0, 0.7, cfg, terms)
+        alpha, _, k, kept = backtrack(nlp, np.ones(3), np.zeros(3), 0.0, 1.0, 0.7, terms)
         assert alpha == 0.7 and k == 0 and kept == terms
 
     def test_ascent_step_backs_off_to_a_null_step(self):
@@ -196,31 +178,35 @@ class TestBacktrack:
         nlp = transcribe(pure_state_cost_ocp())
         z = np.array([1.0, 0.0, 0.0])
         dz = np.array([1.0, 0.0, 0.0])
-        res = backtrack(nlp, z, dz, 2.0, 1.0, 1.0, SqpConfig(), terms_at(nlp, z))
+        res = backtrack(nlp, z, dz, 2.0, 1.0, 1.0, terms_at(nlp, z))
         assert res is None or res[0] <= 1e-12
 
-    def test_exhaustion_returns_none(self):
+    def test_exhaustion_returns_none(self, monkeypatch):
+        # A NaN slope makes every Armijo test false, so the search tries
+        # all MAX_BACKTRACKS trials, in two evaluator calls, and gives up.
+        rows = evaluator_rows(monkeypatch)
         nlp = transcribe(pure_state_cost_ocp())
-        cfg = SqpConfig(max_backtracks=3, armijo_c=0.9)
-        # Huge step overshoots so far that 3 halvings cannot satisfy Armijo
-        # with a demanding c.
         z = np.array([1.0, 0.0, 0.0])
-        dz = np.array([-400.0, 0.0, 0.0])
-        assert backtrack(nlp, z, dz, -800.0, 1.0, 1.0, cfg, terms_at(nlp, z)) is None
+        dz = np.array([-1.0, 0.0, 0.0])
+        assert backtrack(nlp, z, dz, np.nan, 1.0, 1.0, terms_at(nlp, z)) is None
+        assert rows == [1, MAX_BACKTRACKS - 1]
 
     def test_every_search_of_a_null_step_solve_matches_scalar_loop(self, monkeypatch):
         # HIV N=8 at a clamped barrier floor: from i = 8 on, every step is a
         # null step after 27-42 backtracks, across block boundaries.  Each
-        # search returns what the trial-by-trial loop returns, bitwise, and
-        # hands on F and B of the accepted point.
+        # search starts from the barrier objective at z that a fresh
+        # evaluation gives, returns what the trial-by-trial loop returns,
+        # bitwise, and hands on F and B of the accepted point.
         nlp = transcribe(hiv_ocp(HivParameters(N=8)))
         searches = []
 
-        def checked(nlp, z, dz, slope, mu, alpha_max, cfg, terms):
-            result = backtrack(nlp, z, dz, slope, mu, alpha_max, cfg, terms)
+        def checked(nlp, z, dz, slope, mu, alpha_max, terms):
+            f_z, b_z = terms
+            assert f_z + mu * b_z == eval_barrier_objective(nlp, z, BarrierConfig(mu=mu))
+            result = backtrack(nlp, z, dz, slope, mu, alpha_max, terms)
             assert result is not None
-            assert result[:4] == scalar_backtrack(nlp, z, dz, slope, mu, alpha_max, cfg)
-            alpha, _, k, _, kept = result
+            assert result[:3] == scalar_backtrack(nlp, z, dz, slope, mu, alpha_max)
+            alpha, _, k, kept = result
             assert kept == terms_at(nlp, z + alpha * dz)
             searches.append(k)
             return result
@@ -323,9 +309,9 @@ class TestSolve:
         assert len(rep.records) > 2
         for rec in rep.records:
             assert rec.h_max < 0.0
-        for rec in rep.records[1:]:
-            if not np.isnan(rec.armijo_rhs):
-                assert rec.f_bar <= rec.armijo_rhs + 1e-12
+        for prev, rec in zip(rep.records, rep.records[1:]):
+            f0 = eval_barrier_objective(nlp, prev.z, BarrierConfig(mu=rec.mu))
+            assert rec.f_bar <= f0 + ARMIJO_C * rec.alpha * rec.slope + 1e-12
 
     def test_geometric_mu_schedule_exact(self):
         toys = toy_problems()
@@ -497,16 +483,15 @@ def test_hiv_quantum_solve_converges_like_exact():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SqpConfig(armijo_c=0.0)
-    with pytest.raises(ValueError):
-        SqpConfig(backtrack_tau=1.0)
+    for beta in (0.0, 1.0, np.nan):
+        with pytest.raises(ValueError, match="beta must lie strictly inside"):
+            SqpConfig(beta=beta)
     with pytest.raises(ValueError):
         SqpConfig(mu0=-1.0)
     with pytest.raises(ValueError):
         SqpConfig(barrier_update="bogus")
     for cap in (2.5, True, "60"):
-        with pytest.raises(ValueError, match="max_backtracks must be an integer"):
-            SqpConfig(max_backtracks=cap)
+        with pytest.raises(ValueError, match="max_outer_iters must be an integer"):
+            SqpConfig(max_outer_iters=cap)
     with pytest.raises(ValueError, match="max_outer_iters = 0"):
         SqpConfig(max_outer_iters=0)
