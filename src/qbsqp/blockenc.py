@@ -5,6 +5,9 @@ larger operator), together with an ancilla count and an error bound:
 
     || A - alpha * block || <= eps.
 
+``encode`` is exact (eps = 0); error enters only through an inversion's
+polynomial (``qsvt.qsvt_invert``), and the composition rules carry it on.
+
 Only the logical block is stored; the unitary completion is never needed
 by any downstream operation, so ancilla counts are tracked as plain
 integers.  The composition rules (Gilyen, Su, Low & Wiebe,
@@ -88,60 +91,22 @@ class BlockEncoding:
         return self.alpha * self.block
 
 
-def encode(
-    operand: np.ndarray | BlockDiagonal,
-    target_eps: float = 0.0,
-    *,
-    alpha: float | None = None,
-    ancillas: int = 1,
-    rng: np.random.Generator | None = None,
-) -> BlockEncoding:
+def encode(operand: np.ndarray | BlockDiagonal) -> BlockEncoding:
     """Encode a matrix or vector (as one column), or a ``BlockDiagonal``
-    as its stage-select encoding.
+    as its stage-select encoding, exactly.
 
-    alpha defaults to the operand's spectral norm (tight), which for a
-    ``BlockDiagonal`` is its largest block norm, or to 1 for a zero
-    operand, whose zero block is exact at any alpha.  A positive
-    ``target_eps`` injects representation noise of norm <= target_eps into
-    the block, constructed so that the stored block keeps norm <= 1 and
-    the recorded eps remains a hard bound.  A ``BlockDiagonal``'s noise is
-    drawn block by block, so it stays inside the blocks, and its norm is
-    its largest block norm.
+    alpha is the operand's spectral norm (tight), which for a
+    ``BlockDiagonal`` is its largest block norm, or 1 for a zero operand,
+    whose zero block is exact at any alpha.  The encoding uses one
+    ancilla and has eps = 0.
     """
     blocked = isinstance(operand, BlockDiagonal)
     op = operand if blocked else _as_matrix(operand)
     arrays = (op.stages, op.tail) if blocked else (op,)
     if not all(np.all(np.isfinite(arr)) for arr in arrays):
         raise EncodingError("operand must be finite")
-    if target_eps < 0.0:
-        raise EncodingError("target_eps must be nonnegative")
-
-    nrm = operator_norm(op)
-    if alpha is None:
-        alpha = nrm if nrm > 0.0 else 1.0
-    if alpha <= 0.0:
-        raise EncodingError(f"alpha={alpha} must be positive")
-    if nrm > alpha * (1.0 + 1e-12):
-        raise EncodingError(f"alpha={alpha} is below the operand norm {nrm}")
-
-    block = op
-    if target_eps > 0.0:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        draws = [rng.standard_normal(arr.shape) for arr in arrays]
-        noise = BlockDiagonal(*draws) if blocked else draws[0]
-        nn = operator_norm(noise)
-        if nn > 0.0:
-            # Half budget for the draw, half for the norm-cap rescale below,
-            # so the total representation error stays <= target_eps.
-            scale = rng.uniform(0.25, 0.5) * target_eps
-            block = block + (scale / nn) * noise
-        over = operator_norm(block) / alpha
-        if over > 1.0:
-            block = block / over
-
-    return BlockEncoding(block=block / alpha, alpha=float(alpha),
-                         ancillas=ancillas, eps=float(target_eps))
+    alpha = operator_norm(op) or 1.0
+    return BlockEncoding(block=op / alpha, alpha=alpha, ancillas=1, eps=0.0)
 
 
 def be_mul(u: BlockEncoding, v: BlockEncoding) -> BlockEncoding:

@@ -7,6 +7,8 @@ Schema (all sections optional unless a command requires them):
       params: {...}          # HivParameters overrides (hiv only)
       u_guess: 0.05          # constant-control rollout start, in (0, 1) (hiv only)
     solver:  {kind: exact | noisy | quantum, ...}   # solve; qsvt-check's degree_cap
+      # exact takes no option; noisy takes eps (>= 0) and seed (>= 0);
+      # quantum takes eps_prime_Q and eps_prime_S (in (0, 1)) and degree_cap (>= 1)
     solvers: [{...}, {...}]                         # compare (exactly two)
     sqp:     {mu0: ..., eps_opt: ..., ...}          # SqpConfig overrides
       # any of mu0, mu_min, barrier_update, beta, mu_clamp, eps_opt, eps_feas
@@ -19,9 +21,9 @@ Schema (all sections optional unless a command requires them):
     qsvt:
       kappas: [...]
       eps_primes: [...]
-      matrix_size: 8         # >= 1
+      matrix_size: 8         # 1 to MAX_MATRIX_SIZE
     output: {dir: path}
-    seed: 0                  # >= 0
+    seed: 0                  # >= 0; qsvt-check's matrices, a noisy solver's default
 
 Validation is the one place where values are typed: each field as it is
 declared, so a float may be spelt "1e-3", which YAML reads as a string.
@@ -70,10 +72,14 @@ _SOLVER_OPTIONS = {
     "quantum": {f.name: type(f.default) for f in dc_fields(QuantumConfig)},
 }
 
+# Largest qsvt.matrix_size: each qsvt-check row decomposes a dense n x n
+# matrix, at O(n^3); one row at kappa = 64, eps' = 1e-12 takes about 2 s at
+# n = 1024 (2 vCPUs, one BLAS thread), so 4096 would take minutes a row.
+MAX_MATRIX_SIZE = 1024
+
 # Admissible values of the numeric solver options, checked after typing.
 _SOLVER_LIMITS = (
-    (("eps", "eps_Q", "eps_A", "eps_g", "eps_r"), lambda v: 0.0 <= v < math.inf,
-     "must be finite and nonnegative"),
+    (("eps",), lambda v: 0.0 <= v < math.inf, "must be finite and nonnegative"),
     (("eps_prime_Q", "eps_prime_S"), lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
     (("degree_cap",), lambda v: v >= 1, "must be at least 1"),
     (("seed",), lambda v: v >= 0, "must be >= 0"),
@@ -268,6 +274,9 @@ def validate_config(data: dict) -> ExperimentConfig:
         size = _typed(qsvt.get("matrix_size", 8), int, "qsvt.matrix_size")
         if size < 1:
             raise ConfigError(f"qsvt.matrix_size: must be at least 1, got {size}")
+        if size > MAX_MATRIX_SIZE:
+            raise ConfigError(f"qsvt.matrix_size: must be at most {MAX_MATRIX_SIZE}, "
+                              f"got {size}")
         cfg.qsvt["matrix_size"] = size
 
     out = _mapping(data.get("output", {}), "output")
@@ -280,12 +289,12 @@ def validate_config(data: dict) -> ExperimentConfig:
 
 
 def build_solver(spec: dict, seed: int):
-    """Instantiate a Schur-step backend from a validated solver spec; a
-    backend without a seed of its own takes the run's."""
+    """Instantiate a Schur-step backend from a validated solver spec; the
+    noisy backend, the only one that draws randomness, takes the run's
+    seed unless the spec sets its own."""
     opts = {key: value for key, value in spec.items() if key != "kind"}
-    opts.setdefault("seed", seed)
     if spec["kind"] == "exact":
         return ExactSchurSolver()
     if spec["kind"] == "noisy":
-        return NoisySchurSolver(**opts)
+        return NoisySchurSolver(**{"seed": seed, **opts})
     return QuantumSchurSolver(QuantumConfig(**opts))

@@ -1,8 +1,8 @@
 """Classically simulated quantum Schur-complement step.
 
 The step mirrors the block-encoding pipeline operation by operation:
-encode (Q, A, g, r), invert Q by singular value transformation, assemble
-the Schur complement S = A Q^{-1} A^T and right-hand side
+encode (Q, A, g, r) exactly, invert Q by singular value transformation,
+assemble the Schur complement S = A Q^{-1} A^T and right-hand side
 b = -r - A Q^{-1} g by encoding products and LCU sums, invert S, recover
 lam and dz, and read out dz exactly as alpha_dz times the encoded column.
 
@@ -16,10 +16,13 @@ singular values.
 Every composition (``be_mul``, ``be_add``, ``qsvt_invert``) carries its
 operands' normalization and error bound by its own rule, so the alpha and
 eps of the final encoding are the step's declared normalization alpha_dz
-and error bound eps_dz; no second account of either is kept.  The readout
-adds no error to eps_dz.  A step is refused only for a singular operand or
-an inversion degree above ``degree_cap``; its eps_dz and p_succ are
-reported in the diagnostics, not tested against a threshold.
+and error bound eps_dz; no second account of either is kept.  The inputs
+are encoded exactly, so eps_dz comes from the two inversions alone; Q's
+reaches the S inversion as that operand's input error.  The readout adds
+no error to eps_dz, and the step draws no randomness.  A step is refused
+only for a singular operand or an inversion degree above ``degree_cap``;
+its eps_dz and p_succ are reported in the diagnostics, not tested against
+a threshold.
 
 Each step's diagnostics hold plain scalars:
 
@@ -61,20 +64,13 @@ from .schur import BlockDiagonal, QpData, SchurSolution
 class QuantumConfig:
     """Options of the simulated quantum backend, settable under ``solver:``.
 
-    ``eps_Q``, ``eps_A``, ``eps_g`` and ``eps_r`` are the error bounds of
-    the input encodings (0 encodes exactly); ``eps_prime_Q`` and
-    ``eps_prime_S`` are the accuracy targets of the two inversions.
-    ``seed`` seeds the encoding noise.  ``degree_cap`` refuses an
-    inversion polynomial of higher degree, before any work.
+    ``eps_prime_Q`` and ``eps_prime_S`` are the accuracy targets of the two
+    inversions.  ``degree_cap`` refuses an inversion polynomial of higher
+    degree, before any work.
     """
 
-    eps_Q: float = 0.0
-    eps_A: float = 0.0
-    eps_g: float = 0.0
-    eps_r: float = 0.0
     eps_prime_Q: float = 1e-10
     eps_prime_S: float = 1e-10
-    seed: int = 0
     degree_cap: int = 4001
 
 
@@ -121,18 +117,19 @@ def _invert_encoding(u, eps_prime, qcfg):
     return u_inv, spec, gamma
 
 
-def _pipeline(qp: QpData, qcfg: QuantumConfig, rng: np.random.Generator):
+def _pipeline(qp: QpData, qcfg: QuantumConfig):
     """Encode the KKT data and compose the encodings of the step.
 
     Returns the encoding at every node by name (Q, A, g, r, Qinv, S, b,
     Sinv, lambda, u1, dz) and, for Q and S, the inversion's (spec, gamma).
-    Q is encoded and inverted by its stage blocks; its inverse is then
-    assembled once into the dense block that the products use.
+    Q, A, g and r are encoded exactly.  Q is encoded and inverted by its
+    stage blocks; its inverse is then assembled once into the dense block
+    that the products use.
     """
-    u_q = encode(qp.Q, qcfg.eps_Q, rng=rng)
-    u_a = encode(qp.A.dense(), qcfg.eps_A, rng=rng)
-    u_g = encode(qp.g, qcfg.eps_g, rng=rng)
-    u_r = encode(qp.r, qcfg.eps_r, rng=rng)
+    u_q = encode(qp.Q)
+    u_a = encode(qp.A.dense())
+    u_g = encode(qp.g)
+    u_r = encode(qp.r)
     u_at = be_transpose(u_a)
 
     u_qinv, spec_q, gamma_q = _invert_encoding(u_q, qcfg.eps_prime_Q, qcfg)
@@ -162,12 +159,7 @@ def readout(u_dz: BlockEncoding) -> tuple[np.ndarray, float]:
     return u_dz.alpha * column, float(np.linalg.norm(column) ** 2)
 
 
-def quantum_schur_step(
-    qp: QpData,
-    qcfg: QuantumConfig,
-    *,
-    rng: np.random.Generator | None = None,
-) -> SchurSolution:
+def quantum_schur_step(qp: QpData, qcfg: QuantumConfig) -> SchurSolution:
     """Run the simulated block-encoding pipeline on one KKT system.
 
     The declared normalization and error bound of dz are the alpha and eps
@@ -176,10 +168,8 @@ def quantum_schur_step(
     """
     if qp.m_eq == 0:
         raise ValueError("quantum Schur step requires at least one equality constraint")
-    if rng is None:
-        rng = np.random.default_rng(qcfg.seed)
 
-    nodes, inversions = _pipeline(qp, qcfg, rng)
+    nodes, inversions = _pipeline(qp, qcfg)
     u_dz, u_lam = nodes["dz"], nodes["lambda"]
     dz, p_succ = readout(u_dz)
     lam = u_lam.alpha * u_lam.block[:, 0]
@@ -203,17 +193,13 @@ class QuantumSchurSolver:
     """SchurStepSolver backed by the simulated block-encoding pipeline.
 
     The declared per-step accuracy is the dz encoding's error bound, exposed
-    in each solution's diagnostics; repeated calls advance an internal seed
-    so probabilistic re-invocation draws fresh randomness while the whole
-    sequence stays deterministic for a given base seed.
+    in each solution's diagnostics.  The step draws no randomness: the same
+    QP gives the same step, bit for bit, on every call.
     """
 
     def __init__(self, qcfg: QuantumConfig | None = None):
         self.qcfg = qcfg or QuantumConfig()
         self.name = f"quantum:eps'={self.qcfg.eps_prime_S:g}"
-        self._calls = 0
 
     def step(self, qp: QpData) -> SchurSolution:
-        rng = np.random.default_rng((self.qcfg.seed, self._calls))
-        self._calls += 1
-        return quantum_schur_step(qp, self.qcfg, rng=rng)
+        return quantum_schur_step(qp, self.qcfg)

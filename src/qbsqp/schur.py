@@ -62,9 +62,6 @@ class BlockDiagonal:
         if self.tail.ndim != 2:
             raise ValueError("tail must have the rows and columns of one block")
 
-    def __add__(self, other: BlockDiagonal) -> BlockDiagonal:
-        return BlockDiagonal(self.stages + other.stages, self.tail + other.tail)
-
     def __mul__(self, c: float) -> BlockDiagonal:
         return BlockDiagonal(c * self.stages, c * self.tail)
 
@@ -293,15 +290,6 @@ class BlockTridiagonal:
     def shape(self) -> tuple[int, int]:
         count, rows = self.diag.shape[:2]
         return count * rows, count * rows
-
-    def dot(self, y: np.ndarray) -> np.ndarray:
-        """The product with a vector y of the row count."""
-        count, rows = self.diag.shape[:2]
-        ys = y.reshape(count, rows, 1)
-        out = self.diag @ ys
-        out[:-1] += self.off @ ys[1:]
-        out[1:] += self.off.mT @ ys[:-1]
-        return out.ravel()
 
     def dense(self) -> np.ndarray:
         """The matrix as one array, zero outside its blocks."""

@@ -87,10 +87,6 @@ class SolveReport:
     def n_iters(self) -> int:
         return len(self.records) - 1
 
-    @property
-    def converged(self) -> bool:
-        return self.termination == "converged"
-
 
 def fraction_to_boundary(h_vals: np.ndarray, h_dirderivs: np.ndarray,
                          theta: float) -> float:
@@ -221,8 +217,9 @@ def solve(
     since it also restores feasibility and g^T dz may legitimately be
     nonnegative.  At a feasible iterate a nonzero step with g^T dz >= 0
     signals a solver-quality failure: the backend is asked once more, at
-    the same mu (a probabilistic backend draws fresh randomness), and a
-    second such step ends the solve.  A step that is searched goes to
+    the same mu, and a second such step ends the solve.  Only the noisy
+    backend draws fresh randomness for the retry; the exact and quantum
+    backends return the same step again.  A step that is searched goes to
     ``backtrack``, which only backtracks.  Hard backend failures
     (singular systems, exhausted error budgets) propagate as exceptions.
     Constraint values, Jacobians and the objective gradient are evaluated

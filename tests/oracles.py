@@ -134,3 +134,17 @@ def encoding_error(u: BlockEncoding, operand: np.ndarray) -> float:
     if isinstance(represented, BlockDiagonal):
         represented = represented.dense()
     return operator_norm(op - represented)
+
+
+def perturbed_encoding(operand: np.ndarray, eps: float,
+                       rng: np.random.Generator) -> BlockEncoding:
+    """An encoding of a matrix or vector (as one column) that declares the
+    error bound eps and whose block is off by a random perturbation of
+    norm between eps/2 and eps.  alpha = ||operand|| + eps keeps the block's
+    norm at most 1, as a block of a unitary must be."""
+    op = np.asarray(operand, dtype=float)
+    op = op.reshape(len(op), -1)
+    noise = rng.standard_normal(op.shape)
+    noise *= rng.uniform(0.5, 1.0) * eps / operator_norm(noise)
+    alpha = operator_norm(op) + eps
+    return BlockEncoding(block=(op + noise) / alpha, alpha=alpha, ancillas=1, eps=eps)

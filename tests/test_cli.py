@@ -174,7 +174,8 @@ def test_commands_succeed_on_eqqp(tmp_path, command, config):
     ("solve", {"problem": "toy:eqqp", "seed": -1}, "seed: must be >= 0"),
     ("sweep", {"problem": "toy:box1d", "sweep": dict(BOX1D_SWEEP["sweep"], seeds=[-1])},
      "sweep.seeds[0]: must be >= 0"),
-    ("solve", {"problem": "toy:eqqp", "solver": {"kind": "quantum", "seed": -1}},
+    ("solve", {"problem": "toy:eqqp", "seed": 3,
+               "solver": {"kind": "noisy", "eps": 1.0e-3, "seed": -1}},
      "solver.seed: must be >= 0"),
     ("solve", {"problem": "toy:eqqp", "solver": {"kind": "noisy", "seed": -1}},
      "solver.seed: must be >= 0"),
@@ -221,6 +222,10 @@ def test_commands_succeed_on_eqqp(tmp_path, command, config):
     # a misspelt key of the problem section
     ("solve", {"problem": {"name": "hiv", "parms": {"N": 80}, "u_gess": 0.3}},
      "problem.parms: unknown option"),
+    # a QSVT check matrix too large to decompose in seconds
+    ("qsvt-check", {"problem": "toy:eqqp",
+                    "qsvt": {"kappas": [2.0], "eps_primes": [1.0e-2], "matrix_size": 1025}},
+     "qsvt.matrix_size: must be at most 1024"),
 ])
 def test_config_errors_exit_one_and_name_the_field(tmp_path, capsys, command,
                                                    config, field):
@@ -692,6 +697,11 @@ def test_usage_errors_exit_one_and_help_exits_zero(argv, code):
     ("sqp", None, "max_backtracks", 60),
     ("solver", "quantum", "usability_cap", 1.0),
     ("solver", "quantum", "p_succ_floor", 0.0),
+    ("solver", "quantum", "eps_Q", 1.0e-8),
+    ("solver", "quantum", "eps_A", 1.0e-8),
+    ("solver", "quantum", "eps_g", 1.0e-8),
+    ("solver", "quantum", "eps_r", 1.0e-8),
+    ("solver", "quantum", "seed", 3),
 ])
 def test_removed_options_are_config_errors(tmp_path, capsys, section, kind,
                                            option, value):

@@ -392,7 +392,7 @@ class TestToyProblems:
         nlp = transcribe(t.ocp)
         cfg = SqpConfig(mu0=1e-2)
         rep = solve(nlp, t.z0, cfg, ExactSchurSolver())
-        assert rep.converged
+        assert rep.termination == "converged"
         assert np.linalg.norm(rep.z_star - toy_optimum("double_integrator")) < 1e-8
 
     def test_horizon_one_single_riccati_step(self):
@@ -403,7 +403,7 @@ class TestToyProblems:
         z_ref = nlp.join(xs, us)
         rep = solve(nlp, rollout(nlp, np.zeros((1, 1))),
                     SqpConfig(), ExactSchurSolver())
-        assert rep.converged
+        assert rep.termination == "converged"
         assert np.linalg.norm(rep.z_star - z_ref) < 1e-8
 
     def test_box1d_barrier_path_closed_form_vs_root(self):
@@ -426,5 +426,5 @@ class TestToyProblems:
         cfg = SqpConfig(mu0=mu, barrier_update="constant", max_outer_iters=60,
                         eps_opt=1e-10, eps_feas=1e-12)
         rep = solve(nlp, t.z0, cfg, ExactSchurSolver())
-        assert rep.converged
+        assert rep.termination == "converged"
         assert rep.z_star[1] == pytest.approx(box1d_barrier_path(mu), abs=1e-8)

@@ -16,6 +16,7 @@ from qbsqp.qsvt import (
     qsvt_invert,
 )
 from qbsqp.schur import BlockDiagonal
+from oracles import perturbed_encoding
 
 
 def random_spd_with_spectrum(n, lo, hi, rng):
@@ -300,7 +301,7 @@ class TestQsvtInvert:
         for _ in range(20):
             n = int(rng.integers(2, 6))
             a = random_spd_with_spectrum(n, 1.0 / 3.0, 1.0, rng)
-            u = encode(a, target_eps=1e-6, rng=rng)
+            u = perturbed_encoding(a, 1e-6, rng)
             spec = build_inversion_spec(4.0, 1e-8)
             v = qsvt_invert(u, spec)
             true_err = np.linalg.norm(v.represented() - np.linalg.inv(a), 2)

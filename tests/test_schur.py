@@ -339,7 +339,7 @@ class TestBlockSchurComplement:
         monkeypatch.setattr(qbsqp.schur, "cho_factor", spy)
         rep = solve(nlp, hiv_initial_guess(nlp, 0.05), SqpConfig(**HIV_SQP_DEFAULTS),
                     CountingSolver())
-        assert rep.converged and len(steps) >= rep.n_iters > 0
+        assert rep.termination == "converged" and len(steps) >= rep.n_iters > 0
         assert len(shapes) == len(steps)
         assert all(shape[-2:] == (nlp.ocp.n, nlp.ocp.n) for shape in shapes)
 
@@ -422,8 +422,6 @@ class TestBlockTridiagonal:
         dense = tridiagonal(diag, off)
         np.testing.assert_array_equal(s.dense(), dense)
         assert s.shape == dense.shape
-        y = rng.standard_normal(s.shape[1])
-        np.testing.assert_allclose(s.dot(y), dense @ y, rtol=1e-14, atol=1e-14)
 
     @pytest.mark.parametrize("diag, off, message", [
         (np.ones((2, 2, 3)), np.ones((1, 2, 2)),

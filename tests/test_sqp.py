@@ -261,7 +261,7 @@ class TestSolve:
         t = toys["eqqp"]
         nlp = transcribe(t.ocp)
         rep = solve(nlp, t.z0, SqpConfig(), ExactSchurSolver())
-        assert rep.converged
+        assert rep.termination == "converged"
         assert rep.n_iters == 1
         assert rep.records[1].alpha == 1.0
         assert np.linalg.norm(rep.z_star - toy_optimum("eqqp")) < 1e-10
@@ -272,7 +272,7 @@ class TestSolve:
         t = toy_problems()["box1d"]
         cfg = SqpConfig(mu0=1e-3, barrier_update="constant", eps_opt=1e-10)
         rep = solve(transcribe(t.ocp), t.z0, cfg, ExactSchurSolver())
-        assert rep.converged
+        assert rep.termination == "converged"
         assert rep.records[-1].kkt_stat_norm <= 1e-10
         assert rep.records[-1].grad_f_norm > 1.0
 
@@ -282,7 +282,7 @@ class TestSolve:
         nlp = transcribe(ocp)
         z0 = rollout(nlp, np.zeros((4, 1)))  # the all-zero optimal trajectory
         rep = solve(nlp, z0, SqpConfig(), ExactSchurSolver())
-        assert rep.converged
+        assert rep.termination == "converged"
         assert rep.n_iters == 0
         np.testing.assert_array_equal(rep.z_star, z0)
 
@@ -387,7 +387,7 @@ class TestSolve:
 
         rep = solve(nlp, z0, SqpConfig(**HIV_SQP_DEFAULTS), ExactSchurSolver())
         n = rep.n_iters
-        assert rep.converged and n > 0
+        assert rep.termination == "converged" and n > 0
         for name in evaluators:
             assert calls[name] <= n + 1, (name, calls[name], n)
         # one factorization of Q (in build_qp) and one of S per iteration
@@ -478,7 +478,7 @@ def test_hiv_quantum_solve_converges_like_exact():
     qcfg = QuantumConfig(eps_prime_Q=1e-10, eps_prime_S=1e-10, degree_cap=400001)
     rep = solve(nlp, z0, SqpConfig(**HIV_SQP_DEFAULTS), QuantumSchurSolver(qcfg))
     exact = solve(nlp, z0, SqpConfig(**HIV_SQP_DEFAULTS), ExactSchurSolver())
-    assert rep.converged and rep.n_iters <= 12
+    assert rep.termination == "converged" and rep.n_iters <= 12
     assert np.max(np.abs(rep.z_star - exact.z_star)) <= 1e-8
 
 
