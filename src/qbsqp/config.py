@@ -4,7 +4,8 @@ Schema (all sections optional unless a command requires them):
 
     problem:
       name: hiv | toy:eqqp | toy:double_integrator | toy:box1d
-      params: {...}          # HivParameters overrides (hiv only)
+      params: {...}          # HivParameters overrides (hiv only);
+                             # N * substeps at most MAX_STAGE_SUBSTEPS
       u_guess: 0.05          # constant-control rollout start, in (0, 1) (hiv only)
     solver:  {kind: exact | noisy | quantum, ...}   # solve; qsvt-check's degree_cap
       # exact takes no option; noisy takes eps (>= 0) and seed (>= 0);
@@ -76,6 +77,14 @@ _SOLVER_OPTIONS = {
 # matrix, at O(n^3); one row at kappa = 64, eps' = 1e-12 takes about 2 s at
 # n = 1024 (2 vCPUs, one BLAS thread), so 4096 would take minutes a row.
 MAX_MATRIX_SIZE = 1024
+
+# Largest N * substeps of an HIV problem.  The RK4 Jacobian pass holds
+# about _PASS_BYTES_PER_STAGE_SUBSTEP at its peak for each stage and substep
+# (5.4 MB at N = 600, substeps 10) and takes about 1.1 us for each, so the
+# limit, 10 times the N = 2000 solve with substeps 10, is about 180 MB and
+# 0.2 s a pass.
+MAX_STAGE_SUBSTEPS = 200_000
+_PASS_BYTES_PER_STAGE_SUBSTEP = 900
 
 # Admissible values of the numeric solver options, checked after typing.
 _SOLVER_LIMITS = (
@@ -214,6 +223,18 @@ def validate_config(data: dict) -> ExperimentConfig:
             if _HIV_PARAMS[key] is float:
                 cfg.problem_params[key] = _typed(value, float,
                                                  f"problem.params.{key}")
+        # HivParameters checks N and substeps themselves; only their product
+        # is bounded here, before any allocation.
+        horizon, substeps = (cfg.problem_params.get(key, getattr(HivParameters, key))
+                             for key in ("N", "substeps"))
+        if (all(isinstance(v, int) and not isinstance(v, bool) and v >= 1
+                for v in (horizon, substeps))
+                and horizon * substeps > MAX_STAGE_SUBSTEPS):
+            size = horizon * substeps * _PASS_BYTES_PER_STAGE_SUBSTEP / 1e6
+            raise ConfigError(
+                f"problem.params: N * substeps = {horizon * substeps} exceeds "
+                f"{MAX_STAGE_SUBSTEPS}; the RK4 Jacobian pass would hold about "
+                f"{size:.0f} MB")
         cfg.u_guess = _typed(problem.get("u_guess", cfg.u_guess), float,
                              "problem.u_guess")
         if not 0.0 < cfg.u_guess < 1.0:

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
-import numpy.random  # noqa: F401 -- numpy loads it lazily; load it before any solve
 from numpy.linalg import cholesky as cho_factor, eigvalsh
 
 
@@ -468,7 +467,11 @@ def noisy_step(qp: QpData, eps: float, rng: np.random.Generator) -> SchurSolutio
 
 
 class NoisySchurSolver:
-    """Bounded-error backend used for the perturbation sweeps."""
+    """Bounded-error backend used for the perturbation sweeps.
+
+    Its first construction in a process loads ``numpy.random``, which numpy
+    imports on first access; the exact and quantum backends never load it.
+    """
 
     def __init__(self, eps: float = 0.0, seed: int = 0):
         self.name = f"noisy:{eps:g}"

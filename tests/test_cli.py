@@ -226,6 +226,10 @@ def test_commands_succeed_on_eqqp(tmp_path, command, config):
     ("qsvt-check", {"problem": "toy:eqqp",
                     "qsvt": {"kappas": [2.0], "eps_primes": [1.0e-2], "matrix_size": 1025}},
      "qsvt.matrix_size: must be at most 1024"),
+    # an RK4 Jacobian pass too large to hold
+    ("solve", {"problem": {"name": "hiv", "params": {"N": 20001}}},
+     "problem.params: N * substeps = 200010 exceeds 200000; "
+     "the RK4 Jacobian pass would hold about 180 MB"),
 ])
 def test_config_errors_exit_one_and_name_the_field(tmp_path, capsys, command,
                                                    config, field):
@@ -738,25 +742,54 @@ def test_cli_import_leaves_pool_modules_unloaded():
     assert result.returncode == 0, result.stdout + result.stderr
 
 
-@pytest.mark.parametrize("solver", [{"kind": "exact"},
-                                    {"kind": "noisy", "eps": 1.0e-3},
-                                    {"kind": "quantum"}])
-def test_cli_main_imports_no_numpy_or_scipy_module(tmp_path, solver):
-    # numpy loads numpy.random lazily, 18 ms on first use; the package
-    # loads it at import, so that no command pays for it.
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy loads numpy.random on first access, 5-7 ms after the package
+    # import; only the noisy backend and qsvt-check draw random numbers.
+    code = "import sys, qbsqp.cli; sys.exit(int('numpy.random' in sys.modules))"
+    assert run_python(code).returncode == 0
+
+
+def modules_loaded_by_main(tmp_path, command, config):
+    """Run `command` on `config` in a fresh interpreter that has imported
+    qbsqp.cli.  Return the numpy and scipy modules its `main` loaded, and
+    whether numpy.random is loaded at the end."""
     path = tmp_path / "run.yaml"
-    path.write_text(yaml.safe_dump({"problem": "toy:eqqp", "solver": solver}))
-    argv = ["solve", "--config", str(path), "--out", str(tmp_path / "out")]
+    path.write_text(yaml.safe_dump(config))
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
     code = (
-        "import sys, qbsqp.cli\n"
+        "import json, sys, qbsqp.cli\n"
         "before = set(sys.modules)\n"
         f"rc = qbsqp.cli.main({argv!r})\n"
         "new = sorted(m for m in set(sys.modules) - before\n"
         "             if m.split('.')[0] in ('numpy', 'scipy'))\n"
-        "print(new)\n"
-        "sys.exit(rc or bool(new))\n")
+        "print(json.dumps([new, 'numpy.random' in sys.modules]))\n"
+        "sys.exit(rc)\n")
     result = run_python(code)
     assert result.returncode == 0, result.stdout + result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("solver", [{"kind": "exact"},
+                                    {"kind": "noisy", "eps": 1.0e-3},
+                                    {"kind": "quantum"}])
+def test_cli_main_imports_no_numpy_or_scipy_module(tmp_path, solver):
+    # Only the noisy backend draws random numbers, so only its run loads
+    # numpy.random, and nothing else; the exact and quantum runs load no
+    # numpy or scipy module.
+    new, random_loaded = modules_loaded_by_main(
+        tmp_path, "solve", {"problem": "toy:eqqp", "solver": solver})
+    if solver["kind"] == "noisy":
+        assert "numpy.random" in new
+        assert all(m.startswith("numpy.random.") for m in new if m != "numpy.random")
+    else:
+        assert new == [] and not random_loaded
+
+
+def test_sweep_leaves_numpy_random_unloaded_in_the_parent(tmp_path):
+    # The noisy cells run in the pool's workers; the parent solves only
+    # the exact reference and fits the envelope.
+    _, random_loaded = modules_loaded_by_main(tmp_path, "sweep", BOX1D_SWEEP)
+    assert not random_loaded
 
 
 @pytest.mark.parametrize("command, config", [

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -289,6 +290,42 @@ class TestRk4Discretize:
                 kept.flat[0] += 1.0
         np.testing.assert_array_equal(disc.f(x, u), expected)
 
+    def test_hiv_jacobian_pass_peak_memory_is_bounded(self):
+        # tracemalloc's peak over one uncached equality_blocks call at HIV
+        # N = 600, substeps 10: 6.17 MB while the pass held every stage's
+        # products and the field filled zeroed arrays before scaling them,
+        # 5.37 MB since (numpy 2.4).
+        nlp = transcribe(hiv_ocp(HivParameters(N=600)))
+        z = hiv_initial_guess(nlp, 0.05)
+        tracemalloc.start()
+        try:
+            nlp.equality_blocks(z)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.6e6
+
+
+def zero_filled_hiv_jacobians(p, xs, us):
+    """The HIV Jacobians in their first form: filled into zeroed arrays,
+    then scaled as a whole."""
+    sc = np.asarray(p.scales)
+    t, i, v = (xs * sc).T
+    kk = (1.0 - us[:, 0]) * p.k
+    jx = np.zeros((len(xs), 3, 3))
+    jx[:, 0, 0] = -p.d - kk * v
+    jx[:, 0, 2] = -kk * t
+    jx[:, 1, 0] = kk * v
+    jx[:, 1, 1] = -p.delta
+    jx[:, 1, 2] = kk * t
+    jx[:, 2, 1] = (1.0 - us[:, 1]) * p.N_v * p.delta
+    jx[:, 2, 2] = -p.c
+    ju = np.zeros((len(xs), 3, 2))
+    ju[:, 0, 0] = p.k * v * t
+    ju[:, 1, 0] = -p.k * v * t
+    ju[:, 2, 1] = -p.N_v * p.delta * i
+    return jx * (sc[None, :] / sc[:, None]), ju / sc[:, None]
+
 
 # sha256 of hiv_initial_guess(nlp, u_const).tobytes() on HIV with horizon N,
 # as computed by the stacked numpy map before its one-point path ran on
@@ -355,6 +392,20 @@ class TestHivModel:
         z0 = hiv_initial_guess(nlp, 0.05)
         qp = build_qp(nlp, z0, BarrierConfig(mu=1e-2))
         assert np.linalg.cond(qp.Q.dense()) < 1e6
+
+    @pytest.mark.parametrize("k", [1, 20, 160])
+    def test_jacobian_entries_equal_the_zero_filled_formulas_bitwise(self, k):
+        p = HivParameters()
+        _, jac_x, jac_u = hiv_vector_field(p)
+        rng = np.random.default_rng(k)
+        xs = (np.asarray(p.x0) / np.asarray(p.scales)) * rng.uniform(0.5, 1.5, (k, 3))
+        us = rng.uniform(0.0, 1.0, (k, 2))
+        us[:2] = [[0.0, 1.0], [1.0, 0.0]][:k]  # the bounds exactly
+        if k > 1:
+            xs[-1] = np.nan
+        for got, ref in zip((jac_x(xs, us), jac_u(xs, us)),
+                            zero_filled_hiv_jacobians(p, xs, us)):
+            np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
 
     def test_vector_field_positivity_structure(self):
         p = HivParameters()
