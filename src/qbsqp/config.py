@@ -5,7 +5,9 @@ Schema (all sections optional unless a command requires them):
     problem:
       name: hiv | toy:eqqp | toy:double_integrator | toy:box1d
       params: {...}          # HivParameters overrides (hiv only);
-                             # N * substeps at most MAX_STAGE_SUBSTEPS
+                             # N * substeps at most MAX_STAGE_SUBSTEPS, and
+                             # 3(N + 1) at most MAX_MATRIX_SIZE under a
+                             # quantum solver
       u_guess: 0.05          # constant-control rollout start, in (0, 1) (hiv only)
     solver:  {kind: exact | noisy | quantum, ...}   # solve; qsvt-check's degree_cap
       # exact takes no option; noisy takes eps (>= 0) and seed (>= 0);
@@ -73,9 +75,12 @@ _SOLVER_OPTIONS = {
     "quantum": {f.name: type(f.default) for f in dc_fields(QuantumConfig)},
 }
 
-# Largest qsvt.matrix_size: each qsvt-check row decomposes a dense n x n
-# matrix, at O(n^3); one row at kappa = 64, eps' = 1e-12 takes about 2 s at
-# n = 1024 (2 vCPUs, one BLAS thread), so 4096 would take minutes a row.
+# Largest dense matrix side: of qsvt.matrix_size, and of the Schur
+# complement S of a quantum solve, m_eq = 3(N + 1) for HIV.  Each
+# qsvt-check row decomposes a dense n x n matrix, at O(n^3); one row at
+# kappa = 64, eps' = 1e-12 takes about 2 s at n = 1024 (2 vCPUs, one BLAS
+# thread), so 4096 would take minutes a row.  One quantum step at HIV
+# N = 340 (m_eq = 1023) takes about 1.6 s and peaks at about 140 MiB.
 MAX_MATRIX_SIZE = 1024
 
 # Largest N * substeps of an HIV problem.  The RK4 Jacobian pass holds
@@ -248,6 +253,21 @@ def validate_config(data: dict) -> ExperimentConfig:
             raise ConfigError("solvers: compare requires exactly two solver specs")
         cfg.solvers = [_check_solver_spec(s, f"solvers[{i}]")
                        for i, s in enumerate(specs)]
+
+    # The quantum step holds A (m_eq x n_z) and S (m_eq x m_eq) densely;
+    # HivParameters checks N itself, so only a valid N is bounded here.
+    if cfg.problem == "hiv" and any(s["kind"] == "quantum"
+                                    for s in (cfg.solver, *cfg.solvers)):
+        horizon = cfg.problem_params.get("N", HivParameters.N)
+        valid = isinstance(horizon, int) and not isinstance(horizon, bool)
+        m_eq = 3 * (horizon + 1) if valid else 0
+        if m_eq > MAX_MATRIX_SIZE:
+            n_z = 5 * horizon + 3
+            raise ConfigError(
+                f"problem.params: a quantum solve at N = {horizon} has a Schur "
+                f"complement of side m_eq = 3(N + 1) = {m_eq}, above "
+                f"{MAX_MATRIX_SIZE}; its dense A ({m_eq} x {n_z}) would take about "
+                f"{8e-6 * m_eq * n_z:.0f} MB and S about {8e-6 * m_eq**2:.0f} MB")
 
     cfg.sqp = dict(_mapping(data.get("sqp", {}), "sqp"))
     _check_keys(cfg.sqp, "sqp", _SQP_OPTIONS)

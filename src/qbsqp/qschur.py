@@ -17,12 +17,24 @@ Every composition (``be_mul``, ``be_add``, ``qsvt_invert``) carries its
 operands' normalization and error bound by its own rule, so the alpha and
 eps of the final encoding are the step's declared normalization alpha_dz
 and error bound eps_dz; no second account of either is kept.  The inputs
-are encoded exactly, so eps_dz comes from the two inversions alone; Q's
-reaches the S inversion as that operand's input error.  The readout adds
-no error to eps_dz, and the step draws no randomness.  A step is refused
-only for a singular operand or an inversion degree above ``degree_cap``;
-its eps_dz and p_succ are reported in the diagnostics, not tested against
-a threshold.
+are encoded exactly, so eps_dz comes from the two inversions alone:
+
+    eps_Qinv = alpha_Qinv e_Q                      (no input error)
+    eps_S    = alpha_A^2 eps_Qinv,  eps_b = alpha_A alpha_g eps_Qinv
+    eps_Sinv = C_in eps_S + alpha_Sinv e_S
+    eps_lam  = alpha_Sinv eps_b + alpha_b eps_Sinv
+    eps_dz   = alpha_Qinv alpha_A eps_lam + alpha_u1 eps_Qinv
+
+where e_X is the X polynomial's achieved_err and C_in =
+(kappa_S/alpha)^2/(1 - kappa_S eps_S/alpha) is the exact inverse-
+perturbation constant of ``qsvt``'s Accuracy section, alpha being the
+pre-scaled S encoding's normalization.  Q's error, carried into S, is the
+S inversion's input error, and C_in eps_S is the term that sets eps_dz:
+840 to 900 times alpha_Sinv e_S over an HIV N = 10 solve at
+eps' = 1e-12.  The readout adds no error to eps_dz, and the step draws no
+randomness.  A step is refused only for a singular operand or an
+inversion degree above ``degree_cap``; its eps_dz and p_succ are reported
+in the diagnostics, not tested against a threshold.
 
 Each step's diagnostics hold plain scalars:
 

@@ -16,6 +16,26 @@ d = ceil(arccosh(1/eps_t) / theta_0), is known before any work; it is
 O(kappa log(1/eps)), about 5% above Achieser's floor for any odd fit at
 kappa = 64 and 1024.
 
+An encoding (alpha, eps) of an operand S holds a block B with
+||S - S'|| <= eps, where S' = alpha B.  With B's singular values in
+[1/kappa, 1], the transformed block represents R with
+||R - S'^{-1}|| <= alpha_out e_p, where alpha_out = kappa beta/alpha and
+e_p = 1/(T_0 beta) is the spec's achieved_err.  The input error adds
+||S'^{-1} - S^{-1}||, which is bounded in three steps:
+  - ||S'^{-1}|| <= kappa/alpha, from B's spectrum;
+  - ||S^{-1}|| <= (kappa/alpha)/(1 - kappa eps/alpha), since
+    sigma_min(S) >= alpha/kappa - eps by Weyl;
+  - S'^{-1} - S^{-1} = S'^{-1} (S - S') S^{-1}.
+So the declared error is C_in eps + alpha_out e_p with
+C_in = (kappa/alpha)^2/(1 - kappa eps/alpha) (Golub & Van Loan, Matrix
+Computations, 4th ed., section 2.3.4).  qsvt_invert gates
+kappa eps/alpha <= 1/2, which keeps S invertible and C_in at most
+2 (kappa/alpha)^2.  C_in eps is attained: for an SPD S'
+with smallest eigenvalue alpha/kappa, eigenvector v, and S = S' - eps v v^T,
+||S^{-1} - S'^{-1}|| = 1/(alpha/kappa - eps) - kappa/alpha = C_in eps.  The
+composition rules that carry the error on are those of Gilyen, Su, Low &
+Wiebe, arXiv:1806.01838, Lemma 30.
+
 Boundedness.  On [a, 1], 0 <= p <= (1 + 1/T_0)/(kappa x) <= 1 + 1/T_0.  On
 [0, a], l lies in [1, l(0)], where T_d is increasing and convex, so
 1 <= T_d(l) <= T_0 and 0 <= p <= 1/(kappa x) = a/x.  Two bounds follow.
@@ -162,14 +182,6 @@ def build_inversion_spec(kappa: float, eps_prime: float, *,
         achieved_err=1.0 / (t0 * beta), engine="chebyshev")
 
 
-def inversion_error_factor(kappa: float, alpha: float) -> float:
-    """Hard Lipschitz-type constant C with eps_out <= C*eps_in + alpha_out*eps'.
-
-    Valid whenever kappa * eps_in / alpha <= 1/2 (checked by qsvt_invert).
-    """
-    return 2.0 * kappa**2 / alpha**2
-
-
 # Rounding slack of the spectral-interval check in qsvt_invert, on top of
 # the encoding's own relative error eps/alpha.
 SIGMA_TOL = 1e-9
@@ -213,15 +225,18 @@ def qsvt_invert(u: BlockEncoding, spec: QsvtInversionSpec,
             f"singular value(s) {sigma[outside]} outside [{lo}, {hi}] (slack {slack:.3g})"
         )
 
-    if spec.kappa * u.eps / u.alpha > 0.5:
+    kappa_eps = spec.kappa * u.eps / u.alpha
+    if kappa_eps > 0.5:
         raise SpectrumViolationError(
             "encoding error too large relative to the spectral gap "
-            f"(kappa*eps/alpha = {spec.kappa * u.eps / u.alpha:.3g} > 0.5)"
+            f"(kappa*eps/alpha = {kappa_eps:.3g} > 0.5)"
         )
 
     inverse = [(vt.mT * spec(s)[..., None, :]) @ w.mT for w, s, vt in decomposition]
     alpha_out = spec.kappa * spec.beta / u.alpha
-    eps_out = inversion_error_factor(spec.kappa, u.alpha) * u.eps + alpha_out * spec.achieved_err
+    # The inverse-perturbation constant of the module docstring's Accuracy.
+    c_in = (spec.kappa / u.alpha) ** 2 / (1.0 - kappa_eps)
+    eps_out = c_in * u.eps + alpha_out * spec.achieved_err
     return BlockEncoding(
         block=BlockDiagonal(*inverse) if isinstance(u.block, BlockDiagonal) else inverse[0],
         alpha=alpha_out,

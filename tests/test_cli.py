@@ -230,6 +230,16 @@ def test_commands_succeed_on_eqqp(tmp_path, command, config):
     ("solve", {"problem": {"name": "hiv", "params": {"N": 20001}}},
      "problem.params: N * substeps = 200010 exceeds 200000; "
      "the RK4 Jacobian pass would hold about 180 MB"),
+    # a quantum step too large to hold densely, under either solver section
+    ("solve", {"problem": {"name": "hiv", "params": {"N": 20000}},
+               "solver": {"kind": "quantum"}},
+     "problem.params: a quantum solve at N = 20000 has a Schur complement of "
+     "side m_eq = 3(N + 1) = 60003, above 1024; its dense A (60003 x 100003) "
+     "would take about 48004 MB and S about 28803 MB"),
+    ("compare", {"problem": {"name": "hiv", "params": {"N": 341}},
+                 "solvers": [{"kind": "exact"}, {"kind": "quantum"}]},
+     "problem.params: a quantum solve at N = 341 has a Schur complement of "
+     "side m_eq = 3(N + 1) = 1026, above 1024"),
 ])
 def test_config_errors_exit_one_and_name_the_field(tmp_path, capsys, command,
                                                    config, field):
@@ -823,6 +833,15 @@ def test_unknown_top_level_keys_are_ignored():
         validate_config({"problem": "toy:eqqp", "sqpp": {"mu0": 1.0}})
 
 
+@pytest.mark.parametrize("horizon", [80, 340])
+def test_quantum_horizons_up_to_the_dense_bound_validate(horizon):
+    # N = 80 is the largest quantum solve that CI runs; N = 340 gives the
+    # largest Schur complement side, m_eq = 1023, under MAX_MATRIX_SIZE.
+    cfg = validate_config({"problem": {"name": "hiv", "params": {"N": horizon}},
+                           "solver": {"kind": "quantum"}})
+    assert cfg.problem_params["N"] == horizon
+
+
 def test_same_config_and_seed_reproduce_manifest(tmp_path):
     config = {"problem": "toy:box1d", "seed": 7,
               "solver": {"kind": "noisy", "eps": 1.0e-3}}
@@ -861,8 +880,8 @@ OUTPUT_SHA256 = {
         "traces.csv": "ceded7eaddf553ca5ec574a4e584387fda92f3c60ad799567d912fe7a93209c6",
     },
     "hiv4_quantum": {
-        "iterates.csv": "3ac47825409d0ed5fd5d3443d00c060d6bb758986ebaeb7f754480aed00ae038",
-        "manifest.json": "bd04f7b1e426b8bf9c24f8845e9b9772cb25db08ca9ca4880d32630d49d94201",
+        "iterates.csv": "ba9ae229182541bf26e7c560ab1f7c270dae650f4b8a77cfdf9da1e2a505b4fb",
+        "manifest.json": "ca4718f147fbd606f010af3248d99c85f46ff1fc00e67f078330b327808a4671",
         "trajectory.csv": "8e2a784d69a84b40805df233b9b37bfdf4ac8078083a4c647d3835867fc759d7",
     },
 }

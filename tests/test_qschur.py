@@ -263,6 +263,32 @@ def test_hiv_steps_keep_their_declared_bound(monkeypatch, n, eps_prime):
                                 rel_tol=1e-10), (k, name)
 
 
+# The S inversion's fitted condition number and degree over the steps of
+# an HIV quantum solve at eps' = 1e-12 from u_guess 0.05, as measured.
+S_GROWTH = {10: ((853.0, 905.0), (25_937, 27_503)),
+            20: ((1_910.0, 2_140.0), (58_175, 65_001)),
+            40: ((4_760.0, 5_740.0), (144_769, 174_455))}
+
+
+def test_schur_condition_and_degree_grow_with_the_horizon():
+    # kappa_S grows polynomially in N on this transcription (about N^1.3
+    # near the solution), and degree_S with it; each stays within 5% of its
+    # measured range, so a regression in either direction shows.
+    qcfg = QuantumConfig(eps_prime_Q=1e-12, eps_prime_S=1e-12, degree_cap=400001)
+    previous = (0.0, 0)
+    for n, bands in S_GROWTH.items():
+        nlp = transcribe(hiv_ocp(HivParameters(N=n)))
+        rep = solve(nlp, hiv_initial_guess(nlp, 0.05), SqpConfig(**HIV_SQP_DEFAULTS),
+                    QuantumSchurSolver(qcfg))
+        assert rep.termination == "converged", n
+        diags = [r.solver_diag for r in rep.records[1:]]
+        for key, (lo, hi), below in zip(("kappa_S_fit", "degree_S"), bands, previous):
+            values = [d[key] for d in diags]
+            assert 0.95 * lo <= min(values) and max(values) <= 1.05 * hi, (n, key)
+            assert min(values) > below, (n, key)
+        previous = tuple(max(d[key] for d in diags) for key in ("kappa_S_fit", "degree_S"))
+
+
 class TestReadout:
     def _fake_encoding(self, col):
         return BlockEncoding(block=col.reshape(-1, 1), alpha=2.0, ancillas=1, eps=0.0)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbsqp.blockenc import encode
+from qbsqp.blockenc import BlockEncoding, encode
 from qbsqp.qsvt import (
     SIGMA_TOL,
     InfeasibleAccuracyError,
@@ -306,3 +306,21 @@ class TestQsvtInvert:
             v = qsvt_invert(u, spec)
             true_err = np.linalg.norm(v.represented() - np.linalg.inv(a), 2)
             assert true_err <= v.eps * (1.0 + 1e-9) + 1e-13
+
+    def test_input_error_is_charged_its_attained_constant(self):
+        # The held operand S' has spectrum [1/4, 1] at alpha = 1; the true
+        # operand S = S' - t v v^T moves its smallest eigenvalue by t, where
+        # ||S^{-1} - S'^{-1}|| = (kappa/alpha)^2 t/(1 - kappa t/alpha)
+        # exactly.  The declared error adds only the polynomial's 4/T_0
+        # (< 5e-13), so it is within 1e-6 of the true error, relative.
+        rng = np.random.default_rng(13)
+        held = random_spd_with_spectrum(6, 0.25, 1.0, rng)
+        t = 1e-4
+        v_min = np.linalg.eigh(held)[1][:, 0]
+        true_op = held - t * np.outer(v_min, v_min)
+        u = BlockEncoding(block=held, alpha=1.0, ancillas=1, eps=t)
+        inv = qsvt_invert(u, build_inversion_spec(4.0, 1e-12))
+        true_err = np.linalg.norm(inv.represented() - np.linalg.inv(true_op), 2)
+        # the two agree to rounding in the dense inverse, far below 1e-9
+        assert true_err <= inv.eps * (1.0 + 1e-9)
+        assert inv.eps <= (1.0 + 1e-6) * true_err
