@@ -1,7 +1,7 @@
 """Simulated block-encoding arithmetic.
 
 A block encoding represents a matrix A as alpha * (top-left block of a
-larger operator), together with an ancilla count and an error bound:
+larger operator), together with an error bound:
 
     || A - alpha * block || <= eps.
 
@@ -9,9 +9,8 @@ larger operator), together with an ancilla count and an error bound:
 polynomial (``qsvt.qsvt_invert``), and the composition rules carry it on.
 
 Only the logical block is stored; the unitary completion is never needed
-by any downstream operation, so ancilla counts are tracked as plain
-integers.  The composition rules (Gilyen, Su, Low & Wiebe,
-arXiv:1806.01838, Lemma 30) act on the logical blocks alone; the
+by any downstream operation.  The composition rules (Gilyen, Su, Low &
+Wiebe, arXiv:1806.01838, Lemma 30) act on the logical blocks alone; the
 power-of-two register an encoding occupies is derived from its block's
 shape and is used for counting only.
 
@@ -59,7 +58,7 @@ def operator_norm(operand: np.ndarray | BlockDiagonal) -> float:
 
 @dataclass(frozen=True)
 class BlockEncoding:
-    """An (alpha, ancillas, eps) block encoding of a matrix or vector.
+    """An (alpha, eps) block encoding of a matrix or vector.
 
     ``block`` is the logical block, which approximates operand / alpha; a
     vector is held as one column, and a block-diagonal operand as a
@@ -68,7 +67,6 @@ class BlockEncoding:
 
     block: np.ndarray | BlockDiagonal
     alpha: float
-    ancillas: int
     eps: float
 
     def __post_init__(self):
@@ -76,8 +74,6 @@ class BlockEncoding:
             raise EncodingError("normalization alpha must be positive")
         if self.eps < 0.0:
             raise EncodingError("encoding error bound must be nonnegative")
-        if self.ancillas < 0:
-            raise EncodingError("ancilla count must be nonnegative")
         if len(self.block.shape) != 2:
             raise EncodingError("block must be a matrix")
 
@@ -97,8 +93,7 @@ def encode(operand: np.ndarray | BlockDiagonal) -> BlockEncoding:
 
     alpha is the operand's spectral norm (tight), which for a
     ``BlockDiagonal`` is its largest block norm, or 1 for a zero operand,
-    whose zero block is exact at any alpha.  The encoding uses one
-    ancilla and has eps = 0.
+    whose zero block is exact at any alpha.  The encoding has eps = 0.
     """
     blocked = isinstance(operand, BlockDiagonal)
     op = operand if blocked else _as_matrix(operand)
@@ -106,13 +101,13 @@ def encode(operand: np.ndarray | BlockDiagonal) -> BlockEncoding:
     if not all(np.all(np.isfinite(arr)) for arr in arrays):
         raise EncodingError("operand must be finite")
     alpha = operator_norm(op) or 1.0
-    return BlockEncoding(block=op / alpha, alpha=alpha, ancillas=1, eps=0.0)
+    return BlockEncoding(block=op / alpha, alpha=alpha, eps=0.0)
 
 
 def be_mul(u: BlockEncoding, v: BlockEncoding) -> BlockEncoding:
     """Product encoding of (U's operand) @ (V's operand).
 
-    Composes as (alpha_u * alpha_v, a_u + a_v, alpha_u*eps_v + alpha_v*eps_u)
+    Composes as (alpha_u * alpha_v, alpha_u*eps_v + alpha_v*eps_u)
     (Gilyen, Su, Low & Wiebe, arXiv:1806.01838, Lemma 30).
     """
     if u.block.shape[1] != v.block.shape[0]:
@@ -121,7 +116,6 @@ def be_mul(u: BlockEncoding, v: BlockEncoding) -> BlockEncoding:
     return BlockEncoding(
         block=u.block @ v.block,
         alpha=u.alpha * v.alpha,
-        ancillas=u.ancillas + v.ancillas,
         eps=u.alpha * v.eps + v.alpha * u.eps,
     )
 
@@ -129,7 +123,7 @@ def be_mul(u: BlockEncoding, v: BlockEncoding) -> BlockEncoding:
 def be_add(u: BlockEncoding, v: BlockEncoding) -> BlockEncoding:
     """LCU sum encoding of (U's operand) + (V's operand).
 
-    Composes as (alpha_u + alpha_v, max(a_u, a_v) + 1, eps_u + eps_v);
+    Composes as (alpha_u + alpha_v, eps_u + eps_v);
     the stored block is the alpha-weighted average of the operand blocks.
     """
     if u.block.shape != v.block.shape:
@@ -138,21 +132,18 @@ def be_add(u: BlockEncoding, v: BlockEncoding) -> BlockEncoding:
     return BlockEncoding(
         block=(u.alpha * u.block + v.alpha * v.block) / alpha,
         alpha=alpha,
-        ancillas=max(u.ancillas, v.ancillas) + 1,
         eps=u.eps + v.eps,
     )
 
 
 def be_neg(u: BlockEncoding) -> BlockEncoding:
-    """Sign flip absorbed into the encoding; alpha, ancillas, eps unchanged."""
-    return BlockEncoding(block=-u.block, alpha=u.alpha, ancillas=u.ancillas,
-                         eps=u.eps)
+    """Sign flip absorbed into the encoding; alpha and eps unchanged."""
+    return BlockEncoding(block=-u.block, alpha=u.alpha, eps=u.eps)
 
 
 def be_transpose(u: BlockEncoding) -> BlockEncoding:
-    """Transpose encoding; alpha, ancillas, eps unchanged."""
-    return BlockEncoding(block=u.block.T, alpha=u.alpha, ancillas=u.ancillas,
-                         eps=u.eps)
+    """Transpose encoding; alpha and eps unchanged."""
+    return BlockEncoding(block=u.block.T, alpha=u.alpha, eps=u.eps)
 
 
 def be_rescale(u: BlockEncoding, gamma: float) -> BlockEncoding:
@@ -164,5 +155,4 @@ def be_rescale(u: BlockEncoding, gamma: float) -> BlockEncoding:
     """
     if gamma <= 0.0:
         raise EncodingError("rescale factor must be positive")
-    return BlockEncoding(block=gamma * u.block, alpha=u.alpha / gamma,
-                         ancillas=u.ancillas, eps=u.eps)
+    return BlockEncoding(block=gamma * u.block, alpha=u.alpha / gamma, eps=u.eps)

@@ -13,20 +13,24 @@ Schema (all sections optional unless a command requires them):
       # exact takes no option; noisy takes eps (>= 0) and seed (>= 0);
       # quantum takes eps_prime_Q and eps_prime_S (in (0, 1)) and degree_cap (>= 1)
     solvers: [{...}, {...}]                         # compare (exactly two)
-    sqp:     {mu0: ..., eps_opt: ..., ...}          # SqpConfig overrides
-      # any of mu0, mu_min, barrier_update, beta, mu_clamp, eps_opt, eps_feas
-      # and max_outer_iters; the line search's constants are fixed in sqp.py
     sweep:
       mu_min_grid: [...]     # >= 2 distinct finite values > 0
       eps_grid: [...]        # >= 3 distinct finite values >= 0, including 0
       seeds: [...]           # distinct, >= 0
-      floor_iters: 40        # extra iterations (>= 0) at the clamped barrier floor
+      floor_iters: 40        # extra iterations (>= 0) at the clamped barrier floor;
+                             # cells * (ceil(log2(1 / min mu_min)) + floor_iters)
+                             # at most MAX_SWEEP_ITERS
     qsvt:
       kappas: [...]
       eps_primes: [...]
       matrix_size: 8         # 1 to MAX_MATRIX_SIZE
     output: {dir: path}
     seed: 0                  # >= 0; qsvt-check's matrices, a noisy solver's default
+
+The SQP's barrier schedule, tolerances and iteration cap are not options:
+each problem carries its own (`experiments.HIV_SQP_DEFAULTS`, a toy
+problem's `sqp_overrides`), and the sweep derives its solves' schedules
+from them.
 
 Validation is the one place where values are typed: each field as it is
 declared, so a float may be spelt "1e-3", which YAML reads as a string.
@@ -51,23 +55,19 @@ import yaml
 from .models import HivParameters
 from .qschur import QuantumConfig, QuantumSchurSolver
 from .schur import ExactSchurSolver, NoisySchurSolver
-from .sqp import SqpConfig
+from .sqp import BARRIER_BETA
 
 
 class ConfigError(ValueError):
     """Configuration file or field error; message names the offender."""
 
 
-_SECTIONS = ("problem", "solver", "solvers", "sqp", "sweep", "qsvt", "output", "seed")
+_SECTIONS = ("problem", "solver", "solvers", "sweep", "qsvt", "output", "seed")
 _PROBLEMS = ("hiv", "toy:eqqp", "toy:double_integrator", "toy:box1d")
 _SOLVER_KINDS = ("exact", "noisy", "quantum")
 # The HIV parameters; those of float type are typed at validation, the
 # others are checked by HivParameters itself.
 _HIV_PARAMS = {f.name: type(f.default) for f in dc_fields(HivParameters)}
-# The type of each sqp option; mu_clamp, the one that defaults to None,
-# takes a float or null.
-_SQP_OPTIONS = {f.name: float if f.default is None else type(f.default)
-                for f in dc_fields(SqpConfig)}
 # Keys each solver kind accepts besides "kind", with the type of each.
 _SOLVER_OPTIONS = {
     "exact": {},
@@ -91,6 +91,12 @@ MAX_MATRIX_SIZE = 1024
 MAX_STAGE_SUBSTEPS = 200_000
 _PASS_BYTES_PER_STAGE_SUBSTEP = 900
 
+# Largest number of SQP iterations that a sweep's cells may be capped at in
+# all.  The benchmark's HIV N = 20 sweep is capped at 360 and its cells run
+# 303 iterations at about 2.6 ms each (one CPU, one BLAS thread), so the
+# limit is about 26 s of one CPU at that size.
+MAX_SWEEP_ITERS = 10_000
+
 # Admissible values of the numeric solver options, checked after typing.
 _SOLVER_LIMITS = (
     (("eps",), lambda v: 0.0 <= v < math.inf, "must be finite and nonnegative"),
@@ -107,7 +113,6 @@ class ExperimentConfig:
     u_guess: float = 0.05
     solver: dict[str, Any] = field(default_factory=lambda: {"kind": "exact"})
     solvers: list[dict[str, Any]] = field(default_factory=list)
-    sqp: dict[str, Any] = field(default_factory=dict)
     sweep: dict[str, Any] = field(default_factory=dict)
     qsvt: dict[str, Any] = field(default_factory=dict)
     output_dir: str = "out"
@@ -269,16 +274,6 @@ def validate_config(data: dict) -> ExperimentConfig:
                 f"{MAX_MATRIX_SIZE}; its dense A ({m_eq} x {n_z}) would take about "
                 f"{8e-6 * m_eq * n_z:.0f} MB and S about {8e-6 * m_eq**2:.0f} MB")
 
-    cfg.sqp = dict(_mapping(data.get("sqp", {}), "sqp"))
-    _check_keys(cfg.sqp, "sqp", _SQP_OPTIONS)
-    for key, value in cfg.sqp.items():
-        if value is None and key == "mu_clamp":
-            continue
-        value = _typed(value, _SQP_OPTIONS[key], f"sqp.{key}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"sqp.{key}: must be finite, got {value!r}")
-        cfg.sqp[key] = value
-
     sweep = _mapping(data.get("sweep", {}), "sweep")
     if sweep:
         _check_keys(sweep, "sweep", ("mu_min_grid", "eps_grid", "seeds", "floor_iters"))
@@ -300,6 +295,17 @@ def validate_config(data: dict) -> ExperimentConfig:
         floor_iters = _typed(sweep.get("floor_iters", 40), int, "sweep.floor_iters")
         if floor_iters < 0:
             raise ConfigError(f"sweep.floor_iters: must be >= 0, got {floor_iters}")
+        # Every problem's mu0 is at most 1, so a cell takes at most
+        # ceil(log(1 / mu_min) / -log(BARRIER_BETA)) descent steps before
+        # its floor_iters.
+        cells = len(grids) * len(eps) * len(seeds)
+        descent = max(1, math.ceil(math.log(min(grids)) / math.log(BARRIER_BETA)))
+        iters = cells * (descent + floor_iters)
+        if iters > MAX_SWEEP_ITERS:
+            raise ConfigError(
+                f"sweep.floor_iters: {cells} cells of up to {descent} descent and "
+                f"{floor_iters} floor iterations each make {iters} iterations, "
+                f"above {MAX_SWEEP_ITERS}")
         cfg.sweep = {"mu_min_grid": grids, "eps_grid": eps, "seeds": seeds,
                      "floor_iters": floor_iters}
 

@@ -29,7 +29,7 @@ from .qschur import QuantumConfig
 from .qsvt import InfeasibleAccuracyError, build_inversion_spec, qsvt_invert
 from .blockenc import encode
 from .schur import ExactSchurSolver, NoisySchurSolver
-from .sqp import SolveReport, SqpConfig, solve
+from .sqp import BARRIER_BETA, SolveReport, SqpConfig, solve
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +86,7 @@ class ProblemSetup:
     name: str
     nlp: TrajectoryNlp
     z0: np.ndarray
-    sqp: SqpConfig  # the problem's defaults under the configured overrides
+    sqp: SqpConfig  # the problem's own barrier schedule and tolerances
 
 
 HIV_SQP_DEFAULTS = {
@@ -105,11 +105,11 @@ def build_problem(cfg: ExperimentConfig) -> ProblemSetup:
         nlp = transcribe(hiv_ocp(params))
         z0 = hiv_initial_guess(nlp, cfg.u_guess)
         return ProblemSetup(name="hiv", nlp=nlp, z0=z0,
-                            sqp=SqpConfig(**(HIV_SQP_DEFAULTS | cfg.sqp)))
+                            sqp=SqpConfig(**HIV_SQP_DEFAULTS))
     toy_name = cfg.problem.split(":", 1)[1]
     toy = toy_problems()[toy_name]
     return ProblemSetup(name=toy_name, nlp=transcribe(toy.ocp), z0=toy.z0,
-                        sqp=SqpConfig(**(toy.sqp_overrides | cfg.sqp)))
+                        sqp=SqpConfig(**toy.sqp_overrides))
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +297,10 @@ def _sweep_cell(setup: ProblemSetup, mu_min: float, eps: float, seed: int,
                 floor_iters: int, z_ref: np.ndarray) -> dict:
     """One (mu_min, eps, seed) cell: a noisy solve from ``setup.z0`` under
     ``setup.sqp`` with a geometric barrier clamped at ``mu_min``, run for
-    the factor-``beta`` steps from mu0 to mu_min plus ``floor_iters`` at
-    the floor, and its distances to ``z_ref``."""
+    the factor-``BARRIER_BETA`` steps from mu0 to mu_min plus
+    ``floor_iters`` at the floor, and its distances to ``z_ref``."""
     descent_iters = max(1, math.ceil(math.log(setup.sqp.mu0 / mu_min)
-                                     / -math.log(setup.sqp.beta)))
+                                     / -math.log(BARRIER_BETA)))
     sqp_cfg = replace(setup.sqp, mu_min=mu_min * 0.5, mu_clamp=mu_min,
                       barrier_update="geometric", eps_opt=1e-14, eps_feas=1e-14,
                       max_outer_iters=descent_iters + floor_iters)

@@ -240,6 +240,5 @@ def qsvt_invert(u: BlockEncoding, spec: QsvtInversionSpec,
     return BlockEncoding(
         block=BlockDiagonal(*inverse) if isinstance(u.block, BlockDiagonal) else inverse[0],
         alpha=alpha_out,
-        ancillas=u.ancillas + 1,
         eps=eps_out,
     )

@@ -4,11 +4,12 @@ Each outer iteration linearizes at the current iterate, builds the
 barrier-augmented QP, delegates the KKT solve to the configured backend,
 caps the step with the fraction-to-the-boundary rule, backtracks until
 strict feasibility and the Armijo condition hold, and then updates the
-barrier parameter.  The line search's constants BOUNDARY_THETA, ARMIJO_C,
-BACKTRACK_TAU and MAX_BACKTRACKS are fixed, not options.  No inner loop is
-run per barrier value: one QP per outer iteration.  ``solve`` decides
-whether a step is searched at all (its descent gate and one retry);
-``backtrack`` searches it.
+barrier parameter.  The barrier's reduction factor BARRIER_BETA and the
+line search's constants BOUNDARY_THETA, ARMIJO_C, BACKTRACK_TAU and
+MAX_BACKTRACKS are fixed, not options.  No inner loop is run per barrier
+value: one QP per outer iteration.  ``solve`` decides whether a step is
+searched at all (its descent gate and one retry); ``backtrack`` searches
+it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,11 @@ import numpy as np
 
 from .nlp import BarrierConfig, InfeasiblePointError, PointEval, TrajectoryNlp, \
     build_qp, eval_barrier_objective
-from .schur import SchurSolution, SchurStepSolver
+from .schur import SchurStepSolver
+
+
+# The factor by which a geometric or adaptive barrier update shrinks mu.
+BARRIER_BETA = 0.5
 
 
 @dataclass
@@ -30,7 +35,6 @@ class SqpConfig:
     mu0: float = 1.0
     mu_min: float = 1e-8
     barrier_update: str = "geometric"  # geometric | constant | adaptive
-    beta: float = 0.5
     mu_clamp: float | None = None  # floor applied inside the update rule
     eps_opt: float = 1e-6
     eps_feas: float = 1e-8
@@ -43,8 +47,6 @@ class SqpConfig:
                 raise ValueError(f"{label} must be positive and finite")
         if self.mu_clamp is not None and not np.isfinite(self.mu_clamp):
             raise ValueError("mu_clamp must be finite")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must lie strictly inside (0, 1)")
         cap = self.max_outer_iters
         if isinstance(cap, bool) or not isinstance(cap, int):
             raise ValueError(f"iteration cap max_outer_iters must be an integer, "
@@ -179,14 +181,14 @@ def update_barrier(mu: float, cfg: SqpConfig, progress: dict[str, float]) -> flo
     if cfg.barrier_update == "constant":
         new = mu
     elif cfg.barrier_update == "geometric":
-        new = cfg.beta * mu
+        new = BARRIER_BETA * mu
     else:
         # Shrink when ||c|| did not rise and stationarity fell.  ||c|| need
         # not fall strictly: a rounding-level step can leave it bitwise
         # equal, and a strict test would then hold mu for good.
         improved = (progress["eq_norm"] <= progress["prev_eq_norm"]
                     and progress["stat_norm"] < progress["prev_stat_norm"])
-        new = cfg.beta * mu if improved else mu
+        new = BARRIER_BETA * mu if improved else mu
     if cfg.mu_clamp is not None:
         new = max(new, cfg.mu_clamp)
     return new

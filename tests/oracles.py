@@ -147,4 +147,4 @@ def perturbed_encoding(operand: np.ndarray, eps: float,
     noise = rng.standard_normal(op.shape)
     noise *= rng.uniform(0.5, 1.0) * eps / operator_norm(noise)
     alpha = operator_norm(op) + eps
-    return BlockEncoding(block=(op + noise) / alpha, alpha=alpha, ancillas=1, eps=eps)
+    return BlockEncoding(block=(op + noise) / alpha, alpha=alpha, eps=eps)

@@ -48,7 +48,7 @@ def test_encode_block_diagonal_is_its_stage_select_encoding():
     u = encode(op)
     assert isinstance(u.block, BlockDiagonal)
     assert u.alpha == max(np.linalg.norm(b, 2) for b in (*op.stages, op.tail))
-    assert (u.ancillas, u.eps) == (1, 0.0)
+    assert u.eps == 0.0
     assert encoding_error(u, op.dense()) <= 1e-15 * u.alpha
 
 
@@ -76,21 +76,19 @@ def test_mul_identity_law():
 
 def test_mul_composition_arithmetic():
     # alpha_u=2, alpha_v=3, eps_u=1e-3, eps_v=1e-4 -> alpha=6, eps=3.2e-3
-    u = BlockEncoding(np.eye(2) * 0.5, alpha=2.0, ancillas=1, eps=1e-3)
-    v = BlockEncoding(np.eye(2) * 0.5, alpha=3.0, ancillas=2, eps=1e-4)
+    u = BlockEncoding(np.eye(2) * 0.5, alpha=2.0, eps=1e-3)
+    v = BlockEncoding(np.eye(2) * 0.5, alpha=3.0, eps=1e-4)
     w = be_mul(u, v)
     assert w.alpha == 6.0
     assert np.isclose(w.eps, 3.2e-3)
-    assert w.ancillas == 3
 
 
 def test_add_composition_arithmetic():
-    u = BlockEncoding(np.eye(2), alpha=1.0, ancillas=2, eps=1e-4)
-    v = BlockEncoding(np.eye(2), alpha=1.0, ancillas=3, eps=2e-4)
+    u = BlockEncoding(np.eye(2), alpha=1.0, eps=1e-4)
+    v = BlockEncoding(np.eye(2), alpha=1.0, eps=2e-4)
     w = be_add(u, v)
     assert w.alpha == 2.0
     assert np.isclose(w.eps, 3e-4)
-    assert w.ancillas == 4
     # U = V: the encoding represents A + A = 2A with the block unchanged.
     np.testing.assert_array_equal(w.block, u.block)
     np.testing.assert_allclose(w.represented(), 2.0 * u.represented())

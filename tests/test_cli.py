@@ -65,17 +65,18 @@ def test_commands_succeed_on_eqqp(tmp_path, command, config):
     ("solve", {"problem": {"name": "toy:nope"}}, "problem.name"),
     ("solve", {"problem": {"name": "hiv", "params": {"N": 5, "bogus": 1}}},
      "problem.params.bogus"),
-    ("solve", {"problem": "toy:eqqp", "sqp": {"mu00": 1.0}}, "sqp.mu00"),
+    # the SQP's settings come from the problem: the sqp section is gone
+    ("solve", {"problem": "toy:eqqp", "sqp": {"mu0": 1.0e-2}},
+     "sqp: unknown top-level key"),
     ("sweep", {"problem": "toy:eqqp"}, "sweep"),
     ("solve", {"problem": "toy:eqqp", "solver": {"kind": "exact", "eps": 0.1}},
      "solver.eps"),
     ("compare", {"problem": "toy:eqqp",
                  "solvers": [{"kind": "exact"}, {"kind": "noisy", "bogus": 1}]},
      "solvers[1].bogus"),
-    ("solve", {"problem": "toy:eqqp", "sqp": {"max_backtracks": 2.5}},
-     "max_backtracks"),
-    ("solve", {"problem": "toy:eqqp", "sqp": {"max_outer_iters": 0}},
-     "max_outer_iters"),
+    # nor are they options at the top level
+    ("solve", {"problem": "toy:eqqp", "max_backtracks": 2.5}, "max_backtracks"),
+    ("solve", {"problem": "toy:eqqp", "max_outer_iters": 0}, "max_outer_iters"),
     # malformed values, one per field
     ("solve", {"problem": {"name": "toy:eqqp", "u_guess": "abc"}},
      "problem.u_guess"),
@@ -153,14 +154,16 @@ def test_commands_succeed_on_eqqp(tmp_path, command, config):
     ("qsvt-check", {"problem": "toy:eqqp",
                     "qsvt": {"kappas": [2.0], "eps_primes": [0.0]}},
      "qsvt.eps_primes[0]: must lie in (0, 1)"),
-    ("solve", {"problem": "toy:box1d", "sqp": {"mu0": math.nan}},
-     "sqp.mu0: must be finite"),
-    ("solve", {"problem": "toy:box1d", "sqp": {"eps_opt": math.nan}},
-     "sqp.eps_opt: must be finite"),
-    ("solve", {"problem": "toy:box1d", "sqp": {"mu_min": math.inf}},
-     "sqp.mu_min: must be finite"),
-    ("solve", {"problem": "toy:box1d", "sqp": {"mu_clamp": math.nan}},
-     "sqp.mu_clamp: must be finite"),
+    ("sweep", {"problem": "toy:box1d",
+               "sweep": dict(BOX1D_SWEEP["sweep"], mu_min_grid=[1.0e-3])},
+     "sweep.mu_min_grid: needs at least two values"),
+    ("sweep", {"problem": "toy:box1d",
+               "sweep": dict(BOX1D_SWEEP["sweep"], eps_grid=[1.0e-4, 1.0e-3, 1.0e-2])},
+     "sweep.eps_grid: needs at least three values including 0"),
+    ("sweep", {"problem": "toy:box1d", "sweep": dict(BOX1D_SWEEP["sweep"], seeds=[1, 1])},
+     "sweep.seeds: must be nonempty and distinct"),
+    ("qsvt-check", {"problem": "toy:eqqp", "qsvt": {"kappas": [], "eps_primes": [1.0e-2]}},
+     "qsvt.kappas: must be nonempty"),
     ("solve", {"problem": {"name": "hiv", "params": {"N": 2, "x0": "abc"}}},
      "x0 must be 3 finite numbers"),
     ("solve", {"problem": {"name": "hiv", "params": {"N": 2, "x0": [1.0, 2.0]}}},
@@ -189,17 +192,18 @@ def test_commands_succeed_on_eqqp(tmp_path, command, config):
     *[("qsvt-check", {"problem": "toy:eqqp",
                       "qsvt": {"kappas": [2.0], "eps_primes": [1.0e-2], "matrix_size": k}},
        "qsvt.matrix_size: must be at least 1") for k in (0, -3)],
-    # sqp options and HIV parameters are typed by their field
+    # HIV parameters are typed by their field, and each section by its shape
     ("solve", {"problem": {"name": "hiv", "params": {"N": 2, "s": "abc"}}},
      "problem.params.s: expected float"),
-    ("solve", {"problem": "toy:box1d", "sqp": {"mu_clamp": "abc"}},
-     "sqp.mu_clamp: expected float"),
-    ("solve", {"problem": "toy:box1d", "sqp": {"eps_feas": [1]}},
-     "sqp.eps_feas: expected float"),
-    ("solve", {"problem": "toy:box1d", "sqp": {"barrier_update": 5}},
-     "sqp.barrier_update: expected str"),
-    ("solve", {"problem": "toy:box1d", "sqp": {"eps_opt": 0.0}},
-     "eps_opt must be positive and finite"),    # misspelt keys inside a section
+    ("solve", {"problem": {"name": "hiv", "params": [2]}},
+     "problem.params: expected a mapping"),
+    ("solve", {"problem": "toy:eqqp", "solver": {"eps": 1.0e-3}},
+     "solver: solver spec must be a mapping with a 'kind' field"),
+    ("solve", {"problem": "toy:eqqp", "solver": {"kind": "annealer"}},
+     "solver.kind: unknown solver kind 'annealer'"),
+    ("compare", {"problem": "toy:eqqp", "solvers": [{"kind": "exact"}]},
+     "solvers: compare requires exactly two solver specs"),
+    # misspelt keys inside a section
     ("sweep", {"problem": "toy:box1d",
                "sweep": dict(BOX1D_SWEEP["sweep"], floor_iter=3)},
      "sweep.floor_iter: unknown option"),
@@ -240,6 +244,13 @@ def test_commands_succeed_on_eqqp(tmp_path, command, config):
                  "solvers": [{"kind": "exact"}, {"kind": "quantum"}]},
      "problem.params: a quantum solve at N = 341 has a Schur complement of "
      "side m_eq = 3(N + 1) = 1026, above 1024"),
+    # a sweep whose cells are capped at more iterations in all than
+    # MAX_SWEEP_ITERS: 6 cells of up to 14 halvings (mu_min 1e-4) and 2000
+    # iterations at the floor
+    ("sweep", {"problem": "toy:box1d",
+               "sweep": dict(BOX1D_SWEEP["sweep"], floor_iters=2000)},
+     "sweep.floor_iters: 6 cells of up to 14 descent and 2000 floor iterations "
+     "each make 12084 iterations, above 10000"),
 ])
 def test_config_errors_exit_one_and_name_the_field(tmp_path, capsys, command,
                                                    config, field):
@@ -251,9 +262,9 @@ def test_config_errors_exit_one_and_name_the_field(tmp_path, capsys, command,
 
 # -- generated configurations -------------------------------------------------
 # A configuration is drawn well typed and in range, at tier-1 sizes: N <= 4,
-# substeps <= 2, matrix_size <= 4, floor_iters <= 3, degree_cap <= 4001 and
-# max_outer_iters <= 30.  Half of them then get one fault: a field made ill
-# typed or out of range, a misspelt key, or a misspelt section.
+# substeps <= 2, matrix_size <= 4, floor_iters <= 3 and degree_cap <= 4001.
+# Half of them then get one fault: a field made ill typed or out of range, a
+# misspelt key, or a misspelt section.
 
 _NAN = float("nan")
 # Ill-typed and out-of-range values of each field that the fault may spoil.
@@ -264,8 +275,6 @@ _BAD_VALUES = {
     "kind": ("nope", None), "eps": (-1.0, _NAN, "abc"), "seed": (-1, 1.5, "abc"),
     "eps_prime_Q": (0.0, 1.5, "abc"), "eps_prime_S": (0.0, _NAN),
     "degree_cap": (0, 2.5), "solvers": ([{"kind": "exact"}], "exact"),
-    "max_outer_iters": (0, -3, 2.5, "abc"), "mu0": (0.0, -1.0, _NAN, "abc"),
-    "eps_opt": (0.0, "abc"), "barrier_update": ("bogus", 5),
     "mu_min_grid": ([1e-3], [1e-3, 1e-3], [1e-3, -1.0], 5),
     "eps_grid": ([1e-4, 1e-3, 1e-2], [0.0, _NAN, 1.0]), "seeds": ([], [-1], ["a"]),
     "floor_iters": (-1, 1.5, "abc"),
@@ -297,10 +306,6 @@ _SOLVER = st.one_of(
            "eps_prime_Q": st.sampled_from([1e-2, 1e-4, 1e-6]),
            "eps_prime_S": st.sampled_from([1e-2, 1e-4, 1e-6]),
            "degree_cap": st.integers(1, 4001)}))
-_SQP = _some({"max_outer_iters": st.integers(1, 30),
-              "mu0": st.sampled_from([1e-2, 0.1, 1.0]),
-              "eps_opt": st.sampled_from([1e-4, 1e-6]),
-              "barrier_update": st.sampled_from(["geometric", "constant", "adaptive"])})
 _SWEEP = st.fixed_dictionaries({
     "mu_min_grid": st.just([1e-3, 1e-4]), "eps_grid": st.just([0.0, 1e-4, 1e-3]),
     "seeds": st.lists(st.integers(0, 3), min_size=1, max_size=1),
@@ -328,8 +333,7 @@ def _cli_configs(draw):
     times in five, every other section one time in five."""
     command = draw(st.sampled_from(["solve", "compare", "sweep", "qsvt-check"]))
     needs = {"compare": "solvers", "sweep": "sweep", "qsvt-check": "qsvt"}.get(command)
-    # sqp.max_outer_iters bounds every solve but the sweep's reference.
-    config = {"problem": draw(_PROBLEM), "sqp": draw(_SQP)}
+    config = {"problem": draw(_PROBLEM)}
     for name, strategy in (("solver", _SOLVER),
                            ("solvers", st.lists(_SOLVER, min_size=2, max_size=2)),
                            ("sweep", _SWEEP), ("qsvt", _QSVT),
@@ -375,14 +379,12 @@ def test_generated_configs_exit_with_a_documented_code(case):
     if code == 1:
         message = err.getvalue()
         assert "error:" in message
-        names = _keys(config) | {"problem", "solver", "solvers", "sqp", "sweep",
+        names = _keys(config) | {"problem", "solver", "solvers", "sweep",
                                  "qsvt", "output", "seed"}
         assert any(re.search(rf"\b{re.escape(str(n))}\b", message) for n in names), message
 
 
 @pytest.mark.parametrize("text, section, expected", [
-    ("problem: toy:eqqp\nsqp: {eps_opt: 1e-9, mu0: 1e-2}\n", "sqp",
-     {"eps_opt": 1e-9, "mu0": 1e-2}),
     ("problem: {name: hiv, params: {N: 2, k: 8e-8}}\n", "problem_params",
      {"N": 2, "k": 8e-8}),
     ("problem: toy:eqqp\nsolver: {kind: noisy, eps: 1e-3}\n", "solver",
@@ -657,10 +659,9 @@ def test_sweep_manifest_records_reference_phases(tmp_path):
 
 
 def test_sweep_cells_reach_their_floor_under_a_slow_barrier(tmp_path):
-    # With beta = 0.9 the barrier takes about 3.3 times as many steps to
-    # each mu_min as halvings do; every cell's last iterate is still at its
-    # floor.
-    config = {"problem": {"name": "hiv", "params": {"N": 6}}, "sqp": {"beta": 0.9},
+    # Each cell is capped at the BARRIER_BETA steps from mu0 to its mu_min
+    # plus floor_iters; every cell's last iterate is at its floor.
+    config = {"problem": {"name": "hiv", "params": {"N": 6}},
               "sweep": {"mu_min_grid": [1.0e-4, 1.0e-6],
                         "eps_grid": [0.0, 1.0e-4, 1.0e-3], "seeds": [1],
                         "floor_iters": 5}}
@@ -700,6 +701,7 @@ def test_usage_errors_exit_one_and_help_exits_zero(argv, code):
     ("solver", "quantum", "shots", 100),
     ("solver", "quantum", "validate_nodes", True),
     ("solver", "noisy", "lambda_mode", "consistent"),
+    # the whole sqp section is removed, so these are refused with it
     ("sqp", None, "sigma0", 1.0e-8),
     ("sqp", None, "barrier_kind", "log"),
     ("sqp", None, "enforce_infeasibility_decrease", True),
@@ -722,7 +724,9 @@ def test_removed_options_are_config_errors(tmp_path, capsys, section, kind,
     body = {option: value} if kind is None else {"kind": kind, option: value}
     code, _ = run(tmp_path, "solve", {"problem": "toy:eqqp", section: body})
     assert code == 1
-    assert f"{section}.{option}" in capsys.readouterr().err
+    # A removed section (the rows without a kind) is refused by its name.
+    where = section if kind is None else f"{section}.{option}"
+    assert where in capsys.readouterr().err
 
 
 def run_python(code: str) -> subprocess.CompletedProcess:
@@ -870,18 +874,18 @@ PINNED_RUNS = {
 OUTPUT_SHA256 = {
     "hiv12_exact": {
         "iterates.csv": "da627ffbfb0bb59eaea21ae53e56fabbaee6b7219a59f0759fdbcc2721af9ad2",
-        "manifest.json": "5a9f2c38ab3dcbd6623dcd885d05b12c1c7134b734c3383ea90e0ed078d897f3",
+        "manifest.json": "d4ea5dbf823f2cddb3e7471efd37d074c9843f9c4875a651a53c22e44c08a764",
         "trajectory.csv": "886d23779a4c646d77b55b64f31f05ee205aeaf0644e394cb66ebe2163ad5d7c",
     },
     "hiv6_sweep": {
         "iss_fit.json": "3b7f23d0fe6ae007b8ac344f496a138f04a935f6e76fe656dab75ac56bb240b7",
-        "manifest.json": "43b995395c09000d3a083ce8c9b10ca8d2ecee1478c655cc39cb5a25c0da9c23",
+        "manifest.json": "f0c72523fff6fd97526d4b746e3909649eda3f3a3930729c16df3ba37cfcce1f",
         "sweep.csv": "9365757d44f9fe770b8deee96ec7770fd6e48f1f53a0bfe90a4b80ffe83ad187",
         "traces.csv": "ceded7eaddf553ca5ec574a4e584387fda92f3c60ad799567d912fe7a93209c6",
     },
     "hiv4_quantum": {
         "iterates.csv": "ba9ae229182541bf26e7c560ab1f7c270dae650f4b8a77cfdf9da1e2a505b4fb",
-        "manifest.json": "ca4718f147fbd606f010af3248d99c85f46ff1fc00e67f078330b327808a4671",
+        "manifest.json": "f06ab9f30bcbb83e959656254ffb2428be491edbbcccd6e9610d95d30b8f96b6",
         "trajectory.csv": "8e2a784d69a84b40805df233b9b37bfdf4ac8078083a4c647d3835867fc759d7",
     },
 }

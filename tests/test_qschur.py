@@ -291,7 +291,7 @@ def test_schur_condition_and_degree_grow_with_the_horizon():
 
 class TestReadout:
     def _fake_encoding(self, col):
-        return BlockEncoding(block=col.reshape(-1, 1), alpha=2.0, ancillas=1, eps=0.0)
+        return BlockEncoding(block=col.reshape(-1, 1), alpha=2.0, eps=0.0)
 
     def test_square_law(self):
         # ||column|| = 1/2 -> p_succ = 0.25, dz = alpha * column

@@ -288,7 +288,6 @@ class TestQsvtInvert:
         np.testing.assert_allclose(blocked.block.dense(), dense.block, rtol=0.0, atol=1e-12)
         assert math.isclose(blocked.alpha, dense.alpha, rel_tol=1e-12)
         assert math.isclose(blocked.eps, dense.eps, rel_tol=1e-12)
-        assert blocked.ancillas == dense.ancillas
 
     def test_spectrum_violation_names_offender(self):
         u = encode(np.diag([1.0, 0.1]))
@@ -318,7 +317,7 @@ class TestQsvtInvert:
         t = 1e-4
         v_min = np.linalg.eigh(held)[1][:, 0]
         true_op = held - t * np.outer(v_min, v_min)
-        u = BlockEncoding(block=held, alpha=1.0, ancillas=1, eps=t)
+        u = BlockEncoding(block=held, alpha=1.0, eps=t)
         inv = qsvt_invert(u, build_inversion_spec(4.0, 1e-12))
         true_err = np.linalg.norm(inv.represented() - np.linalg.inv(true_op), 2)
         # the two agree to rounding in the dense inverse, far below 1e-9

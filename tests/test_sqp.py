@@ -11,7 +11,6 @@ from qbsqp.models import (
     HivParameters,
     box1d_ocp,
     double_integrator_ocp,
-    eqqp_ocp,
     hiv_initial_guess,
     hiv_ocp,
     toy_problems,
@@ -222,7 +221,7 @@ class TestBacktrack:
 
 class TestUpdateBarrier:
     def test_geometric(self):
-        cfg = SqpConfig(beta=0.5, barrier_update="geometric")
+        cfg = SqpConfig(barrier_update="geometric")
         assert update_barrier(0.1, cfg, {}) == pytest.approx(0.05)
 
     def test_constant(self):
@@ -230,7 +229,7 @@ class TestUpdateBarrier:
         assert update_barrier(0.1, cfg, {}) == 0.1
 
     def test_adaptive_stalls_hold_mu(self):
-        cfg = SqpConfig(beta=0.5, barrier_update="adaptive")
+        cfg = SqpConfig(barrier_update="adaptive")
         stalled = {"eq_norm": 2.0, "prev_eq_norm": 1.0,
                    "stat_norm": 0.5, "prev_stat_norm": 1.0}
         assert update_barrier(0.1, cfg, stalled) == 0.1
@@ -241,7 +240,7 @@ class TestUpdateBarrier:
     def test_adaptive_shrinks_when_eq_norm_unchanged(self):
         # A rounding-level step can leave ||c|| bitwise equal; that is not
         # a stall.  Stationarity must still fall strictly.
-        cfg = SqpConfig(beta=0.5, barrier_update="adaptive")
+        cfg = SqpConfig(barrier_update="adaptive")
         level = {"eq_norm": 3.6e-6, "prev_eq_norm": 3.6e-6,
                  "stat_norm": 0.5, "prev_stat_norm": 1.0}
         assert update_barrier(0.1, cfg, level) == pytest.approx(0.05)
@@ -251,7 +250,7 @@ class TestUpdateBarrier:
         assert update_barrier(0.1, cfg, first) == 0.1
 
     def test_clamp_floor(self):
-        cfg = SqpConfig(beta=0.5, barrier_update="geometric", mu_clamp=0.08)
+        cfg = SqpConfig(barrier_update="geometric", mu_clamp=0.08)
         assert update_barrier(0.1, cfg, {}) == 0.08
 
 
@@ -316,7 +315,7 @@ class TestSolve:
     def test_geometric_mu_schedule_exact(self):
         toys = toy_problems()
         nlp = transcribe(toys["box1d"].ocp)
-        cfg = SqpConfig(mu0=1.0, beta=0.5, mu_min=1e-4)
+        cfg = SqpConfig(mu0=1.0, mu_min=1e-4)
         rep = solve(nlp, toys["box1d"].z0, cfg, ExactSchurSolver())
         mus = [r.mu for r in rep.records[1:]]
         for a, b in zip(mus, mus[1:]):
@@ -483,9 +482,6 @@ def test_hiv_quantum_solve_converges_like_exact():
 
 
 def test_config_validation():
-    for beta in (0.0, 1.0, np.nan):
-        with pytest.raises(ValueError, match="beta must lie strictly inside"):
-            SqpConfig(beta=beta)
     with pytest.raises(ValueError):
         SqpConfig(mu0=-1.0)
     with pytest.raises(ValueError):
